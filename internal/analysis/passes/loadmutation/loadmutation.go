@@ -33,9 +33,11 @@ var Analyzer = &analysis.Analyzer{
 var mutators = map[string]string{
 	"(*partalloc/internal/loadtree.Tree).Place":  "loadtree.Tree.Place",
 	"(*partalloc/internal/loadtree.Tree).Remove": "loadtree.Tree.Remove",
+	"(*partalloc/internal/loadtree.Tree).Reset":  "loadtree.Tree.Reset",
 	"(*partalloc/internal/copies.Copy).Occupy":   "copies.Copy.Occupy",
 	"(*partalloc/internal/copies.Copy).Vacate":   "copies.Copy.Vacate",
 	"(*partalloc/internal/copies.List).Place":    "copies.List.Place",
+	"(*partalloc/internal/copies.List).OccupyAt": "copies.List.OccupyAt",
 	"(*partalloc/internal/copies.List).Vacate":   "copies.List.Vacate",
 	"(*partalloc/internal/copies.List).Reset":    "copies.List.Reset",
 }

@@ -236,27 +236,27 @@ func (a *analyzer) blockingReason(block *ast.BlockStmt, depth int) string {
 
 // blockingStdlib maps fully qualified callees to their parking reason.
 var blockingStdlib = map[string]string{
-	"time.Sleep":                  "time.Sleep",
-	"(*sync.WaitGroup).Wait":      "WaitGroup.Wait",
-	"(*sync.Cond).Wait":           "Cond.Wait",
-	"os.ReadFile":                 "file I/O",
-	"os.WriteFile":                "file I/O",
-	"os.Open":                     "file I/O",
-	"os.OpenFile":                 "file I/O",
-	"os.Create":                   "file I/O",
-	"os.CreateTemp":               "file I/O",
-	"os.Remove":                   "file I/O",
-	"os.RemoveAll":                "file I/O",
-	"os.Rename":                   "file I/O",
-	"os.MkdirAll":                 "file I/O",
-	"os.ReadDir":                  "file I/O",
-	"(*os.File).Read":             "file I/O",
-	"(*os.File).Write":            "file I/O",
-	"(*os.File).Close":            "file I/O",
-	"(*os.File).Sync":             "file I/O",
-	"(*os/exec.Cmd).Run":          "subprocess wait",
-	"(*os/exec.Cmd).Wait":         "subprocess wait",
-	"(*os/exec.Cmd).Output":       "subprocess wait",
+	"time.Sleep":                    "time.Sleep",
+	"(*sync.WaitGroup).Wait":        "WaitGroup.Wait",
+	"(*sync.Cond).Wait":             "Cond.Wait",
+	"os.ReadFile":                   "file I/O",
+	"os.WriteFile":                  "file I/O",
+	"os.Open":                       "file I/O",
+	"os.OpenFile":                   "file I/O",
+	"os.Create":                     "file I/O",
+	"os.CreateTemp":                 "file I/O",
+	"os.Remove":                     "file I/O",
+	"os.RemoveAll":                  "file I/O",
+	"os.Rename":                     "file I/O",
+	"os.MkdirAll":                   "file I/O",
+	"os.ReadDir":                    "file I/O",
+	"(*os.File).Read":               "file I/O",
+	"(*os.File).Write":              "file I/O",
+	"(*os.File).Close":              "file I/O",
+	"(*os.File).Sync":               "file I/O",
+	"(*os/exec.Cmd).Run":            "subprocess wait",
+	"(*os/exec.Cmd).Wait":           "subprocess wait",
+	"(*os/exec.Cmd).Output":         "subprocess wait",
 	"(*os/exec.Cmd).CombinedOutput": "subprocess wait",
 }
 

@@ -13,12 +13,14 @@ func bad(m *tree.Machine) {
 	lt := loadtree.New(m)
 	lt.Place(m.Root())  // want `mutates PE-load state`
 	lt.Remove(m.Root()) // want `mutates PE-load state`
+	lt.Reset()          // want `mutates PE-load state`
 	c := copies.NewCopy(m)
 	c.Occupy(m.Root()) // want `mutates PE-load state`
 	c.Vacate(m.Root()) // want `mutates PE-load state`
 	l := copies.NewList(m)
-	l.Place(1) // want `mutates PE-load state`
-	l.Reset()  // want `mutates PE-load state`
+	l.Place(1)              // want `mutates PE-load state`
+	l.OccupyAt(0, m.Root()) // want `mutates PE-load state`
+	l.Reset()               // want `mutates PE-load state`
 }
 
 func good(m *tree.Machine) int {

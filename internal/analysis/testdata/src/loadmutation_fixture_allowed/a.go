@@ -13,7 +13,9 @@ func allowed(m *tree.Machine) {
 	lt := loadtree.New(m)
 	lt.Place(m.Root())
 	lt.Remove(m.Root())
+	lt.Reset()
 	l := copies.NewList(m)
 	l.Place(1)
+	l.OccupyAt(0, m.Root())
 	l.Reset()
 }

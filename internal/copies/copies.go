@@ -15,10 +15,16 @@
 // the number of occupied PEs in the subtree and the size of the largest
 // vacant submachine in the subtree, giving O(log N) leftmost-vacant search
 // and O(log N) occupy/vacate.
+//
+// A reallocation reruns A_R into the same List: Reset keeps the dropped
+// copies, and later placements empty and reuse them before creating new
+// ones. A list therefore keeps the memory of its peak copy count, and
+// once warm a reallocation allocates nothing.
 package copies
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"partalloc/internal/errs"
@@ -52,15 +58,21 @@ func NewCopy(m *tree.Machine) *Copy {
 	// Depth-d nodes occupy heap indices [2^d, 2^(d+1)) and all have size
 	// N/2^d; filling per level avoids a Size call per node.
 	for d, size := 0, int32(m.N()); size >= 1; d, size = d+1, size/2 {
-		lo, hi := 1<<d, 1<<(d+1)
-		if hi > m.NumNodes()+1 {
-			hi = m.NumNodes() + 1
-		}
-		for v := lo; v < hi; v++ {
+		for v := 1 << d; v < min(1<<(d+1), nn); v++ {
 			c.maxVacant[v] = size
 		}
 	}
 	return c
+}
+
+// reset vacates every submachine and unblocks every leaf in place;
+// vacant is the maxVacant of a fresh copy.
+func (c *Copy) reset(vacant []int32) {
+	clear(c.occupied)
+	clear(c.assigned)
+	clear(c.blocked)
+	copy(c.maxVacant, vacant)
+	c.tasks = 0
 }
 
 // Machine returns the machine this copy mirrors.
@@ -342,6 +354,9 @@ type List struct {
 	// Unblock, and Reset create vacancies and rewind it. This turns A_B's
 	// first-fit scan from O(copies) per arrival into amortized O(1).
 	firstFit []int
+	// vacant is a fresh copy's maxVacant, copied into each copy that
+	// Reset dropped when newCopy hands it back.
+	vacant []int32
 }
 
 // NewList returns an empty copy list for machine m.
@@ -457,9 +472,21 @@ func (l *List) rewind(ci int) {
 	}
 }
 
-// newCopy builds a copy with every currently failed leaf pre-blocked.
+// newCopy returns an empty copy with every currently failed leaf blocked,
+// handing back a copy that Reset dropped while one is left.
 func (l *List) newCopy() *Copy {
-	c := NewCopy(l.m)
+	var c *Copy
+	if n := len(l.copies); n < cap(l.copies) {
+		c = l.copies[:n+1][n]
+	}
+	if c == nil {
+		c = NewCopy(l.m)
+		if l.vacant == nil {
+			l.vacant = slices.Clone(c.maxVacant)
+		}
+	} else {
+		c.reset(l.vacant)
+	}
 	for _, leaf := range l.blockedLeaves {
 		c.Block(leaf)
 	}
@@ -525,6 +552,7 @@ func (l *List) Vacate(copyIdx int, v tree.Node) {
 }
 
 // Reset drops all copies (used when a reallocation rebuilds the layout).
+// The dropped copies stay allocated for later placements to reuse.
 func (l *List) Reset() {
 	l.copies = l.copies[:0]
 	l.rewind(0)

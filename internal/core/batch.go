@@ -42,9 +42,8 @@ func (b *Basic) ApplyBatch(evs []task.Event) {
 
 // ApplyBatch implements BatchApplier for A_M. The d·N reallocation
 // threshold is evaluated per arrival exactly as in Arrive, so batch and
-// serial application reallocate at the same events. reallocate() may swap
-// the load tree mid-batch; the replacement inherits deferred mode (see
-// reallocate), so the final EndDeferred lands on whichever tree is current.
+// serial application reallocate at the same events. A reallocation
+// mid-batch resets the load tree in place, which stays deferred.
 func (p *Periodic) ApplyBatch(evs []task.Event) {
 	if p.greedy != nil {
 		ApplyEvents(p, evs)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"partalloc/internal/copies"
@@ -73,12 +74,7 @@ func affectedTasks(m *tree.Machine, placed map[task.ID]placementRec, leaf tree.N
 			out = append(out, task.Task{ID: id, Size: rec.size})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size != out[j].Size {
-			return out[i].Size > out[j].Size
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, bySizeDesc)
 	return out
 }
 

@@ -27,29 +27,21 @@ import (
 // below d·N, so at most d extra copies exist at any time — and in practice
 // reallocates far less often (see experiment E8).
 type Lazy struct {
-	m          *tree.Machine
-	d          int
-	greedy     *Greedy // delegation when d ≥ greedy bound, as in A_M
-	order      ReallocOrder
-	list       *copies.List
-	loads      *loadtree.Tree
-	placed     map[task.ID]placementRec
+	m      *tree.Machine
+	d      int
+	greedy *Greedy // delegation when d ≥ greedy bound, as in A_M
+	copyLayout
 	sinceRealo int64
 	activeSize int64
-	stats      ReallocStats
-	observer   MigrationObserver
 	faults     faultSet
 }
-
-// SetMigrationObserver implements Observable.
-func (l *Lazy) SetMigrationObserver(fn MigrationObserver) { l.observer = fn }
 
 // NewLazy returns the lazy d-reallocation algorithm on machine m. d < 0
 // encodes ∞. d = 0 is allowed: the budget is always available, so it
 // reallocates whenever A_B would grow the copy count, which also achieves
 // the optimal load L*.
 func NewLazy(m *tree.Machine, d int, order ReallocOrder) *Lazy {
-	l := &Lazy{m: m, d: d, order: order}
+	l := &Lazy{m: m, d: d, copyLayout: copyLayout{order: order}}
 	if d < 0 {
 		l.greedy = NewGreedy(m)
 	} else {
@@ -109,41 +101,6 @@ func (l *Lazy) Arrive(t task.Task) tree.Node {
 	return v
 }
 
-func (l *Lazy) reallocate() {
-	tasks := make([]task.Task, 0, len(l.placed))
-	//lint:ignore detorder ReallocateAll re-sorts tasks with a total order (size, then ID), so collection order cannot matter
-	for id, rec := range l.placed {
-		tasks = append(tasks, task.Task{ID: id, Size: rec.size})
-	}
-	list, placed := ReallocateAllAvoiding(l.m, tasks, l.order, l.faults.failed)
-	l.stats.Reallocations++
-	newLoads := loadtree.New(l.m)
-	// Same deferred-build rule as Periodic.reallocate: cheaper above the
-	// size heuristic, and mandatory mid-batch so the swapped-in tree
-	// inherits deferred mode.
-	lv := l.m.Levels() + 1
-	if l.loads.Deferred() || len(placed)*lv*lv >= 4*l.m.NumNodes() {
-		newLoads.BeginDeferred()
-	}
-	for id, rec := range placed {
-		old := l.placed[id]
-		if old.node != 0 && old.node != rec.node {
-			l.stats.Migrations++
-			l.stats.MovedPEs += int64(rec.size)
-			if l.observer != nil {
-				l.observer(id, old.node, rec.node)
-			}
-		}
-		newLoads.Place(rec.node)
-	}
-	if newLoads.Deferred() && !l.loads.Deferred() {
-		newLoads.EndDeferred()
-	}
-	l.list = list
-	l.placed = placed
-	l.loads = newLoads
-}
-
 // Depart implements Allocator.
 func (l *Lazy) Depart(id task.ID) {
 	if l.greedy != nil {
@@ -192,9 +149,6 @@ func (l *Lazy) Active() int {
 	}
 	return len(l.placed)
 }
-
-// ReallocStats implements Reallocator.
-func (l *Lazy) ReallocStats() ReallocStats { return l.stats }
 
 // EffectiveD implements Degradable.
 func (l *Lazy) EffectiveD() int { return l.d }

@@ -32,27 +32,19 @@ type Periodic struct {
 	greedy *Greedy
 
 	// copy mode (d < greedy bound)
-	order      ReallocOrder
-	list       *copies.List
-	loads      *loadtree.Tree
-	placed     map[task.ID]placementRec
+	copyLayout
 	sinceRealo int64 // cumulative arrival size since last reallocation
 	activeSize int64 // total size of active tasks, for the lazy trigger
 	lazy       bool  // on-demand trigger (Degradable), as in Lazy
-	stats      ReallocStats
-	observer   MigrationObserver
 	faults     faultSet
 }
-
-// SetMigrationObserver implements Observable.
-func (p *Periodic) SetMigrationObserver(fn MigrationObserver) { p.observer = fn }
 
 // NewPeriodic returns A_M with reallocation parameter d on machine m.
 // d < 0 encodes d = ∞ (never reallocate). The order parameter selects the
 // paper's first-fit-decreasing (DecreasingSize) or the ablation
 // ArrivalOrder for the reallocation procedure.
 func NewPeriodic(m *tree.Machine, d int, order ReallocOrder) *Periodic {
-	p := &Periodic{m: m, d: d, order: order}
+	p := &Periodic{m: m, d: d, copyLayout: copyLayout{order: order}}
 	if p.greedyMode() {
 		p.greedy = NewGreedy(m)
 	} else {
@@ -175,47 +167,6 @@ func (p *Periodic) SetLazyRealloc(lazy bool) bool {
 	return true
 }
 
-// reallocate runs procedure A_R over the active set, updating migration
-// statistics (a task "migrates" when its submachine root changes; moving
-// between copies at the same node keeps the same PEs and is free).
-func (p *Periodic) reallocate() {
-	tasks := make([]task.Task, 0, len(p.placed))
-	//lint:ignore detorder ReallocateAll re-sorts tasks with a total order (size, then ID), so collection order cannot matter
-	for id, rec := range p.placed {
-		tasks = append(tasks, task.Task{ID: id, Size: rec.size})
-	}
-	list, placed := ReallocateAllAvoiding(p.m, tasks, p.order, p.faults.failed)
-	p.stats.Reallocations++
-	newLoads := loadtree.New(p.m)
-	// Build the replacement tree with deferred aggregates when that is
-	// cheaper (one O(N) rebuild vs len(placed) eager O(log²N) updates), and
-	// always when the old tree is mid-batch: the replacement must inherit
-	// deferred mode so ApplyBatch's EndDeferred lands on the current tree.
-	lv := p.m.Levels() + 1
-	if p.loads.Deferred() || len(placed)*lv*lv >= 4*p.m.NumNodes() {
-		newLoads.BeginDeferred()
-	}
-	for id, rec := range placed {
-		old := p.placed[id]
-		// old.node == 0 marks the arrival that triggered this reallocation;
-		// it had no previous placement, so it cannot "migrate".
-		if old.node != 0 && old.node != rec.node {
-			p.stats.Migrations++
-			p.stats.MovedPEs += int64(rec.size)
-			if p.observer != nil {
-				p.observer(id, old.node, rec.node)
-			}
-		}
-		newLoads.Place(rec.node)
-	}
-	if newLoads.Deferred() && !p.loads.Deferred() {
-		newLoads.EndDeferred()
-	}
-	p.list = list
-	p.placed = placed
-	p.loads = newLoads
-}
-
 // Depart implements Allocator.
 func (p *Periodic) Depart(id task.ID) {
 	if p.greedy != nil {
@@ -264,9 +215,6 @@ func (p *Periodic) Active() int {
 	}
 	return len(p.placed)
 }
-
-// ReallocStats implements Reallocator.
-func (p *Periodic) ReallocStats() ReallocStats { return p.stats }
 
 // UsesGreedy reports whether this instance delegates to A_G (d at or above
 // the greedy bound).

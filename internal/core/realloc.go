@@ -1,9 +1,11 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"partalloc/internal/copies"
+	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -35,39 +37,91 @@ func (o ReallocOrder) String() string {
 // active task set, sort it (per order), and first-fit each task into the
 // first copy of T with a vacant submachine of its size, creating copies as
 // needed; within a copy, take the leftmost vacant submachine. It returns
-// the fresh copy list and the new placements.
+// a fresh copy list and the placements.
 //
 // Ties in size are broken by task ID so the procedure is deterministic.
 func ReallocateAll(m *tree.Machine, tasks []task.Task, order ReallocOrder) (*copies.List, map[task.ID]placementRec) {
-	return ReallocateAllAvoiding(m, tasks, order, nil)
+	s := copyLayout{order: order, list: copies.NewList(m), loads: loadtree.New(m),
+		placed: make(map[task.ID]placementRec, len(tasks))}
+	for _, t := range tasks {
+		s.placed[t.ID] = placementRec{copyIdx: -1, size: t.Size}
+	}
+	s.reallocate()
+	return s.list, s.placed
 }
 
-// ReallocateAllAvoiding is ReallocateAll on a machine with failed PEs: the
-// fresh copy list blocks every failed PE before placement, so no task in
-// the rebuilt layout covers one. It panics if some task has no healthy
-// submachine of its size.
-func ReallocateAllAvoiding(m *tree.Machine, tasks []task.Task, order ReallocOrder, failedPEs []int) (*copies.List, map[task.ID]placementRec) {
-	sorted := make([]task.Task, len(tasks))
-	copy(sorted, tasks)
-	switch order {
-	case DecreasingSize:
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Size != sorted[j].Size {
-				return sorted[i].Size > sorted[j].Size
+// copyLayout is the copy-mode state A_M and A_M-lazy share: the copy
+// list, load tree and placement map that A_B fills between
+// reallocations, and that procedure A_R rebuilds in place.
+type copyLayout struct {
+	order    ReallocOrder
+	list     *copies.List
+	loads    *loadtree.Tree
+	placed   map[task.ID]placementRec
+	tasks    []task.Task // A_R's sort buffer
+	stats    ReallocStats
+	observer MigrationObserver
+}
+
+// SetMigrationObserver implements Observable.
+func (s *copyLayout) SetMigrationObserver(fn MigrationObserver) { s.observer = fn }
+
+// ReallocStats implements Reallocator.
+func (s *copyLayout) ReallocStats() ReallocStats { return s.stats }
+
+// reallocate runs procedure A_R over every placed task into the buffers
+// the layout already owns: the list's dropped copies are reused with the
+// failed leaves blocked again, the load tree is zeroed in place (staying
+// deferred mid-batch), and each placement is rewritten, so once the
+// buffers have held the peak task and copy counts a reallocation
+// allocates nothing. A task "migrates" when its submachine root changes
+// (moving between copies at the same node keeps the same PEs and is
+// free); node 0 marks the arrival that triggered the reallocation, which
+// has no previous placement. Observer calls come in A_R order.
+func (s *copyLayout) reallocate() {
+	s.tasks = s.tasks[:0]
+	for id, rec := range s.placed {
+		s.tasks = append(s.tasks, task.Task{ID: id, Size: rec.size})
+	}
+	if s.order == DecreasingSize {
+		slices.SortFunc(s.tasks, bySizeDesc)
+	} else {
+		slices.SortFunc(s.tasks, func(a, b task.Task) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	s.list.Reset()
+	s.loads.Reset()
+	// Outside a batch, one deferred O(N) rebuild is cheaper than
+	// len(tasks) eager O(log²N) updates above this size.
+	m := s.loads.Machine()
+	lv := m.Levels() + 1
+	rebuild := !s.loads.Deferred() && len(s.tasks)*lv*lv >= 4*m.NumNodes()
+	if rebuild {
+		s.loads.BeginDeferred()
+	}
+	for _, t := range s.tasks {
+		ci, v := s.list.Place(t.Size)
+		s.loads.Place(v)
+		old := s.placed[t.ID]
+		s.placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
+		if old.node != 0 && old.node != v {
+			s.stats.Migrations++
+			s.stats.MovedPEs += int64(t.Size)
+			if s.observer != nil {
+				s.observer(t.ID, old.node, v)
 			}
-			return sorted[i].ID < sorted[j].ID
-		})
-	case ArrivalOrder:
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+		}
 	}
-	list := copies.NewList(m)
-	for _, pe := range failedPEs {
-		list.Block(m.LeafOf(pe))
+	if rebuild {
+		s.loads.EndDeferred()
 	}
-	placed := make(map[task.ID]placementRec, len(sorted))
-	for _, t := range sorted {
-		ci, v := list.Place(t.Size)
-		placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
+	s.stats.Reallocations++
+}
+
+// bySizeDesc is A_R's first-fit-decreasing order: size descending, then
+// task ID.
+func bySizeDesc(a, b task.Task) int {
+	if c := cmp.Compare(b.Size, a.Size); c != 0 {
+		return c
 	}
-	return list, placed
+	return cmp.Compare(a.ID, b.ID)
 }

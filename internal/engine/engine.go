@@ -807,6 +807,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 		t.check.OnQueue(len(t.queue), maxQ)
 		// Sample the shard backlog at its pre-drain high-water mark.
 		e.shardAt(t.shardIdx).noteQueued()
+		buf := t.queue
 		for len(t.queue) >= trigger {
 			b := t.queue[:trigger]
 			t.queue = t.queue[trigger:]
@@ -815,6 +816,11 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 			}
 			t.check.OnQueue(len(t.queue), maxQ)
 		}
+		// Slide the leftover to the front of the buffer, so the next
+		// Submit appends into the capacity the drain freed instead of
+		// allocating a new array. No apply keeps its batch, and snapshots
+		// copy the queue.
+		t.queue = buf[:copy(buf, t.queue)]
 		if len(evs) == 0 {
 			t.sink.QueueDepth(t.id, len(t.queue))
 			return nil

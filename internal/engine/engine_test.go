@@ -169,6 +169,35 @@ func TestSubmitMatchesReplay(t *testing.T) {
 	}
 }
 
+// TestSubmitReusesQueue checks that a tenant's queue keeps its buffer
+// when a batch drains it: a warm stream of full-batch Submit calls
+// averages under one allocation per call, where a new queue array for
+// every batch would cost one each.
+func TestSubmitReusesQueue(t *testing.T) {
+	const batch = 64
+	eng := New(Config{BatchSize: batch})
+	if err := eng.AddTenant("t", core.NewRandom(tree.MustNew(64), 1)); err != nil {
+		t.Fatal(err)
+	}
+	// The first half of the batch arrives and the second half departs the
+	// same tasks, so the batch can be submitted again and again.
+	evs := make([]task.Event, batch)
+	for i := range batch / 2 {
+		id := task.ID(i + 1)
+		evs[i] = task.Event{Kind: task.Arrive, Task: id, Size: 1}
+		evs[i+batch/2] = task.Event{Kind: task.Depart, Task: id, Size: 1}
+	}
+	submit := func() {
+		if err := eng.Submit("t", evs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit()
+	if avg := testing.AllocsPerRun(200, submit); avg >= 1 {
+		t.Errorf("full-batch Submit allocates %v objects per call, want < 1", avg)
+	}
+}
+
 // TestAuditModeCleanRun checks that the per-shard invariant audit passes
 // on healthy algorithms and still matches the serial reference.
 func TestAuditModeCleanRun(t *testing.T) {

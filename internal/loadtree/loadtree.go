@@ -40,7 +40,8 @@ type Tree struct {
 	// adversarial fragmentation (where min-leaf pruning degrades to a full
 	// level scan).
 	bestAt [][]int32
-	active int // number of placed tasks
+	best   []int32 // backing array every bestAt row is carved from
+	active int     // number of placed tasks
 	// deferred aggregation (see BeginDeferred): while set, Place/Remove
 	// update only cover counts and the aggregates are rebuilt lazily, in
 	// one bottom-up pass, the next time a query needs them.
@@ -59,21 +60,32 @@ func New(m *tree.Machine) *Tree {
 		minBelow: make([]int32, nn),
 		bestAt:   make([][]int32, nn),
 	}
-	// Carve every bestAt row out of one flat backing array: Tree
-	// construction is on A_C/A_M's reallocation path, so per-node
-	// allocations would dominate their profile.
+	// Carve every bestAt row out of one flat backing array: one
+	// allocation instead of one per node, and one clear in Reset.
 	total := 0
 	for v := 1; v <= m.NumNodes(); v++ {
 		total += t.levels - mathxLog2Floor(v) + 1
 	}
-	backing := make([]int32, total)
+	t.best = make([]int32, total)
 	off := 0
 	for v := 1; v <= m.NumNodes(); v++ {
 		l := t.levels - mathxLog2Floor(v) + 1
-		t.bestAt[v] = backing[off : off+l : off+l]
+		t.bestAt[v] = t.best[off : off+l : off+l]
 		off += l
 	}
 	return t
+}
+
+// Reset removes every task in place, keeping the tree's storage and its
+// deferred mode: procedure A_R rebuilds loads into the same tree, even in
+// the middle of a batch.
+func (t *Tree) Reset() {
+	clear(t.cover)
+	clear(t.maxBelow)
+	clear(t.minBelow)
+	clear(t.best)
+	t.active = 0
+	t.dirty = false
 }
 
 // mathxLog2Floor is floor(log2(v)) for v ≥ 1.
