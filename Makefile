@@ -41,12 +41,16 @@ test-chaos:
 
 # Snapshot & compaction suite under the race detector (docs/ENGINE.md,
 # "Snapshots & compaction"): snapshot recovery byte-identity, O(tail)
-# scan accounting, retention bounding the journal, idle tenants pinning
-# it, breaker probes rebuilt from snapshots, MoveTenant, the snapshot
-# SIGKILL crash test, and the facade-level three-way recovery
-# equivalence gate.
+# scan accounting, retention bounding the journal, tenants whose latest
+# snapshot is their genesis snapshot pinning it, recovered watermarks,
+# breaker probes rebuilt from genesis and cadence snapshots (also while
+# another shard compacts), a crash between a probe's rebuild record and
+# its healing snapshot, the crash points of segment truncation,
+# MoveTenant, the snapshot SIGKILL crash test, and the facade-level
+# three-way recovery equivalence gate.
 test-snapshot:
-	go test -race -run 'TestSnapshot|TestRecoveryReadsOnlyTail|TestBreakerProbeRestoresFromSnapshot|TestMoveTenant|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestSnapshot|TestRecoveryReadsOnlyTail|TestBreakerProbeRestoresFromSnapshot|TestBreakerRebuildsFromJournal|TestMoveTenant|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestTruncateBeforeCrashPoints' -count=1 ./internal/wal/
 	go test -race -run 'TestSnapshotRecoveryEquivalence' -count=1 .
 
 # Placement suite under the race detector (docs/ENGINE.md, "Placement

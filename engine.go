@@ -60,9 +60,11 @@ type OverloadPolicy = engine.OverloadPolicy
 
 // RecoveryStats reports how RecoverEngine reconstructed the engine:
 // records scanned, records skipped because a later snapshot already
-// covered them, records re-applied, and snapshots restored. With
-// WithSnapshotEvery on the crashed engine, skipped should dwarf
-// replayed — that is the O(tail) recovery at work.
+// covered them, records re-applied, and snapshots restored — one per
+// tenant, counting the genesis snapshot a journaled AddTenant writes
+// when the tenant took no later one. With WithSnapshotEvery on the
+// crashed engine, skipped should dwarf replayed — that is the O(tail)
+// recovery at work.
 type RecoveryStats = engine.RecoveryStats
 
 // Overload policies for WithOverloadPolicy.
@@ -301,9 +303,11 @@ func WithJournal(dir string) EngineOption {
 // becomes O(tail) — RecoverEngine restores each tenant from its latest
 // snapshot and replays only the records after it — and the journal
 // stays bounded, because segments older than every tenant's latest
-// snapshot are deleted. The circuit breaker's half-open probe also
-// restores from the last pre-poison snapshot instead of replaying the
-// tenant's whole safe prefix. Requires WithJournal.
+// snapshot are deleted. The circuit breaker's half-open probe likewise
+// restores the last pre-poison snapshot and replays only the tail after
+// it. Without this option a journaled tenant has just its genesis
+// snapshot, written by AddTenant, and the breaker's healing snapshots,
+// so recovery and probes replay from there. Requires WithJournal.
 func WithSnapshotEvery(k int) EngineOption {
 	return func(o *engineOptions) {
 		if k < 1 {

@@ -61,9 +61,10 @@ func snapshotEquivTraffic(t *testing.T, eng *partalloc.Engine) {
 // TestSnapshotRecoveryEquivalence is the facade-level snapshot gate: the
 // same fleet (all six algorithms, fault schedules, mesh and hypercube
 // hosts) and the same traffic run three ways — uninterrupted, journaled
-// without snapshots then recovered by full replay, and journaled with
-// WithSnapshotEvery then recovered from snapshots plus tail — must yield
-// byte-identical CanonicalEngineStats for every tenant.
+// with genesis snapshots only then recovered by replaying each tenant's
+// whole tail, and journaled with WithSnapshotEvery then recovered from
+// the latest snapshots plus tail — must yield byte-identical
+// CanonicalEngineStats for every tenant.
 func TestSnapshotRecoveryEquivalence(t *testing.T) {
 	// Uninterrupted reference: no journal at all.
 	plain, err := partalloc.NewEngine(partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64))
@@ -74,7 +75,8 @@ func TestSnapshotRecoveryEquivalence(t *testing.T) {
 	snapshotEquivTraffic(t, plain)
 	want := plain.Stats()
 
-	// Full-replay recovery: journal on, snapshots off.
+	// Full-replay recovery: journal on, no snapshots past each tenant's
+	// genesis snapshot (its registration record).
 	replayDir := t.TempDir()
 	full, err := partalloc.NewEngine(partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64),
 		partalloc.WithJournal(replayDir))
@@ -91,8 +93,9 @@ func TestSnapshotRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("full-replay recovery: %v", err)
 	}
 	defer fullRec.Close()
-	if rs := fullRec.RecoveryStats(); rs.SnapshotsRestored != 0 {
-		t.Fatalf("snapshot-less journal restored %d snapshots", rs.SnapshotsRestored)
+	if rs, n := fullRec.RecoveryStats(), int64(len(fullRec.Tenants())); rs.SnapshotsRestored != n || rs.RecordsSkipped != 0 {
+		t.Fatalf("genesis-only journal: restored %d snapshots and skipped %d records, want %d (one genesis per tenant) and 0",
+			rs.SnapshotsRestored, rs.RecordsSkipped, n)
 	}
 
 	// Snapshot recovery: journal on, snapshots every 2 batches.

@@ -142,20 +142,18 @@ func TestSIGKILLRecovery(t *testing.T) {
 
 	// The uninterrupted reference: a journal-less engine fed the exact
 	// journaled calls. Recovery already repaired the log, so this replay
-	// sees precisely the records Recover saw.
+	// sees precisely the records Recover saw. Each tenant's registration
+	// is its genesis snapshot, whose envelope carries the spec.
 	ref := New(Config{Shards: 2, BatchSize: 8, MaxQueue: 32, Overload: Block})
 	err = wal.Replay(dir, func(ord int, wrec wal.Record) error {
 		switch wrec.Type {
-		case wal.TypeAddTenant:
-			var spec TenantSpec
-			if err := json.Unmarshal(wrec.Data, &spec); err != nil {
+		case wal.TypeSnapshot:
+			var env tenantSnapshot
+			if err := json.Unmarshal(wrec.Data, &env); err != nil {
 				return err
 			}
-			a, sched, host, err := testRebuild(spec)
-			if err != nil {
-				return err
-			}
-			return ref.AddTenantSpec(spec, a, sched, host)
+			addSpecTenant(t, ref, env.Spec)
+			return nil
 		case wal.TypeSubmit:
 			evs, err := wal.DecodeEvents(wrec.Data)
 			if err != nil {
@@ -163,7 +161,7 @@ func TestSIGKILLRecovery(t *testing.T) {
 			}
 			return ref.Submit(wrec.Tenant, evs...)
 		default:
-			return fmt.Errorf("record %d: the crash child only submits, got type %d", ord, wrec.Type)
+			return fmt.Errorf("record %d: the crash child only registers and submits, got type %d", ord, wrec.Type)
 		}
 	})
 	if err != nil {

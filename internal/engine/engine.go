@@ -38,7 +38,8 @@
 //   - circuit breaker: with a journal and Config.Rebuild, poisoning is no
 //     longer forever — the tenant goes open, and after a seeded-jitter
 //     exponential backoff the next ingestion attempt (half-open) rebuilds
-//     it from the journaled safe prefix, dropping the poisonous suffix.
+//     it from its latest snapshot and the journaled safe tail, dropping
+//     the poisonous suffix.
 package engine
 
 import (
@@ -120,7 +121,9 @@ type Config struct {
 	// is appended before tenant state changes, making the engine
 	// recoverable (Recover) and the circuit breaker possible. Journaled
 	// engines require tenants registered with a serializable TenantSpec
-	// (AddTenantSpec; the partalloc facade does this automatically).
+	// (WithTenantSpec; the partalloc facade does this automatically) and a
+	// core.Checkpointable allocator: registration journals the tenant's
+	// initial state as its genesis snapshot.
 	Journal *wal.Log
 	// Rebuild turns a TenantSpec back into a live allocator (plus its
 	// fault schedule and topology host). Required by Recover and by the
@@ -134,10 +137,10 @@ type Config struct {
 	// all tenants' latest snapshots live in segment ≥ s, segments before s
 	// are deleted (wal.Log.TruncateBefore), bounding the journal, and
 	// Recover restores each tenant from its last snapshot and replays only
-	// the tail after it — O(tail), not O(history). Requires Journal and
-	// allocators implementing core.Checkpointable (all partalloc
-	// allocators do). 0 disables snapshotting (full-replay recovery, the
-	// historical behavior).
+	// the tail after it — O(tail), not O(history). Requires Journal. 0
+	// means genesis snapshots only (plus the breaker's healing snapshots):
+	// recovery replays each tenant's tail from its registration, and a
+	// tenant that never snapshots again pins the journal.
 	SnapshotEvery int
 	// Sink, when non-nil, receives metrics and flight-recorder events
 	// from the hot paths (batch applies, sheds, degrade transitions,
@@ -252,7 +255,7 @@ type TenantStats struct {
 	// FaultEvents is the number of injected fault-schedule events.
 	FaultEvents int
 	// Topology names the tenant's physical network when it was registered
-	// with a topology host (AddTenantHosted); empty otherwise.
+	// with a topology host (WithTenantHost); empty otherwise.
 	Topology string
 	// MigHops is the hop-distance-weighted cost of the tenant's voluntary
 	// migrations on its host network; host-aware tenants only.
@@ -309,7 +312,7 @@ type tenant struct {
 	faultPos int
 	faultHit int
 
-	// Host-aware migration pricing (AddTenantHosted). inFault mutes the
+	// Host-aware migration pricing (WithTenantHost). inFault mutes the
 	// observer while a fault is applied: failInCopies fires it for forced
 	// moves too, and those are charged once, from the FailPE return.
 	host       *topology.Host
@@ -324,7 +327,7 @@ type tenant struct {
 	// change the live Name (A_M's includes d), but the ledger keeps the
 	// configured identity.
 	algoName string
-	// spec is the serializable rebuild recipe (AddTenantSpec); hasSpec
+	// spec is the serializable rebuild recipe (WithTenantSpec); hasSpec
 	// gates the journal and circuit breaker.
 	spec    TenantSpec
 	hasSpec bool
@@ -424,20 +427,17 @@ type Engine struct {
 	// frames otherwise).
 	jmu sync.Mutex
 
-	// smu guards snapSeg, the per-tenant snapshot watermark: the journal
-	// segment holding each tenant's latest snapshot (-1 = none yet). The
-	// compaction rule reads the minimum over all tracked tenants; a
-	// tenant that has never snapshotted pins the whole log.
-	smu     sync.Mutex
+	// snapSeg, guarded by jmu, is the per-tenant snapshot watermark: the
+	// journal segment holding each journaled tenant's latest snapshot,
+	// genesis included. The compaction rule deletes only segments below
+	// the minimum, and a probe's tail read starts at the tenant's own.
 	snapSeg map[string]int
 
-	// recStats is filled by Recover; resetOrd/recSnapOrd/recSnapData are
-	// its pass-1 scratch (the last snapshot/remove ordinal per tenant),
-	// cleared when recovery finishes.
-	recStats    RecoveryStats
-	resetOrd    map[string]int
-	recSnapOrd  map[string]int
-	recSnapData map[string][]byte
+	// recStats is filled by Recover; resetPos is its pass-1 scratch (the
+	// position of each tenant's last snapshot or removal), cleared when
+	// recovery finishes.
+	recStats RecoveryStats
+	resetPos map[string]wal.Pos
 
 	// now is the clock, in nanoseconds; a test hook.
 	now func() int64
@@ -540,9 +540,9 @@ func WithTenantSpec(spec TenantSpec) TenantOption {
 // AddTenant registers a tenant backed by allocator a, configured by
 // options: WithTenantFaults for a fault schedule, WithTenantHost for
 // hop-priced migrations on a physical network, WithTenantSpec for a
-// rebuild recipe (required on journaled engines).
-//
-// This constructor supersedes AddTenantHosted and AddTenantSpec.
+// rebuild recipe. A journaled engine requires the spec and a
+// core.Checkpointable allocator, and journals the tenant's initial state
+// as its genesis snapshot.
 func (e *Engine) AddTenant(id string, a core.Allocator, topts ...TenantOption) error {
 	o := tenantOptions{spec: TenantSpec{ID: id}}
 	for _, opt := range topts {
@@ -557,71 +557,34 @@ func (e *Engine) AddTenant(id string, a core.Allocator, topts ...TenantOption) e
 	if o.hasSpec && o.spec.ID != id {
 		return fmt.Errorf("engine: AddTenant(%q): %w: WithTenantSpec ID %q does not match", id, errs.ErrBadOption, o.spec.ID)
 	}
-	return e.addTenant(o.spec, o.hasSpec, a, o.faults, o.host, true)
+	return e.addTenant(o.spec, o.hasSpec, a, o.faults, o.host)
 }
 
-// AddTenantHosted is AddTenant on a physical topology host; faults and
-// host may each be nil (plain AddTenant).
-//
-// Deprecated: use AddTenant(id, a, WithTenantFaults(faults),
-// WithTenantHost(host)), omitting the options that would be nil here.
-func (e *Engine) AddTenantHosted(id string, a core.Allocator, faults *fault.Schedule, host *topology.Host) error {
-	var topts []TenantOption
-	if faults != nil {
-		topts = append(topts, WithTenantFaults(faults))
-	}
-	if host != nil {
-		topts = append(topts, WithTenantHost(host))
-	}
-	return e.AddTenant(id, a, topts...)
-}
-
-// AddTenantSpec registers a tenant along with its serializable rebuild
-// recipe; faults and host may each be nil.
-//
-// Deprecated: use AddTenant(spec.ID, a, WithTenantSpec(spec), ...).
-func (e *Engine) AddTenantSpec(spec TenantSpec, a core.Allocator, faults *fault.Schedule, host *topology.Host) error {
-	if spec.ID == "" {
-		return fmt.Errorf("engine: AddTenantSpec: empty tenant ID")
-	}
-	topts := []TenantOption{WithTenantSpec(spec)}
-	if faults != nil {
-		topts = append(topts, WithTenantFaults(faults))
-	}
-	if host != nil {
-		topts = append(topts, WithTenantHost(host))
-	}
-	return e.AddTenant(spec.ID, a, topts...)
-}
-
-// addTenant is the shared registration path. journal=false is the
-// recovery path, which reconstructs tenants from AddTenant records
-// without re-journaling them.
-func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host, journal bool) error {
+// addTenant is the registration path. On a journaled engine the genesis
+// snapshot — spec, empty ledger, fault position 0, and the route the
+// placer chose — is appended inside the critical section that installs
+// the tenant, so every journaled tenant has a snapshot from birth.
+// (Recovery registers tenants from their snapshots: restoreSnapshot.)
+func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host) error {
 	id := spec.ID
 	if a == nil {
 		return fmt.Errorf("engine: AddTenant(%q): nil allocator", id)
 	}
-	if e.cfg.Journal != nil && !hasSpec {
-		return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a rebuild recipe; use AddTenantSpec", id)
+	if e.cfg.Journal != nil {
+		if !hasSpec {
+			return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a rebuild recipe; use WithTenantSpec", id)
+		}
+		if _, ok := a.(core.Checkpointable); !ok {
+			return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a core.Checkpointable allocator; %s is not", id, a.Name())
+		}
 	}
 	// Registration changes routing and membership together; holding the
 	// rebalance mutex keeps the pair atomic with respect to passes and
 	// their bijection audit.
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
-	// Live registrations route through the placer. Recovery routes to
-	// the hash default and lets the replayed TypeMove records reproduce
-	// the live routing — the balanced advisor is a heuristic, never a
-	// recovery input, so recovered routing is deterministic.
 	_, routed := e.placer.Lookup(id)
-	var idx int
-	if journal {
-		idx = e.placer.Place(id)
-	} else {
-		idx = hashShard(id, len(e.shards))
-		e.placer.Reroute(id, idx)
-	}
+	idx := e.placer.Place(id)
 	dropRoute := func() {
 		if !routed {
 			e.placer.Remove(id)
@@ -640,24 +603,18 @@ func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faul
 		// The route predates this call and belongs to the live tenant.
 		return fmt.Errorf("%w: %q", ErrDuplicateTenant, id)
 	}
-	if journal {
-		//lint:ignore lockorder append-before-apply: the registration record must land in the journal inside the same critical section that installs the tenant, or a crash between the two would orphan its Submit records
-		if err := e.journalAddTenant(t); err != nil {
+	if e.cfg.Journal != nil {
+		data, err := e.encodeTenantSnapshot(t)
+		if err == nil {
+			//lint:ignore lockorder append-before-apply: the genesis snapshot must land in the journal inside the same critical section that installs the tenant, or a crash between the two would orphan its Submit records
+			err = e.appendSnapshot(id, data)
+		}
+		if err != nil {
 			dropRoute()
 			return err
 		}
-		if hash := hashShard(id, len(e.shards)); idx != hash {
-			// The placer diverged from the hash default at registration;
-			// the move record is what reproduces that route on recovery.
-			//lint:ignore lockorder append-before-apply: the move record pairs with the registration record under the same critical section (see above)
-			if err := e.journalMove(id, hash, idx); err != nil {
-				dropRoute()
-				return err
-			}
-		}
 	}
 	s.tenants[id] = t
-	e.trackTenant(id)
 	// Pre-creates every per-tenant series so gauges (breaker state, queue
 	// depth) are scrapeable as 0 before the first batch.
 	e.cfg.Sink.TenantRegistered(id)
@@ -755,9 +712,10 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 	// backlog's.
 	in.inbound.Add(-int64(len(evs)))
 	defer s.mu.Unlock()
-	// The half-open probe inside get scans the journal under the shard
-	// lock by design: rebuild must see a frozen view of this tenant's
-	// records, and the lock is what freezes them.
+	// The half-open probe inside get reads the tenant's journal tail — its
+	// latest snapshot's segment on — under the shard lock by design: the
+	// rebuild must see a frozen view of this tenant's records and
+	// watermark, and the lock is what freezes them.
 	t, err := e.get(s, id)
 	if err != nil {
 		return err
@@ -838,8 +796,8 @@ func (e *Engine) Flush(id string) error {
 func (e *Engine) flushLocked(id string) error {
 	s := e.lockTenantShard(id)
 	defer s.mu.Unlock()
-	// The half-open probe inside get scans the journal under the shard
-	// lock by design (see Submit).
+	// The half-open probe inside get reads the journal tail under the
+	// shard lock by design (see Submit).
 	t, err := e.get(s, id)
 	if err != nil {
 		return err
@@ -995,8 +953,8 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 						end = len(evs)
 					}
 					s := e.lockTenantShard(id)
-					// The half-open probe inside get scans the journal under the shard
-					// lock by design (see Submit).
+					// The half-open probe inside get reads the journal tail under the
+					// shard lock by design (see Submit).
 					t, err := e.get(s, id)
 					if err == nil {
 						// Append-before-apply under the shard lock (see Submit).
@@ -1083,7 +1041,7 @@ func (e *Engine) get(s *shard, id string) (*tenant, error) {
 			ErrTenantPoisoned, id, time.Duration(wait), t.err)
 	}
 	t.sink.BreakerProbe(id, int64(t.trips))
-	if err := e.probe(s, t); err != nil {
+	if err := e.probe(t); err != nil {
 		return nil, fmt.Errorf("%w: %q (half-open probe failed): %w", ErrTenantPoisoned, id, err)
 	}
 	return t, nil

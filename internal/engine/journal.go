@@ -1,11 +1,13 @@
 // Write-ahead journaling and crash recovery. The journal mirrors
-// ingestion *calls*, not abstract event streams: a TypeSubmit record is
-// one accepted Submit, a TypeApply record is one Replay batch (bypassing
-// the queue), a TypeFlush is an explicit flush, and a TypeRebuild is a
-// circuit-breaker rebuild. Replaying the records therefore reproduces
-// the engine's queue and batch structure exactly — Recover yields the
-// same Events/Queued/Batches/PeakLoad ledger an uninterrupted run has,
-// not merely the same final placements.
+// ingestion *calls*, not abstract event streams: a tenant's registration
+// is its genesis TypeSnapshot (snapshot.go), a TypeSubmit record is one
+// accepted Submit, a TypeApply record is one Replay batch (bypassing the
+// queue), a TypeFlush is an explicit flush, and a TypeRebuild is a
+// circuit-breaker rebuild. Replaying the records after each tenant's
+// latest snapshot therefore reproduces the engine's queue and batch
+// structure exactly — Recover yields the same Events/Queued/Batches/
+// PeakLoad ledger an uninterrupted run has, not merely the same final
+// placements.
 //
 // Every record is appended before the state change it describes
 // (append-before-apply), so the journal can only ever be ahead of the
@@ -17,12 +19,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
-	"partalloc/internal/core"
 	"partalloc/internal/errs"
-	"partalloc/internal/fault"
 	"partalloc/internal/task"
-	"partalloc/internal/topology"
 	"partalloc/internal/wal"
 )
 
@@ -65,17 +65,6 @@ func (e *Engine) journalAppend(rec wal.Record) error {
 	return nil
 }
 
-func (e *Engine) journalAddTenant(t *tenant) error {
-	if e.cfg.Journal == nil {
-		return nil
-	}
-	data, err := json.Marshal(t.spec)
-	if err != nil {
-		return fmt.Errorf("engine: journal: marshal spec %q: %w", t.id, err)
-	}
-	return e.journalAppend(wal.Record{Type: wal.TypeAddTenant, Tenant: t.id, Data: data})
-}
-
 func (e *Engine) journalSubmit(t *tenant, evs []task.Event) error {
 	if e.cfg.Journal == nil || len(evs) == 0 {
 		return nil
@@ -97,103 +86,27 @@ func (e *Engine) journalFlush(t *tenant) error {
 	return e.journalAppend(wal.Record{Type: wal.TypeFlush, Tenant: t.id})
 }
 
-// timeline reconstructs a tenant's *valid* event timeline from the
-// journal: the concatenation of its Submit/Apply record events, with
-// every TypeRebuild record applied as a truncation (a rebuild keeps the
-// first keep events and drops the rest, so previously dropped poisonous
-// suffixes never resurface). stopBefore ≥ 0 bounds the scan to records
-// strictly before that ordinal — the recovery path uses it to rebuild
-// "as of" a journaled rebuild record; -1 scans everything.
-//
-// Reading the journal directory while other shards append is safe: a
-// frame is written with one write(2), so a concurrent reader sees only
-// whole frames plus possibly a torn tail, which Replay tolerates — and
-// every record of *this* tenant is already fully written, because its
-// shard lock (held by the caller) serializes them.
-func (e *Engine) timeline(id string, stopBefore int) ([]task.Event, error) {
-	var tl []task.Event
-	err := wal.Replay(e.cfg.Journal.Dir(), func(ord int, rec wal.Record) error {
-		if stopBefore >= 0 && ord >= stopBefore {
-			return wal.ErrStop
-		}
-		if rec.Tenant != id {
-			return nil
-		}
-		switch rec.Type {
-		case wal.TypeSubmit:
-			evs, err := wal.DecodeEvents(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			tl = append(tl, evs...)
-		case wal.TypeApply:
-			_, evs, err := wal.DecodeApply(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			tl = append(tl, evs...)
-		case wal.TypeRebuild:
-			keep, _, err := wal.DecodeRebuild(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			if keep > int64(len(tl)) {
-				return fmt.Errorf("engine: journal record %d: rebuild keeps %d of %d events", ord, keep, len(tl))
-			}
-			tl = tl[:keep]
-		case wal.TypeRemove:
-			// The tenant left this engine (MoveTenant); a tenant with the
-			// same ID registered later starts a fresh stream.
-			tl = nil
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tl, nil
-}
+// journalEnd is the tail-read bound of a live probe: read to the end.
+var journalEnd = wal.Pos{Seg: math.MaxInt}
 
 // probe is the circuit breaker's half-open transition: rebuild the
-// poisoned tenant from its journaled safe prefix — the t.events events
-// that were applied successfully — and drop the poisonous suffix. When
-// the tenant has a journaled snapshot, the rebuild restores it and
-// replays only the post-snapshot tail (probeFromSnapshot); otherwise
-// the whole safe prefix is replayed from the timeline. On success the
-// tenant is healthy again (t.err == nil); on failure the breaker
-// re-opens with a doubled backoff. Callers hold the shard lock.
-func (e *Engine) probe(s *shard, t *tenant) error {
-	snapOrd, env, ok, err := e.lastSnapshot(t.id)
-	if err != nil {
-		e.rearm(t)
-		return err
-	}
-	if ok {
-		return e.probeFromSnapshot(t, snapOrd, env)
-	}
-	tl, err := e.timeline(t.id, -1)
-	if err != nil {
-		e.rearm(t)
-		return err
-	}
+// poisoned tenant from its latest snapshot and the journaled tail up to
+// t.events — the events that applied successfully — dropping the
+// poisonous suffix (rebuildFromSnapshot). The TypeRebuild record commits
+// the rebuild before the tenant changes, and a healing snapshot of the
+// rebuilt state follows it, so recovery and the next probe both start
+// from the healed tenant. On success the tenant is healthy again
+// (t.err == nil); on failure the breaker re-opens with a doubled
+// backoff. Callers hold the shard lock.
+func (e *Engine) probe(t *tenant) error {
 	keep := t.events
-	if keep > int64(len(tl)) {
-		e.rearm(t)
-		return fmt.Errorf("engine: rebuild %q: journal holds %d events but %d were applied", t.id, len(tl), keep)
-	}
-	drop := int64(len(tl)) - keep
-	// Build the fresh allocator before journaling the rebuild: if the
-	// recipe fails, no record is written and recovery stays consistent.
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
+	drop, err := e.rebuildFromSnapshot(t, keep, journalEnd, func(drop int64) error {
+		return e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: wal.AppendRebuild(nil, keep, drop)})
+	})
 	if err != nil {
-		e.rearm(t)
 		return err
 	}
-	if err := e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: wal.AppendRebuild(nil, keep, drop)}); err != nil {
-		e.rearm(t)
-		return err
-	}
-	if err := e.rebuild(t, a, faults, host, tl[:keep], drop); err != nil {
+	if err := e.snapshotTenant(t); err != nil {
 		return err
 	}
 	t.sink.BreakerHeal(t.id, drop)
@@ -207,39 +120,18 @@ func (e *Engine) rearm(t *tenant) {
 	t.deadline = e.now() + e.backoff(t)
 }
 
-// rebuild replaces the tenant's state with a fresh allocator and replays
-// prefix through it in batch-sized chunks (the same chunking an
-// uninterrupted ingestion of exactly these events would have used, so
-// rebuilt ledgers match recovery's). ShedEvents, DroppedEvents, and the
-// trip count survive; the degradation ladder and its ledger restart —
-// the fresh allocator is back at its configured rung. Callers hold the
-// shard lock.
-func (e *Engine) rebuild(t *tenant, a core.Allocator, faults *fault.Schedule, host *topology.Host, prefix []task.Event, drop int64) error {
-	nt, err := e.buildTenant(t.spec, true, a, faults, host)
-	if err != nil {
-		e.rearm(t)
-		return err
-	}
-	nt.shed = t.shed
-	nt.dropped = t.dropped + drop
-	nt.trips = t.trips
-	nt.deadline = t.deadline
-	*t = *nt
-	wireObserver(t)
-	return e.replayChunks(t, prefix)
-}
-
 // Recover reconstructs an engine from the journal in dir: the log is
 // opened (repairing any torn tail), then every record is re-applied in
 // order through the same code paths live ingestion uses. cfg.Rebuild is
 // required; cfg.Journal is replaced by the reopened log, so the
 // recovered engine keeps journaling where the crashed one stopped.
 //
-// With snapshots in the log (Config.SnapshotEvery on the crashed
-// engine), recovery is O(tail): a first pass finds each tenant's last
-// snapshot, the second pass skips every record older than it, restores
-// the snapshot, and replays only what follows. RecoveryStats reports
-// the split.
+// Recovery is O(tail): a first pass finds each tenant's last snapshot —
+// its genesis snapshot at least, later ones with Config.SnapshotEvery or
+// after a breaker heal on the crashed engine — and the second pass skips
+// every record older than it, restores the snapshot, and replays only
+// what follows. RecoveryStats reports the split. Recovery never writes
+// to the journal while it reads it.
 //
 // Recovery is deterministic for everything the ingestion history
 // determines: TenantStats of a recovered engine match an uninterrupted
@@ -256,81 +148,56 @@ func Recover(cfg Config, dir string, wopt wal.Options) (*Engine, error) {
 	}
 	cfg.Journal = log
 	e := New(cfg)
-	e.resetOrd = make(map[string]int)
-	e.recSnapOrd = make(map[string]int)
-	e.recSnapData = make(map[string][]byte)
+	e.resetPos = make(map[string]wal.Pos)
 	// Pass 1: find each tenant's reset point — its last snapshot (restore
 	// from there) or removal (forget everything before).
-	if err := wal.Replay(dir, func(ord int, rec wal.Record) error {
+	if err := wal.ReplayFrom(dir, 0, func(pos wal.Pos, rec wal.Record) error {
 		e.recStats.RecordsScanned++
-		switch rec.Type {
-		case wal.TypeSnapshot:
-			e.resetOrd[rec.Tenant] = ord
-			e.recSnapOrd[rec.Tenant] = ord
-			e.recSnapData[rec.Tenant] = rec.Data
-		case wal.TypeRemove:
-			e.resetOrd[rec.Tenant] = ord
-			delete(e.recSnapOrd, rec.Tenant)
-			delete(e.recSnapData, rec.Tenant)
+		if rec.Type == wal.TypeSnapshot || rec.Type == wal.TypeRemove {
+			e.resetPos[rec.Tenant] = pos
 		}
 		return nil
 	}); err != nil {
 		log.Close()
 		return nil, err
 	}
-	if err := wal.Replay(dir, e.dispatch); err != nil {
+	if err := wal.ReplayFrom(dir, 0, e.dispatch); err != nil {
 		log.Close()
 		return nil, err
 	}
-	e.resetOrd, e.recSnapOrd, e.recSnapData = nil, nil, nil
+	e.resetPos = nil
 	cfg.Sink.Recovery(e.recStats.SnapshotsRestored, e.recStats.RecordsReplayed, e.recStats.RecordsSkipped)
 	return e, nil
 }
 
-// dispatch re-applies one journal record during Recover. Records older
-// than the tenant's reset point (its last snapshot or removal) are
-// skipped — the snapshot already summarizes them.
-func (e *Engine) dispatch(ord int, rec wal.Record) error {
-	if ro, ok := e.resetOrd[rec.Tenant]; ok {
-		if ord < ro {
-			e.recStats.RecordsSkipped++
-			return nil
+// dispatch re-applies one journal record during Recover. A tenant's
+// records up to its reset point are skipped — its last snapshot already
+// summarizes them, or its removal forgot them — and the snapshot itself
+// is restored, so no TypeSnapshot or TypeRemove record reaches the
+// replay switch.
+func (e *Engine) dispatch(pos wal.Pos, rec wal.Record) error {
+	if reset, ok := e.resetPos[rec.Tenant]; ok && !reset.Before(pos) {
+		if pos == reset && rec.Type == wal.TypeSnapshot {
+			e.recStats.SnapshotsRestored++
+			return e.restoreSnapshot(pos, rec)
 		}
-		if ord == ro {
-			if rec.Type == wal.TypeSnapshot {
-				e.recStats.SnapshotsRestored++
-				return e.restoreSnapshot(ord, rec)
-			}
-			// TypeRemove: every earlier record was skipped, so there is
-			// nothing to forget.
-			e.recStats.RecordsSkipped++
-			return nil
-		}
+		e.recStats.RecordsSkipped++
+		return nil
 	}
 	e.recStats.RecordsReplayed++
 	switch rec.Type {
-	case wal.TypeAddTenant:
-		var spec TenantSpec
-		if err := json.Unmarshal(rec.Data, &spec); err != nil {
-			return fmt.Errorf("engine: recover record %d: %w", ord, err)
-		}
-		a, faults, host, err := e.cfg.Rebuild(spec)
-		if err != nil {
-			return fmt.Errorf("engine: recover %q: %w", spec.ID, err)
-		}
-		return e.addTenant(spec, true, a, faults, host, false)
 	case wal.TypeSubmit:
 		evs, err := wal.DecodeEvents(rec.Data)
 		if err != nil {
-			return fmt.Errorf("engine: recover record %d: %w", ord, err)
+			return fmt.Errorf("engine: recover record %s: %w", pos, err)
 		}
-		return e.redo(rec.Tenant, ord, func(t *tenant) error { return e.ingest(t, evs) })
+		return e.redo(rec.Tenant, pos, func(t *tenant) error { return e.ingest(t, evs) })
 	case wal.TypeApply:
 		flushFirst, evs, err := wal.DecodeApply(rec.Data)
 		if err != nil {
-			return fmt.Errorf("engine: recover record %d: %w", ord, err)
+			return fmt.Errorf("engine: recover record %s: %w", pos, err)
 		}
-		return e.redo(rec.Tenant, ord, func(t *tenant) error {
+		return e.redo(rec.Tenant, pos, func(t *tenant) error {
 			if flushFirst {
 				if err := e.flushTenant(t); err != nil {
 					return err
@@ -339,33 +206,25 @@ func (e *Engine) dispatch(ord int, rec wal.Record) error {
 			return e.apply(t, evs)
 		})
 	case wal.TypeFlush:
-		return e.redo(rec.Tenant, ord, func(t *tenant) error { return e.flushTenant(t) })
+		return e.redo(rec.Tenant, pos, func(t *tenant) error { return e.flushTenant(t) })
 	case wal.TypeRebuild:
 		keep, drop, err := wal.DecodeRebuild(rec.Data)
 		if err != nil {
-			return fmt.Errorf("engine: recover record %d: %w", ord, err)
+			return fmt.Errorf("engine: recover record %s: %w", pos, err)
 		}
-		return e.redoRebuild(rec.Tenant, ord, keep, drop)
-	case wal.TypeSnapshot:
-		// Unreachable in practice — pass 1 makes the last snapshot the
-		// reset point — but a restore is always a faithful re-application.
-		e.recStats.RecordsReplayed--
-		e.recStats.SnapshotsRestored++
-		return e.restoreSnapshot(ord, rec)
-	case wal.TypeRemove:
-		return e.removeTenantLocal(rec.Tenant)
+		return e.redoRebuild(rec.Tenant, pos, keep, drop)
 	case wal.TypeMove:
 		from, to, err := wal.DecodeMove(rec.Data)
 		if err != nil {
-			return fmt.Errorf("engine: recover record %d: %w", ord, err)
+			return fmt.Errorf("engine: recover record %s: %w", pos, err)
 		}
-		if err := e.redoMove(rec.Tenant, ord, from, to); err != nil {
+		if err := e.redoMove(rec.Tenant, pos, from, to); err != nil {
 			return err
 		}
 		e.recStats.MovesReplayed++
 		return nil
 	default:
-		return fmt.Errorf("engine: recover record %d: unknown record type %d", ord, rec.Type)
+		return fmt.Errorf("engine: recover record %s: unknown record type %d", pos, rec.Type)
 	}
 }
 
@@ -375,18 +234,18 @@ func (e *Engine) dispatch(ord int, rec wal.Record) error {
 // as the crashed engine had it — not a recovery failure. No breaker
 // probing happens here; rebuilds exist in the journal as records of
 // their own.
-func (e *Engine) redo(id string, ord int, fn func(*tenant) error) error {
+func (e *Engine) redo(id string, pos wal.Pos, fn func(*tenant) error) error {
 	s := e.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tenants[id]
 	if !ok {
-		return fmt.Errorf("engine: recover record %d: %w: %q", ord, ErrUnknownTenant, id)
+		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
 	if t.err != nil {
 		// The live engine never journals for a poisoned tenant, so a
 		// record here means journal and state diverged.
-		return fmt.Errorf("engine: recover record %d: tenant %q is poisoned but has later records", ord, id)
+		return fmt.Errorf("engine: recover record %s: tenant %q is poisoned but has later records", pos, id)
 	}
 	if err := fn(t); err != nil {
 		if errors.Is(err, errs.ErrTenantPoisoned) {
@@ -397,37 +256,29 @@ func (e *Engine) redo(id string, ord int, fn func(*tenant) error) error {
 	return nil
 }
 
-// redoRebuild re-applies a journaled circuit-breaker rebuild: the
-// tenant's timeline as of this record (strictly earlier records only),
-// truncated to the kept prefix, replayed into a fresh allocator. When
-// the tenant has an earlier snapshot, the rebuild is re-derived from it
-// instead — the full timeline may start in segments compaction deleted.
-func (e *Engine) redoRebuild(id string, ord int, keep, drop int64) error {
+// redoRebuild re-applies a journaled circuit-breaker rebuild. The
+// record lies after the tenant's restored snapshot — pass one made the
+// latest snapshot the reset point — so the probe's healing snapshot
+// never reached the journal, typically because the crash came between
+// the two. The rebuild is re-derived exactly as the probe derived it,
+// from the same snapshot plus the tail up to this record, and the
+// journaled drop count must agree.
+func (e *Engine) redoRebuild(id string, pos wal.Pos, keep, drop int64) error {
 	s := e.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tenants[id]
 	if !ok {
-		return fmt.Errorf("engine: recover record %d: %w: %q", ord, ErrUnknownTenant, id)
+		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
-	if data, ok := e.recSnapData[id]; ok && e.recSnapOrd[id] < ord {
-		//lint:ignore lockorder recovery is single-threaded and the rebuild must read the journal under the shard lock it mutates under, same as the live probe
-		return e.redoRebuildFromSnapshot(t, ord, keep, drop, e.recSnapOrd[id], data)
-	}
-	//lint:ignore lockorder recovery is single-threaded and the rebuild must read the journal under the shard lock it mutates under, same as the live probe
-	tl, err := e.timeline(id, ord)
-	if err != nil {
-		return err
-	}
-	if keep > int64(len(tl)) || drop != int64(len(tl))-keep {
-		return fmt.Errorf("engine: recover record %d: rebuild keep=%d drop=%d against a %d-event timeline",
-			ord, keep, drop, len(tl))
-	}
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		return fmt.Errorf("engine: recover %q: %w", id, err)
-	}
-	if err := e.rebuild(t, a, faults, host, tl[:keep], drop); err != nil && !errors.Is(err, errs.ErrTenantPoisoned) {
+	//lint:ignore lockorder recovery is single-threaded, and the rebuild reads only the tenant's tail — its watermark segment up to this record — under the shard lock it mutates under, same as the live probe
+	_, err := e.rebuildFromSnapshot(t, keep, pos, func(got int64) error {
+		if got != drop {
+			return fmt.Errorf("engine: recover record %s: rebuild drops %d events, the journal says %d", pos, got, drop)
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errs.ErrTenantPoisoned) {
 		return err
 	}
 	return nil

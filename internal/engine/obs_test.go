@@ -44,39 +44,27 @@ func TestTenantOptionValidation(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAddTenantHosted pins the wrapper: the old 4-arg hosted
-// form and the options form must register identical tenants, ledgers
-// included.
-func TestDeprecatedAddTenantHosted(t *testing.T) {
-	stream := testStream(16, 500, 21)
-	build := func(add func(e *Engine, a core.Allocator, h *topology.Host) error) *Engine {
-		t.Helper()
-		host, err := topology.NewHostNamed("hypercube", 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(Config{Shards: 1, BatchSize: 32})
-		if err := add(e, core.NewConstant(host.Tree()), host); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Replay(context.Background(), map[string][]task.Event{"t": stream}); err != nil {
-			t.Fatal(err)
-		}
-		return e
+// TestWithTenantHostPricesMigrations checks that a hosted tenant's
+// migrations are priced in network hops: A_C on a hypercube host moves
+// tasks, so its MigHops ledger must be positive.
+func TestWithTenantHostPricesMigrations(t *testing.T) {
+	host, err := topology.NewHostNamed("hypercube", 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	old := build(func(e *Engine, a core.Allocator, h *topology.Host) error {
-		return e.AddTenantHosted("t", a, nil, h)
-	})
-	opt := build(func(e *Engine, a core.Allocator, h *topology.Host) error {
-		return e.AddTenant("t", a, WithTenantHost(h))
-	})
-	ost, _ := old.TenantStats("t")
-	nst, _ := opt.TenantStats("t")
-	if !bytes.Equal(CanonicalStats(ost), CanonicalStats(nst)) {
-		t.Errorf("hosted wrapper diverged:\n--- old ---\n%s--- options ---\n%s", CanonicalStats(ost), CanonicalStats(nst))
+	e := New(Config{Shards: 1, BatchSize: 32})
+	if err := e.AddTenant("t", core.NewConstant(host.Tree()), WithTenantHost(host)); err != nil {
+		t.Fatal(err)
 	}
-	if ost.MigHops == 0 {
+	if err := e.Replay(context.Background(), map[string][]task.Event{"t": testStream(16, 500, 21)}); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := e.TenantStats("t")
+	if st.MigHops == 0 {
 		t.Error("hosted A_C tenant recorded no migration hops; host not attached?")
+	}
+	if st.Topology != host.Name() {
+		t.Errorf("Topology = %q, want %q", st.Topology, host.Name())
 	}
 }
 

@@ -820,9 +820,9 @@ func (e *Engine) reboxTenant(t *tenant) error {
 // redoMove re-applies a journaled TypeMove during Recover: re-home the
 // tenant and rewrite the route. Recovery is single-threaded, so the
 // shard locks are uncontended formality.
-func (e *Engine) redoMove(id string, ord, from, to int) error {
+func (e *Engine) redoMove(id string, pos wal.Pos, from, to int) error {
 	if to < 0 || to >= len(e.shards) {
-		return fmt.Errorf("engine: recover record %d: move %q to shard %d of %d", ord, id, to, len(e.shards))
+		return fmt.Errorf("engine: recover record %s: move %q to shard %d of %d", pos, id, to, len(e.shards))
 	}
 	cur := e.route(id)
 	if cur != from {
@@ -837,7 +837,7 @@ func (e *Engine) redoMove(id string, ord, from, to int) error {
 	t, ok := src.tenants[id]
 	if !ok {
 		src.mu.Unlock()
-		return fmt.Errorf("engine: recover record %d: %w: %q", ord, ErrUnknownTenant, id)
+		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
 	delete(src.tenants, id)
 	src.mu.Unlock()

@@ -57,11 +57,15 @@ func testRebuild(spec TenantSpec) (core.Allocator, *fault.Schedule, *topology.Ho
 // live allocator and the rebuild recipe cannot diverge.
 func addSpecTenant(t *testing.T, e *Engine, spec TenantSpec) {
 	t.Helper()
-	a, sched, host, err := testRebuild(spec)
+	a, sched, _, err := testRebuild(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddTenantSpec(spec, a, sched, host); err != nil {
+	topts := []TenantOption{WithTenantSpec(spec)}
+	if sched != nil {
+		topts = append(topts, WithTenantFaults(sched))
+	}
+	if err := e.AddTenant(spec.ID, a, topts...); err != nil {
 		t.Fatal(err)
 	}
 }

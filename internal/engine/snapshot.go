@@ -5,14 +5,16 @@
 // allocator's core.Checkpointable bytes, and — under Config.Audit — the
 // invariant checker's own ledger. Self-containment is the point: a
 // restored tenant needs nothing from the journal before the snapshot
-// record, which yields the two payoffs layered here.
+// record. A journaled tenant's registration is its genesis snapshot, so
+// every journaled tenant has one from birth, and there is one way to
+// rebuild a tenant: restore its latest snapshot, replay the tail.
 //
 //   - Compaction: the engine tracks, per tenant, the segment holding its
-//     latest snapshot. Once every tenant's latest snapshot lives in
-//     segment ≥ s, segments before s contain only history the snapshots
-//     already summarize and are deleted (wal.Log.TruncateBefore). A
-//     tenant that has never snapshotted pins the whole log — safety
-//     before space.
+//     latest snapshot (its watermark). Once every tenant's latest
+//     snapshot lives in segment ≥ s, segments before s contain only
+//     history the snapshots already summarize and are deleted
+//     (wal.Log.TruncateBefore). A tenant whose latest snapshot is its
+//     genesis snapshot pins the log from its registration on.
 //
 //   - O(tail) recovery: Recover scans the log once to find each tenant's
 //     last snapshot (pass 1), then replays (pass 2) skipping every record
@@ -20,13 +22,13 @@
 //     the post-snapshot tail is re-applied. RecoveryStats counts the
 //     skipped/replayed split so tests can assert the O(tail) claim.
 //
-// The circuit breaker's half-open probe reuses the same machinery:
-// instead of replaying the tenant's full journaled safe prefix, it
-// restores the last (necessarily pre-poison — snapshots are only taken
-// at healthy moments) snapshot and replays the tail up to the safe
-// prefix. A successful probe appends a fresh "healing" snapshot right
-// after its TypeRebuild record, so a later recovery restores the healed
-// state directly instead of re-deriving it.
+// The circuit breaker's half-open probe and recovery's TypeRebuild redo
+// are one routine, rebuildFromSnapshot: restore the latest (necessarily
+// pre-poison — snapshots are only taken at healthy moments) snapshot and
+// replay the tail up to the safe prefix, reading the journal from the
+// tenant's own watermark segment on. A successful probe appends a
+// "healing" snapshot right after its TypeRebuild record, so a later
+// recovery or probe starts from the healed state.
 //
 // MoveTenant rounds the feature out: a snapshot is, operationally, a
 // tenant in a box, so rebalancing a tenant onto another engine is
@@ -35,12 +37,10 @@ package engine
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
 	"partalloc/internal/core"
-	"partalloc/internal/errs"
 	"partalloc/internal/fault"
 	"partalloc/internal/task"
 	"partalloc/internal/topology"
@@ -82,9 +82,10 @@ type tenantSnapshot struct {
 // RecoveryStats reports how Recover reconstructed the engine: how many
 // journal records it scanned, how many it skipped because a later
 // snapshot already covered them, how many it re-applied, and how many
-// snapshots it restored. RecordsSkipped + RecordsReplayed ≤
-// RecordsScanned (snapshot records restored at their own ordinal are
-// counted in SnapshotsRestored, not RecordsReplayed).
+// snapshots it restored — one per recovered tenant, its genesis snapshot
+// when it never took another. RecordsSkipped + RecordsReplayed ≤
+// RecordsScanned (restored snapshot records are counted in
+// SnapshotsRestored, not RecordsReplayed).
 type RecoveryStats struct {
 	RecordsScanned    int64
 	RecordsSkipped    int64
@@ -100,24 +101,11 @@ type RecoveryStats struct {
 // engine; all-zero for an engine built with New.
 func (e *Engine) RecoveryStats() RecoveryStats { return e.recStats }
 
-// trackTenant registers a tenant in the compaction watermark with "no
-// snapshot yet", pinning truncation until its first snapshot lands.
-func (e *Engine) trackTenant(id string) {
-	if e.cfg.Journal == nil {
-		return
-	}
-	e.smu.Lock()
-	if _, ok := e.snapSeg[id]; !ok {
-		e.snapSeg[id] = -1
-	}
-	e.smu.Unlock()
-}
-
 // untrackTenant drops a tenant from the compaction watermark (MoveTenant).
 func (e *Engine) untrackTenant(id string) {
-	e.smu.Lock()
+	e.jmu.Lock()
 	delete(e.snapSeg, id)
-	e.smu.Unlock()
+	e.jmu.Unlock()
 }
 
 // encodeTenantSnapshot serializes t's full state. Callers hold the shard
@@ -211,7 +199,8 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 // maybeSnapshot checkpoints t when the Config.SnapshotEvery cadence is
 // due. Called on the live ingestion paths (Submit, Flush, Replay) after
 // a successful apply, under the shard lock; never during recovery or a
-// breaker rebuild, whose replays go through other entry points.
+// breaker rebuild, whose replays go through other entry points (a probe
+// appends its own healing snapshot).
 func (e *Engine) maybeSnapshot(t *tenant) error {
 	k := int64(e.cfg.SnapshotEvery)
 	if k <= 0 || e.cfg.Journal == nil || !t.hasSpec || t.err != nil {
@@ -223,52 +212,61 @@ func (e *Engine) maybeSnapshot(t *tenant) error {
 	return e.snapshotTenant(t)
 }
 
-// snapshotTenant appends a snapshot record for t unconditionally,
-// records the segment it landed in, and runs the compaction rule.
-// Callers hold the shard lock.
+// snapshotTenant appends a snapshot record for t unconditionally (a
+// cadence or healing snapshot) and runs the compaction rule. Callers
+// hold the shard lock.
 func (e *Engine) snapshotTenant(t *tenant) error {
 	data, err := e.encodeTenantSnapshot(t)
 	if err != nil {
 		return err
 	}
-	e.jmu.Lock()
-	//lint:ignore lockorder jmu serializes all journal writes (see journalAppend); Seg must be read under the same hold, or a rotation from another shard could misattribute the snapshot's segment
-	err = e.cfg.Journal.Append(wal.Record{Type: wal.TypeSnapshot, Tenant: t.id, Data: data})
-	seg := e.cfg.Journal.Seg()
-	e.jmu.Unlock()
-	if err != nil {
-		return fmt.Errorf("engine: snapshot %q: %w", t.id, err)
+	if err := e.appendSnapshot(t.id, data); err != nil {
+		return err
 	}
 	t.lastSnapBatch = t.batches
-	t.sink.Snapshot(t.id, len(data), seg)
-	e.smu.Lock()
-	e.snapSeg[t.id] = seg
-	e.smu.Unlock()
 	return e.compact()
 }
 
+// appendSnapshot journals data as id's TypeSnapshot record and advances
+// id's compaction watermark to the segment the record landed in. Every
+// snapshot goes through here: genesis (addTenant), cadence and healing
+// (snapshotTenant), and arrival by MoveTenant (installSnapshot). Seg is
+// read and the watermark set under the append's jmu hold: a rotation
+// from another shard could misattribute the segment otherwise, and a
+// truncation that computed its bound before this append cannot pass a
+// segment this append wrote. Callers hold id's shard lock — only a
+// tenant itself moves its watermark.
+func (e *Engine) appendSnapshot(id string, data []byte) error {
+	e.jmu.Lock()
+	//lint:ignore lockorder jmu serializes all journal writes (see journalAppend), and the watermark must move under the same hold as the append
+	err := e.cfg.Journal.Append(wal.Record{Type: wal.TypeSnapshot, Tenant: id, Data: data})
+	seg := e.cfg.Journal.Seg()
+	if err == nil {
+		e.snapSeg[id] = seg
+	}
+	e.jmu.Unlock()
+	if err != nil {
+		return fmt.Errorf("engine: snapshot %q: %w", id, err)
+	}
+	e.cfg.Sink.Snapshot(id, len(data), seg)
+	return nil
+}
+
 // compact applies the retention rule: delete every segment older than
-// all tenants' latest snapshots. A tenant with no snapshot yet (-1)
-// blocks truncation entirely — deleting history it still needs would
-// make it unrecoverable.
+// all tenants' latest snapshots. The bound and the truncation share one
+// jmu hold, so no watermark can move in between.
 func (e *Engine) compact() error {
-	e.smu.Lock()
-	min := -1
+	e.jmu.Lock()
+	defer e.jmu.Unlock()
+	min := 0
 	for _, seg := range e.snapSeg {
-		if seg < 0 {
-			e.smu.Unlock()
-			return nil
-		}
-		if min < 0 || seg < min {
+		if min == 0 || seg < min {
 			min = seg
 		}
 	}
-	e.smu.Unlock()
 	if min <= 1 {
 		return nil // nothing older than the first segment
 	}
-	e.jmu.Lock()
-	defer e.jmu.Unlock()
 	//lint:ignore lockorder jmu serializes every journal mutation; truncation races with rotation otherwise
 	if err := e.cfg.Journal.TruncateBefore(min); err != nil {
 		return fmt.Errorf("engine: compact: %w", err)
@@ -276,95 +274,76 @@ func (e *Engine) compact() error {
 	return nil
 }
 
-// lastSnapshot scans the journal for id's latest snapshot record,
-// returning its ordinal and decoded envelope, or ok=false when the
-// tenant has none (or a TypeRemove supersedes them all). The caller
-// holds the tenant's shard lock, freezing its records (see timeline).
-func (e *Engine) lastSnapshot(id string) (ord int, env *tenantSnapshot, ok bool, err error) {
-	ord = -1
-	var data []byte
-	rerr := wal.Replay(e.cfg.Journal.Dir(), func(o int, rec wal.Record) error {
+// readTail reads id's journal from its watermark segment on: the latest
+// snapshot record, decoded, and the tenant's valid event stream after it
+// — the snapshot's queued events, then every later Submit/Apply record's
+// events, with TypeRebuild records applied as truncations (their keep
+// counts index the whole stream, so they translate by env.Events).
+// Records at or after stop are not read. Position p of the tail is
+// stream event env.Events+p.
+//
+// Reading while other shards append and compact is safe. Compaction never
+// deletes a segment at or after any tenant's watermark, and only the
+// tenant moves its own watermark, under the shard lock the caller holds;
+// that lock also freezes the tenant's records. A concurrent append can at
+// most leave a torn frame at the end of the last segment, which the scan
+// tolerates.
+func (e *Engine) readTail(id string, stop wal.Pos) (*tenantSnapshot, []task.Event, error) {
+	e.jmu.Lock()
+	from := e.snapSeg[id]
+	e.jmu.Unlock()
+	var env *tenantSnapshot
+	var tail []task.Event
+	err := wal.ReplayFrom(e.cfg.Journal.Dir(), from, func(pos wal.Pos, rec wal.Record) error {
+		if !pos.Before(stop) {
+			return wal.ErrStop
+		}
 		if rec.Tenant != id {
 			return nil
 		}
-		switch rec.Type {
-		case wal.TypeSnapshot:
-			ord, data = o, rec.Data
-		case wal.TypeRemove:
-			// The tenant was moved away and re-added; snapshots from its
-			// previous life describe state this stream never had.
-			ord, data = -1, nil
-		}
-		return nil
-	})
-	if rerr != nil {
-		return -1, nil, false, rerr
-	}
-	if ord < 0 {
-		return -1, nil, false, nil
-	}
-	env = new(tenantSnapshot)
-	if uerr := json.Unmarshal(data, env); uerr != nil {
-		return -1, nil, false, fmt.Errorf("engine: snapshot record for %q: %w", id, uerr)
-	}
-	return ord, env, true, nil
-}
-
-// snapTail reconstructs the tenant's valid event timeline *after* a
-// snapshot: the snapshot's queued events followed by every later
-// Submit/Apply record's events, with later TypeRebuild records applied
-// as truncations (their keep counts index the full stream, so they
-// translate by env.Events). stopBefore ≥ 0 bounds the scan as in
-// timeline; -1 scans everything. Position p of the returned slice is
-// stream event env.Events+p.
-func (e *Engine) snapTail(id string, snapOrd, stopBefore int, env *tenantSnapshot) ([]task.Event, error) {
-	tail, err := wal.DecodeEvents(env.Queue)
-	if err != nil {
-		return nil, fmt.Errorf("engine: snapshot queue for %q: %w", id, err)
-	}
-	err = wal.Replay(e.cfg.Journal.Dir(), func(ord int, rec wal.Record) error {
-		if stopBefore >= 0 && ord >= stopBefore {
-			return wal.ErrStop
-		}
-		if ord <= snapOrd || rec.Tenant != id {
-			return nil
-		}
-		switch rec.Type {
-		case wal.TypeSubmit:
-			evs, err := wal.DecodeEvents(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
+		var evs []task.Event
+		var err error
+		switch {
+		case rec.Type == wal.TypeSnapshot:
+			env = new(tenantSnapshot)
+			if err = json.Unmarshal(rec.Data, env); err == nil {
+				tail, err = wal.DecodeEvents(env.Queue)
 			}
-			tail = append(tail, evs...)
-		case wal.TypeApply:
-			_, evs, err := wal.DecodeApply(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
+		case env == nil:
+			// History the latest snapshot already summarizes.
+		case rec.Type == wal.TypeSubmit:
+			evs, err = wal.DecodeEvents(rec.Data)
+		case rec.Type == wal.TypeApply:
+			_, evs, err = wal.DecodeApply(rec.Data)
+		case rec.Type == wal.TypeRebuild:
+			var keep int64
+			if keep, _, err = wal.DecodeRebuild(rec.Data); err == nil {
+				rel := keep - env.Events
+				if rel < 0 || rel > int64(len(tail)) {
+					return fmt.Errorf("engine: journal record %s: rebuild keeps %d events but snapshot covers %d+%d",
+						pos, keep, env.Events, len(tail))
+				}
+				tail = tail[:rel]
 			}
-			tail = append(tail, evs...)
-		case wal.TypeRebuild:
-			keep, _, err := wal.DecodeRebuild(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			rel := keep - env.Events
-			if rel < 0 || rel > int64(len(tail)) {
-				return fmt.Errorf("engine: journal record %d: rebuild keeps %d events but snapshot covers %d+%d",
-					ord, keep, env.Events, len(tail))
-			}
-			tail = tail[:rel]
 		}
+		if err != nil {
+			return fmt.Errorf("engine: journal record %s: %w", pos, err)
+		}
+		tail = append(tail, evs...)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return tail, nil
+	if env == nil {
+		return nil, nil, fmt.Errorf("engine: tenant %q: no snapshot in the journal from segment %d on", id, from)
+	}
+	return env, tail, nil
 }
 
 // replayChunks applies evs through t in min(BatchSize, MaxQueue)-sized
-// chunks — the same chunking rebuild and redoRebuild use, so every path
-// that re-derives a tenant from events produces the same batch ledger.
+// chunks, so the live probe and recovery's redo of it — both
+// rebuildFromSnapshot — produce the same batch ledger.
 func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 	trigger := e.cfg.BatchSize
 	if e.cfg.MaxQueue > 0 && trigger > e.cfg.MaxQueue {
@@ -382,39 +361,42 @@ func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 	return nil
 }
 
-// probeFromSnapshot is the snapshot-powered half of the breaker's
-// half-open probe: restore the tenant's last pre-poison snapshot and
-// replay only the tail up to the safe prefix (t.events), instead of
-// replaying the whole journaled prefix from scratch. On success a
-// healing snapshot of the recovered state is appended right after the
-// TypeRebuild record, so a crash after the probe recovers the healed
-// ledger directly. Callers hold the shard lock.
-func (e *Engine) probeFromSnapshot(t *tenant, snapOrd int, env *tenantSnapshot) error {
-	keep := t.events
-	if env.Events > keep {
+// rebuildFromSnapshot is the one tenant rebuild, run by the breaker's
+// half-open probe and by recovery's redo of its TypeRebuild record:
+// restore t's latest snapshot, replay the journaled tail up to keep
+// events in replayChunks chunks, and carry over what the envelope does
+// not hold for a rebuild — shed events, dropped events plus the suffix
+// past keep, the trip count, and the breaker deadline. stop bounds the
+// tail read. commit gets the drop count once the replacement is built
+// and before t changes: the probe journals its TypeRebuild there,
+// recovery checks the journaled count. A failure up to and including
+// commit leaves t as it was and re-opens the breaker; a failing replay
+// poisons t again. Callers hold t's shard lock.
+func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit func(drop int64) error) (int64, error) {
+	fail := func(err error) (int64, error) {
 		e.rearm(t)
-		return fmt.Errorf("engine: rebuild %q: snapshot covers %d events but only %d were applied", t.id, env.Events, keep)
+		return 0, err
 	}
-	tail, err := e.snapTail(t.id, snapOrd, -1, env)
+	env, tail, err := e.readTail(t.id, stop)
 	if err != nil {
-		e.rearm(t)
-		return err
+		return fail(err)
 	}
 	need := keep - env.Events
-	if need > int64(len(tail)) {
-		e.rearm(t)
-		return fmt.Errorf("engine: rebuild %q: journal holds %d tail events but %d are needed", t.id, len(tail), need)
+	if need < 0 || need > int64(len(tail)) {
+		return fail(fmt.Errorf("engine: rebuild %q: keeping %d events against snapshot %d + %d tail events",
+			t.id, keep, env.Events, len(tail)))
 	}
 	drop := int64(len(tail)) - need
 	a, faults, host, err := e.cfg.Rebuild(t.spec)
 	if err != nil {
-		e.rearm(t)
-		return err
+		return fail(err)
 	}
 	nt, err := e.restoreTenant(env, a, faults, host)
 	if err != nil {
-		e.rearm(t)
-		return err
+		return fail(err)
+	}
+	if err := commit(drop); err != nil {
+		return fail(err)
 	}
 	// The snapshot's queued events are tail[0:...]; applying them from the
 	// tail AND leaving them queued would double them.
@@ -423,74 +405,24 @@ func (e *Engine) probeFromSnapshot(t *tenant, snapOrd int, env *tenantSnapshot) 
 	nt.dropped = t.dropped + drop
 	nt.trips = t.trips
 	nt.deadline = t.deadline
-	if err := e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: wal.AppendRebuild(nil, keep, drop)}); err != nil {
-		e.rearm(t)
-		return err
-	}
 	*t = *nt
 	wireObserver(t)
-	if err := e.replayChunks(t, tail[:need]); err != nil {
-		return err
-	}
-	// Healing snapshot: recovery restores this state directly, matching
-	// the probe's ledger (snapshot batches + tail chunks) byte for byte.
-	if err := e.snapshotTenant(t); err != nil {
-		return err
-	}
-	t.sink.BreakerHeal(t.id, drop)
-	return nil
+	return drop, e.replayChunks(t, tail[:need])
 }
 
-// redoRebuildFromSnapshot re-applies a journaled TypeRebuild during
-// recovery when the tenant has an earlier snapshot: the legacy path
-// (timeline from the log's beginning) would read records compaction may
-// have deleted, so the rebuild is re-derived exactly as the live probe
-// derived it — restore the snapshot, replay the tail up to keep.
-func (e *Engine) redoRebuildFromSnapshot(t *tenant, ord int, keep, drop int64, snapOrd int, data []byte) error {
-	var env tenantSnapshot
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("engine: recover record %d: snapshot: %w", ord, err)
-	}
-	tail, err := e.snapTail(t.id, snapOrd, ord, &env)
-	if err != nil {
-		return err
-	}
-	need := keep - env.Events
-	if need < 0 || need > int64(len(tail)) || drop != int64(len(tail))-need {
-		return fmt.Errorf("engine: recover record %d: rebuild keep=%d drop=%d against snapshot %d + %d tail events",
-			ord, keep, drop, env.Events, len(tail))
-	}
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		return fmt.Errorf("engine: recover %q: %w", t.id, err)
-	}
-	nt, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		return fmt.Errorf("engine: recover record %d: %w", ord, err)
-	}
-	nt.queue = nil
-	nt.shed = t.shed
-	nt.dropped = t.dropped + drop
-	nt.trips = t.trips
-	nt.deadline = t.deadline
-	*t = *nt
-	wireObserver(t)
-	if err := e.replayChunks(t, tail[:need]); err != nil && !errors.Is(err, errs.ErrTenantPoisoned) {
-		return err
-	}
-	return nil
-}
-
-// restoreSnapshot installs a tenant from a TypeSnapshot record during
-// recovery. Earlier records of this tenant were skipped (including its
-// TypeAddTenant), so the envelope's spec is the registration.
-func (e *Engine) restoreSnapshot(ord int, rec wal.Record) error {
+// restoreSnapshot registers a tenant from its reset-point snapshot during
+// recovery — the latest one, or its genesis snapshot when it never took
+// another. Every earlier record of the tenant was skipped, so the
+// envelope is the registration, and pass one restores each tenant once.
+// The tenant's compaction watermark starts at the snapshot's segment, as
+// on the live engine.
+func (e *Engine) restoreSnapshot(pos wal.Pos, rec wal.Record) error {
 	var env tenantSnapshot
 	if err := json.Unmarshal(rec.Data, &env); err != nil {
-		return fmt.Errorf("engine: recover record %d: snapshot: %w", ord, err)
+		return fmt.Errorf("engine: recover record %s: snapshot: %w", pos, err)
 	}
 	if env.Spec.ID != rec.Tenant {
-		return fmt.Errorf("engine: recover record %d: snapshot spec ID %q does not match tenant %q", ord, env.Spec.ID, rec.Tenant)
+		return fmt.Errorf("engine: recover record %s: snapshot spec ID %q does not match tenant %q", pos, env.Spec.ID, rec.Tenant)
 	}
 	a, faults, host, err := e.cfg.Rebuild(env.Spec)
 	if err != nil {
@@ -498,7 +430,7 @@ func (e *Engine) restoreSnapshot(ord int, rec wal.Record) error {
 	}
 	t, err := e.restoreTenant(&env, a, faults, host)
 	if err != nil {
-		return fmt.Errorf("engine: recover record %d: %w", ord, err)
+		return fmt.Errorf("engine: recover record %s: %w", pos, err)
 	}
 	// The envelope carries the tenant's route: compaction may have
 	// deleted the TypeMove records that produced it. Out-of-range routes
@@ -508,44 +440,17 @@ func (e *Engine) restoreSnapshot(ord int, rec wal.Record) error {
 	if idx < 0 || idx >= len(e.shards) {
 		idx = hashShard(t.id, len(e.shards))
 	}
-	// A re-restored tenant (two snapshots survive compaction) may have
-	// moved between them; drop it from its old stripe first.
-	existed := false
-	if old := e.route(t.id); old != idx {
-		os := e.shardAt(old)
-		os.mu.Lock()
-		if _, ok := os.tenants[t.id]; ok {
-			existed = true
-			delete(os.tenants, t.id)
-		}
-		os.mu.Unlock()
-	}
 	e.placer.Reroute(t.id, idx)
 	t.shardIdx = idx
 	s := e.shardAt(idx)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[t.id]; ok {
-		existed = true
-	}
 	s.tenants[t.id] = t
 	wireObserver(t)
-	e.trackTenant(t.id)
-	if !existed {
-		e.cfg.Sink.TenantRegistered(t.id)
-	}
-	return nil
-}
-
-// removeTenantLocal forgets a tenant (TypeRemove during recovery; a
-// no-op when earlier records were already skipped).
-func (e *Engine) removeTenantLocal(id string) error {
-	s := e.shardFor(id)
-	s.mu.Lock()
-	delete(s.tenants, id)
 	s.mu.Unlock()
-	e.placer.Remove(id)
-	e.untrackTenant(id)
+	e.jmu.Lock()
+	e.snapSeg[t.id] = pos.Seg
+	e.jmu.Unlock()
+	e.cfg.Sink.TenantRegistered(t.id)
 	return nil
 }
 
@@ -656,21 +561,13 @@ func (e *Engine) installSnapshot(data []byte) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateTenant, id)
 	}
 	if e.cfg.Journal != nil {
-		e.jmu.Lock()
-		//lint:ignore lockorder jmu serializes all journal writes; Seg is read under the same hold (see snapshotTenant)
-		err = e.cfg.Journal.Append(wal.Record{Type: wal.TypeSnapshot, Tenant: id, Data: data})
-		seg := e.cfg.Journal.Seg()
-		e.jmu.Unlock()
-		if err != nil {
+		//lint:ignore lockorder append-before-apply: the arrival snapshot must land before the tenant is installed under this shard lock (see Submit)
+		if err := e.appendSnapshot(id, data); err != nil {
 			if !routed {
 				e.placer.Remove(id)
 			}
 			return fmt.Errorf("engine: install %q: %w", id, err)
 		}
-		e.smu.Lock()
-		e.snapSeg[id] = seg
-		e.smu.Unlock()
-		t.sink.Snapshot(id, len(data), seg)
 	}
 	s.tenants[id] = t
 	wireObserver(t)

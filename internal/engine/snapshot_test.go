@@ -3,8 +3,11 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -147,8 +150,8 @@ func TestRecoveryReadsOnlyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rec.RecoveryStats()
-	// 1 AddTenant + 20 Submits + 5 Snapshots = 26 records; the snapshot
-	// at ordinal 25 covers the other 25.
+	// 1 genesis snapshot + 20 Submits + 5 cadence snapshots = 26 records;
+	// the snapshot at ordinal 25 covers the other 25.
 	if rs.RecordsScanned != 26 || rs.RecordsReplayed != 0 || rs.RecordsSkipped != 25 || rs.SnapshotsRestored != 1 {
 		t.Fatalf("RecoveryStats = %+v, want scanned 26, replayed 0, skipped 25, restored 1", rs)
 	}
@@ -234,8 +237,9 @@ func TestSnapshotCompactionBoundsLog(t *testing.T) {
 	}
 }
 
-// TestSnapshotPinsLogUntilEveryTenantSnapshots: a tenant that has never
-// snapshotted still needs its full history, so compaction must hold.
+// TestSnapshotPinsLogUntilEveryTenantSnapshots: a tenant whose latest
+// snapshot is its genesis snapshot still needs its full history, so
+// compaction must hold.
 func TestSnapshotPinsLogUntilEveryTenantSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{SegmentBytes: 1 << 10})
@@ -254,7 +258,7 @@ func TestSnapshotPinsLogUntilEveryTenantSnapshots(t *testing.T) {
 		}
 	}
 	if segs := walSegments(t, dir); segs[0] != 1 {
-		t.Fatalf("segment 1 deleted while tenant %q has no snapshot", "idle")
+		t.Fatalf("segment 1 deleted while tenant %q has only its genesis snapshot", "idle")
 	}
 	// One batch for the idle tenant reaches its cadence; the pin lifts.
 	if err := eng.Submit("idle", testStream(16, 32, 99)...); err != nil {
@@ -426,5 +430,433 @@ func TestMoveTenant(t *testing.T) {
 	}
 	if err := src.MoveTenant("ghost", dst); !errors.Is(err, ErrUnknownTenant) {
 		t.Errorf("MoveTenant(ghost) = %v, want ErrUnknownTenant", err)
+	}
+}
+
+// TestSnapshotProbeDuringCompaction probes a poisoned tenant over and
+// over while the tenants on the other shard snapshot — and so compact —
+// on every event, in one-record segments, so every append rotates and
+// nearly every snapshot deletes a segment. The probe's journal read
+// must not race that compaction: every probe heals, and each drops
+// exactly the one poison event it was probing past.
+func TestSnapshotProbeDuringCompaction(t *testing.T) {
+	const cycles = 500
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	eng := New(Config{Shards: 2, BatchSize: 1, Journal: log, Rebuild: testRebuild, SnapshotEvery: 1})
+	clk := &fakeClock{step: 1}
+	eng.now = clk.tick
+
+	const victim = "victim"
+	var busy []string
+	for i := 0; len(busy) < 2; i++ {
+		if id := fmt.Sprintf("busy-%d", i); hashShard(id, 2) != hashShard(victim, 2) {
+			busy = append(busy, id)
+		}
+	}
+	for _, id := range append([]string{victim}, busy...) {
+		addSpecTenant(t, eng, TenantSpec{ID: id, Algorithm: "greedy", N: 8})
+	}
+	if err := eng.Submit(victim, arrivals(1, 1, 1)...); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	busyErr := make(chan error, 1)
+	defer func() {
+		close(stop)
+		if err := <-busyErr; err != nil {
+			t.Errorf("busy shard: %v", err)
+		}
+	}()
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				busyErr <- nil
+				return
+			default:
+			}
+			id := busy[i%len(busy)]
+			ev := task.Event{Kind: task.Arrive, Task: task.ID(i), Size: 1}
+			if err := eng.Submit(id, ev); err != nil {
+				busyErr <- err
+				return
+			}
+			ev.Kind = task.Depart
+			if err := eng.Submit(id, ev); err != nil {
+				busyErr <- err
+				return
+			}
+		}
+	}()
+
+	for c := 1; c <= cycles; c++ {
+		// Re-arriving the live task 1 panics the allocator: poisoned.
+		if err := eng.Submit(victim, arrivals(1, 1, 1)...); !errors.Is(err, ErrTenantPoisoned) {
+			t.Fatalf("cycle %d: poisoning submit: %v", c, err)
+		}
+		clk.advance(time.Hour)
+		if err := eng.Flush(victim); err != nil {
+			t.Fatalf("cycle %d: probe failed while the other shard compacted: %v", c, err)
+		}
+		if st, _ := eng.TenantStats(victim); st.DroppedEvents != int64(c) {
+			t.Fatalf("cycle %d: DroppedEvents = %d, want %d (one poison event per probe)", c, st.DroppedEvents, c)
+		}
+	}
+	if segs := walSegments(t, dir); segs[0] == 1 {
+		t.Errorf("segment 1 survived %d cycles of compaction: the probes never raced a truncation", cycles)
+	}
+}
+
+// copySegments copies the named journal segments of src into dst.
+func copySegments(t *testing.T, dst, src string, segs []int) {
+	t.Helper()
+	for _, i := range segs {
+		name := fmt.Sprintf("%08d.wal", i)
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// latestSnapshotSegs maps each tenant to the segment of its last
+// TypeSnapshot record in the journal at dir.
+func latestSnapshotSegs(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	latest := make(map[string]int)
+	if err := wal.ReplayFrom(dir, 0, func(pos wal.Pos, rec wal.Record) error {
+		if rec.Type == wal.TypeSnapshot {
+			latest[rec.Tenant] = pos.Seg
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return latest
+}
+
+// assertRecovers recovers an engine from dir and requires every tenant's
+// CanonicalStats to equal want.
+func assertRecovers(t *testing.T, cfg Config, dir string, wopt wal.Options, want []TenantStats) *Engine {
+	t.Helper()
+	rec, err := Recover(cfg, dir, wopt)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	t.Cleanup(func() { rec.cfg.Journal.Close() })
+	got := rec.Stats()
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d tenants, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if w, g := CanonicalStats(want[i]), CanonicalStats(got[i]); !bytes.Equal(w, g) {
+			t.Errorf("%s: recovered stats diverge:\n  live: %s\n  rec:  %s", want[i].Tenant, w, g)
+		}
+	}
+	return rec
+}
+
+// TestSnapshotCrashBetweenRebuildAndHeal crashes a probe between its
+// TypeRebuild record and its healing snapshot: a copy of the journal cut
+// right after the rebuild record must recover the probed tenant's exact
+// ledger. The probe restores the latest snapshot — the genesis snapshot
+// under SnapshotEvery 0, the last pre-poison cadence snapshot under 2,
+// which the batch count tells apart — and recovery re-derives the
+// rebuild from the same one. The recovered engine's next probe then
+// reads a tail that holds that TypeRebuild, and must apply it as a
+// truncation.
+func TestSnapshotCrashBetweenRebuildAndHeal(t *testing.T) {
+	// Probed batches: the genesis restore re-chunks all 10 kept events;
+	// the cadence restore keeps the snapshot's 4 batches and replays none.
+	for _, tc := range []struct {
+		every   int
+		batches int64
+	}{{0, 3}, {2, 4}} {
+		t.Run(fmt.Sprintf("SnapshotEvery=%d", tc.every), func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			cfg := Config{Shards: 2, BatchSize: 4, Rebuild: testRebuild, SnapshotEvery: tc.every}
+			live := cfg
+			live.Journal = log
+			eng := New(live)
+			clk := &fakeClock{step: 1}
+			eng.now = clk.tick
+			addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "periodic", N: 16, D: 1, DSet: true})
+			addSpecTenant(t, eng, TenantSpec{ID: "other", Algorithm: "basic", N: 16})
+
+			// Two single-event batches, then two full ones; the cadence
+			// snapshot after the fourth carries event 11 queued.
+			for i := 1; i <= 2; i++ {
+				if err := eng.Submit("t", arrivals(i, 1, 1)...); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Flush("t"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Submit("t", arrivals(3, 6, 1)...); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Submit("other", testStream(16, 20, 2)...); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Submit("t", arrivals(9, 3, 1)...); err != nil {
+				t.Fatal(err)
+			}
+			// The queued event 11 and the three submitted here form one
+			// batch, and the re-arrival of the live task 5 poisons it.
+			poison := []task.Event{{Kind: task.Arrive, Task: 20, Size: 1}, {Kind: task.Arrive, Task: 5, Size: 1}, {Kind: task.Arrive, Task: 21, Size: 1}}
+			if err := eng.Submit("t", poison...); !errors.Is(err, ErrTenantPoisoned) {
+				t.Fatalf("poisoning submit: %v", err)
+			}
+			clk.advance(time.Hour)
+			if err := eng.Flush("t"); err != nil {
+				t.Fatalf("probe: %v", err)
+			}
+			want := eng.Stats()
+			if st, _ := eng.TenantStats("t"); st.BreakerState != "closed" || st.Events != 10 || st.Batches != tc.batches || st.DroppedEvents != 4 {
+				t.Fatalf("after probe: state=%s events=%d batches=%d dropped=%d, want closed/10/%d/4",
+					st.BreakerState, st.Events, st.Batches, st.DroppedEvents, tc.batches)
+			}
+
+			var rebuildAt wal.Pos
+			found := false
+			if err := wal.ReplayFrom(dir, 0, func(pos wal.Pos, rec wal.Record) error {
+				if rec.Type == wal.TypeRebuild {
+					rebuildAt, found = pos, true
+				}
+				return nil
+			}); err != nil || !found {
+				t.Fatalf("no TypeRebuild record in the journal (err %v)", err)
+			}
+			// The crash: everything after the rebuild record is lost.
+			var keep []int
+			for _, i := range walSegments(t, dir) {
+				if i <= rebuildAt.Seg {
+					keep = append(keep, i)
+				}
+			}
+			cut := t.TempDir()
+			copySegments(t, cut, dir, keep)
+			seg := filepath.Join(cut, fmt.Sprintf("%08d.wal", rebuildAt.Seg))
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := 0
+			for i := 0; i <= rebuildAt.Idx; i++ {
+				_, n, err := wal.DecodeRecord(data[off:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				off += n
+			}
+			if off == len(data) {
+				t.Fatal("the rebuild record is the journal's last: no healing snapshot to cut off")
+			}
+			if err := os.WriteFile(seg, data[:off], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			rec := assertRecovers(t, cfg, cut, wal.Options{}, want)
+			if rs := rec.RecoveryStats(); rs.SnapshotsRestored != 2 {
+				t.Errorf("SnapshotsRestored = %d, want 2 (one per tenant)", rs.SnapshotsRestored)
+			}
+
+			// Poison the recovered tenant again: its tail now runs through
+			// the first rebuild, which must truncate the first poison away.
+			rec.now = clk.tick
+			if err := rec.Submit("t", arrivals(30, 1, 1)...); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Submit("t", arrivals(30, 4, 1)...); !errors.Is(err, ErrTenantPoisoned) {
+				t.Fatalf("second poisoning submit: %v", err)
+			}
+			clk.advance(time.Hour)
+			if err := rec.Flush("t"); err != nil {
+				t.Fatalf("second probe: %v", err)
+			}
+			if st, _ := rec.TenantStats("t"); st.BreakerState != "closed" || st.Events != 10 || st.DroppedEvents != 9 {
+				t.Fatalf("after second probe: state=%s events=%d dropped=%d, want closed/10/9", st.BreakerState, st.Events, st.DroppedEvents)
+			}
+			ref := core.NewPeriodic(tree.MustNew(16), 1, core.DecreasingSize)
+			core.ApplyEvents(ref, arrivals(1, 10, 1))
+			s := rec.shardFor("t")
+			s.mu.Lock()
+			got := s.tenants["t"].alloc.PELoads()
+			s.mu.Unlock()
+			if !reflect.DeepEqual(got, ref.PELoads()) {
+				t.Errorf("healed PE loads %v, reference %v", got, ref.PELoads())
+			}
+		})
+	}
+}
+
+// pinnedJournal is the retention set-up of the watermark tests: in 1 KiB
+// segments, tenant "a" snapshots once and idles, pinning the log, while
+// "b" snapshots after every submit across many segments. cfg is the
+// engine config without its journal, for Recover.
+func pinnedJournal(t *testing.T, dir string) (eng *Engine, log *wal.Log, cfg Config, wopt wal.Options) {
+	t.Helper()
+	wopt = wal.Options{SegmentBytes: 1 << 10}
+	log, err := wal.Open(dir, wopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = Config{Shards: 2, BatchSize: 8, Rebuild: testRebuild, SnapshotEvery: 1}
+	live := cfg
+	live.Journal = log
+	eng = New(live)
+	addSpecTenant(t, eng, TenantSpec{ID: "a", Algorithm: "greedy", N: 16})
+	addSpecTenant(t, eng, TenantSpec{ID: "b", Algorithm: "periodic", N: 16, D: 1, DSet: true})
+	if err := eng.Submit("a", arrivals(1, 8, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := eng.Submit("b", testStream(16, 16, int64(i))...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng, log, cfg, wopt
+}
+
+// TestSnapshotRecoveryKeepsWatermarks: Recover starts each tenant's
+// compaction watermark at its restored snapshot's segment, so the first
+// snapshot after recovery deletes every segment older than all the
+// restored snapshots — compaction must not wait for every tenant to
+// snapshot again.
+func TestSnapshotRecoveryKeepsWatermarks(t *testing.T) {
+	dir := t.TempDir()
+	_, log, cfg, wopt := pinnedJournal(t, dir)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	latest := latestSnapshotSegs(t, dir)
+	if segs := walSegments(t, dir); segs[0] != latest["a"] || latest["b"] <= latest["a"]+1 {
+		t.Fatalf("setup: segments %v with latest snapshots %v; want a's pinning the log well behind b's", segs, latest)
+	}
+
+	rec, err := Recover(cfg, dir, wopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One snapshot by "a", behind a submit record too big to share a
+	// segment, so it lands past b's; "b" stays idle at its restored
+	// snapshot.
+	if err := rec.Submit("a", arrivals(9, 200, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	if seg := latestSnapshotSegs(t, dir)["a"]; seg <= latest["b"] {
+		t.Fatalf("setup: a's new snapshot in segment %d, not past b's %d", seg, latest["b"])
+	}
+	if segs := walSegments(t, dir); segs[0] != latest["b"] {
+		t.Errorf("after recovery, a's snapshot left segments %v; want every segment before b's restored snapshot (%d) deleted",
+			segs, latest["b"])
+	}
+	want := rec.Stats()
+	if err := rec.cfg.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertRecovers(t, cfg, dir, wopt, want)
+}
+
+// TestSnapshotTruncationCrashPoints enumerates the journals a crash
+// inside wal.Log.TruncateBefore can leave. The live engine's last
+// snapshot lifts the compaction bound, and the truncation it runs
+// deletes a run of sealed segments in ascending order, so a crash after
+// k removals leaves the log minus its first k segments. Every such state
+// that still holds each tenant's latest snapshot must recover to the
+// live ledger.
+func TestSnapshotTruncationCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	eng, log, cfg, wopt := pinnedJournal(t, dir)
+	// Sealed segments never change, so copies taken now are the bytes the
+	// coming truncation deletes.
+	before := t.TempDir()
+	copySegments(t, before, dir, walSegments(t, dir))
+	if err := eng.Submit("a", arrivals(9, 8, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Stats()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := walSegments(t, dir)
+	var deleted []int
+	for _, i := range walSegments(t, before) {
+		if i < after[0] {
+			deleted = append(deleted, i)
+		}
+	}
+	if len(deleted) < 2 {
+		t.Fatalf("setup: the final snapshot truncated %d segments, want several", len(deleted))
+	}
+	// The log as the truncation found it, then minus its first k segments.
+	full := append(append([]int(nil), deleted...), after...)
+	for k := 0; k <= len(deleted); k++ {
+		state := t.TempDir()
+		copySegments(t, state, before, full[k:len(deleted)])
+		copySegments(t, state, dir, after)
+		latest := latestSnapshotSegs(t, state)
+		if latest["a"] < full[k] || latest["b"] < full[k] {
+			t.Fatalf("k=%d: state %v lost a latest snapshot (%v)", k, walSegments(t, state), latest)
+		}
+		assertRecovers(t, cfg, state, wopt, want)
+	}
+}
+
+// TestSnapshotGenesisIsRegistration pins the registration record of a
+// journaled tenant: one TypeSnapshot holding the spec, an empty ledger,
+// fault position 0, and the placer's route. An allocator that cannot be
+// checkpointed has no genesis snapshot, so a journaled engine refuses it
+// and writes nothing.
+func TestSnapshotGenesisIsRegistration(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	eng := New(Config{Shards: 2, Journal: log, Rebuild: testRebuild})
+	spec := TenantSpec{ID: "opaque", Algorithm: "basic", N: 8}
+	opaque := &cancelOnArrive{Allocator: core.NewBasic(tree.MustNew(8))}
+	if err := eng.AddTenant(spec.ID, opaque, WithTenantSpec(spec)); err == nil {
+		t.Fatal("journaled engine accepted an allocator that is not core.Checkpointable")
+	}
+	if _, ok := eng.Routes()[spec.ID]; ok {
+		t.Error("the refused tenant kept a route")
+	}
+
+	spec = TenantSpec{ID: "t", Algorithm: "periodic", N: 16, D: 2, DSet: true}
+	addSpecTenant(t, eng, spec)
+	var recs []wal.Record
+	if err := wal.Replay(dir, func(_ int, rec wal.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Type != wal.TypeSnapshot || recs[0].Tenant != "t" {
+		t.Fatalf("journal after registrations holds %+v, want one TypeSnapshot for %q", recs, "t")
+	}
+	var env tenantSnapshot
+	if err := json.Unmarshal(recs[0].Data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Spec != spec || env.Events != 0 || env.Batches != 0 || env.FaultPos != 0 || env.Shard != eng.Routes()["t"] {
+		t.Errorf("genesis envelope %+v: want spec %+v, empty ledger, fault position 0, shard %d", env, spec, eng.Routes()["t"])
 	}
 }

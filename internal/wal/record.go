@@ -31,7 +31,9 @@ type Type uint8
 // Record types. The journal logs ingestion *calls*, not abstract events,
 // so recovery reproduces the engine's queue and batch structure exactly.
 const (
-	// TypeAddTenant carries the tenant's serialized TenantSpec (JSON).
+	// TypeAddTenant is a retired type, kept reserved: a tenant's
+	// registration is its genesis TypeSnapshot, and recovery rejects a
+	// record of this type as unknown rather than misreading it.
 	TypeAddTenant Type = 1
 	// TypeSubmit carries events that entered through Engine.Submit and
 	// were accepted into the tenant queue (shed events are not journaled).
@@ -46,10 +48,10 @@ const (
 	TypeRebuild Type = 5
 	// TypeSnapshot carries a full tenant checkpoint (JSON envelope around
 	// the allocator's core.Checkpointable bytes): spec, ledger, queued
-	// events, and allocator state. Recovery restores the tenant's *last*
-	// snapshot and replays only the records after it, and segments wholly
-	// older than every tenant's last snapshot become garbage (see
-	// Log.TruncateBefore).
+	// events, and allocator state. A tenant's registration is its genesis
+	// snapshot. Recovery restores the tenant's *last* snapshot and replays
+	// only the records after it, and segments wholly older than every
+	// tenant's last snapshot become garbage (see Log.TruncateBefore).
 	TypeSnapshot Type = 6
 	// TypeRemove marks a tenant's removal from this engine (MoveTenant):
 	// recovery forgets the tenant and skips its earlier records.

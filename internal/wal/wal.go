@@ -322,39 +322,68 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
+// Pos locates a record by the segment it lives in and its index among
+// that segment's records. Compaction deletes whole segments and never
+// renumbers the survivors, so a Pos names the same record for as long as
+// its segment exists — unlike a Replay ordinal, which restarts at the
+// first surviving segment.
+type Pos struct {
+	Seg, Idx int
+}
+
+// Before reports whether p precedes q in append order.
+func (p Pos) Before(q Pos) bool {
+	return p.Seg < q.Seg || p.Seg == q.Seg && p.Idx < q.Idx
+}
+
+func (p Pos) String() string { return fmt.Sprintf("%s#%d", segmentName(p.Seg), p.Idx) }
+
 // Replay scans every record in dir in append order, calling fn with the
-// record's ordinal (0-based across all segments) and the record. A torn
-// tail is tolerated — the scan ends cleanly — but only in the last
-// segment; anywhere else it is corruption and an error. fn may return
-// ErrStop to end the scan early without error.
+// record's ordinal (0-based across the surviving segments) and the
+// record. It is ReplayFrom over the whole log.
 func Replay(dir string, fn func(ord int, rec Record) error) error {
+	ord := 0
+	return ReplayFrom(dir, 0, func(_ Pos, rec Record) error {
+		err := fn(ord, rec)
+		ord++
+		return err
+	})
+}
+
+// ReplayFrom scans the records of every segment with index ≥ from in
+// append order, calling fn with each record's Pos; earlier segments are
+// not opened. A torn tail is tolerated — the scan ends cleanly — but
+// only in the last segment; anywhere else it is corruption and an error.
+// fn may return ErrStop to end the scan early without error.
+func ReplayFrom(dir string, from int, fn func(pos Pos, rec Record) error) error {
 	idx, err := segments(dir)
 	if err != nil {
 		return fmt.Errorf("wal: replay: %w", err)
 	}
-	ord := 0
 	for i, seg := range idx {
+		if seg < from {
+			continue
+		}
 		last := i == len(idx)-1
 		data, err := os.ReadFile(filepath.Join(dir, segmentName(seg)))
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
-		for off := 0; off < len(data); {
-			rec, n, err := DecodeRecord(data[off:])
+		for off, n := 0, 0; off < len(data); n++ {
+			rec, size, err := DecodeRecord(data[off:])
 			if err != nil {
 				if last {
 					return nil // torn tail from a crash; Open would repair it
 				}
 				return fmt.Errorf("wal: replay: segment %s offset %d: %w", segmentName(seg), off, err)
 			}
-			if err := fn(ord, rec); err != nil {
+			if err := fn(Pos{Seg: seg, Idx: n}, rec); err != nil {
 				if errors.Is(err, ErrStop) {
 					return nil
 				}
 				return err
 			}
-			ord++
-			off += n
+			off += size
 		}
 	}
 	return nil

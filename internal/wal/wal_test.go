@@ -285,3 +285,125 @@ func TestEventsCodecRejectsCorruptCounts(t *testing.T) {
 		t.Fatalf("absurd count: %v", err)
 	}
 }
+
+// posRecord is one record of a ReplayFrom scan with its position.
+type posRecord struct {
+	Pos Pos
+	Rec Record
+}
+
+func replayFrom(t *testing.T, dir string, from int) []posRecord {
+	t.Helper()
+	var got []posRecord
+	if err := ReplayFrom(dir, from, func(pos Pos, rec Record) error {
+		got = append(got, posRecord{pos, rec})
+		return nil
+	}); err != nil {
+		t.Fatalf("ReplayFrom(%d): %v", from, err)
+	}
+	return got
+}
+
+// TestTruncateBeforeCrashPoints enumerates the states a crash inside
+// TruncateBefore can leave. Removal runs in ascending index order, so a
+// crash after k removals leaves the log minus its first k segments. For
+// every k, Open must accept the directory, and Replay must return exactly
+// the records of the surviving suffix, at the positions they had before
+// — the same records ReplayFrom reads from the intact log. For k below
+// the segment count the state is also what TruncateBefore itself leaves;
+// k equal to it (every file gone) is beyond what TruncateBefore does,
+// since it never deletes the open segment, and opens as an empty log.
+func TestTruncateBeforeCrashPoints(t *testing.T) {
+	src := t.TempDir()
+	l, err := Open(src, Options{SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range testRecords(20) {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := segments(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("got %d segments, want several", len(segs))
+	}
+	copyLog := func(keep []int) string {
+		dir := t.TempDir()
+		for _, i := range keep {
+			data, err := os.ReadFile(filepath.Join(src, segmentName(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, segmentName(i)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	for k := 0; k <= len(segs); k++ {
+		var want []posRecord
+		if k < len(segs) {
+			want = replayFrom(t, src, segs[k])
+			if len(want) == 0 || want[0].Pos.Seg != segs[k] {
+				t.Fatalf("k=%d: ReplayFrom(%d) starts at %v", k, segs[k], want)
+			}
+
+			// The real truncation leaves exactly this state.
+			dir := copyLog(segs)
+			l, err := Open(dir, Options{SegmentBytes: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.TruncateBefore(segs[k]); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := segments(dir); !reflect.DeepEqual(got, segs[k:]) {
+				t.Fatalf("TruncateBefore(%d) left segments %v, want %v", segs[k], got, segs[k:])
+			}
+		}
+
+		dir := copyLog(segs[k:])
+		l, err := Open(dir, Options{SegmentBytes: 128})
+		if err != nil {
+			t.Fatalf("k=%d: Open: %v", k, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := replayFrom(t, dir, 0); !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%d: replayed %d records, want the %d of the surviving suffix", k, len(got), len(want))
+		}
+		var recs []Record
+		for _, pr := range want {
+			recs = append(recs, pr.Rec)
+		}
+		if got := replayAll(t, dir); !reflect.DeepEqual(got, recs) {
+			t.Errorf("k=%d: Replay returned %d records, want %d", k, len(got), len(recs))
+		}
+	}
+
+	// TruncateBefore never deletes the open segment.
+	dir := copyLog(segs)
+	l, err = Open(dir, Options{SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.TruncateBefore(segs[len(segs)-1] + 10); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := segments(dir); !reflect.DeepEqual(got, segs[len(segs)-1:]) {
+		t.Errorf("TruncateBefore past the open segment left %v, want %v", got, segs[len(segs)-1:])
+	}
+}
