@@ -89,37 +89,37 @@ func benchAllocator(b *testing.B, mk func(m *partalloc.Machine) partalloc.Alloca
 
 func BenchmarkAllocGreedy(b *testing.B) {
 	benchAllocator(b, func(m *partalloc.Machine) partalloc.Allocator {
-		return partalloc.NewGreedy(m)
+		return partalloc.MustNew(partalloc.AlgoGreedy, m)
 	})
 }
 
 func BenchmarkAllocBasic(b *testing.B) {
 	benchAllocator(b, func(m *partalloc.Machine) partalloc.Allocator {
-		return partalloc.NewBasic(m)
+		return partalloc.MustNew(partalloc.AlgoBasic, m)
 	})
 }
 
 func BenchmarkAllocConstant(b *testing.B) {
 	benchAllocator(b, func(m *partalloc.Machine) partalloc.Allocator {
-		return partalloc.NewConstant(m)
+		return partalloc.MustNew(partalloc.AlgoConstant, m)
 	})
 }
 
 func BenchmarkAllocPeriodicD2(b *testing.B) {
 	benchAllocator(b, func(m *partalloc.Machine) partalloc.Allocator {
-		return partalloc.NewPeriodic(m, 2, partalloc.DecreasingSize)
+		return partalloc.MustNew(partalloc.AlgoPeriodic, m, partalloc.WithD(2))
 	})
 }
 
 func BenchmarkAllocLazyD2(b *testing.B) {
 	benchAllocator(b, func(m *partalloc.Machine) partalloc.Allocator {
-		return partalloc.NewLazy(m, 2, partalloc.DecreasingSize)
+		return partalloc.MustNew(partalloc.AlgoLazy, m, partalloc.WithD(2))
 	})
 }
 
 func BenchmarkAllocRandom(b *testing.B) {
 	benchAllocator(b, func(m *partalloc.Machine) partalloc.Allocator {
-		return partalloc.NewRandom(m, 3)
+		return partalloc.MustNew(partalloc.AlgoRandom, m, partalloc.WithSeed(3))
 	})
 }
 
@@ -129,7 +129,7 @@ func BenchmarkAdversaryGreedy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := partalloc.MustNewMachine(256)
-		res := partalloc.RunAdversary(partalloc.NewGreedy(m), -1)
+		res := partalloc.RunAdversary(partalloc.MustNew(partalloc.AlgoGreedy, m), -1)
 		if res.FinalLoad < res.LowerBound {
 			b.Fatal("bound not met")
 		}

@@ -1,9 +1,10 @@
 // The -chaos soak: a seeded adversarial workout for the engine's
 // robustness layers (docs/ENGINE.md). It drives internal/engine directly
-// — the chaos injections (poison pills, allocator stalls, crash/recover
-// cycles) need the breaker config, Recover, and CanonicalStats, none of
-// which the benchmark facade exposes — and asserts the four guarantees
-// the robustness stack makes:
+// because the allocator-stall injection needs its own Config.Rebuild:
+// every tenant generation, breaker-rebuilt or recovered, must come back
+// wrapped in a stallAllocator, and the facade always installs its own
+// rebuild function. It asserts the four guarantees the robustness stack
+// makes:
 //
 //  1. audited invariants hold throughout: every tenant runs under
 //     Config.Audit and must finish every round with zero violations;

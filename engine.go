@@ -30,15 +30,6 @@ const (
 	EventDepart = task.Depart
 )
 
-// EngineConfig parameterizes the deprecated NewEngineFromConfig; the
-// zero value selects the defaults (min(GOMAXPROCS, 8) shards, 256-event
-// batches, no audit, no queue bound, no journal).
-//
-// Deprecated: configure NewEngine with EngineOptions (WithShards,
-// WithBatchSize, WithAudit, ...) instead of a config struct. The struct
-// form survives as NewEngineFromConfig.
-type EngineConfig = engine.Config
-
 // BreakerConfig tunes the poisoned-tenant circuit breaker's backoff for
 // WithBreaker; the zero value selects the defaults (100ms base, 30s cap,
 // jitter seed 1). See docs/ENGINE.md.
@@ -141,36 +132,20 @@ var (
 	ErrOverloaded = engine.ErrOverloaded
 )
 
-// engineOptions accumulates EngineOptions. Options validate eagerly; the
-// first invalid one wins and fails construction with ErrBadOption on the
+// engineOptions accumulates EngineOptions. Options validate eagerly and
+// write straight into the engine and journal configurations, whose zero
+// fields select internal/engine's and internal/wal's defaults; the first
+// invalid option wins and fails construction with ErrBadOption on the
 // error chain, naming the offending option.
 type engineOptions struct {
-	shards      int
-	shardsSet   bool
-	batch       int
-	batchSet    bool
-	audit       bool
-	maxQueue    int
-	maxQueueSet bool
-	policy      OverloadPolicy
-	policySet   bool
-	budget      time.Duration
-	watchdog    time.Duration
-	breaker     BreakerConfig
-	breakerSet  bool
-	journalDir  string
-	sync        JournalSyncPolicy
-	syncSet     bool
-	segBytes    int64
-	snapEvery   int
-	metrics     *Metrics
-	flightN     int
-	poisonDump  io.Writer
-	placement   PlacementPolicy
-	placeSet    bool
-	rebalD      int
-	rebalEvery  int
-	err         error
+	cfg engine.Config
+	wal wal.Options
+
+	journalDir string
+	metrics    *Metrics
+	flightN    int
+	poisonDump io.Writer
+	err        error
 }
 
 // fail records the first invalid option; later errors are dropped so the
@@ -186,15 +161,16 @@ func (o *engineOptions) fail(err error) {
 // and the observability layer (metrics, flight recorder).
 type EngineOption func(*engineOptions)
 
-// WithShards sets the number of lock stripes tenants are hash-partitioned
-// across (default min(GOMAXPROCS, 8); at least 1).
+// WithShards sets the number of lock stripes tenants are partitioned
+// across (default min(GOMAXPROCS, 8); at least 1). WithPlacement decides
+// which shard each tenant lands on.
 func WithShards(n int) EngineOption {
 	return func(o *engineOptions) {
 		if n < 1 {
 			o.fail(fmt.Errorf("%w: WithShards(%d): want at least 1 shard", ErrBadOption, n))
 			return
 		}
-		o.shards, o.shardsSet = n, true
+		o.cfg.Shards = n
 	}
 }
 
@@ -208,7 +184,7 @@ func WithBatchSize(n int) EngineOption {
 			o.fail(fmt.Errorf("%w: WithBatchSize(%d): want at least 1 event per batch", ErrBadOption, n))
 			return
 		}
-		o.batch, o.batchSet = n, true
+		o.cfg.BatchSize = n
 	}
 }
 
@@ -217,7 +193,7 @@ func WithBatchSize(n int) EngineOption {
 // away all batching throughput for per-event validation; use it in tests
 // and canary runs, not in benchmarks.
 func WithAudit() EngineOption {
-	return func(o *engineOptions) { o.audit = true }
+	return func(o *engineOptions) { o.cfg.Audit = true }
 }
 
 // WithMaxQueue bounds each tenant's ingestion queue to n events
@@ -229,7 +205,7 @@ func WithMaxQueue(n int) EngineOption {
 			o.fail(fmt.Errorf("%w: WithMaxQueue(%d): negative bound (0 means unbounded)", ErrBadOption, n))
 			return
 		}
-		o.maxQueue, o.maxQueueSet = n, true
+		o.cfg.MaxQueue = n
 	}
 }
 
@@ -239,7 +215,7 @@ func WithOverloadPolicy(p OverloadPolicy) EngineOption {
 	return func(o *engineOptions) {
 		switch p {
 		case OverloadBlock, OverloadShed, OverloadDegrade:
-			o.policy, o.policySet = p, true
+			o.cfg.Overload = p
 		default:
 			o.fail(fmt.Errorf("%w: WithOverloadPolicy(%v): unknown policy", ErrBadOption, p))
 		}
@@ -254,7 +230,7 @@ func WithDegradeBudget(d time.Duration) EngineOption {
 			o.fail(fmt.Errorf("%w: WithDegradeBudget(%v): want a positive budget", ErrBadOption, d))
 			return
 		}
-		o.budget = d
+		o.cfg.DegradeBudget = d
 	}
 }
 
@@ -267,7 +243,7 @@ func WithReplayWatchdog(d time.Duration) EngineOption {
 			o.fail(fmt.Errorf("%w: WithReplayWatchdog(%v): want a positive timeout", ErrBadOption, d))
 			return
 		}
-		o.watchdog = d
+		o.cfg.ReplayWatchdog = d
 	}
 }
 
@@ -279,7 +255,7 @@ func WithBreaker(b BreakerConfig) EngineOption {
 			o.fail(fmt.Errorf("%w: WithBreaker: negative backoff (base %v, max %v)", ErrBadOption, b.Base, b.Max))
 			return
 		}
-		o.breaker, o.breakerSet = b, true
+		o.cfg.Breaker = b
 	}
 }
 
@@ -314,7 +290,7 @@ func WithSnapshotEvery(k int) EngineOption {
 			o.fail(fmt.Errorf("%w: WithSnapshotEvery(%d): want at least 1 batch between snapshots", ErrBadOption, k))
 			return
 		}
-		o.snapEvery = k
+		o.cfg.SnapshotEvery = k
 	}
 }
 
@@ -329,17 +305,17 @@ func WithJournalSegmentBytes(n int64) EngineOption {
 			o.fail(fmt.Errorf("%w: WithJournalSegmentBytes(%d): want a positive threshold", ErrBadOption, n))
 			return
 		}
-		o.segBytes = n
+		o.wal.SegmentBytes = n
 	}
 }
 
 // WithJournalSync selects the journal's fsync policy (default
-// JournalSyncNever).
+// JournalSyncNever). Any other policy requires WithJournal.
 func WithJournalSync(p JournalSyncPolicy) EngineOption {
 	return func(o *engineOptions) {
 		switch p {
 		case JournalSyncNever, JournalSyncBatched, JournalSyncAlways:
-			o.sync, o.syncSet = p, true
+			o.wal.Sync = p
 		default:
 			o.fail(fmt.Errorf("%w: WithJournalSync(%v): unknown policy", ErrBadOption, p))
 		}
@@ -354,7 +330,7 @@ func WithPlacement(p PlacementPolicy) EngineOption {
 	return func(o *engineOptions) {
 		switch p {
 		case PlacementHash, PlacementBalanced:
-			o.placement, o.placeSet = p, true
+			o.cfg.Placement = p
 		default:
 			o.fail(fmt.Errorf("%w: WithPlacement(%v): unknown policy", ErrBadOption, p))
 		}
@@ -372,7 +348,7 @@ func WithRebalanceD(d int) EngineOption {
 			o.fail(fmt.Errorf("%w: WithRebalanceD(%d): want d of at least 1", ErrBadOption, d))
 			return
 		}
-		o.rebalD = d
+		o.cfg.RebalanceD = d
 	}
 }
 
@@ -385,7 +361,7 @@ func WithRebalanceEvery(k int) EngineOption {
 			o.fail(fmt.Errorf("%w: WithRebalanceEvery(%d): want a cadence of at least 1 batch", ErrBadOption, k))
 			return
 		}
-		o.rebalEvery = k
+		o.cfg.RebalanceEvery = k
 	}
 }
 
@@ -434,30 +410,33 @@ func WithPoisonDump(w io.Writer) EngineOption {
 	}
 }
 
-// config folds the options into an engine.Config and builds the
-// observability sink.
-func (o *engineOptions) config() (EngineConfig, *obs.Sink, error) {
+// finish checks the rules that span several options and wires the
+// observability sink into the engine and journal configurations.
+func (o *engineOptions) finish() error {
 	if o.err != nil {
-		return EngineConfig{}, nil, o.err
+		return o.err
 	}
 	if o.poisonDump != nil && o.flightN == 0 {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithPoisonDump requires WithFlightRecorder", ErrBadOption)
+		return fmt.Errorf("%w: WithPoisonDump requires WithFlightRecorder", ErrBadOption)
 	}
-	if o.snapEvery > 0 && o.journalDir == "" {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithSnapshotEvery requires WithJournal", ErrBadOption)
+	if o.cfg.SnapshotEvery > 0 && o.journalDir == "" {
+		return fmt.Errorf("%w: WithSnapshotEvery requires WithJournal", ErrBadOption)
 	}
-	if o.segBytes > 0 && o.journalDir == "" {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithJournalSegmentBytes requires WithJournal", ErrBadOption)
+	if o.wal.SegmentBytes > 0 && o.journalDir == "" {
+		return fmt.Errorf("%w: WithJournalSegmentBytes requires WithJournal", ErrBadOption)
 	}
-	balanced := o.placeSet && o.placement == PlacementBalanced
-	if o.rebalD > 0 && !balanced {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithRebalanceD requires WithPlacement(PlacementBalanced)", ErrBadOption)
+	if o.wal.Sync != JournalSyncNever && o.journalDir == "" {
+		return fmt.Errorf("%w: WithJournalSync(%v) requires WithJournal", ErrBadOption, o.wal.Sync)
 	}
-	if o.rebalEvery > 0 && !balanced {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithRebalanceEvery requires WithPlacement(PlacementBalanced)", ErrBadOption)
+	balanced := o.cfg.Placement == PlacementBalanced
+	if o.cfg.RebalanceD > 0 && !balanced {
+		return fmt.Errorf("%w: WithRebalanceD requires WithPlacement(PlacementBalanced)", ErrBadOption)
 	}
-	if balanced && o.shardsSet && o.shards != mathx.FloorPow2(o.shards) {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithPlacement(PlacementBalanced) requires a power-of-two shard count, got WithShards(%d)", ErrBadOption, o.shards)
+	if o.cfg.RebalanceEvery > 0 && !balanced {
+		return fmt.Errorf("%w: WithRebalanceEvery requires WithPlacement(PlacementBalanced)", ErrBadOption)
+	}
+	if balanced && o.cfg.Shards > 0 && o.cfg.Shards != mathx.FloorPow2(o.cfg.Shards) {
+		return fmt.Errorf("%w: WithPlacement(PlacementBalanced) requires a power-of-two shard count, got WithShards(%d)", ErrBadOption, o.cfg.Shards)
 	}
 	var fr *obs.FlightRecorder
 	if o.flightN > 0 {
@@ -467,34 +446,13 @@ func (o *engineOptions) config() (EngineConfig, *obs.Sink, error) {
 	if sink != nil && o.poisonDump != nil {
 		sink.SetPoisonDump(o.poisonDump)
 	}
-	cfg := EngineConfig{
-		Shards:         o.shards,
-		BatchSize:      o.batch,
-		Audit:          o.audit,
-		DegradeBudget:  o.budget,
-		ReplayWatchdog: o.watchdog,
-		Rebuild:        rebuildSpec,
-		SnapshotEvery:  o.snapEvery,
-		Sink:           sink,
-		Placement:      o.placement,
-		RebalanceD:     o.rebalD,
-		RebalanceEvery: o.rebalEvery,
-	}
-	if o.maxQueueSet {
-		cfg.MaxQueue = o.maxQueue
-	}
-	if o.policySet {
-		cfg.Overload = o.policy
-	}
-	if o.breakerSet {
-		cfg.Breaker = o.breaker
-	}
-	return cfg, sink, nil
+	o.cfg.Sink, o.wal.Sink = sink, sink
+	return nil
 }
 
 // Engine multiplexes many independent tenant machines behind one
-// concurrent ingestion API: tenants are hash-partitioned across
-// lock-striped shards, events are applied in batches through the
+// concurrent ingestion API: the WithPlacement policy spreads tenants
+// across lock-striped shards, events are applied in batches through the
 // allocators' batch fast path, and Replay fans out one worker per shard.
 // Allocator panics (capacity exhaustion under faults, stream misuse) are
 // converted into returned errors that poison the offending tenant and
@@ -508,7 +466,7 @@ type Engine struct {
 
 // collect runs opts over a fresh engineOptions, catching nil options.
 func collect(caller string, opts []EngineOption) (*engineOptions, error) {
-	o := &engineOptions{}
+	o := &engineOptions{cfg: engine.Config{Rebuild: rebuildSpec}}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("partalloc: %s: %w: nil EngineOption", caller, ErrBadOption)
@@ -528,107 +486,45 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, sink, err := o.config()
-	if err != nil {
+	if err := o.finish(); err != nil {
 		return nil, fmt.Errorf("partalloc: NewEngine: %w", err)
 	}
 	if o.journalDir != "" {
-		log, err := wal.Open(o.journalDir, wal.Options{Sync: o.sync, SegmentBytes: o.segBytes, Sink: sink})
+		log, err := wal.Open(o.journalDir, o.wal)
 		if err != nil {
 			return nil, fmt.Errorf("partalloc: NewEngine: %w", err)
 		}
-		cfg.Journal = log
+		o.cfg.Journal = log
 	}
-	return &Engine{eng: engine.New(cfg), sink: sink}, nil
-}
-
-// NewEngineFromConfig builds an engine from the legacy EngineConfig
-// struct plus options; non-zero struct fields are mapped onto the
-// corresponding options, and explicit options win over struct fields.
-//
-// Deprecated: use NewEngine with WithShards, WithBatchSize, WithAudit,
-// WithMaxQueue, WithOverloadPolicy, WithDegradeBudget,
-// WithReplayWatchdog and WithBreaker instead.
-func NewEngineFromConfig(cfg EngineConfig, opts ...EngineOption) (*Engine, error) {
-	return NewEngine(append(optionsFromConfig(cfg), opts...)...)
-}
-
-// optionsFromConfig maps the legacy struct's non-zero fields onto the
-// equivalent options, so the deprecated wrappers share the options-only
-// construction path. Internal plumbing fields (Journal, Rebuild, Sink)
-// are engine-owned and ignored.
-func optionsFromConfig(cfg EngineConfig) []EngineOption {
-	var opts []EngineOption
-	if cfg.Shards > 0 {
-		opts = append(opts, WithShards(cfg.Shards))
-	}
-	if cfg.BatchSize > 0 {
-		opts = append(opts, WithBatchSize(cfg.BatchSize))
-	}
-	if cfg.Audit {
-		opts = append(opts, WithAudit())
-	}
-	if cfg.MaxQueue > 0 {
-		opts = append(opts, WithMaxQueue(cfg.MaxQueue))
-	}
-	if cfg.Overload != OverloadBlock {
-		opts = append(opts, WithOverloadPolicy(cfg.Overload))
-	}
-	if cfg.DegradeBudget > 0 {
-		opts = append(opts, WithDegradeBudget(cfg.DegradeBudget))
-	}
-	if cfg.ReplayWatchdog > 0 {
-		opts = append(opts, WithReplayWatchdog(cfg.ReplayWatchdog))
-	}
-	if cfg.Breaker != (BreakerConfig{}) {
-		opts = append(opts, WithBreaker(cfg.Breaker))
-	}
-	if cfg.Placement != PlacementHash {
-		opts = append(opts, WithPlacement(cfg.Placement))
-	}
-	if cfg.RebalanceD > 0 {
-		opts = append(opts, WithRebalanceD(cfg.RebalanceD))
-	}
-	if cfg.RebalanceEvery > 0 {
-		opts = append(opts, WithRebalanceEvery(cfg.RebalanceEvery))
-	}
-	return opts
+	return &Engine{eng: engine.New(o.cfg), sink: o.cfg.Sink}, nil
 }
 
 // RecoverEngine reconstructs a journaling engine from the log a crashed
-// (or closed) engine left in dir: tenants are rebuilt from their
-// registration records and every journaled ingestion call is re-applied,
-// reproducing ledgers and queue contents exactly — including tenants the
-// crash left poisoned. The recovered engine journals onward in the same
-// directory. Pass the same options the original engine ran with;
-// WithJournal is implied by dir.
+// (or closed) engine left in dir: each tenant is restored from its latest
+// journaled snapshot — the genesis snapshot AddTenant wrote, when it took
+// no later one — and the ingestion calls journaled after that snapshot
+// are re-applied, reproducing ledgers and queue contents exactly,
+// including tenants the crash left poisoned. The recovered engine
+// journals onward in the same directory. Pass the same options the
+// original engine ran with; WithJournal is implied by dir and may only
+// repeat it.
 func RecoverEngine(dir string, opts ...EngineOption) (*Engine, error) {
 	o, err := collect("RecoverEngine", opts)
 	if err != nil {
 		return nil, err
 	}
 	if o.journalDir != "" && o.journalDir != dir {
-		return nil, fmt.Errorf("partalloc: RecoverEngine: WithJournal(%q) conflicts with recovery directory %q", o.journalDir, dir)
+		return nil, fmt.Errorf("partalloc: RecoverEngine: %w: WithJournal(%q) conflicts with recovery directory %q", ErrBadOption, o.journalDir, dir)
 	}
-	o.journalDir = dir // WithJournal is implied; WithSnapshotEvery may rely on it
-	cfg, sink, err := o.config()
+	o.journalDir = dir // WithJournal is implied; the journal options may rely on it
+	if err := o.finish(); err != nil {
+		return nil, fmt.Errorf("partalloc: RecoverEngine: %w", err)
+	}
+	eng, err := engine.Recover(o.cfg, dir, o.wal)
 	if err != nil {
 		return nil, fmt.Errorf("partalloc: RecoverEngine: %w", err)
 	}
-	eng, err := engine.Recover(cfg, dir, wal.Options{Sync: o.sync, SegmentBytes: o.segBytes, Sink: sink})
-	if err != nil {
-		return nil, fmt.Errorf("partalloc: RecoverEngine: %w", err)
-	}
-	return &Engine{eng: eng, sink: sink}, nil
-}
-
-// RecoverEngineFromConfig is RecoverEngine taking the legacy
-// EngineConfig struct; non-zero fields map onto options as in
-// NewEngineFromConfig.
-//
-// Deprecated: use RecoverEngine(dir, opts...) instead.
-func RecoverEngineFromConfig(cfg EngineConfig, dir string, opts ...EngineOption) (*Engine, error) {
-	return RecoverEngine(dir, append(optionsFromConfig(cfg), opts...)...)
+	return &Engine{eng: eng, sink: o.cfg.Sink}, nil
 }
 
 // Metrics returns the registry attached with WithMetrics (nil without
@@ -666,12 +562,13 @@ func (e *Engine) Close() error {
 // captured as the tenant's rebuild recipe, so on a journaling engine the
 // tenant is recoverable and breaker-protected with no extra wiring.
 func (e *Engine) AddTenant(id string, algo Algorithm, m *Machine, opts ...Option) error {
-	a, err := New(algo, m, opts...)
+	c := newConfig(opts)
+	a, err := c.build(algo, m)
 	if err != nil {
 		return err
 	}
 	ua, sched, host := unwrapRun(a)
-	spec, err := tenantSpec(id, algo, m, opts)
+	spec, err := c.tenantSpec(id, algo, m)
 	if err != nil {
 		return err
 	}
@@ -773,13 +670,9 @@ func CanonicalEngineStats(st EngineTenantStats) []byte {
 // tenantSpec captures an AddTenant call as a serializable rebuild
 // recipe: the exact algorithm, machine size, and options, with the fault
 // schedule in its text format and the topology by name. rebuildSpec
-// inverts it through the same New constructor, so the pair cannot drift
-// from what AddTenant actually built.
-func tenantSpec(id string, algo Algorithm, m *Machine, opts []Option) (engine.TenantSpec, error) {
-	c := config{order: DecreasingSize, seed: 1}
-	for _, o := range opts {
-		o(&c)
-	}
+// inverts it into the same config and builds through it, so the pair
+// cannot drift from what AddTenant actually built.
+func (c config) tenantSpec(id string, algo Algorithm, m *Machine) (engine.TenantSpec, error) {
 	spec := engine.TenantSpec{
 		ID:        id,
 		Algorithm: algo.String(),
@@ -808,8 +701,8 @@ func tenantSpec(id string, algo Algorithm, m *Machine, opts []Option) (engine.Te
 }
 
 // rebuildSpec is the engine.RebuildFunc the facade installs: it turns a
-// tenantSpec recipe back into options and rebuilds the allocator through
-// New, exactly as the original AddTenant did.
+// tenantSpec recipe back into the config AddTenant resolved and builds
+// the allocator from it, exactly as the original AddTenant did.
 func rebuildSpec(spec engine.TenantSpec) (core.Allocator, *fault.Schedule, *topology.Host, error) {
 	algo, err := ParseAlgorithm(spec.Algorithm)
 	if err != nil {
@@ -819,35 +712,30 @@ func rebuildSpec(spec engine.TenantSpec) (core.Allocator, *fault.Schedule, *topo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var opts []Option
-	if spec.DSet {
-		opts = append(opts, WithD(spec.D))
-	}
+	c := newConfig(nil)
+	c.d, c.dSet = spec.D, spec.DSet
 	if spec.Order != "" {
-		order, err := parseReallocOrder(spec.Order)
-		if err != nil {
+		if c.order, err = parseReallocOrder(spec.Order); err != nil {
 			return nil, nil, nil, err
 		}
-		opts = append(opts, WithOrder(order))
+		c.orderSet = true
 	}
 	if spec.SeedSet {
-		opts = append(opts, WithSeed(spec.Seed))
+		c.seed, c.seedSet = spec.Seed, true
 	}
 	if spec.Topology != "" {
-		top, err := NewTopology(spec.Topology, spec.N)
-		if err != nil {
+		if c.top, err = NewTopology(spec.Topology, spec.N); err != nil {
 			return nil, nil, nil, err
 		}
-		opts = append(opts, WithTopology(top))
 	}
 	if spec.Faults != "" {
 		sched, err := fault.ParseText(strings.NewReader(spec.Faults), spec.N)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		opts = append(opts, WithFaults(sched))
+		c.faults = &sched
 	}
-	a, err := New(algo, m, opts...)
+	a, err := c.build(algo, m)
 	if err != nil {
 		return nil, nil, nil, err
 	}

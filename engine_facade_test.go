@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"partalloc"
+	"partalloc/internal/mathx"
 )
 
 // TestEngineFacadeMatchesSimulate drives the public Engine with
@@ -100,5 +102,34 @@ func TestEngineFaultOptionAndSentinel(t *testing.T) {
 	}
 	if err := eng.Submit("ghost"); !errors.Is(err, partalloc.ErrUnknownTenant) {
 		t.Errorf("Submit to unknown tenant = %v", err)
+	}
+}
+
+// TestEngineShardDefaults pins the shard count the options leave to the
+// engine's defaults: min(GOMAXPROCS, 8) shards, rounded down to a power
+// of two under PlacementBalanced, and an explicit WithShards kept as is.
+// GOMAXPROCS is swept so the rounding runs whatever the host's CPU count.
+func TestEngineShardDefaults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	shards := func(opts ...partalloc.EngineOption) int {
+		t.Helper()
+		eng, err := partalloc.NewEngine(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(eng.ShardStats())
+	}
+	for _, procs := range []int{1, 3, 6, 12} {
+		runtime.GOMAXPROCS(procs)
+		want := min(procs, 8)
+		if got := shards(); got != want {
+			t.Errorf("GOMAXPROCS=%d: NewEngine() has %d shards, want %d", procs, got, want)
+		}
+		if got := shards(partalloc.WithPlacement(partalloc.PlacementBalanced)); got != mathx.FloorPow2(want) {
+			t.Errorf("GOMAXPROCS=%d: balanced default has %d shards, want %d", procs, got, mathx.FloorPow2(want))
+		}
+		if got := shards(partalloc.WithPlacement(partalloc.PlacementBalanced), partalloc.WithShards(4)); got != 4 {
+			t.Errorf("GOMAXPROCS=%d: balanced WithShards(4) has %d shards, want 4", procs, got)
+		}
 	}
 }

@@ -124,6 +124,8 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"WithReplayWatchdog", []partalloc.EngineOption{partalloc.WithReplayWatchdog(-time.Second)}},
 		{"WithBreaker", []partalloc.EngineOption{partalloc.WithBreaker(partalloc.BreakerConfig{Base: -time.Second})}},
 		{"WithJournal", []partalloc.EngineOption{partalloc.WithJournal("")}},
+		{"WithSnapshotEvery", []partalloc.EngineOption{partalloc.WithSnapshotEvery(0)}},
+		{"WithJournalSegmentBytes", []partalloc.EngineOption{partalloc.WithJournalSegmentBytes(0)}},
 		{"WithJournalSync", []partalloc.EngineOption{partalloc.WithJournalSync(partalloc.JournalSyncPolicy(99))}},
 		{"WithMetrics", []partalloc.EngineOption{partalloc.WithMetrics(nil)}},
 		{"WithFlightRecorder", []partalloc.EngineOption{partalloc.WithFlightRecorder(0)}},
@@ -145,6 +147,22 @@ func TestEngineOptionValidation(t *testing.T) {
 		}
 		if _, err := partalloc.RecoverEngine(t.TempDir(), tc.opts...); !errors.Is(err, partalloc.ErrBadOption) {
 			t.Errorf("RecoverEngine %s: error %v is not ErrBadOption", tc.name, err)
+		}
+	}
+	// The journal tuning options require WithJournal. RecoverEngine
+	// implies the journal, so only NewEngine can break these rules.
+	for _, tc := range []struct {
+		name string
+		opt  partalloc.EngineOption
+	}{
+		{"WithSnapshotEvery", partalloc.WithSnapshotEvery(4)},
+		{"WithJournalSegmentBytes", partalloc.WithJournalSegmentBytes(1 << 10)},
+		{"WithJournalSync", partalloc.WithJournalSync(partalloc.JournalSyncAlways)},
+	} {
+		if _, err := partalloc.NewEngine(tc.opt); !errors.Is(err, partalloc.ErrBadOption) {
+			t.Errorf("%s without WithJournal: error %v is not ErrBadOption", tc.name, err)
+		} else if !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), "requires WithJournal") {
+			t.Errorf("%s without WithJournal: error %q does not name the rule", tc.name, err)
 		}
 	}
 	// The first invalid option wins when several are wrong.
@@ -180,81 +198,6 @@ func TestAllocatorOptionsWrapErrBadOption(t *testing.T) {
 	}
 	if _, err := partalloc.New(partalloc.AlgoGreedy, m, partalloc.WithTopology(top)); !errors.Is(err, partalloc.ErrBadOption) {
 		t.Errorf("mismatched topology size: %v is not ErrBadOption", err)
-	}
-}
-
-// TestNewEngineFromConfig exercises the deprecated struct wrapper: its
-// fields must map onto the same options, observable through the Shed
-// overload behavior and a journaled recovery round trip.
-func TestNewEngineFromConfig(t *testing.T) {
-	eng, err := partalloc.NewEngineFromConfig(partalloc.EngineConfig{
-		Shards:   2,
-		MaxQueue: 1,
-		Overload: partalloc.OverloadShed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddTenant("t", partalloc.AlgoBasic, partalloc.MustNewMachine(4)); err != nil {
-		t.Fatal(err)
-	}
-	err = eng.Submit("t",
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 1, Size: 1},
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 2, Size: 1})
-	if !errors.Is(err, partalloc.ErrOverloaded) {
-		t.Errorf("config-mapped Shed policy: %v is not ErrOverloaded", err)
-	}
-	// Explicit options win over struct fields: a larger bound admits both.
-	eng2, err := partalloc.NewEngineFromConfig(partalloc.EngineConfig{MaxQueue: 1, Overload: partalloc.OverloadShed},
-		partalloc.WithMaxQueue(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.AddTenant("t", partalloc.AlgoBasic, partalloc.MustNewMachine(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Submit("t",
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 1, Size: 1},
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 2, Size: 1}); err != nil {
-		t.Errorf("option-overridden bound shed anyway: %v", err)
-	}
-}
-
-// TestRecoverEngineFromConfig exercises the deprecated recovery wrapper
-// end to end: run journaled, close, recover through the struct form, and
-// compare canonical ledgers.
-func TestRecoverEngineFromConfig(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := partalloc.NewEngineFromConfig(partalloc.EngineConfig{BatchSize: 16}, partalloc.WithJournal(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := partalloc.MustNewMachine(32)
-	if err := eng.AddTenant("t", partalloc.AlgoGreedy, m); err != nil {
-		t.Fatal(err)
-	}
-	seq := partalloc.PoissonWorkload(partalloc.WorkloadConfig{N: 32, Arrivals: 300, Seed: 3})
-	if err := eng.Replay(context.Background(), map[string][]partalloc.Event{"t": seq.Events}); err != nil {
-		t.Fatal(err)
-	}
-	before, err := eng.TenantStats("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := partalloc.RecoverEngineFromConfig(partalloc.EngineConfig{BatchSize: 16}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	after, err := rec.TenantStats("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(partalloc.CanonicalEngineStats(before), partalloc.CanonicalEngineStats(after)) {
-		t.Error("recovered ledger diverged from the original")
 	}
 }
 

@@ -181,9 +181,14 @@ func TestEngineDegradeOptionThroughFacade(t *testing.T) {
 }
 
 // TestRecoverEngineRejectsConflictingJournal pins the strictness rule:
-// WithJournal inside RecoverEngine may only repeat the directory.
+// WithJournal inside RecoverEngine may only repeat the directory, and a
+// conflict is an invalid option like any other.
 func TestRecoverEngineRejectsConflictingJournal(t *testing.T) {
-	if _, err := partalloc.RecoverEngine(t.TempDir(), partalloc.WithJournal("elsewhere")); err == nil {
+	_, err := partalloc.RecoverEngine(t.TempDir(), partalloc.WithJournal("elsewhere"))
+	if err == nil {
 		t.Fatal("conflicting WithJournal accepted")
+	}
+	if !errors.Is(err, partalloc.ErrBadOption) {
+		t.Errorf("conflicting WithJournal: error %v is not ErrBadOption", err)
 	}
 }

@@ -7,8 +7,9 @@
 //     core.BatchApplier when the allocator supports it, amortizing the
 //     loadtree's aggregate maintenance over whole batches instead of
 //     paying O(log² N) per event;
-//   - sharding: tenants are hash-partitioned across lock-striped shards,
-//     so ingestion for tenants on different shards never contends, and
+//   - sharding: tenants are spread across lock-striped shards by the
+//     configured placer (placement.go), so ingestion for tenants on
+//     different shards never contends, and
 //     Replay fans out one worker per shard via parallel.RunCells.
 //
 // Within a shard, application is serialized by the shard mutex — the
@@ -89,7 +90,7 @@ var (
 // Config parameterizes an Engine. The zero value selects the defaults.
 type Config struct {
 	// Shards is the number of lock stripes (default min(GOMAXPROCS, 8),
-	// at least 1). Tenants are assigned to shards by ID hash.
+	// at least 1). Placement decides which shard each tenant lands on.
 	Shards int
 	// BatchSize is the ingestion batch: Submit queues events per tenant
 	// and applies them whenever the queue reaches this size (default 256).

@@ -34,7 +34,9 @@ import (
 type TenantSpec struct {
 	// ID is the tenant ID.
 	ID string
-	// Algorithm is the parseable algorithm name (partalloc.ParseAlgorithm).
+	// Algorithm names the algorithm in whatever vocabulary Config.Rebuild
+	// understands; the partalloc facade writes paper names
+	// (partalloc.Algorithm.String).
 	Algorithm string `json:",omitempty"`
 	// N is the machine size in PEs.
 	N int `json:",omitempty"`

@@ -147,20 +147,29 @@ func WithTopology(t Topology) Option {
 	return func(c *config) { c.top = t }
 }
 
+// newConfig applies opts over the defaults; it is the one place they are
+// spelled out.
+func newConfig(opts []Option) config {
+	c := config{order: DecreasingSize, seed: 1}
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
+
 // New builds an allocator for algo on machine m. Invalid combinations are
 // rejected with descriptive errors (strict by design: every option must be
 // meaningful for the chosen algorithm). The returned Allocator is also a
 // Reallocator when algo reallocates.
-//
-// This constructor supersedes NewGreedy, NewBasic, NewConstant,
-// NewPeriodic, NewLazy and NewRandom.
 func New(algo Algorithm, m *Machine, opts ...Option) (Allocator, error) {
+	return newConfig(opts).build(algo, m)
+}
+
+// build is New over already resolved options. It leaves c untouched, so
+// the raw, untranslated fault schedule stays available to tenantSpec.
+func (c config) build(algo Algorithm, m *Machine) (Allocator, error) {
 	if m == nil {
 		return nil, fmt.Errorf("partalloc: New(%v): nil machine", algo)
-	}
-	c := config{order: DecreasingSize, seed: 1}
-	for _, o := range opts {
-		o(&c)
 	}
 
 	// A topology replaces the plain machine with its decomposition tree:
@@ -214,25 +223,26 @@ func New(algo Algorithm, m *Machine, opts ...Option) (Allocator, error) {
 		return nil, fmt.Errorf("partalloc: New: unknown algorithm %v", algo)
 	}
 
-	if c.faults != nil {
+	sched := c.faults
+	if sched != nil {
 		// Schedules name physical PEs; on a host they are translated (and
 		// range-checked) through the decomposition before validation.
 		if host != nil {
-			mapped, err := c.faults.MapPEs(host.CanonicalPE)
+			mapped, err := sched.MapPEs(host.CanonicalPE)
 			if err != nil {
 				return nil, fmt.Errorf("partalloc: New(%v): %w", algo, err)
 			}
-			c.faults = &mapped
+			sched = &mapped
 		}
-		if err := c.faults.Validate(m.N()); err != nil {
+		if err := sched.Validate(m.N()); err != nil {
 			return nil, fmt.Errorf("partalloc: New(%v): %w", algo, err)
 		}
 		if _, ok := a.(core.FaultTolerant); !ok {
 			return nil, fmt.Errorf("partalloc: New(%v): %w: WithFaults: algorithm does not support fault injection", algo, ErrBadOption)
 		}
 	}
-	if c.faults != nil || host != nil {
-		return &wrappedAllocator{Allocator: a, sched: c.faults, host: host}, nil
+	if sched != nil || host != nil {
+		return &wrappedAllocator{Allocator: a, sched: sched, host: host}, nil
 	}
 	return a, nil
 }
@@ -281,11 +291,4 @@ func unwrapRun(a Allocator) (Allocator, *fault.Schedule, *topology.Host) {
 		return wa.Allocator, wa.sched, wa.host
 	}
 	return a, nil, nil
-}
-
-// unwrapFaults splits a possibly wrapped allocator into the underlying
-// allocator and its schedule (nil when none is attached).
-func unwrapFaults(a Allocator) (Allocator, *fault.Schedule) {
-	inner, sched, _ := unwrapRun(a)
-	return inner, sched
 }

@@ -15,27 +15,37 @@
 //
 // # Algorithms
 //
-//   - NewGreedy — A_G: leftmost minimum-load placement, never reallocates;
-//     load ≤ ⌈½(log N+1)⌉·L* (Theorem 4.1).
-//   - NewBasic — A_B: first-fit over copies of the machine; load ≤ ⌈S/N⌉
+// New(algo, m, opts...) builds every algorithm; algo names it:
+//
+//   - AlgoGreedy — A_G: leftmost minimum-load placement, never
+//     reallocates; load ≤ ⌈½(log N+1)⌉·L* (Theorem 4.1).
+//   - AlgoBasic — A_B: first-fit over copies of the machine; load ≤ ⌈S/N⌉
 //     for total arrived size S (Lemma 2).
-//   - NewConstant — A_C: reallocates on every arrival; load = L* exactly
+//   - AlgoConstant — A_C: reallocates on every arrival; load = L* exactly
 //     (Theorem 3.1).
-//   - NewPeriodic — A_M(d): A_B plus a reallocation (first-fit-decreasing
-//     repacking) every d·N arrived units; load ≤ min{d+1,⌈½(log N+1)⌉}·L*
-//     (Theorem 4.2). No deterministic algorithm beats
-//     ⌈½(min{d,log N}+1)⌉·L* (Theorem 4.3).
-//   - NewLazy — A_M with on-demand reallocation timing: same guarantee,
-//     far less traffic (and it realizes the paper's §2 example exactly).
-//   - NewRandom — A_Rand: oblivious uniform placement; expected load ≤
+//   - AlgoPeriodic with WithD(d) — A_M(d): A_B plus a reallocation
+//     (first-fit-decreasing repacking) every d·N arrived units; load ≤
+//     min{d+1,⌈½(log N+1)⌉}·L* (Theorem 4.2). No deterministic algorithm
+//     beats ⌈½(min{d,log N}+1)⌉·L* (Theorem 4.3).
+//   - AlgoLazy with WithD(d) — A_M with on-demand reallocation timing:
+//     same guarantee, far less traffic (and it realizes the paper's §2
+//     example exactly).
+//   - AlgoRandom — A_Rand: oblivious uniform placement; expected load ≤
 //     (3·log N/log log N + 1)·L* (Theorem 5.1), and no randomized
 //     no-reallocation algorithm beats Ω((log N/log log N)^{1/3}) (Theorem
 //     5.2).
+//   - AlgoTwoChoice and AlgoGreedyRandomTie — baselines: the
+//     balanced-allocations rule (related work [2]) and A_G with
+//     random tie-breaking.
+//
+// Options tune the algorithm (WithOrder, WithSeed) and its environment
+// (WithFaults, WithTopology); New rejects any option the algorithm
+// would ignore.
 //
 // # Quick start
 //
 //	m := partalloc.MustNewMachine(64)
-//	a := partalloc.NewPeriodic(m, 2, partalloc.DecreasingSize)
+//	a := partalloc.MustNew(partalloc.AlgoPeriodic, m, partalloc.WithD(2))
 //	seq := partalloc.PoissonWorkload(partalloc.WorkloadConfig{N: 64, Arrivals: 500, Seed: 1})
 //	res := partalloc.Simulate(a, seq, partalloc.SimOptions{})
 //	fmt.Printf("max load %d vs optimal %d (ratio %.2f)\n", res.MaxLoad, res.LStar, res.Ratio)
@@ -126,51 +136,6 @@ const (
 	// tight on fresh sets; see internal/core tests).
 	ArrivalOrder = core.ArrivalOrder
 )
-
-// NewGreedy returns the greedy algorithm A_G.
-//
-// Deprecated: use New(AlgoGreedy, m).
-func NewGreedy(m *Machine) Allocator { return core.NewGreedy(m) }
-
-// NewBasic returns the first-fit-over-copies algorithm A_B.
-//
-// Deprecated: use New(AlgoBasic, m).
-func NewBasic(m *Machine) Allocator { return core.NewBasic(m) }
-
-// NewConstant returns the constantly-reallocating algorithm A_C.
-//
-// Deprecated: use New(AlgoConstant, m).
-func NewConstant(m *Machine) Reallocator { return core.NewConstant(m) }
-
-// NewPeriodic returns the d-reallocation algorithm A_M. d < 0 encodes ∞.
-//
-// Deprecated: use New(AlgoPeriodic, m, WithD(d), WithOrder(order)).
-func NewPeriodic(m *Machine, d int, order ReallocOrder) Reallocator {
-	return core.NewPeriodic(m, d, order)
-}
-
-// NewLazy returns the lazy d-reallocation variant.
-//
-// Deprecated: use New(AlgoLazy, m, WithD(d), WithOrder(order)).
-func NewLazy(m *Machine, d int, order ReallocOrder) Reallocator {
-	return core.NewLazy(m, d, order)
-}
-
-// NewRandom returns the oblivious randomized algorithm A_Rand.
-//
-// Deprecated: use New(AlgoRandom, m, WithSeed(seed)).
-func NewRandom(m *Machine, seed int64) Allocator { return core.NewRandom(m, seed) }
-
-// NewTwoChoice returns the balanced-allocations baseline (Azar et al., the
-// paper's related work [2]): place each task on the less loaded of two
-// uniformly random submachines of its size.
-func NewTwoChoice(m *Machine, seed int64) Allocator { return core.NewTwoChoice(m, seed) }
-
-// NewGreedyRandomTie returns the A_G tie-breaking ablation: minimum-load
-// placement with uniform-random tie-breaking instead of leftmost. Same
-// Theorem 4.1 worst case; measurably worse average-case packing (see
-// DESIGN.md §4 and experiment E3).
-func NewGreedyRandomTie(m *Machine, seed int64) Allocator { return core.NewGreedyRandomTie(m, seed) }
 
 // SimOptions controls what Simulate records.
 type SimOptions = sim.Options

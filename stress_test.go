@@ -22,19 +22,19 @@ func TestStressBoundsAtScale(t *testing.T) {
 		t.Fatalf("workload too light: L* = %d", lstar)
 	}
 
-	constant := partalloc.Simulate(partalloc.NewConstant(partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
+	constant := partalloc.Simulate(partalloc.MustNew(partalloc.AlgoConstant, partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
 	if constant.MaxLoad != lstar {
 		t.Errorf("A_C at N=%d: load %d != L* %d", n, constant.MaxLoad, lstar)
 	}
 
-	greedy := partalloc.Simulate(partalloc.NewGreedy(partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
+	greedy := partalloc.Simulate(partalloc.MustNew(partalloc.AlgoGreedy, partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
 	if greedy.MaxLoad > partalloc.GreedyBound(n)*lstar {
 		t.Errorf("A_G at N=%d: load %d exceeds bound", n, greedy.MaxLoad)
 	}
 
 	for _, d := range []int{1, 3, 6} {
 		am := partalloc.Simulate(
-			partalloc.NewPeriodic(partalloc.MustNewMachine(n), d, partalloc.DecreasingSize),
+			partalloc.MustNew(partalloc.AlgoPeriodic, partalloc.MustNewMachine(n), partalloc.WithD(d)),
 			seq, partalloc.SimOptions{})
 		if am.MaxLoad > partalloc.UpperBound(n, d)*lstar {
 			t.Errorf("A_M(d=%d) at N=%d: load %d exceeds bound %d·%d",
@@ -48,7 +48,7 @@ func TestStressAdversaryAtScale(t *testing.T) {
 		t.Skip("stress test")
 	}
 	const n = 1 << 20 // 20 phases against greedy
-	res := partalloc.RunAdversary(partalloc.NewGreedy(partalloc.MustNewMachine(n)), -1)
+	res := partalloc.RunAdversary(partalloc.MustNew(partalloc.AlgoGreedy, partalloc.MustNewMachine(n)), -1)
 	if res.OptimalLoad != 1 {
 		t.Fatalf("L* = %d", res.OptimalLoad)
 	}
@@ -69,7 +69,7 @@ func TestStressClosedLoopAtScale(t *testing.T) {
 	}
 	const n = 1 << 10
 	w := partalloc.RandomSchedWorkload(partalloc.SchedWorkloadConfig{N: n, Jobs: 3000, Seed: 2})
-	res := partalloc.Execute(partalloc.NewLazy(partalloc.MustNewMachine(n), 2, partalloc.DecreasingSize), w)
+	res := partalloc.Execute(partalloc.MustNew(partalloc.AlgoLazy, partalloc.MustNewMachine(n), partalloc.WithD(2)), w)
 	if len(res.Jobs) != 3000 {
 		t.Fatalf("finished %d jobs", len(res.Jobs))
 	}
