@@ -55,11 +55,13 @@ test-snapshot:
 
 # Placement suite under the race detector (docs/ENGINE.md, "Placement
 # and rebalancing"): HashPlacer byte-identity goldens, BalancedPlacer
-# plan determinism, the MoveTenant-through-placer regression, concurrent
-# Submit during rebalance passes, and the SIGKILL mid-rebalance crash
-# test that gates recovery on routing-table consistency.
+# plan determinism, the MoveTenant-through-placer regression, local
+# moves relocating the same tenant without allocating, the Degrade
+# ladder surviving a move, concurrent Submit during rebalance passes,
+# and the SIGKILL mid-rebalance crash test that gates recovery on
+# routing-table consistency.
 test-placement:
-	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestConcurrentSubmitDuringRebalance|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
 # on a random port, scrapes /metrics, asserts the required series exist

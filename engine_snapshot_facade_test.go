@@ -2,6 +2,7 @@ package partalloc_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"partalloc"
@@ -58,37 +59,81 @@ func snapshotEquivTraffic(t *testing.T, eng *partalloc.Engine) {
 	}
 }
 
+// snapshotEquivSkewTraffic drives skewed traffic in rounds: tenant i
+// submits a quarter of a 600·(i+1)-arrival Poisson stream per round, and
+// a forced rebalance pass follows each round, so a balanced placer moves
+// tenants between rounds and the journal carries TypeMove records.
+func snapshotEquivSkewTraffic(t *testing.T, eng *partalloc.Engine) {
+	t.Helper()
+	const rounds = 4
+	ids := eng.Tenants()
+	streams := make([][]partalloc.Event, len(ids))
+	for i := range ids {
+		streams[i] = partalloc.PoissonWorkload(partalloc.WorkloadConfig{N: 64, Arrivals: rounds * 150 * (i + 1), Seed: int64(i + 1)}).Events
+	}
+	for r := 0; r < rounds; r++ {
+		for i, id := range ids {
+			evs := streams[i]
+			if err := eng.Submit(id, evs[r*len(evs)/rounds:(r+1)*len(evs)/rounds]...); err != nil {
+				t.Fatalf("Submit %s: %v", id, err)
+			}
+		}
+		if _, err := eng.Rebalance(); err != nil {
+			t.Fatalf("Rebalance: %v", err)
+		}
+	}
+}
+
 // TestSnapshotRecoveryEquivalence is the facade-level snapshot gate: the
 // same fleet (all six algorithms, fault schedules, mesh and hypercube
 // hosts) and the same traffic run three ways — uninterrupted, journaled
 // with genesis snapshots only then recovered by replaying each tenant's
 // whole tail, and journaled with WithSnapshotEvery then recovered from
 // the latest snapshots plus tail — must yield byte-identical
-// CanonicalEngineStats for every tenant.
+// CanonicalEngineStats for every tenant and the same routing table. The
+// balanced input adds rebalance moves, which recovery must replay.
 func TestSnapshotRecoveryEquivalence(t *testing.T) {
+	t.Run("hash", func(t *testing.T) { snapshotRecoveryEquivalence(t, snapshotEquivTraffic, false) })
+	t.Run("balanced", func(t *testing.T) {
+		snapshotRecoveryEquivalence(t, snapshotEquivSkewTraffic, true,
+			partalloc.WithPlacement(partalloc.PlacementBalanced), partalloc.WithShards(4))
+	})
+}
+
+// snapshotRecoveryEquivalence runs one input of the gate: traffic on an
+// engine configured by placement; moves says the traffic must move
+// tenants, so the journal has TypeMove records to replay.
+func snapshotRecoveryEquivalence(t *testing.T, traffic func(*testing.T, *partalloc.Engine), moves bool, placement ...partalloc.EngineOption) {
+	opts := func(extra ...partalloc.EngineOption) []partalloc.EngineOption {
+		base := append([]partalloc.EngineOption{partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64)}, placement...)
+		return append(base, extra...)
+	}
+
 	// Uninterrupted reference: no journal at all.
-	plain, err := partalloc.NewEngine(partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64))
+	plain, err := partalloc.NewEngine(opts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshotEquivFleet(t, plain)
-	snapshotEquivTraffic(t, plain)
+	traffic(t, plain)
 	want := plain.Stats()
+	if rs := plain.RebalanceStats(); moves && rs.Moves < 1 {
+		t.Fatalf("uninterrupted run moved no tenant (rebalance stats %+v)", rs)
+	}
 
 	// Full-replay recovery: journal on, no snapshots past each tenant's
 	// genesis snapshot (its registration record).
 	replayDir := t.TempDir()
-	full, err := partalloc.NewEngine(partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64),
-		partalloc.WithJournal(replayDir))
+	full, err := partalloc.NewEngine(opts(partalloc.WithJournal(replayDir))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshotEquivFleet(t, full)
-	snapshotEquivTraffic(t, full)
+	traffic(t, full)
 	if err := full.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fullRec, err := partalloc.RecoverEngine(replayDir, partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64))
+	fullRec, err := partalloc.RecoverEngine(replayDir, opts()...)
 	if err != nil {
 		t.Fatalf("full-replay recovery: %v", err)
 	}
@@ -97,21 +142,22 @@ func TestSnapshotRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("genesis-only journal: restored %d snapshots and skipped %d records, want %d (one genesis per tenant) and 0",
 			rs.SnapshotsRestored, rs.RecordsSkipped, n)
 	}
+	if rs := fullRec.RecoveryStats(); moves && rs.MovesReplayed < 1 {
+		t.Fatalf("full-replay recovery replayed no move (stats %+v)", rs)
+	}
 
 	// Snapshot recovery: journal on, snapshots every 2 batches.
 	snapDir := t.TempDir()
-	snap, err := partalloc.NewEngine(partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64),
-		partalloc.WithJournal(snapDir), partalloc.WithSnapshotEvery(2))
+	snap, err := partalloc.NewEngine(opts(partalloc.WithJournal(snapDir), partalloc.WithSnapshotEvery(2))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshotEquivFleet(t, snap)
-	snapshotEquivTraffic(t, snap)
+	traffic(t, snap)
 	if err := snap.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snapRec, err := partalloc.RecoverEngine(snapDir, partalloc.WithBatchSize(32), partalloc.WithMaxQueue(64),
-		partalloc.WithSnapshotEvery(2))
+	snapRec, err := partalloc.RecoverEngine(snapDir, opts(partalloc.WithSnapshotEvery(2))...)
 	if err != nil {
 		t.Fatalf("snapshot recovery: %v", err)
 	}
@@ -141,6 +187,14 @@ func TestSnapshotRecoveryEquivalence(t *testing.T) {
 			t.Errorf("%s: snapshot recovery diverges from uninterrupted:\n  live: %s\n  rec:  %s",
 				want[i].Tenant, u, s)
 		}
+	}
+
+	routes := plain.Routes()
+	if got := fullRec.Routes(); !reflect.DeepEqual(got, routes) {
+		t.Errorf("full-replay recovery routes %v, uninterrupted %v", got, routes)
+	}
+	if got := snapRec.Routes(); !reflect.DeepEqual(got, routes) {
+		t.Errorf("snapshot recovery routes %v, uninterrupted %v", got, routes)
 	}
 
 	// The snapshot-recovered engine keeps serving and snapshotting.

@@ -635,7 +635,7 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 		hasSpec:  hasSpec,
 		n:        int64(a.Machine().N()),
 		sink:     e.cfg.Sink,
-		shardIdx: e.shardIdx(id),
+		shardIdx: e.route(id),
 	}
 	if ba, ok := a.(core.BatchApplier); ok {
 		t.batch = ba
@@ -992,7 +992,7 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 				}
 				labels := pprof.Labels(
 					"tenant", id,
-					"shard", strconv.Itoa(e.shardIdx(id)),
+					"shard", strconv.Itoa(e.route(id)),
 					"algo", e.tenantAlgo(id),
 				)
 				pprof.Do(lctx, labels, func(context.Context) { err = runTenant() })

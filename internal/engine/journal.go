@@ -216,11 +216,11 @@ func (e *Engine) dispatch(pos wal.Pos, rec wal.Record) error {
 		}
 		return e.redoRebuild(rec.Tenant, pos, keep, drop)
 	case wal.TypeMove:
-		from, to, err := wal.DecodeMove(rec.Data)
+		_, to, err := wal.DecodeMove(rec.Data)
 		if err != nil {
 			return fmt.Errorf("engine: recover record %s: %w", pos, err)
 		}
-		if err := e.redoMove(rec.Tenant, pos, from, to); err != nil {
+		if err := e.redoMove(rec.Tenant, pos, to); err != nil {
 			return err
 		}
 		e.recStats.MovesReplayed++

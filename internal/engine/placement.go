@@ -26,7 +26,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -469,10 +468,6 @@ func (e *Engine) shardAt(idx int) *shard {
 	return e.shards[idx]
 }
 
-// shardIdx resolves a tenant ID to its stripe index via the routing
-// table (hash default for unrouted tenants).
-func (e *Engine) shardIdx(id string) int { return e.route(id) }
-
 // shardFor resolves a tenant ID to its stripe. The returned shard is a
 // point-in-time answer: a concurrent rebalance can reroute the tenant
 // before the caller locks it. Paths that operate on the tenant must use
@@ -732,15 +727,13 @@ func (e *Engine) journalMove(id string, from, to int) error {
 
 // moveTenantLocal moves one tenant between stripes of this engine:
 // journal the TypeMove (the commit point — a crash before it recovers
-// the old route, after it the new one), ship the tenant through the
-// snapshot codec exactly as a cross-engine MoveTenant would, install it
-// on the destination stripe, and swap the route. Wall-clock ledger
-// fields the envelope deliberately omits (latency samples, the breaker
-// deadline, the snapshot cadence position) are carried over — a local
-// move is a relocation, not a rebuild.
+// the old route, after it the new one), then relocate the same tenant.
+// A local move is a relocation, not a rebuild: the allocator, queue,
+// ledger, Degrade ladder and breaker state stay on the tenant, so
+// nothing can fail once the record is durable.
 //
-// Skipped moves (tenant vanished, poisoned, or not snapshotable) return
-// (false, nil). Callers hold rebalMu.
+// Skipped moves (tenant vanished or poisoned) return (false, nil).
+// Callers hold rebalMu.
 func (e *Engine) moveTenantLocal(id string, from, to int) (bool, error) {
 	if from == to || from < 0 || to < 0 || from >= len(e.shards) || to >= len(e.shards) {
 		return false, nil
@@ -766,86 +759,49 @@ func (e *Engine) moveTenantLocal(id string, from, to int) (bool, error) {
 	if err := e.journalMove(id, from, to); err != nil {
 		return false, err
 	}
-	if t.hasSpec && e.cfg.Rebuild != nil {
-		if _, ck := t.alloc.(core.Checkpointable); ck {
-			if err := e.reboxTenant(t); err != nil {
-				// The move record is already durable; recovery will redo
-				// the reroute, and the live engine must match it, so fall
-				// through to the re-home below rather than abandoning.
-				return false, err
-			}
-		}
-	}
-	delete(src.tenants, id)
-	t.shardIdx = to
-	dst.tenants[id] = t
-	e.placer.Reroute(id, to)
+	e.relocate(t, from, to)
 	src.noteQueued()
 	dst.noteQueued()
 	e.cfg.Sink.RebalanceMove(id, from, to)
 	return true, nil
 }
 
-// reboxTenant runs t through the snapshot codec in place: encode,
-// rebuild a fresh allocator from the spec, restore, and carry over the
-// wall-clock state the envelope drops. Callers hold the shard locks.
-func (e *Engine) reboxTenant(t *tenant) error {
-	data, err := e.encodeTenantSnapshot(t)
-	if err != nil {
-		return err
-	}
-	var env tenantSnapshot
-	if err := json.Unmarshal(data, &env); err != nil {
-		return err
-	}
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		return err
-	}
-	nt, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		return err
-	}
-	nt.applyNs = t.applyNs
-	nt.batchNs = t.batchNs
-	nt.deadline = t.deadline
-	nt.lastSnapBatch = t.lastSnapBatch
-	nt.rebalMark = t.rebalMark
-	nt.rebalEst = t.rebalEst
-	*t = *nt
-	wireObserver(t)
-	return nil
+// relocate re-homes t from stripe from to stripe to and rewrites its
+// route. It is the one move routine: live moves (moveTenantLocal) and
+// recovered ones (redoMove) both run it, so the two cannot drift apart.
+// Callers hold both stripes' locks.
+func (e *Engine) relocate(t *tenant, from, to int) {
+	delete(e.shards[from].tenants, t.id)
+	t.shardIdx = to
+	e.shards[to].tenants[t.id] = t
+	e.placer.Reroute(t.id, to)
 }
 
-// redoMove re-applies a journaled TypeMove during Recover: re-home the
-// tenant and rewrite the route. Recovery is single-threaded, so the
-// shard locks are uncontended formality.
-func (e *Engine) redoMove(id string, pos wal.Pos, from, to int) error {
+// redoMove re-applies a journaled TypeMove during Recover through the
+// same relocate a live move runs. The source is the tenant's replayed
+// route, which matches the record's from-shard: each earlier record of
+// the tenant was replayed or is covered by a snapshot carrying its
+// route. Recovery is single-threaded, so the shard locks are
+// uncontended formality.
+func (e *Engine) redoMove(id string, pos wal.Pos, to int) error {
 	if to < 0 || to >= len(e.shards) {
 		return fmt.Errorf("engine: recover record %s: move %q to shard %d of %d", pos, id, to, len(e.shards))
 	}
-	cur := e.route(id)
-	if cur != from {
-		// The journal's from-shard disagrees with the replayed route —
-		// tolerated (the record's To is authoritative) but worth the
-		// stricter read: it means records before this one were skipped
-		// by a snapshot that already carried a newer route.
-		from = cur
+	from := e.route(id)
+	lo, hi := from, to
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	src := e.shardAt(from)
-	src.mu.Lock()
-	t, ok := src.tenants[id]
+	e.shards[lo].mu.Lock()
+	defer e.shards[lo].mu.Unlock()
+	if hi != lo {
+		e.shards[hi].mu.Lock()
+		defer e.shards[hi].mu.Unlock()
+	}
+	t, ok := e.shards[from].tenants[id]
 	if !ok {
-		src.mu.Unlock()
 		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
-	delete(src.tenants, id)
-	src.mu.Unlock()
-	dst := e.shardAt(to)
-	dst.mu.Lock()
-	t.shardIdx = to
-	dst.tenants[id] = t
-	dst.mu.Unlock()
-	e.placer.Reroute(id, to)
+	e.relocate(t, from, to)
 	return nil
 }

@@ -204,13 +204,27 @@ func TestShedPolicyRejectsWhole(t *testing.T) {
 // clock: over-budget batches climb the ladder (lazy trigger first, then
 // doubled d), healthy batches walk it back down to the configured rung.
 // The audit checker's degrade-ledger invariant validates every
-// transition's chaining as it happens.
+// transition's chaining as it happens. The "moved" input relocates the
+// tenant to the other stripe at the top of the climb: a move must carry
+// the ladder along with the allocator, or the tenant forgets its rung
+// while its allocator keeps the degraded d and never steps back down.
 func TestDegradeClimbsAndRestores(t *testing.T) {
-	eng := New(Config{Shards: 1, BatchSize: 8, Overload: Degrade, DegradeBudget: time.Millisecond, Audit: true})
+	for _, move := range []bool{false, true} {
+		t.Run(fmt.Sprintf("moved=%v", move), func(t *testing.T) { degradeClimbAndRestore(t, move) })
+	}
+}
+
+func degradeClimbAndRestore(t *testing.T, move bool) {
+	cfg := Config{Shards: 1, BatchSize: 8, Overload: Degrade, DegradeBudget: time.Millisecond, Audit: true}
+	if move {
+		cfg.Shards, cfg.Placement, cfg.RebalanceEvery, cfg.Rebuild = 2, PlacementBalanced, 1<<30, testRebuild
+	}
+	eng := New(cfg)
 	clk := &fakeClock{step: int64(2 * time.Millisecond)}
 	eng.now = clk.tick
 	p := core.NewPeriodic(tree.MustNew(64), 1, core.DecreasingSize)
-	if err := eng.AddTenant("t", p); err != nil {
+	spec := TenantSpec{ID: "t", Algorithm: "periodic", N: 64, D: 1}
+	if err := eng.AddTenant("t", p, WithTenantSpec(spec)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,6 +253,15 @@ func TestDegradeClimbsAndRestores(t *testing.T) {
 	}
 	if tr := st.Degrades[0]; tr.FromD != 1 || tr.ToD != 1 || tr.FromLazy || !tr.ToLazy || tr.Cause == "" {
 		t.Errorf("first transition %+v is not eager→lazy with a cause", tr)
+	}
+
+	if move {
+		moveToOtherStripe(t, eng, "t")
+		got, _ := eng.TenantStats("t")
+		if got.DegradeLevel != st.DegradeLevel || got.EffectiveD != st.EffectiveD || !reflect.DeepEqual(got.Degrades, st.Degrades) {
+			t.Fatalf("move reset the ladder: level %d→%d, d %d→%d, transitions %d→%d",
+				st.DegradeLevel, got.DegradeLevel, st.EffectiveD, got.EffectiveD, len(st.Degrades), len(got.Degrades))
+		}
 	}
 
 	// Instant batches: the EWMA decays by 3/4 per batch; once under half
