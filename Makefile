@@ -34,8 +34,9 @@ test-topology:
 	go test -race -run 'TestTreeHostGolden|TestCrossTopology' .
 
 # Crash-recovery and chaos smoke: SIGKILL mid-ingest recovery
-# byte-identity, the seeded chaos soak under -race, and the journaled
-# benchmark pass (see docs/ENGINE.md).
+# byte-identity, the seeded chaos soak (TestChaosSoak) under -race, and
+# journaled concurrent ingestion recovering byte-identically (see
+# docs/ENGINE.md).
 test-chaos:
 	./scripts/chaos-smoke.sh
 
@@ -58,10 +59,12 @@ test-snapshot:
 # plan determinism, the MoveTenant-through-placer regression, local
 # moves relocating the same tenant without allocating, the Degrade
 # ladder surviving a move, concurrent Submit during rebalance passes,
-# and the SIGKILL mid-rebalance crash test that gates recovery on
-# routing-table consistency.
+# the skew gate (balanced hot-shard peak backlog strictly below hash on
+# a seeded zipf fleet, routes recovered exactly), and the SIGKILL
+# mid-rebalance crash test that gates recovery on routing-table
+# consistency.
 test-placement:
-	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
 # on a random port, scrapes /metrics, asserts the required series exist
@@ -82,20 +85,11 @@ lint:
 lint-json:
 	go run ./cmd/partlint -json ./... > partlint.json
 
-# Micro-benchmarks (batched vs serial apply, engine replay) plus the
-# engined load driver, which refreshes the committed benchmark ledger —
-# including the journal-on vs journal-off headline comparison, the
-# observability-on slowdown (obs_slowdown), and the full-replay vs
-# snapshot+tail recovery comparison (recovery.speedup).
+# Micro-benchmarks (batched vs serial apply, engine replay vs serial
+# Simulate). The repository's end-to-end benchmark is perfbench
+# (perfbench/README.md, BENCHMARK.json).
 bench:
 	go test -bench=. -benchmem ./internal/core/ ./internal/engine/
-	go run ./cmd/engined -journal -obs -recovery -out BENCH_3.json
-
-# Engine benchmark smoke for CI: a -race engined run on a small fleet,
-# plus the engine-level batched-vs-serial equivalence gate.
-bench-smoke:
-	go run -race ./cmd/engined -quick -out /dev/null
-	go test -run 'TestReplayMatchesSerialSimulate|TestSubmitMatchesReplay' -count=1 ./internal/engine/
 
 # Regenerate every experiment artifact (E1–E14) at paper scale.
 experiments:

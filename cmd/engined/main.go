@@ -1,755 +1,139 @@
-// Command engined is the allocation engine's load driver: it replays
-// synthetic multi-tenant Poisson workloads through partalloc.Engine's
-// batched, sharded ingestion path and through the serial Simulate
-// baseline, and emits a benchmark ledger (BENCH_3.json) with ops/sec,
-// p50/p99 batch apply latency, and max-load/L* per algorithm.
+// Command engined is the allocation engine's serving demo: it builds one
+// journaled engine with a metrics registry and a flight recorder,
+// replays a small multi-tenant Poisson fleet through it, and serves the
+// engine's observability endpoints until interrupted.
 //
 // Usage:
 //
-//	engined [-tenants 8] [-arrivals 10000] [-n 1024] [-batch 4096]
-//	        [-shards 0] [-algo A_Rand] [-topology tree] [-seed 1]
-//	        [-quick] [-journal] [-snapshot-every k] [-recovery]
-//	        [-placement hash|balanced] [-rebalance-d d] [-rebalance-every k]
-//	        [-skew] [-out file.json]
-//	engined -chaos [-chaos-rounds 12] [-seed 1] [-placement balanced]
+//	engined -listen ADDR
 //
-// With -journal the headline fleet is measured a second time through a
-// write-ahead journal (batched fsync) and the ledger records the
-// slowdown; -snapshot-every k checkpoints each tenant every k batches on
-// that pass, bounding the journal via snapshot retention. With -recovery
-// the ledger gains a crash-recovery comparison: the headline fleet is
-// journaled twice — once plain, once with periodic snapshots — and both
-// logs are recovered, equivalence-checked byte-for-byte, and timed
-// (recovery.speedup is full replay over snapshot+tail). With -chaos the
-// benchmark is replaced by the seeded chaos soak (see chaos.go and
-// docs/ENGINE.md): poison pills, allocator stalls, mid-batch PE faults,
-// and kill/recover cycles, with audited invariants, byte-identical
-// recovery, and breaker-healed tenants as the pass criteria; adding
-// -placement balanced forces a rebalance pass every round and gates
-// each recovery on routing-table identity.
+// The fleet is 8 A_Rand tenants on N=64 machines, 600 Poisson arrivals
+// each, journaled with batched fsync into a temporary directory that is
+// removed on exit. Once the fleet is applied, engined prints
 //
-// Every fleet runs on a topology host (-topology; default tree, which is
-// byte-identical to the host-agnostic engine), so the ledger also records
-// the hop-weighted migration cost each algorithm pays on the physical
-// network (see docs/TOPOLOGIES.md).
+//	engined: serving observability endpoints on http://ADDR — interrupt to exit
 //
-// The headline fleet measures ingestion throughput with the oblivious
-// A_Rand allocator (the paper's cheapest placement rule), where engine
-// overhead is most visible; the per-algorithm section re-runs smaller
-// fleets for A_B, A_M(4), A_M-lazy(4) and A_Rand so the ledger also
-// records how reallocation-heavy algorithms behave under batching (their
-// placement cost dominates, so their speedup is honest and small).
-// SIGINT (or a cancelled context) drains the batches in flight and exits
-// 130, like every other runner in this repo.
+// and serves (docs/OBSERVABILITY.md):
+//
+//	/metrics          Prometheus text exposition of the engine's registry
+//	/debug/vars       expvar (Go runtime memstats and cmdline)
+//	/debug/pprof/     the standard pprof index, profile, trace, ...
+//	/debug/flightrec  the engine's flight recorder as JSONL
+//
+// SIGINT during the replay exits 130, like every other runner in this
+// repo; SIGINT while serving exits 0. The repository's benchmark is
+// perfbench (perfbench/README.md), not this command.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
-	"runtime"
-	"time"
 
 	"partalloc"
 	"partalloc/internal/cli"
-	"partalloc/internal/engine"
 )
 
-// modeResult is one measured ingestion pass.
-type modeResult struct {
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	WallNs     int64   `json:"wall_ns"`
-	P50ApplyNs int64   `json:"p50_apply_ns,omitempty"`
-	P99ApplyNs int64   `json:"p99_apply_ns,omitempty"`
+const (
+	fleetTenants  = 8
+	fleetN        = 64
+	fleetArrivals = 600
+)
+
+func main() {
+	listen := flag.String("listen", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/flightrec on this address (required)")
+	flag.Parse()
+	if *listen == "" {
+		fmt.Fprintln(os.Stderr, "engined: -listen ADDR is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	ctx, stop := cli.WithInterrupt(context.Background(), func() {
+		fmt.Fprintln(os.Stderr, "engined: interrupt — shutting down")
+	})
+	defer stop()
+	if err := run(ctx, *listen); err != nil {
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintln(os.Stderr, "engined: interrupted")
+			os.Exit(130)
+		}
+		fmt.Fprintln(os.Stderr, "engined:", err)
+		os.Exit(1)
+	}
 }
 
-// algoResult is one per-algorithm fleet comparison.
-type algoResult struct {
-	Algo            string     `json:"algo"`
-	Topology        string     `json:"topology"`
-	N               int        `json:"n"`
-	Tenants         int        `json:"tenants"`
-	EventsPerTenant int        `json:"events_per_tenant"`
-	Batch           int        `json:"batch"`
-	MaxLoad         int        `json:"max_load"`
-	LStar           int        `json:"lstar"`
-	MigHops         int64      `json:"mig_hops"`
-	ForcedHops      int64      `json:"forced_hops"`
-	Engine          modeResult `json:"engine"`
-	Serial          modeResult `json:"serial"`
-	Speedup         float64    `json:"speedup"`
-}
+// run builds and feeds the engine, then serves its endpoints on addr
+// until ctx is done.
+func run(ctx context.Context, addr string) error {
+	dir, err := os.MkdirTemp("", "engined-journal-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
 
-// report is the BENCH_3.json schema.
-type report struct {
-	Bench       string     `json:"bench"`
-	GeneratedBy string     `json:"generated_by"`
-	GOMAXPROCS  int        `json:"gomaxprocs"`
-	Algo        string     `json:"algo"`
-	Topology    string     `json:"topology"`
-	Tenants     int        `json:"tenants"`
-	EventsTotal int64      `json:"events_total"`
-	N           int        `json:"n"`
-	Batch       int        `json:"batch"`
-	Shards      int        `json:"shards"`
-	Engine      modeResult `json:"engine"`
-	Serial      modeResult `json:"serial"`
-	Speedup     float64    `json:"speedup"`
-	// EngineJournaled repeats the headline engine pass with a write-ahead
-	// journal (batched fsync, -journal flag); JournalSlowdown is its wall
-	// time over the journal-free pass (≥1, lower is better).
-	EngineJournaled *modeResult `json:"engine_journaled,omitempty"`
-	JournalSlowdown float64     `json:"journal_slowdown,omitempty"`
-	// EngineObserved repeats the headline pass with the observability
-	// layer attached (-obs or -listen): metrics registry, flight
-	// recorder, and — when -journal is also set — a journal whose
-	// appends/fsyncs feed the same registry. ObsSlowdown is its wall time
-	// over the matching uninstrumented pass (≥1, lower is better).
-	EngineObserved *modeResult  `json:"engine_observed,omitempty"`
-	ObsSlowdown    float64      `json:"obs_slowdown,omitempty"`
-	PerAlgorithm   []algoResult `json:"per_algorithm,omitempty"`
-	// Recovery compares crash recovery of the headline fleet from a plain
-	// journal (full replay) against one with periodic snapshots (restore
-	// latest snapshot + replay the tail); -recovery flag.
-	Recovery *recoveryResult `json:"recovery,omitempty"`
-	// Placement is the skewed-workload routing comparison (hash vs
-	// balanced placement over a zipf-sized fleet); see placement.go.
-	Placement *placementReport `json:"placement,omitempty"`
-}
+	metrics := partalloc.NewMetrics()
+	eng, err := partalloc.NewEngine(
+		partalloc.WithJournal(dir), partalloc.WithJournalSync(partalloc.JournalSyncBatched),
+		partalloc.WithMetrics(metrics), partalloc.WithFlightRecorder(4096))
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
 
-// recoveryResult is the -recovery section: the same headline journal
-// recovered by full replay and by snapshot+tail, equivalence-checked
-// byte-for-byte before the timings are reported.
-type recoveryResult struct {
-	SnapshotEvery   int   `json:"snapshot_every"`
-	EventsPerTenant int   `json:"events_per_tenant"`
-	EventsTotal     int64 `json:"events_total"`
-	// Full replay: every record re-applied.
-	FullReplayWallNs  int64 `json:"full_replay_wall_ns"`
-	FullReplayRecords int64 `json:"full_replay_records_replayed"`
-	// Snapshot + tail: restore the latest per-tenant snapshot, replay
-	// only what came after it.
-	SnapshotWallNs    int64 `json:"snapshot_wall_ns"`
-	SnapshotRecords   int64 `json:"snapshot_records_replayed"`
-	SnapshotsRestored int64 `json:"snapshots_restored"`
-	RecordsSkipped    int64 `json:"records_skipped"`
-	// Speedup is full-replay wall time over snapshot+tail wall time.
-	Speedup float64 `json:"speedup"`
-}
+	m := partalloc.MustNewMachine(fleetN)
+	streams := make(map[string][]partalloc.Event, fleetTenants)
+	for i := 0; i < fleetTenants; i++ {
+		id, seed := fmt.Sprintf("tenant-%02d", i), int64(1+i)
+		if err := eng.AddTenant(id, partalloc.AlgoRandom, m, partalloc.WithSeed(seed)); err != nil {
+			return err
+		}
+		streams[id] = partalloc.PoissonWorkload(partalloc.WorkloadConfig{
+			N: fleetN, Arrivals: fleetArrivals, Seed: seed,
+		}).Events
+	}
+	if err := eng.Replay(ctx, streams); err != nil {
+		return err
+	}
 
-// fleetSpec describes one homogeneous tenant fleet.
-type fleetSpec struct {
-	algo     partalloc.Algorithm
-	topo     string // physical network name
-	n        int
-	tenants  int
-	arrivals int
-	seed     int64
-	batch    int // 0 = the -batch flag
-}
-
-// opts returns the per-tenant option list for the spec's algorithm.
-func (f fleetSpec) opts(i int) []partalloc.Option {
-	switch f.algo {
-	case partalloc.AlgoPeriodic, partalloc.AlgoLazy:
-		return []partalloc.Option{partalloc.WithD(4)}
-	case partalloc.AlgoRandom, partalloc.AlgoTwoChoice, partalloc.AlgoGreedyRandomTie:
-		return []partalloc.Option{partalloc.WithSeed(f.seed + int64(i))}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: obsMux(metrics, eng.FlightRecorder())}
+	go func() {
+		<-ctx.Done()
+		_ = srv.Close()
+	}()
+	// scripts/obs-smoke.sh waits for this line before scraping.
+	fmt.Fprintf(os.Stderr, "engined: serving observability endpoints on http://%s — interrupt to exit\n", ln.Addr())
+	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
 	}
 	return nil
 }
 
-// streams generates one Poisson stream per tenant.
-func (f fleetSpec) streams() (map[string][]partalloc.Event, int64) {
-	out := make(map[string][]partalloc.Event, f.tenants)
-	var total int64
-	for i := 0; i < f.tenants; i++ {
-		seq := partalloc.PoissonWorkload(partalloc.WorkloadConfig{
-			N: f.n, Arrivals: f.arrivals, Seed: f.seed + int64(i),
-		})
-		out[tenantID(i)] = seq.Events
-		total += int64(len(seq.Events))
-	}
-	return out, total
-}
-
-func tenantID(i int) string { return fmt.Sprintf("tenant-%02d", i) }
-
-func main() {
-	tenants := flag.Int("tenants", 8, "number of tenants in the headline fleet")
-	arrivals := flag.Int("arrivals", 10000, "Poisson arrivals per tenant (total events is roughly double)")
-	n := flag.Int("n", 1024, "machine size per tenant (power of two)")
-	batch := flag.Int("batch", 4096, "engine ingestion batch size")
-	shards := flag.Int("shards", 0, "engine shard count (0 = auto)")
-	algoName := flag.String("algo", "A_Rand", "headline fleet algorithm")
-	topoName := flag.String("topology", "tree", cli.TopologyUsage())
-	seed := flag.Int64("seed", 1, "base workload seed")
-	quick := flag.Bool("quick", false, "small fleet, skip the per-algorithm section (CI smoke)")
-	out := flag.String("out", "", "write the JSON ledger here (default stdout)")
-	journal := flag.Bool("journal", false, "re-measure the headline fleet with a write-ahead journal and record the slowdown")
-	snapEvery := flag.Int("snapshot-every", 0, "journal a tenant snapshot every K applied batches (0 = off); applies to the -journal and -recovery passes")
-	recovery := flag.Bool("recovery", false, "measure crash recovery of the headline fleet: full journal replay vs snapshot+tail (uses -snapshot-every, default 4)")
-	obsFlag := flag.Bool("obs", false, "re-measure the headline fleet with metrics + flight recorder attached and record the slowdown")
-	listen := flag.String("listen", "", "serve /metrics, /debug/pprof and /debug/flightrec on this address (implies -obs) and keep serving after the benchmark until interrupted")
-	chaos := flag.Bool("chaos", false, "run the seeded chaos soak (docs/ENGINE.md) instead of the benchmark")
-	chaosRounds := flag.Int("chaos-rounds", 12, "rounds in the -chaos soak")
-	placementName := flag.String("placement", "hash", "tenant→shard placement for the headline fleet: hash or balanced")
-	rebalD := flag.Int("rebalance-d", 0, "paper d knob for -placement balanced (0 = engine default 1)")
-	rebalEvery := flag.Int("rebalance-every", 0, "batches between rebalance passes for -placement balanced (0 = engine default 32)")
-	skew := flag.Bool("skew", false, "run the skewed-placement section even with -quick (it always runs without -quick)")
-	flag.Parse()
-
-	if *chaos {
-		if *placementName != "hash" && *placementName != "balanced" {
-			fatal(fmt.Errorf("unknown -placement %q (want hash or balanced)", *placementName))
-		}
-		ctx, stop := cli.WithInterrupt(context.Background(), func() {
-			fmt.Fprintln(os.Stderr, "engined: interrupt — abandoning the chaos soak")
-		})
-		defer stop()
-		if err := runChaos(ctx, *seed, *chaosRounds, *placementName == "balanced"); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	algo, err := partalloc.ParseAlgorithm(*algoName)
-	if err != nil {
-		fatal(err)
-	}
-	if placementOpts, err = parsePlacement(*placementName, *rebalD, *rebalEvery); err != nil {
-		fatal(err)
-	}
-	if *tenants < 1 || *arrivals < 1 {
-		fatal(fmt.Errorf("need at least 1 tenant and 1 arrival"))
-	}
-	if *quick {
-		*arrivals = 600
-		*n = 64
-		*batch = 256
-	}
-
-	ctx, stop := cli.WithInterrupt(context.Background(), func() {
-		fmt.Fprintln(os.Stderr, "engined: interrupt — draining in-flight batches")
+// obsMux routes the observability endpoints listed in the package doc.
+func obsMux(metrics *partalloc.Metrics, fr *partalloc.FlightRecorder) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = metrics.WritePrometheus(w)
 	})
-	defer stop()
-
-	// The observability pass and the HTTP surface share one registry and
-	// one flight-recorder holder; the listener starts before the
-	// benchmark so a scraper can watch series fill in live.
-	obsEnabled := *obsFlag || *listen != ""
-	var st *obsState
-	if obsEnabled {
-		st = &obsState{metrics: partalloc.NewMetrics()}
-	}
-	if *listen != "" {
-		addr, err := serveObs(ctx, *listen, st)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "engined: listening on http://%s\n", addr)
-		defer func() {
-			// Keep serving after the benchmark until SIGINT; the marker
-			// line is what scripts/obs-smoke.sh waits for before scraping.
-			fmt.Fprintf(os.Stderr, "engined: serving observability endpoints on http://%s — interrupt to exit\n", addr)
-			<-ctx.Done()
-		}()
-	}
-
-	head := fleetSpec{algo: algo, topo: *topoName, n: *n, tenants: *tenants, arrivals: *arrivals, seed: *seed}
-	rep := report{
-		Bench:       "engine-replay",
-		GeneratedBy: "cmd/engined",
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Algo:        algo.String(),
-		Topology:    *topoName,
-		Tenants:     *tenants,
-		N:           *n,
-		Batch:       *batch,
-		Shards:      *shards,
-	}
-
-	res, err := runFleet(ctx, head, *batch, *shards)
-	if err != nil {
-		fail(err)
-	}
-	rep.EventsTotal = int64(res.EventsPerTenant) * int64(*tenants)
-	rep.Engine, rep.Serial, rep.Speedup = res.Engine, res.Serial, res.Speedup
-
-	if *journal {
-		jr, err := runJournaled(ctx, head, *batch, *shards, *snapEvery)
-		if err != nil {
-			fail(err)
-		}
-		rep.EngineJournaled = &jr
-		rep.JournalSlowdown = float64(jr.WallNs) / float64(rep.Engine.WallNs)
-	}
-
-	if *recovery {
-		k := *snapEvery
-		if k == 0 {
-			k = 4
-		}
-		rr, err := runRecovery(ctx, head, *batch, *shards, k)
-		if err != nil {
-			fail(err)
-		}
-		rep.Recovery = &rr
-	}
-
-	if obsEnabled {
-		or, err := runObserved(ctx, head, *batch, *shards, *journal, *snapEvery, st)
-		if err != nil {
-			fail(err)
-		}
-		rep.EngineObserved = &or
-		// Compare against the matching uninstrumented pass: the observed
-		// pass journals when -journal is set, so that is its baseline.
-		base := rep.Engine.WallNs
-		if rep.EngineJournaled != nil {
-			base = rep.EngineJournaled.WallNs
-		}
-		rep.ObsSlowdown = float64(or.WallNs) / float64(base)
-	}
-
-	if !*quick || *skew {
-		// An explicit -skew asks for the real skew section even in a
-		// -quick run: placement effects need the full fleet (at quick
-		// scale the hot-shard peak is one tenant's own batch-formation
-		// transient in either mode, and the comparison degenerates).
-		pr, err := runPlacement(ctx, *seed, *quick && !*skew)
-		if err != nil {
-			fail(err)
-		}
-		rep.Placement = &pr
-		fmt.Fprintf(os.Stderr, "engined: skew: hot-shard peak queue %d (hash) vs %d (balanced), critical-path speedup %.2f×, %d rebalance moves\n",
-			pr.Hash.HotShardPeakQueue, pr.Balanced.HotShardPeakQueue, pr.CriticalPathSpeedup, pr.RebalanceMoves)
-	}
-
-	if !*quick {
-		// The realloc-heavy fleets use smaller batches: their streams are
-		// short (placement cost, not ingestion, dominates them) and the
-		// peak-load sample is taken at batch boundaries.
-		for _, spec := range []fleetSpec{
-			{algo: partalloc.AlgoBasic, topo: *topoName, n: 256, tenants: 8, arrivals: 6000, seed: *seed, batch: 256},
-			{algo: partalloc.AlgoPeriodic, topo: *topoName, n: 256, tenants: 8, arrivals: 1500, seed: *seed, batch: 256},
-			{algo: partalloc.AlgoLazy, topo: *topoName, n: 256, tenants: 8, arrivals: 1500, seed: *seed, batch: 256},
-			{algo: partalloc.AlgoRandom, topo: *topoName, n: 1024, tenants: 8, arrivals: 6000, seed: *seed},
-		} {
-			res, err := runFleet(ctx, spec, *batch, *shards)
-			if err != nil {
-				fail(err)
-			}
-			rep.PerAlgorithm = append(rep.PerAlgorithm, res)
-		}
-	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "engined: %s ×%d tenants, %d events: engine %.2gM ev/s, serial %.2gM ev/s, speedup %.2f×\n",
-		rep.Algo, rep.Tenants, rep.EventsTotal, rep.Engine.OpsPerSec/1e6, rep.Serial.OpsPerSec/1e6, rep.Speedup)
-}
-
-// placementOpts carries the -placement/-rebalance-* flags into every
-// engine the benchmark builds; empty when the flags are at their
-// defaults, so the historical hash-placed engine is untouched.
-var placementOpts []partalloc.EngineOption
-
-// parsePlacement maps the placement flags onto engine options. Invalid
-// combinations (rebalance knobs without balanced placement) surface
-// through the facade's ErrBadOption at construction.
-func parsePlacement(name string, d, every int) ([]partalloc.EngineOption, error) {
-	var opts []partalloc.EngineOption
-	switch name {
-	case "hash", "":
-	case "balanced":
-		opts = append(opts, partalloc.WithPlacement(partalloc.PlacementBalanced))
-	default:
-		return nil, fmt.Errorf("unknown -placement %q (want hash or balanced)", name)
-	}
-	if d > 0 {
-		opts = append(opts, partalloc.WithRebalanceD(d))
-	}
-	if every > 0 {
-		opts = append(opts, partalloc.WithRebalanceEvery(every))
-	}
-	return opts, nil
-}
-
-// engineOpts translates the -shards/-batch flags into engine options
-// (shards 0 = auto keeps the engine default), plus whatever the
-// placement flags selected.
-func engineOpts(shards, batch int) []partalloc.EngineOption {
-	opts := []partalloc.EngineOption{partalloc.WithBatchSize(batch)}
-	if shards > 0 {
-		opts = append(opts, partalloc.WithShards(shards))
-	}
-	return append(opts, placementOpts...)
-}
-
-// runFleet measures one fleet through both ingestion paths.
-func runFleet(ctx context.Context, spec fleetSpec, batch, shards int) (algoResult, error) {
-	if spec.batch > 0 {
-		batch = spec.batch
-	}
-	streams, total := spec.streams()
-
-	top, err := partalloc.NewTopology(spec.topo, spec.n)
-	if err != nil {
-		return algoResult{}, err
-	}
-	eng, err := partalloc.NewEngine(engineOpts(shards, batch)...)
-	if err != nil {
-		return algoResult{}, err
-	}
-	m := partalloc.MustNewMachine(spec.n)
-	for i := 0; i < spec.tenants; i++ {
-		opts := append(spec.opts(i), partalloc.WithTopology(top))
-		if err := eng.AddTenant(tenantID(i), spec.algo, m, opts...); err != nil {
-			return algoResult{}, err
-		}
-	}
-	start := time.Now()
-	if err := eng.Replay(ctx, streams); err != nil {
-		return algoResult{}, err
-	}
-	engWall := time.Since(start)
-
-	res := algoResult{
-		Algo:            spec.algo.String(),
-		Topology:        spec.topo,
-		N:               spec.n,
-		Tenants:         spec.tenants,
-		EventsPerTenant: int(total) / spec.tenants,
-		Batch:           batch,
-	}
-	var batchNs []int64
-	for _, st := range eng.Stats() {
-		batchNs = append(batchNs, st.BatchNs...)
-		if st.PeakLoad > res.MaxLoad {
-			res.MaxLoad = st.PeakLoad
-		}
-		if st.LStar > res.LStar {
-			res.LStar = st.LStar
-		}
-		res.MigHops += st.MigHops
-		res.ForcedHops += st.ForcedHops
-	}
-	res.Engine = modeResult{
-		OpsPerSec:  float64(total) / engWall.Seconds(),
-		WallNs:     engWall.Nanoseconds(),
-		P50ApplyNs: engine.Quantile(batchNs, 0.50),
-		P99ApplyNs: engine.Quantile(batchNs, 0.99),
-	}
-
-	// Serial baseline: one Simulate per tenant, sequentially, exactly as
-	// a pre-engine caller would drive the same fleet.
-	start = time.Now()
-	for i := 0; i < spec.tenants; i++ {
-		a := partalloc.MustNew(spec.algo, m, append(spec.opts(i), partalloc.WithTopology(top))...)
-		if _, err := partalloc.SimulateContext(ctx, a,
-			partalloc.Sequence{Events: streams[tenantID(i)]}, partalloc.SimOptions{}); err != nil {
-			return algoResult{}, err
-		}
-	}
-	serWall := time.Since(start)
-	res.Serial = modeResult{
-		OpsPerSec: float64(total) / serWall.Seconds(),
-		WallNs:    serWall.Nanoseconds(),
-	}
-	res.Speedup = res.Engine.OpsPerSec / res.Serial.OpsPerSec
-	return res, nil
-}
-
-// runJournaled repeats a fleet's engine pass with a write-ahead journal
-// in a throwaway directory (batched fsync — the durability point most
-// services would pick; see docs/ENGINE.md for the policy trade-offs), so
-// the ledger records what crash recoverability costs at the headline
-// batch size.
-func runJournaled(ctx context.Context, spec fleetSpec, batch, shards, snapEvery int) (modeResult, error) {
-	if spec.batch > 0 {
-		batch = spec.batch
-	}
-	streams, total := spec.streams()
-	dir, err := os.MkdirTemp("", "engined-journal-*")
-	if err != nil {
-		return modeResult{}, err
-	}
-	defer os.RemoveAll(dir)
-
-	top, err := partalloc.NewTopology(spec.topo, spec.n)
-	if err != nil {
-		return modeResult{}, err
-	}
-	opts := append(engineOpts(shards, batch),
-		partalloc.WithJournal(dir), partalloc.WithJournalSync(partalloc.JournalSyncBatched))
-	if snapEvery > 0 {
-		opts = append(opts, partalloc.WithSnapshotEvery(snapEvery))
-	}
-	eng, err := partalloc.NewEngine(opts...)
-	if err != nil {
-		return modeResult{}, err
-	}
-	defer eng.Close()
-	m := partalloc.MustNewMachine(spec.n)
-	for i := 0; i < spec.tenants; i++ {
-		opts := append(spec.opts(i), partalloc.WithTopology(top))
-		if err := eng.AddTenant(tenantID(i), spec.algo, m, opts...); err != nil {
-			return modeResult{}, err
-		}
-	}
-	start := time.Now()
-	if err := eng.Replay(ctx, streams); err != nil {
-		return modeResult{}, err
-	}
-	wall := time.Since(start)
-
-	var batchNs []int64
-	for _, st := range eng.Stats() {
-		batchNs = append(batchNs, st.BatchNs...)
-	}
-	return modeResult{
-		OpsPerSec:  float64(total) / wall.Seconds(),
-		WallNs:     wall.Nanoseconds(),
-		P50ApplyNs: engine.Quantile(batchNs, 0.50),
-		P99ApplyNs: engine.Quantile(batchNs, 0.99),
-	}, nil
-}
-
-// runObserved repeats the headline engine pass with the observability
-// layer attached — metrics registry, flight recorder, and (with
-// journaled=true) a write-ahead journal feeding the same registry — so
-// the ledger records what instrumentation costs and the HTTP surface has
-// real series to serve.
-func runObserved(ctx context.Context, spec fleetSpec, batch, shards int, journaled bool, snapEvery int, st *obsState) (modeResult, error) {
-	if spec.batch > 0 {
-		batch = spec.batch
-	}
-	streams, total := spec.streams()
-
-	opts := append(engineOpts(shards, batch),
-		partalloc.WithMetrics(st.metrics), partalloc.WithFlightRecorder(4096))
-	if journaled {
-		dir, err := os.MkdirTemp("", "engined-obs-journal-*")
-		if err != nil {
-			return modeResult{}, err
-		}
-		defer os.RemoveAll(dir)
-		opts = append(opts, partalloc.WithJournal(dir), partalloc.WithJournalSync(partalloc.JournalSyncBatched))
-		if snapEvery > 0 {
-			opts = append(opts, partalloc.WithSnapshotEvery(snapEvery))
-		}
-	}
-	top, err := partalloc.NewTopology(spec.topo, spec.n)
-	if err != nil {
-		return modeResult{}, err
-	}
-	eng, err := partalloc.NewEngine(opts...)
-	if err != nil {
-		return modeResult{}, err
-	}
-	defer eng.Close()
-	st.setFlightRecorder(eng.FlightRecorder())
-	m := partalloc.MustNewMachine(spec.n)
-	for i := 0; i < spec.tenants; i++ {
-		topts := append(spec.opts(i), partalloc.WithTopology(top))
-		if err := eng.AddTenant(tenantID(i), spec.algo, m, topts...); err != nil {
-			return modeResult{}, err
-		}
-	}
-	start := time.Now()
-	if err := eng.Replay(ctx, streams); err != nil {
-		return modeResult{}, err
-	}
-	wall := time.Since(start)
-
-	var batchNs []int64
-	for _, stt := range eng.Stats() {
-		batchNs = append(batchNs, stt.BatchNs...)
-	}
-	return modeResult{
-		OpsPerSec:  float64(total) / wall.Seconds(),
-		WallNs:     wall.Nanoseconds(),
-		P50ApplyNs: engine.Quantile(batchNs, 0.50),
-		P99ApplyNs: engine.Quantile(batchNs, 0.99),
-	}, nil
-}
-
-// runRecovery measures what crash recovery of the headline fleet costs
-// from a plain journal (full replay) and from one with periodic
-// snapshots (restore the latest snapshot, replay only the tail). The two
-// recovered engines are equivalence-checked byte-for-byte against each
-// other before the timings are trusted; O(tail) recovery that loses or
-// invents state would be worse than slow recovery.
-func runRecovery(ctx context.Context, spec fleetSpec, batch, shards, snapEvery int) (recoveryResult, error) {
-	if spec.batch > 0 {
-		batch = spec.batch
-	}
-	// One Submit batch is one journal record, and snapshots land every
-	// snapEvery batches — with the headline 4096-event batches a 20k-event
-	// stream is five records and the post-snapshot tail is a fifth of the
-	// log no matter what. Cap the batch so the journal is fine-grained
-	// enough for cadence to matter; both journals use the same cap, so
-	// the comparison stays fair.
-	if batch > 512 {
-		batch = 512
-	}
-	streams, total := spec.streams()
-	top, err := partalloc.NewTopology(spec.topo, spec.n)
-	if err != nil {
-		return recoveryResult{}, err
-	}
-	m := partalloc.MustNewMachine(spec.n)
-
-	// recoverySegBytes keeps journal segments small enough that snapshot
-	// retention can actually delete covered history; both journals get the
-	// same rotation threshold so the comparison is apples to apples.
-	const recoverySegBytes = 256 << 10
-
-	// ingest builds one journal directory holding the headline workload,
-	// with the given snapshot cadence (0 = plain journal).
-	ingest := func(every int) (string, error) {
-		dir, err := os.MkdirTemp("", "engined-recovery-*")
-		if err != nil {
-			return "", err
-		}
-		opts := append(engineOpts(shards, batch),
-			partalloc.WithJournal(dir), partalloc.WithJournalSync(partalloc.JournalSyncBatched),
-			partalloc.WithJournalSegmentBytes(recoverySegBytes))
-		if every > 0 {
-			opts = append(opts, partalloc.WithSnapshotEvery(every))
-		}
-		eng, err := partalloc.NewEngine(opts...)
-		if err != nil {
-			return dir, err
-		}
-		ids := make([]string, 0, spec.tenants)
-		for i := 0; i < spec.tenants; i++ {
-			topts := append(spec.opts(i), partalloc.WithTopology(top))
-			if err := eng.AddTenant(tenantID(i), spec.algo, m, topts...); err != nil {
-				return dir, err
-			}
-			ids = append(ids, tenantID(i))
-		}
-		// Interleave the tenants like live traffic rather than replaying
-		// each stream to completion: retention truncates up to the oldest
-		// of the tenants' *latest* snapshots, so a tenant that finished
-		// its whole stream early would pin the log at its final snapshot
-		// and compaction could never prune past it.
-		for off := 0; ; off += batch {
-			if err := ctx.Err(); err != nil {
-				return dir, err
-			}
-			live := false
-			for _, id := range ids {
-				evs := streams[id]
-				if off >= len(evs) {
-					continue
-				}
-				live = true
-				end := off + batch
-				if end > len(evs) {
-					end = len(evs)
-				}
-				if err := eng.Submit(id, evs[off:end]...); err != nil {
-					return dir, err
-				}
-			}
-			if !live {
-				break
-			}
-		}
-		if err := eng.FlushAll(); err != nil {
-			return dir, err
-		}
-		return dir, eng.Close()
-	}
-
-	fullDir, err := ingest(0)
-	if fullDir != "" {
-		defer os.RemoveAll(fullDir)
-	}
-	if err != nil {
-		return recoveryResult{}, err
-	}
-	snapDir, err := ingest(snapEvery)
-	if snapDir != "" {
-		defer os.RemoveAll(snapDir)
-	}
-	if err != nil {
-		return recoveryResult{}, err
-	}
-
-	start := time.Now()
-	fullRec, err := partalloc.RecoverEngine(fullDir, engineOpts(shards, batch)...)
-	if err != nil {
-		return recoveryResult{}, fmt.Errorf("full-replay recovery: %w", err)
-	}
-	fullWall := time.Since(start)
-	defer fullRec.Close()
-
-	start = time.Now()
-	snapRec, err := partalloc.RecoverEngine(snapDir, append(engineOpts(shards, batch),
-		partalloc.WithSnapshotEvery(snapEvery))...)
-	if err != nil {
-		return recoveryResult{}, fmt.Errorf("snapshot recovery: %w", err)
-	}
-	snapWall := time.Since(start)
-	defer snapRec.Close()
-
-	// Equivalence gate: both recoveries must reproduce the same ledgers.
-	fullStats, snapStats := fullRec.Stats(), snapRec.Stats()
-	if len(fullStats) != len(snapStats) {
-		return recoveryResult{}, fmt.Errorf("recovery divergence: full replay has %d tenants, snapshot %d",
-			len(fullStats), len(snapStats))
-	}
-	for i := range fullStats {
-		f := partalloc.CanonicalEngineStats(fullStats[i])
-		s := partalloc.CanonicalEngineStats(snapStats[i])
-		if !bytes.Equal(f, s) {
-			return recoveryResult{}, fmt.Errorf("recovery divergence at tenant %s:\n  full: %s\n  snap: %s",
-				fullStats[i].Tenant, f, s)
-		}
-	}
-
-	fullRS, snapRS := fullRec.RecoveryStats(), snapRec.RecoveryStats()
-	return recoveryResult{
-		SnapshotEvery:     snapEvery,
-		EventsPerTenant:   int(total) / spec.tenants,
-		EventsTotal:       total,
-		FullReplayWallNs:  fullWall.Nanoseconds(),
-		FullReplayRecords: fullRS.RecordsReplayed,
-		SnapshotWallNs:    snapWall.Nanoseconds(),
-		SnapshotRecords:   snapRS.RecordsReplayed,
-		SnapshotsRestored: snapRS.SnapshotsRestored,
-		RecordsSkipped:    snapRS.RecordsSkipped,
-		Speedup:           float64(fullWall.Nanoseconds()) / float64(snapWall.Nanoseconds()),
-	}, nil
-}
-
-// fail distinguishes cancellation (exit 130, the runner convention) from
-// real errors.
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "engined: interrupted")
-		os.Exit(130)
-	}
-	fatal(err)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "engined:", err)
-	os.Exit(1)
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/debug/flightrec", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/jsonl")
+		_ = fr.WriteJSONL(w)
+	})
+	return mux
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // benchFleet builds the benchmark tenant mix: the batching-friendly
-// algorithms the engined load driver also uses.
+// A_Rand and A_B, and the reallocating A_M-lazy(4).
 func benchFleet(b *testing.B, tenants int) (map[string]func() core.Allocator, map[string][]task.Event) {
 	b.Helper()
 	factories := make(map[string]func() core.Allocator, tenants)

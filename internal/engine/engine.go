@@ -382,24 +382,28 @@ type shard struct {
 	// it, not just as resident queues). events/applyNs accumulate
 	// per-batch apply work, credited to the stripe the tenant occupied
 	// when the batch ran.
-	queued     int
 	peakQueued int
 	events     int64
 	applyNs    int64
 	inbound    atomic.Int64
 }
 
-// noteQueued recomputes the shard's resident queue depth and advances
-// its backlog peak (resident plus in-flight inbound). Callers hold s.mu.
-func (s *shard) noteQueued() {
+// queued sums the resident tenants' queue depths. Callers hold s.mu.
+func (s *shard) queued() int {
 	q := 0
 	for _, t := range s.tenants {
 		q += len(t.queue)
 	}
-	s.queued = q
-	if hw := q + int(s.inbound.Load()); hw > s.peakQueued {
-		s.peakQueued = hw
-	}
+	return q
+}
+
+// backlog is what peakQueued tracks: the resident queue depth plus the
+// events of submissions in flight against the stripe. Callers hold s.mu.
+func (s *shard) backlog() int { return s.queued() + int(s.inbound.Load()) }
+
+// noteQueued advances the shard's backlog peak. Callers hold s.mu.
+func (s *shard) noteQueued() {
+	s.peakQueued = max(s.peakQueued, s.backlog())
 }
 
 // Engine ingests task events for many tenants concurrently. Methods are
@@ -1241,23 +1245,4 @@ func (s *shard) stats(t *tenant) TenantStats {
 		st.Violations = t.check.Violations()
 	}
 	return st
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1, nearest-rank) of ns,
-// without mutating it; 0 when empty. Engined uses it for p50/p99 apply
-// latency.
-func Quantile(ns []int64, q float64) int64 {
-	if len(ns) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), ns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

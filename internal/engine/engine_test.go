@@ -332,19 +332,3 @@ func TestReplayContextCancellation(t *testing.T) {
 		t.Errorf("applied %d events under a pre-cancelled context", st.Events)
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	ns := []int64{50, 10, 40, 30, 20}
-	if got := Quantile(ns, 0.5); got != 30 {
-		t.Errorf("p50 = %d, want 30", got)
-	}
-	if got := Quantile(ns, 0.99); got != 50 {
-		t.Errorf("p99 = %d, want 50", got)
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("empty quantile = %d, want 0", got)
-	}
-	if got := ns[0]; got != 50 {
-		t.Errorf("Quantile mutated its input: %v", ns)
-	}
-}

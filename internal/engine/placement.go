@@ -520,14 +520,10 @@ func (e *Engine) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(e.shards))
 	for i, s := range e.shards {
 		s.mu.Lock()
-		q := 0
-		for _, t := range s.tenants {
-			q += len(t.queue)
-		}
 		out[i] = ShardStats{
 			Shard:      i,
 			Tenants:    len(s.tenants),
-			Queued:     q,
+			Queued:     s.queued(),
 			PeakQueued: s.peakQueued,
 			Events:     s.events,
 			ApplyNs:    s.applyNs,
@@ -545,12 +541,7 @@ func (e *Engine) ShardStats() []ShardStats {
 func (e *Engine) ResetShardPeaks() {
 	for _, s := range e.shards {
 		s.mu.Lock()
-		q := 0
-		for _, t := range s.tenants {
-			q += len(t.queue)
-		}
-		s.queued = q
-		s.peakQueued = q + int(s.inbound.Load())
+		s.peakQueued = s.backlog()
 		s.mu.Unlock()
 	}
 }

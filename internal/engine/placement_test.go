@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"reflect"
@@ -454,5 +455,145 @@ func TestConcurrentSubmitDuringRebalance(t *testing.T) {
 	}
 	if st := eng.RebalanceStats(); len(st.Violations) > 0 {
 		t.Errorf("rebalance audit violations: %v", st.Violations)
+	}
+}
+
+// skewFleet is the seeded zipf fleet of the skew gate: 48 A_Rand tenants
+// on N=64 whose Poisson arrival counts decay as 6000/(rank+1)^0.8 with a
+// floor of 200, so a few heavy tenants dominate a long light tail.
+func skewFleet() ([]TenantSpec, map[string][]task.Event) {
+	const tenants, n = 48, 64
+	specs := make([]TenantSpec, tenants)
+	streams := make(map[string][]task.Event, tenants)
+	for i := range specs {
+		seed := int64(1 + i)
+		specs[i] = TenantSpec{ID: fmt.Sprintf("tenant-%02d", i), Algorithm: "random", N: n, Seed: seed}
+		arrivals := max(int(6000/math.Pow(float64(i+1), 0.8)), 200)
+		streams[specs[i].ID] = testStream(n, arrivals, seed)
+	}
+	return specs, streams
+}
+
+// skewConfig is the skew gate's engine: 8 shards, 1024-event batches,
+// and for balanced placement A_M(1) with a pass every 32 batches.
+func skewConfig(balanced bool, log *wal.Log) Config {
+	cfg := Config{Shards: 8, BatchSize: 1024, Journal: log, Rebuild: testRebuild}
+	if balanced {
+		cfg.Placement, cfg.RebalanceD, cfg.RebalanceEvery = PlacementBalanced, 1, 32
+	}
+	return cfg
+}
+
+// driveSkew ingests the streams as an interleaved fleet of clients: in
+// each of 12 rounds every tenant submits one volume-proportional burst
+// (a zipf fleet is zipf in burst size too, floor 16 events), and every
+// 4 rounds the fleet flushes on a deadline, the way latency-bound
+// clients force results out. The round-robin schedule is what
+// concurrent clients look like from a shard's queue — every tenant's
+// residue is present when its neighbours submit — but deterministic, so
+// the backlog compares placements instead of scheduler luck.
+func driveSkew(t *testing.T, eng *Engine, specs []TenantSpec, streams map[string][]task.Event) {
+	t.Helper()
+	const bursts, minBurst, flushEvery = 12, 16, 4
+	for round := 0; round < bursts; round++ {
+		for _, spec := range specs {
+			evs := streams[spec.ID]
+			burst := max((len(evs)+bursts-1)/bursts, minBurst)
+			off := round * burst
+			if off >= len(evs) {
+				continue
+			}
+			if err := eng.Submit(spec.ID, evs[off:min(off+burst, len(evs))]...); err != nil {
+				t.Fatalf("submit %s: %v", spec.ID, err)
+			}
+		}
+		if (round+1)%flushEvery == 0 {
+			for _, spec := range specs {
+				if err := eng.Flush(spec.ID); err != nil {
+					t.Fatalf("flush %s: %v", spec.ID, err)
+				}
+			}
+		}
+	}
+	if err := eng.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBalancedPlacementBeatsHashOnSkew gates what rebalancing buys on
+// the zipf fleet. Each placement ingests a warm-up third of every
+// stream (feeding the balanced placer's load estimates), runs 8 forced
+// passes so routing converges, restarts the peak-backlog window, and
+// ingests the rest; the balanced hot shard's peak backlog must be
+// strictly below hash placement's. Loads are event counts, so the
+// comparison is deterministic. A journaled balanced run over the whole
+// fleet must then recover the exact pre-close routing table by
+// replaying its TypeMove records.
+func TestBalancedPlacementBeatsHashOnSkew(t *testing.T) {
+	specs, streams := skewFleet()
+	warm := make(map[string][]task.Event, len(streams))
+	rest := make(map[string][]task.Event, len(streams))
+	for id, evs := range streams {
+		cut := len(evs) / 3
+		warm[id], rest[id] = evs[:cut], evs[cut:]
+	}
+	hotPeak := func(balanced bool) (int, RebalanceStats) {
+		eng := New(skewConfig(balanced, nil))
+		for _, spec := range specs {
+			addSpecTenant(t, eng, spec)
+		}
+		driveSkew(t, eng, specs, warm)
+		for i := 0; i < 8; i++ {
+			if _, err := eng.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Scope the peak to the measured phase: the warm-up stampede,
+		// before routing converges, would set both placements' high-water
+		// identically.
+		eng.ResetShardPeaks()
+		driveSkew(t, eng, specs, rest)
+		peak := 0
+		for _, st := range eng.ShardStats() {
+			peak = max(peak, st.PeakQueued)
+		}
+		return peak, eng.RebalanceStats()
+	}
+	hash, _ := hotPeak(false)
+	balanced, rs := hotPeak(true)
+	t.Logf("hot-shard peak queue: hash %d, balanced %d; %d passes, %d moves", hash, balanced, rs.Passes, rs.Moves)
+	if balanced >= hash {
+		t.Errorf("balanced hot-shard peak queue %d, want strictly below hash's %d", balanced, hash)
+	}
+	if len(rs.Violations) > 0 {
+		t.Errorf("rebalance audit: %d violations, first: %s", len(rs.Violations), rs.Violations[0])
+	}
+
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(skewConfig(true, log))
+	for _, spec := range specs {
+		addSpecTenant(t, eng, spec)
+	}
+	driveSkew(t, eng, specs, streams)
+	want := eng.Routes()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(skewConfig(true, nil), dir, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer rec.Journal().Close()
+	if got := rec.Routes(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered routing table differs:\n  before: %v\n  after:  %v", want, got)
+	}
+	replayed := rec.RecoveryStats().MovesReplayed
+	t.Logf("journaled balanced run: %d moves replayed", replayed)
+	if replayed < 1 {
+		t.Errorf("MovesReplayed = %d, want >= 1", replayed)
 	}
 }

@@ -1,46 +1,68 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
 	"testing"
 
-	"partalloc/internal/core"
 	"partalloc/internal/task"
-	"partalloc/internal/tree"
+	"partalloc/internal/wal"
 )
 
 // TestConcurrentMultiTenantIngestion hammers the engine from many
 // goroutines at once — per-tenant producers, a stats poller, and a
 // replaying goroutine on disjoint tenants — and then verifies every
 // tenant absorbed exactly its stream. Run under -race this is the
-// engine's thread-safety gate.
+// engine's thread-safety gate. The journaled input runs the same
+// traffic through a batched-fsync write-ahead journal and then demands
+// that recovery reproduce every ledger byte for byte.
 func TestConcurrentMultiTenantIngestion(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		journaled bool
+	}{
+		{"unjournaled", false},
+		{"journaled", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentIngestion(t, tc.journaled) })
+	}
+}
+
+func concurrentIngestion(t *testing.T, journaled bool) {
 	const tenants = 10
 	const events = 2000
-	eng := New(Config{Shards: 4, BatchSize: 64})
+	cfg := Config{Shards: 4, BatchSize: 64, Rebuild: testRebuild}
+	walOpts := wal.Options{Sync: wal.SyncBatched}
+	var dir string
+	if journaled {
+		dir = t.TempDir()
+		log, err := wal.Open(dir, walOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Journal = log
+	}
+	eng := New(cfg)
 
 	ids := make([]string, tenants)
 	streams := make(map[string][]task.Event, tenants)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("tenant-%02d", i)
-		var a core.Allocator
+		spec := TenantSpec{ID: ids[i]}
 		switch i % 4 {
 		case 0:
-			a = core.NewBasic(tree.MustNew(64))
+			spec.Algorithm, spec.N = "basic", 64
 		case 1:
-			a = core.NewPeriodic(tree.MustNew(64), 2, core.DecreasingSize)
+			spec.Algorithm, spec.N, spec.D, spec.DSet = "periodic", 64, 2, true
 		case 2:
-			a = core.NewLazy(tree.MustNew(32), 1, core.DecreasingSize)
+			spec.Algorithm, spec.N, spec.D, spec.DSet = "lazy", 32, 1, true
 		default:
-			a = core.NewRandom(tree.MustNew(128), int64(i))
+			spec.Algorithm, spec.N, spec.Seed = "random", 128, int64(i)
 		}
-		if err := eng.AddTenant(ids[i], a); err != nil {
-			t.Fatal(err)
-		}
-		n := a.Machine().N()
-		streams[ids[i]] = testStream(n, events/2, int64(i+1))
+		addSpecTenant(t, eng, spec)
+		streams[ids[i]] = testStream(spec.N, events/2, int64(i+1))
 	}
 
 	var wg sync.WaitGroup
@@ -110,6 +132,29 @@ func TestConcurrentMultiTenantIngestion(t *testing.T) {
 		}
 		if st.Queued != 0 {
 			t.Errorf("%s: %d events still queued after flush", id, st.Queued)
+		}
+	}
+	if !journaled {
+		return
+	}
+
+	want := eng.Stats()
+	if err := cfg.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Journal = nil
+	rec, err := Recover(cfg, dir, walOpts)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer rec.Journal().Close()
+	got := rec.Stats()
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d tenants, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if w, g := CanonicalStats(want[i]), CanonicalStats(got[i]); !bytes.Equal(w, g) {
+			t.Errorf("tenant %s: recovered ledger diverges\n  live: %s\n  rec:  %s", want[i].Tenant, w, g)
 		}
 	}
 }

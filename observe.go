@@ -5,8 +5,8 @@ import "partalloc/internal/obs"
 // Metrics is a lock-cheap registry of counters, gauges, and log-bucketed
 // latency histograms, renderable in Prometheus text exposition format
 // with WritePrometheus. Build one with NewMetrics, attach it to engines
-// with WithMetrics, and serve it however you like (cmd/engined's -listen
-// mode mounts it at /metrics). One registry may back many engines; all
+// with WithMetrics, and serve it however you like (cmd/engined -listen
+// mounts it at /metrics). One registry may back many engines; all
 // methods are safe for concurrent use. docs/OBSERVABILITY.md inventories
 // the series the engine records.
 type Metrics = obs.Metrics

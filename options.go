@@ -59,7 +59,8 @@ func (al Algorithm) String() string {
 }
 
 // ParseAlgorithm maps a paper name (as produced by Algorithm.String) back
-// to its Algorithm; command-line front ends use it.
+// to its Algorithm; the engine's rebuild recipe uses it to rebuild
+// journaled tenants.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	for _, al := range []Algorithm{
 		AlgoGreedy, AlgoBasic, AlgoConstant, AlgoPeriodic,

@@ -10,8 +10,10 @@
 #      mid-batch PE faults, kill/recover cycles — finishes with audited
 #      invariants clean, byte-identical recoveries, and every poisoned
 #      tenant healed by the circuit breaker;
-#   3. journaled throughput: the benchmark's journal-on pass runs end to
-#      end (the write-ahead path under the race detector);
+#   3. journaled concurrent ingestion: concurrent Submit, Replay and a
+#      stats poller through a batched-fsync journal, then recovery
+#      byte-identical to the live ledgers (the write-ahead path under
+#      the race detector);
 #   4. snapshot retention: periodic snapshots keep the journal bounded,
 #      SIGKILL with truncation in flight still recovers byte-identically,
 #      and O(tail) recovery is equivalence-gated against full replay;
@@ -31,27 +33,26 @@ go test -race -run 'TestSIGKILLRecovery|TestRecoverMatchesUninterrupted' -count=
 # (which tenants are poisoned, when stalls land relative to crashes)
 # is not a single lucky draw.
 echo "chaos-smoke: 2/5 seeded chaos soak under the race detector"
-go run -race ./cmd/engined -chaos -chaos-rounds 8 -seed 1
-go run -race ./cmd/engined -chaos -chaos-rounds 6 -seed 7
+go test -race -run 'TestChaosSoak/hash' -count=1 -v ./internal/engine/
 
-echo "chaos-smoke: 3/5 journal-on benchmark pass"
-go run -race ./cmd/engined -quick -journal -out /dev/null
+echo "chaos-smoke: 3/5 journaled concurrent ingestion recovers byte-identically"
+go test -race -run 'TestConcurrentMultiTenantIngestion/journaled' -count=1 ./internal/engine/
 
 # The compaction test asserts the segment count stays bounded while the
 # log keeps growing; the crash test SIGKILLs a child only after at least
-# two truncations have landed; the -recovery pass recovers the same
-# fleet from a plain and a snapshotting journal and refuses to report a
-# speedup unless the two ledgers are byte-identical.
+# two truncations have landed; the facade equivalence test recovers the
+# same fleet by full replay and by snapshot+tail, under hash and
+# balanced placement, and demands both equal an uninterrupted run.
 echo "chaos-smoke: 4/5 snapshot retention bounds the WAL; O(tail) recovery equivalence"
 go test -race -run 'TestSnapshotCompactionBoundsLog|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
-go run -race ./cmd/engined -quick -journal -snapshot-every 2 -recovery -out /dev/null
+go test -race -run TestSnapshotRecoveryEquivalence -count=1 .
 
 # The balanced soak forces a rebalance pass every round and gates each
 # kill/recover cycle on routing-table identity; the subprocess test
 # SIGKILLs an engine only after a TypeMove record is durable and demands
 # the recovered routing table be a bijection to shard membership.
 echo "chaos-smoke: 5/5 rebalance under poison pills and kill/recover"
-go run -race ./cmd/engined -chaos -chaos-rounds 8 -placement balanced -seed 3
+go test -race -run 'TestChaosSoak/balanced' -count=1 -v ./internal/engine/
 go test -race -run 'TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 
 echo "chaos-smoke: OK"

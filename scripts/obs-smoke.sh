@@ -3,7 +3,8 @@
 # and `make obs-smoke`; see docs/OBSERVABILITY.md).
 #
 # It boots `engined -listen` on a random port, waits for the serving
-# marker, and asserts the three contracts of the /metrics surface:
+# marker (printed once the demo fleet is applied), and asserts the three
+# contracts of the /metrics surface:
 #   1. the required series exist — the paper-facing load gauges
 #      (max_load, lstar), the engine health gauges (queue depth,
 #      breaker state), the apply-latency histogram, and the WAL fsync
@@ -20,13 +21,9 @@ trap 'kill "$pid" 2>/dev/null || true; wait "$pid" 2>/dev/null || true; rm -rf "
 
 echo "obs-smoke: 1/4 boot engined -listen on a random port"
 go build -o "$workdir/engined" ./cmd/engined
-"$workdir/engined" -quick -journal -listen 127.0.0.1:0 \
-    -out "$workdir/bench.json" 2> "$workdir/stderr.log" &
+"$workdir/engined" -listen 127.0.0.1:0 2> "$workdir/stderr.log" &
 pid=$!
 
-# Wait for the post-benchmark serving marker (the benchmark itself is
-# the slow part; the listener is up from the first marker, but series
-# from the observed pass only exist once the run completes).
 addr=""
 for _ in $(seq 1 120); do
     if ! kill -0 "$pid" 2>/dev/null; then
