@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"partalloc/internal/core"
 	"partalloc/internal/sim"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
+	"partalloc/internal/wal"
 )
 
 // benchFleet builds the benchmark tenant mix: the batching-friendly
@@ -80,4 +82,59 @@ func BenchmarkSerialSimulate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSubmitJournaled measures journaled Submit calls shaped like
+// perfbench's journal-ingest workload: 16 A_Rand tenants on N=1024 over
+// 4 shards, batch 256, 32-event bursts visited round-robin, SyncNever,
+// a snapshot every 16 batches and 1 MiB segments, so compaction keeps
+// the journal bounded. Each tenant's burst departs its 16 oldest live
+// tasks and arrives 16 new ones, so the stream never ends and, once
+// warm, every burst holds 32 events. One op is one Submit.
+func BenchmarkSubmitJournaled(b *testing.B) {
+	const (
+		tenants = 16
+		burst   = 32
+		live    = 256 // live tasks per tenant once warm
+	)
+	log, err := wal.Open(b.TempDir(), wal.Options{Sync: wal.SyncNever, SegmentBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer log.Close()
+	eng := New(Config{Shards: 4, BatchSize: 256, SnapshotEvery: 16, Journal: log, Rebuild: testRebuild})
+	type stream struct {
+		id     string
+		ring   [live]task.Event // slot i holds the arrival it departs next
+		next   int
+		nextID task.ID
+	}
+	streams := make([]stream, tenants)
+	for i := range streams {
+		streams[i].id = fmt.Sprintf("tenant-%02d", i)
+		addSpecTenant(b, eng, TenantSpec{ID: streams[i].id, Algorithm: "random", N: 1024, Seed: int64(i + 1), SeedSet: true})
+	}
+	evs := make([]task.Event, 0, burst)
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &streams[i%tenants]
+		evs = evs[:0]
+		for range burst / 2 {
+			slot := &s.ring[s.next%live]
+			if slot.Task != 0 {
+				evs = append(evs, task.Event{Kind: task.Depart, Task: slot.Task, Size: slot.Size, Time: float64(s.next)})
+			}
+			s.nextID++
+			*slot = task.Event{Kind: task.Arrive, Task: s.nextID, Size: 1 << (s.nextID % 5), Time: float64(s.next)}
+			evs = append(evs, *slot)
+			s.next++
+		}
+		if err := eng.Submit(s.id, evs...); err != nil {
+			b.Fatal(err)
+		}
+		events += int64(len(evs))
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -386,6 +386,12 @@ type shard struct {
 	events     int64
 	applyNs    int64
 	inbound    atomic.Int64
+
+	// enc is the stripe's journal scratch, owned by mu: every record with
+	// a payload that a tenant here journals (a move: its source stripe's)
+	// is encoded into it, and the log has copied it into its own frame
+	// buffer by the time the append returns.
+	enc []byte
 }
 
 // queued sums the resident tenants' queue depths. Callers hold s.mu.
@@ -1052,14 +1058,16 @@ func (e *Engine) get(s *shard, id string) (*tenant, error) {
 	return t, nil
 }
 
-// flushTenant applies the tenant's queued events. Callers hold the shard
-// lock and have already journaled the flush when it changes state.
+// flushTenant applies the tenant's queued events. The queue keeps its
+// array, as after a batch drain in ingest, so the next Submit appends
+// into it instead of allocating a new one. Callers hold the shard lock
+// and have already journaled the flush when it changes state.
 func (e *Engine) flushTenant(t *tenant) error {
 	if len(t.queue) == 0 {
 		return nil
 	}
 	b := t.queue
-	t.queue = nil
+	t.queue = b[:0]
 	return e.apply(t, b)
 }
 

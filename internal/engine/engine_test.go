@@ -12,6 +12,7 @@ import (
 	"partalloc/internal/sim"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
+	"partalloc/internal/wal"
 	"partalloc/internal/workload"
 )
 
@@ -169,32 +170,78 @@ func TestSubmitMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestSubmitReusesQueue checks that a tenant's queue keeps its buffer
-// when a batch drains it: a warm stream of full-batch Submit calls
-// averages under one allocation per call, where a new queue array for
-// every batch would cost one each.
-func TestSubmitReusesQueue(t *testing.T) {
-	const batch = 64
-	eng := New(Config{BatchSize: batch})
-	if err := eng.AddTenant("t", core.NewRandom(tree.MustNew(64), 1)); err != nil {
+// testJournal opens a SyncNever journal in a fresh temp directory and
+// closes it when the test ends.
+func testJournal(t *testing.T) *wal.Log {
+	t.Helper()
+	log, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNever})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The first half of the batch arrives and the second half departs the
-	// same tasks, so the batch can be submitted again and again.
-	evs := make([]task.Event, batch)
-	for i := range batch / 2 {
-		id := task.ID(i + 1)
-		evs[i] = task.Event{Kind: task.Arrive, Task: id, Size: 1}
-		evs[i+batch/2] = task.Event{Kind: task.Depart, Task: id, Size: 1}
-	}
-	submit := func() {
-		if err := eng.Submit("t", evs...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submit()
-	if avg := testing.AllocsPerRun(200, submit); avg >= 1 {
-		t.Errorf("full-batch Submit allocates %v objects per call, want < 1", avg)
+	t.Cleanup(func() { log.Close() })
+	return log
+}
+
+// TestSubmitReusesQueue checks that a warm ingest call allocates
+// nothing. A tenant's queue keeps its array when a batch or a Flush
+// drains it, and a journaled call encodes its record into the stripe's
+// scratch buffer, which the log frames in place into its own. Each input
+// averages under one allocation per measured body, where a new queue
+// array or record buffer per call would cost at least one.
+func TestSubmitReusesQueue(t *testing.T) {
+	const batch = 64
+	// A full batch drains through the batch trigger; a half batch waits in
+	// the queue for the Flush.
+	for _, tc := range []struct {
+		name             string
+		journaled, flush bool
+	}{
+		{"unjournaled/submit", false, false},
+		{"unjournaled/submit+flush", false, true},
+		{"journaled/submit", true, false},
+		{"journaled/submit+flush", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{BatchSize: batch, Rebuild: testRebuild}
+			if tc.journaled {
+				cfg.Journal = testJournal(t)
+			}
+			eng := New(cfg)
+			addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "random", N: 64, Seed: 1})
+			size := batch
+			if tc.flush {
+				size = batch / 2
+			}
+			// The first half of the burst arrives and the second half
+			// departs the same tasks, so it can be submitted again and
+			// again.
+			evs := make([]task.Event, size)
+			for i := range size / 2 {
+				id := task.ID(i + 1)
+				evs[i] = task.Event{Kind: task.Arrive, Task: id, Size: 1}
+				evs[i+size/2] = task.Event{Kind: task.Depart, Task: id, Size: 1}
+			}
+			var runs int64
+			run := func() {
+				runs++
+				if err := eng.Submit("t", evs...); err != nil {
+					t.Fatal(err)
+				}
+				if !tc.flush {
+					return
+				}
+				if err := eng.Flush("t"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if avg := testing.AllocsPerRun(200, run); avg >= 1 {
+				t.Errorf("allocates %v objects per run, want < 1", avg)
+			}
+			if st, _ := eng.TenantStats("t"); st.Events != runs*int64(size) {
+				t.Errorf("%d events applied, want %d", st.Events, runs*int64(size))
+			}
+		})
 	}
 }
 

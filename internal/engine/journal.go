@@ -67,18 +67,26 @@ func (e *Engine) journalAppend(rec wal.Record) error {
 	return nil
 }
 
+// journalSubmit journals one accepted Submit. It encodes the record, as
+// every journal helper with a payload does, into the scratch buffer of
+// the stripe whose lock the caller holds (shard.enc), so a warm journaled
+// call allocates nothing.
 func (e *Engine) journalSubmit(t *tenant, evs []task.Event) error {
 	if e.cfg.Journal == nil || len(evs) == 0 {
 		return nil
 	}
-	return e.journalAppend(wal.Record{Type: wal.TypeSubmit, Tenant: t.id, Data: wal.AppendEvents(nil, evs)})
+	s := e.shardAt(t.shardIdx)
+	s.enc = wal.AppendEvents(s.enc[:0], evs)
+	return e.journalAppend(wal.Record{Type: wal.TypeSubmit, Tenant: t.id, Data: s.enc})
 }
 
 func (e *Engine) journalApply(t *tenant, flushFirst bool, evs []task.Event) error {
 	if e.cfg.Journal == nil {
 		return nil
 	}
-	return e.journalAppend(wal.Record{Type: wal.TypeApply, Tenant: t.id, Data: wal.AppendApply(nil, flushFirst, evs)})
+	s := e.shardAt(t.shardIdx)
+	s.enc = wal.AppendApply(s.enc[:0], flushFirst, evs)
+	return e.journalAppend(wal.Record{Type: wal.TypeApply, Tenant: t.id, Data: s.enc})
 }
 
 func (e *Engine) journalFlush(t *tenant) error {
@@ -103,7 +111,9 @@ var journalEnd = wal.Pos{Seg: math.MaxInt}
 func (e *Engine) probe(t *tenant) error {
 	keep := t.events
 	drop, err := e.rebuildFromSnapshot(t, keep, journalEnd, func(drop int64) error {
-		return e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: wal.AppendRebuild(nil, keep, drop)})
+		s := e.shardAt(t.shardIdx)
+		s.enc = wal.AppendRebuild(s.enc[:0], keep, drop)
+		return e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: s.enc})
 	})
 	if err != nil {
 		return err

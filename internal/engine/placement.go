@@ -708,12 +708,15 @@ func (e *Engine) auditPlacement(moved, budget int) []invariant.Violation {
 }
 
 // journalMove appends the TypeMove record that commits an intra-engine
-// move; replayed by Recover to reproduce the routing table.
+// move; replayed by Recover to reproduce the routing table. The record
+// is encoded in the source stripe's scratch buffer (see journalSubmit).
 func (e *Engine) journalMove(id string, from, to int) error {
 	if e.cfg.Journal == nil {
 		return nil
 	}
-	return e.journalAppend(wal.Record{Type: wal.TypeMove, Tenant: id, Data: wal.AppendMove(nil, from, to)})
+	s := e.shardAt(from)
+	s.enc = wal.AppendMove(s.enc[:0], from, to)
+	return e.journalAppend(wal.Record{Type: wal.TypeMove, Tenant: id, Data: s.enc})
 }
 
 // moveTenantLocal moves one tenant between stripes of this engine:

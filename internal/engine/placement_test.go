@@ -148,7 +148,7 @@ func moveToOtherStripe(t *testing.T, e *Engine, id string) {
 	t.Helper()
 	from := e.route(id)
 	e.rebalMu.Lock()
-	//lint:ignore lockorder moveTenantLocal requires rebalMu, as in Rebalance; the test engines are unjournaled, so the move never blocks
+	//lint:ignore lockorder moveTenantLocal requires rebalMu, as in Rebalance, and on a journaled engine a pass appends each move's record under it the same way
 	moved, err := e.moveTenantLocal(id, from, 1-from)
 	e.rebalMu.Unlock()
 	if err != nil || !moved {
@@ -159,43 +159,58 @@ func moveToOtherStripe(t *testing.T, e *Engine, id string) {
 // TestMoveTenantLocalRelocates checks that a rebalance move is a
 // relocation, not a rebuild: the destination stripe holds the same
 // tenant with the same allocator and an unchanged ledger and load
-// estimate, and a warm move allocates nothing.
+// estimate, and a warm move allocates nothing, also when it journals
+// its TypeMove record.
 func TestMoveTenantLocalRelocates(t *testing.T) {
-	eng := New(Config{Shards: 2, BatchSize: 8, Placement: PlacementBalanced,
-		RebalanceEvery: 1 << 30, Rebuild: testRebuild})
-	addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "random", N: 64, Seed: 3})
-	if err := eng.Submit("t", arrivals(1, 20, 1)...); err != nil {
-		t.Fatal(err)
-	}
-	// A pass folds the applied events into the tenant's load estimate.
-	if _, err := eng.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name      string
+		journaled bool
+	}{
+		{"unjournaled", false},
+		{"journaled", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Shards: 2, BatchSize: 8, Placement: PlacementBalanced,
+				RebalanceEvery: 1 << 30, Rebuild: testRebuild}
+			if tc.journaled {
+				cfg.Journal = testJournal(t)
+			}
+			eng := New(cfg)
+			addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "random", N: 64, Seed: 3})
+			if err := eng.Submit("t", arrivals(1, 20, 1)...); err != nil {
+				t.Fatal(err)
+			}
+			// A pass folds the applied events into the tenant's load estimate.
+			if _, err := eng.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
 
-	from := eng.route("t")
-	tn := eng.shardAt(from).tenants["t"]
-	alloc, est := tn.alloc, tn.rebalEst
-	if est == 0 {
-		t.Fatal("rebalance pass left no load estimate to carry")
-	}
-	before, _ := eng.TenantStats("t")
-	moveToOtherStripe(t, eng, "t")
-	got := eng.shardAt(1 - from).tenants["t"]
-	if got != tn {
-		t.Fatalf("destination holds tenant %p, want the moved tenant %p", got, tn)
-	}
-	if got.alloc != alloc {
-		t.Fatal("the move replaced the tenant's allocator")
-	}
-	if got.rebalEst != est {
-		t.Errorf("load estimate %v after the move, want %v", got.rebalEst, est)
-	}
-	if after, _ := eng.TenantStats("t"); !reflect.DeepEqual(after, before) {
-		t.Errorf("move changed the ledger:\n  before: %+v\n  after:  %+v", before, after)
-	}
+			from := eng.route("t")
+			tn := eng.shardAt(from).tenants["t"]
+			alloc, est := tn.alloc, tn.rebalEst
+			if est == 0 {
+				t.Fatal("rebalance pass left no load estimate to carry")
+			}
+			before, _ := eng.TenantStats("t")
+			moveToOtherStripe(t, eng, "t")
+			got := eng.shardAt(1 - from).tenants["t"]
+			if got != tn {
+				t.Fatalf("destination holds tenant %p, want the moved tenant %p", got, tn)
+			}
+			if got.alloc != alloc {
+				t.Fatal("the move replaced the tenant's allocator")
+			}
+			if got.rebalEst != est {
+				t.Errorf("load estimate %v after the move, want %v", got.rebalEst, est)
+			}
+			if after, _ := eng.TenantStats("t"); !reflect.DeepEqual(after, before) {
+				t.Errorf("move changed the ledger:\n  before: %+v\n  after:  %+v", before, after)
+			}
 
-	if avg := testing.AllocsPerRun(100, func() { moveToOtherStripe(t, eng, "t") }); avg >= 1 {
-		t.Errorf("a local move allocates %v objects, want < 1", avg)
+			if avg := testing.AllocsPerRun(100, func() { moveToOtherStripe(t, eng, "t") }); avg >= 1 {
+				t.Errorf("a local move allocates %v objects, want < 1", avg)
+			}
+		})
 	}
 }
 

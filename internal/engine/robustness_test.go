@@ -55,7 +55,7 @@ func testRebuild(spec TenantSpec) (core.Allocator, *fault.Schedule, *topology.Ho
 
 // addSpecTenant registers a tenant built by testRebuild from spec, so the
 // live allocator and the rebuild recipe cannot diverge.
-func addSpecTenant(t *testing.T, e *Engine, spec TenantSpec) {
+func addSpecTenant(t testing.TB, e *Engine, spec TenantSpec) {
 	t.Helper()
 	a, sched, _, err := testRebuild(spec)
 	if err != nil {

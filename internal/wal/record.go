@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"partalloc/internal/task"
 )
@@ -91,19 +92,23 @@ const (
 	maxRecordLen = 1 << 28
 )
 
-// AppendRecord appends rec's frame to dst and returns the extended slice.
+// AppendRecord appends rec's frame to dst and returns the extended
+// slice. The frame is built in place: the header is reserved in dst, the
+// body appended after it, and the length and CRC written back over the
+// reservation, so a dst with room for the frame takes it without
+// allocating, and the payload is copied exactly once.
 func AppendRecord(dst []byte, rec Record) []byte {
-	body := make([]byte, 0, 1+binary.MaxVarintLen64+len(rec.Tenant)+len(rec.Data))
-	body = append(body, byte(rec.Type))
-	body = binary.AppendUvarint(body, uint64(len(rec.Tenant)))
-	body = append(body, rec.Tenant...)
-	body = append(body, rec.Data...)
-
-	var hdr [frameHeaderLen]byte
+	start := len(dst)
+	dst = slices.Grow(dst, frameHeaderLen+1+binary.MaxVarintLen64+len(rec.Tenant)+len(rec.Data))
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = append(dst, byte(rec.Type))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Tenant)))
+	dst = append(dst, rec.Tenant...)
+	dst = append(dst, rec.Data...)
+	hdr, body := dst[start:start+frameHeaderLen], dst[start+frameHeaderLen:]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+	return dst
 }
 
 // DecodeRecord decodes one frame from the head of buf, returning the

@@ -11,13 +11,18 @@
 // fsync-of-directory barrier, so rotation is atomic. Appends go through
 // a single unbuffered write(2) per record: data reaches the kernel page
 // cache immediately, which is what survives SIGKILL (a crashed *machine*
-// additionally needs SyncAlways or SyncBatched).
+// additionally needs SyncAlways or SyncBatched). Each frame is built in
+// place in one buffer the log reuses (AppendRecord), so an append copies
+// the payload once and, once warm, allocates nothing.
 //
 // A crash can tear the tail of the last segment mid-frame. Open repairs
 // this by scanning the last segment and truncating at the first invalid
 // frame; Replay independently tolerates a torn tail — but only in the
 // last segment, since an earlier segment ending mid-frame means real
-// corruption, not a crash.
+// corruption, not a crash. A failed write leaves no torn frame behind:
+// Append cuts off whatever part of the frame reached the file before it
+// returns the error, and if that cut fails, it fails every later append
+// too, so no record is ever written after torn bytes.
 package wal
 
 import (
@@ -93,6 +98,9 @@ type Log struct {
 	sinceSync int
 	buf       []byte // frame scratch, reused across appends
 	closed    bool
+	// err is a failed append whose torn bytes could not be cut off; it
+	// fails every later Append.
+	err error
 }
 
 // ErrStop is returned by a Replay callback to end the scan early with a
@@ -188,9 +196,11 @@ func repair(path string) (valid, truncated int64, err error) {
 }
 
 // create starts segment i and fsyncs the directory so the new file name
-// itself is durable (atomic rotation).
+// itself is durable (atomic rotation). Like a reopened segment, it is
+// written in append mode, so cutting a torn frame off (Append) also
+// moves the next write back to the cut.
 func (l *Log) create(i int) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(i)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(i)), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -202,12 +212,22 @@ func (l *Log) create(i int) error {
 	return nil
 }
 
-// Append frames rec and writes it with a single write(2) call, rotating
-// segments at the SegmentBytes threshold first. The record is in the
-// kernel page cache when Append returns; fsync follows Options.Sync.
+// Append frames rec in place in the log's reused buffer and writes it
+// with a single write(2) call, rotating segments at the SegmentBytes
+// threshold first. The record is in the kernel page cache when Append
+// returns; fsync follows Options.Sync.
+//
+// A failed write leaves no bytes behind: whatever part of the frame
+// reached the file is cut off again, so the segment ends where it did
+// before the call, and the next append lands right after the previous
+// record. If that cut fails too, the error sticks, and every later
+// Append returns it rather than write after a torn frame.
 func (l *Log) Append(rec Record) error {
 	if l.closed {
 		return errors.New("wal: append on closed log")
+	}
+	if l.err != nil {
+		return l.err
 	}
 	l.buf = AppendRecord(l.buf[:0], rec)
 	if l.size > 0 && l.size+int64(len(l.buf)) > l.opt.SegmentBytes {
@@ -217,6 +237,10 @@ func (l *Log) Append(rec Record) error {
 	}
 	start := l.opt.Sink.Now()
 	if _, err := l.f.Write(l.buf); err != nil {
+		if cerr := l.f.Truncate(l.size); cerr != nil {
+			l.err = fmt.Errorf("wal: append: %w; cutting the torn frame failed: %w", err, cerr)
+			return l.err
+		}
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.opt.Sink.WALAppend(len(l.buf), l.opt.Sink.Now()-start)

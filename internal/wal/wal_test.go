@@ -247,6 +247,44 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestFailedCutSticks covers the fallback of a failed append
+// (TestFailedWriteLeavesNoTornFrame covers the cut itself): when the
+// bytes a failed write left behind cannot be cut off, the error sticks,
+// and no later Append writes after them, even once writes would succeed
+// again. A read-only descriptor makes both the write and the cut fail.
+func TestFailedCutSticks(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(3)
+	if err := l.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	w := l.f
+	ro, err := os.Open(w.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = ro
+	failed := l.Append(recs[1])
+	l.f = w
+	ro.Close()
+	if failed == nil {
+		t.Fatal("append through a read-only descriptor succeeded")
+	}
+	if err := l.Append(recs[2]); !errors.Is(err, failed) {
+		t.Errorf("append after a failed cut returned %v, want the sticky %v", err, failed)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, dir); !reflect.DeepEqual(got, recs[:1]) {
+		t.Errorf("replayed %d records, want only the acknowledged one", len(got))
+	}
+}
+
 func TestDecodeRecordErrors(t *testing.T) {
 	frame := AppendRecord(nil, Record{Type: TypeSubmit, Tenant: "t", Data: []byte("xyz")})
 
