@@ -310,12 +310,14 @@ func (a *analyzer) callImpure(call *ast.CallExpr, depth int) string {
 // ---- allocator check ----
 
 // checkAllocators reports every impure method of a type implementing an
-// in-scope Allocator interface.
+// in-scope Allocator interface, including the methods it promotes from
+// embedded types; a method several allocators share is reported once.
 func (a *analyzer) checkAllocators() {
 	ifaces := a.allocatorIfaces()
 	if len(ifaces) == 0 {
 		return
 	}
+	reported := make(map[*types.Func]bool)
 	scope := a.pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -326,15 +328,17 @@ func (a *analyzer) checkAllocators() {
 		if !ok || !implementsAny(named, ifaces) {
 			continue
 		}
-		for i := 0; i < named.NumMethods(); i++ {
-			m := named.Method(i)
-			if m.Pkg() != a.pass.Pkg {
+		mset := types.NewMethodSet(types.NewPointer(named))
+		for i := 0; i < mset.Len(); i++ {
+			m, ok := mset.At(i).Obj().(*types.Func)
+			if !ok || m.Pkg() != a.pass.Pkg || reported[m] {
 				continue
 			}
 			reason, ok := a.objReason[m]
 			if !ok {
 				continue
 			}
+			reported[m] = true
 			a.pass.Reportf(m.Pos(),
 				"allocator method %s is impure: %s — allocator decisions must be a pure function of events and seed",
 				shortName(m), truncate(reason))

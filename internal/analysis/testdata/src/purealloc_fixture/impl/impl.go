@@ -76,6 +76,32 @@ func (Sleepy) Arrive(t core.Task) int { // want `allocator method impl\.Sleepy\.
 
 func (Sleepy) Depart(id int) {}
 
+// ledger is bookkeeping that allocators embed. It implements no
+// Allocator itself, but its methods become theirs by promotion.
+type ledger struct{ n int }
+
+func (l *ledger) Depart(id int) { // want `allocator method impl\.ledger\.Depart is impure: mutates package variable impl\.hits` ledger.Depart:`impure: mutates package variable impl\.hits`
+	hits++
+	l.n--
+}
+
+// Booked and Booked2 share ledger's impure Depart, reported once where it
+// is declared.
+type Booked struct{ ledger }
+
+func (b *Booked) Name() string { return "booked" }
+
+func (b *Booked) Arrive(t core.Task) int {
+	b.n++
+	return t.Size
+}
+
+type Booked2 struct{ ledger }
+
+func (b *Booked2) Name() string { return "booked2" }
+
+func (b *Booked2) Arrive(t core.Task) int { return t.Size }
+
 // record is NOT an allocator: impure helpers outside implementations get
 // facts but no diagnostics.
 func record() { // want record:`impure: mutates package variable impl\.hits`

@@ -175,3 +175,8 @@ func checkArrival(m *tree.Machine, t task.Task) {
 func panicDuplicate(id task.ID, algo string) {
 	panic(fmt.Errorf("core: duplicate arrival of task %d (%s): %w", id, algo, errs.ErrDuplicateTask))
 }
+
+// panicUnknown reports the departure of a task that is not active.
+func panicUnknown(id task.ID, algo string) {
+	panic(fmt.Errorf("%w: %d (%s)", ErrUnknownTask, id, algo))
+}

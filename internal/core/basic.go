@@ -1,20 +1,9 @@
 package core
 
 import (
-	"fmt"
-
-	"partalloc/internal/copies"
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
-
-// placementRec locates a task inside a copy list.
-type placementRec struct {
-	copyIdx int
-	node    tree.Node
-	size    int
-}
 
 // Basic is algorithm A_B (§4.1): maintain an ordered list of copies of T;
 // on arrival, place the task in the leftmost vacant submachine of the first
@@ -23,21 +12,12 @@ type placementRec struct {
 // size of all arrivals so far (departures included in the sequence do not
 // help it, which is exactly why A_M pairs it with periodic reallocation).
 type Basic struct {
-	m      *tree.Machine
-	list   *copies.List
-	loads  *loadtree.Tree
-	placed map[task.ID]placementRec
-	faults faultSet
+	copyPlaced
 }
 
 // NewBasic returns A_B on machine m.
 func NewBasic(m *tree.Machine) *Basic {
-	return &Basic{
-		m:      m,
-		list:   copies.NewList(m),
-		loads:  loadtree.New(m),
-		placed: make(map[task.ID]placementRec),
-	}
+	return &Basic{newCopyPlaced(m)}
 }
 
 // BasicFactory builds A_B allocators.
@@ -48,67 +28,25 @@ func BasicFactory() Factory {
 // Name implements Allocator.
 func (b *Basic) Name() string { return "A_B" }
 
-// Machine implements Allocator.
-func (b *Basic) Machine() *tree.Machine { return b.m }
-
 // Arrive implements Allocator with first-fit over copies.
 func (b *Basic) Arrive(t task.Task) tree.Node {
 	checkArrival(b.m, t)
 	if _, dup := b.placed[t.ID]; dup {
-		panicDuplicate(t.ID, b.Name())
+		panicDuplicate(t.ID, "A_B")
 	}
-	ci, v := b.list.Place(t.Size)
-	b.loads.Place(v)
-	b.placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
-	return v
+	return b.place(t)
 }
 
 // Depart implements Allocator.
 func (b *Basic) Depart(id task.ID) {
-	rec, ok := b.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (A_B)", ErrUnknownTask, id))
+	if _, ok := b.depart(id); !ok {
+		panicUnknown(id, "A_B")
 	}
-	b.list.Vacate(rec.copyIdx, rec.node)
-	b.loads.Remove(rec.node)
-	delete(b.placed, id)
 }
-
-// MaxLoad implements Allocator.
-func (b *Basic) MaxLoad() int { return b.loads.MaxLoad() }
-
-// PELoads implements Allocator.
-func (b *Basic) PELoads() []int { return b.loads.Loads() }
-
-// Placement implements Allocator.
-func (b *Basic) Placement(id task.ID) (tree.Node, bool) {
-	rec, ok := b.placed[id]
-	return rec.node, ok
-}
-
-// Active implements Allocator.
-func (b *Basic) Active() int { return len(b.placed) }
 
 // Copies returns the number of copies A_B has created so far; Lemma 2
 // bounds it by ⌈S/N⌉. Exposed for the tests that verify the lemma.
 func (b *Basic) Copies() int { return b.list.Len() }
 
 // FailPE implements FaultTolerant.
-func (b *Basic) FailPE(pe int) []Migration {
-	b.faults.markFailed(b.m, pe)
-	migs := failInCopies(b.m, b.list, b.loads, b.placed, pe, nil)
-	b.faults.recordMigrations(migs, b.m)
-	return migs
-}
-
-// RecoverPE implements FaultTolerant.
-func (b *Basic) RecoverPE(pe int) {
-	b.faults.markRecovered(b.m, pe)
-	b.list.Unblock(b.m.LeafOf(pe))
-}
-
-// FailedPEs implements FaultTolerant.
-func (b *Basic) FailedPEs() []int { return b.faults.FailedPEs() }
-
-// ForcedStats implements FaultTolerant.
-func (b *Basic) ForcedStats() ForcedStats { return b.faults.ForcedStats() }
+func (b *Basic) FailPE(pe int) []Migration { return b.failPE(pe, nil) }

@@ -10,7 +10,7 @@ import "partalloc/internal/task"
 // for the duration of the batch, so k events cost O(k) cover updates plus
 // one O(N) rebuild instead of k · O(log²N) eager updates.
 //
-// A_G (and A_M/Lazy in greedy mode) cannot implement this profitably:
+// A_G (and A_M in greedy mode) cannot implement this profitably:
 // greedy placement queries LeftmostMinLoad on every arrival, which would
 // force a rebuild per event anyway.
 type BatchApplier interface {
@@ -41,9 +41,10 @@ func (b *Basic) ApplyBatch(evs []task.Event) {
 }
 
 // ApplyBatch implements BatchApplier for A_M. The d·N reallocation
-// threshold is evaluated per arrival exactly as in Arrive, so batch and
-// serial application reallocate at the same events. A reallocation
-// mid-batch resets the load tree in place, which stays deferred.
+// threshold is evaluated per arrival exactly as in Arrive, and the lazy
+// trigger reads the copy list, never the load tree, so batch and serial
+// application reallocate at the same events. A reallocation mid-batch
+// resets the load tree in place, which stays deferred.
 func (p *Periodic) ApplyBatch(evs []task.Event) {
 	if p.greedy != nil {
 		ApplyEvents(p, evs)
@@ -52,19 +53,6 @@ func (p *Periodic) ApplyBatch(evs []task.Event) {
 	p.loads.BeginDeferred()
 	ApplyEvents(p, evs)
 	p.loads.EndDeferred()
-}
-
-// ApplyBatch implements BatchApplier for Lazy. Its reallocation trigger
-// reads the copy list (FindVacant), never the load tree, so deferring the
-// aggregates cannot change any decision.
-func (l *Lazy) ApplyBatch(evs []task.Event) {
-	if l.greedy != nil {
-		ApplyEvents(l, evs)
-		return
-	}
-	l.loads.BeginDeferred()
-	ApplyEvents(l, evs)
-	l.loads.EndDeferred()
 }
 
 // ApplyBatch implements BatchApplier for A_Rand, whose placement is

@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"partalloc/internal/copies"
 	"partalloc/internal/loadtree"
@@ -248,13 +248,20 @@ func (d *snapDec) machineN(m *tree.Machine) {
 
 // --- shared sub-codecs -------------------------------------------------
 
-// encPlacedNodes emits a task→node placement map in ascending task order.
-func (e *snapEnc) encPlacedNodes(placed map[task.ID]tree.Node) {
+// sortedIDs returns the tasks of a placement map in ascending order, the
+// order every codec emits and rebuilds them in.
+func sortedIDs[V any](placed map[task.ID]V) []task.ID {
 	ids := make([]task.ID, 0, len(placed))
 	for id := range placed {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	return ids
+}
+
+// encPlacedNodes emits a task→node placement map in ascending task order.
+func (e *snapEnc) encPlacedNodes(placed map[task.ID]tree.Node) {
+	ids := sortedIDs(placed)
 	e.u(uint64(len(ids)))
 	for _, id := range ids {
 		e.i(int64(id))
@@ -293,11 +300,7 @@ func decPlacedNodes(d *snapDec, m *tree.Machine) map[task.ID]tree.Node {
 // Sizes are derived (size == m.Size(node)), so only copy index and node
 // are stored.
 func (e *snapEnc) encPlacedRecs(placed map[task.ID]placementRec) {
-	ids := make([]task.ID, 0, len(placed))
-	for id := range placed {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedIDs(placed)
 	e.u(uint64(len(ids)))
 	for _, id := range ids {
 		rec := placed[id]
@@ -414,43 +417,81 @@ func decCopies(d *snapDec, m *tree.Machine) int {
 	return int(n)
 }
 
-// rebuildLoads derives a load tree from node placements.
-func rebuildLoads(m *tree.Machine, nodes map[task.ID]tree.Node) *loadtree.Tree {
+// encCopyPlaced emits copy-placed state: the copy count and the
+// placements, then whatever ledger emits (A_M's d·N budget; nil for A_B),
+// then the fault ledger.
+func (e *snapEnc) encCopyPlaced(s *copyPlaced, ledger func()) {
+	e.u(uint64(s.list.Len()))
+	e.encPlacedRecs(s.placed)
+	if ledger != nil {
+		ledger()
+	}
+	e.encFaults(&s.faultSet)
+}
+
+// decCopyPlaced reads what encCopyPlaced emitted, running ledger at the
+// same point, checks that the payload ends there, and rebuilds the state:
+// failed leaves pre-blocked, the copies grown, then every placement
+// occupied verbatim. Copy.Occupy still validates vacancy, blocking, and
+// nesting, so a CRC-valid snapshot describing an impossible layout fails
+// here (caught by guardRestore) instead of corrupting live state.
+func decCopyPlaced(d *snapDec, m *tree.Machine, ledger func()) (copyPlaced, error) {
+	numCopies := decCopies(d, m)
+	placed := decPlacedRecs(d, m, numCopies)
+	if ledger != nil {
+		ledger()
+	}
+	faults := decFaults(d, m)
+	if err := d.close(); err != nil {
+		return copyPlaced{}, err
+	}
+	s := copyPlaced{m: m, list: copies.NewList(m), loads: loadtree.New(m), placed: placed, faultSet: faults}
+	for _, pe := range faults.failed {
+		s.list.Block(m.LeafOf(pe))
+	}
+	s.list.Grow(numCopies)
+	s.loads.BeginDeferred()
+	for _, id := range sortedIDs(placed) {
+		rec := placed[id]
+		s.list.OccupyAt(rec.copyIdx, rec.node)
+		s.loads.Place(rec.node)
+	}
+	s.loads.EndDeferred()
+	return s, nil
+}
+
+// encGreedy emits A_G's state after the machine size: its placements and
+// fault ledger. A_M's greedy mode embeds the same bytes.
+func (e *snapEnc) encGreedy(g *Greedy) {
+	e.encPlacedNodes(g.placed)
+	e.encFaults(&g.faultSet)
+}
+
+// decGreedy reads what encGreedy emitted, checks that the payload ends
+// there, and returns the A_G it describes.
+func decGreedy(d *snapDec, m *tree.Machine) (*Greedy, error) {
+	placed := decPlacedNodes(d, m)
+	faults := decFaults(d, m)
+	if err := d.close(); err != nil {
+		return nil, err
+	}
+	return &Greedy{
+		nodePlaced:  nodePlacedFrom(m, "A_G", placed),
+		faultSet:    faults,
+		failedUnder: rebuildFailedUnder(m, faults.failed),
+	}, nil
+}
+
+// nodePlacedFrom returns node-placed state holding decoded placements,
+// with the load tree derived from them.
+func nodePlacedFrom(m *tree.Machine, name string, placed map[task.ID]tree.Node) nodePlaced {
 	loads := loadtree.New(m)
 	loads.BeginDeferred()
-	for _, v := range nodes {
+	for _, v := range placed {
 		loads.Place(v)
 	}
 	loads.EndDeferred()
-	return loads
-}
-
-// rebuildCopyState derives a copy list and load tree from decoded copy-
-// mode state: failed leaves pre-blocked, numCopies fresh copies, then
-// every placement occupied verbatim. Copy.Occupy still validates
-// vacancy, blocking, and nesting, so a CRC-valid snapshot describing an
-// impossible layout fails here (caught by guardRestore) instead of
-// corrupting live state.
-func rebuildCopyState(m *tree.Machine, numCopies int, failed []int, placed map[task.ID]placementRec) (*copies.List, *loadtree.Tree) {
-	list := copies.NewList(m)
-	for _, pe := range failed {
-		list.Block(m.LeafOf(pe))
-	}
-	list.Grow(numCopies)
-	loads := loadtree.New(m)
-	loads.BeginDeferred()
-	ids := make([]task.ID, 0, len(placed))
-	for id := range placed {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		rec := placed[id]
-		list.OccupyAt(rec.copyIdx, rec.node)
-		loads.Place(rec.node)
-	}
-	loads.EndDeferred()
-	return list, loads
+	return nodePlaced{m: m, name: name, loads: loads, placed: placed}
 }
 
 // rebuildFailedUnder derives Greedy's per-node failure counters from the
@@ -538,8 +579,7 @@ func decRNG(d *snapDec) (seed int64, draws uint64) {
 func (g *Greedy) Snapshot() []byte {
 	e := newSnapEnc(tagGreedy)
 	e.u(uint64(g.m.N()))
-	e.encPlacedNodes(g.placed)
-	e.encFaults(&g.faults)
+	e.encGreedy(g)
 	return e.finish()
 }
 
@@ -551,15 +591,44 @@ func (g *Greedy) Restore(data []byte) error {
 			return err
 		}
 		d.machineN(g.m)
-		placed := decPlacedNodes(d, g.m)
-		faults := decFaults(d, g.m)
+		r, err := decGreedy(d, g.m)
+		if err != nil {
+			return err
+		}
+		*g = *r
+		return nil
+	})
+}
+
+// --- A_Rand, A_2choice, A_G-randtie ------------------------------------
+
+// Snapshot implements Checkpointable. PRNG position is (seed, raw
+// draws); see countingSource.
+func (s *seeded) Snapshot() []byte {
+	e := newSnapEnc(s.tag)
+	e.u(uint64(s.m.N()))
+	e.encRNG(s.src)
+	e.encPlacedNodes(s.placed)
+	return e.finish()
+}
+
+// Restore implements Checkpointable.
+func (s *seeded) Restore(data []byte) error {
+	return guardRestore(func() error {
+		d, err := openSnap(data, s.tag)
+		if err != nil {
+			return err
+		}
+		d.machineN(s.m)
+		seed, draws := decRNG(d)
+		placed := decPlacedNodes(d, s.m)
 		if err := d.close(); err != nil {
 			return err
 		}
-		g.loads = rebuildLoads(g.m, placed)
-		g.placed = placed
-		g.faults = faults
-		g.failedUnder = rebuildFailedUnder(g.m, faults.failed)
+		src := newCountingSource(seed)
+		src.restoreTo(seed, draws)
+		s.src, s.rng = src, rand.New(src)
+		s.nodePlaced = nodePlacedFrom(s.m, s.name, placed)
 		return nil
 	})
 }
@@ -570,9 +639,7 @@ func (g *Greedy) Restore(data []byte) error {
 func (b *Basic) Snapshot() []byte {
 	e := newSnapEnc(tagBasic)
 	e.u(uint64(b.m.N()))
-	e.u(uint64(b.list.Len()))
-	e.encPlacedRecs(b.placed)
-	e.encFaults(&b.faults)
+	e.encCopyPlaced(&b.copyPlaced, nil)
 	return e.finish()
 }
 
@@ -584,39 +651,44 @@ func (b *Basic) Restore(data []byte) error {
 			return err
 		}
 		d.machineN(b.m)
-		numCopies := decCopies(d, b.m)
-		placed := decPlacedRecs(d, b.m, numCopies)
-		faults := decFaults(d, b.m)
-		if err := d.close(); err != nil {
+		s, err := decCopyPlaced(d, b.m, nil)
+		if err != nil {
 			return err
 		}
-		list, loads := rebuildCopyState(b.m, numCopies, faults.failed, placed)
-		b.list, b.loads, b.placed, b.faults = list, loads, placed, faults
+		b.copyPlaced = s
 		return nil
 	})
 }
 
-// --- A_C / A_M ----------------------------------------------------------
+// --- A_C / A_M / A_M-lazy ----------------------------------------------
+
+// tag is the snapshot's algorithm tag. A_M-lazy keeps its own, and a
+// layout without the lazy byte, since its trigger is fixed.
+func (p *Periodic) tag() byte {
+	if p.lazyOnly {
+		return tagLazy
+	}
+	return tagPeriodic
+}
 
 // Snapshot implements Checkpointable. The mode byte is load-bearing: a
 // copy-mode instance whose d was raised past the greedy bound at run
 // time (Degradable) stays in copy mode, so the mode cannot be derived
-// from d alone.
+// from d alone. The trigger state — sinceRealo and activeSize, which
+// gate the reallocation condition — rides in the realloc ledger.
 func (p *Periodic) Snapshot() []byte {
-	e := newSnapEnc(tagPeriodic)
+	e := newSnapEnc(p.tag())
 	e.u(uint64(p.m.N()))
 	e.i(int64(p.d))
 	e.byte(byte(p.order))
-	e.bool(p.lazy)
+	if !p.lazyOnly {
+		e.bool(p.lazy)
+	}
 	e.bool(p.greedy != nil)
 	if p.greedy != nil {
-		e.encPlacedNodes(p.greedy.placed)
-		e.encFaults(&p.greedy.faults)
+		e.encGreedy(p.greedy)
 	} else {
-		e.u(uint64(p.list.Len()))
-		e.encPlacedRecs(p.placed)
-		e.encRealloc(p.sinceRealo, p.activeSize, p.stats)
-		e.encFaults(&p.faults)
+		e.encCopyPlaced(&p.copyPlaced, func() { e.encRealloc(p.sinceRealo, p.activeSize, p.stats) })
 	}
 	return e.finish()
 }
@@ -624,14 +696,17 @@ func (p *Periodic) Snapshot() []byte {
 // Restore implements Checkpointable.
 func (p *Periodic) Restore(data []byte) error {
 	return guardRestore(func() error {
-		d, err := openSnap(data, tagPeriodic)
+		d, err := openSnap(data, p.tag())
 		if err != nil {
 			return err
 		}
 		d.machineN(p.m)
 		pd := d.i()
 		order := ReallocOrder(d.byte())
-		lazy := d.bool()
+		lazy := p.lazyOnly
+		if !p.lazyOnly {
+			lazy = d.bool()
+		}
 		greedyMode := d.bool()
 		if d.err == nil && (pd < -1 || pd > int64(p.m.N())<<20) {
 			d.fail("implausible d=%d", pd)
@@ -639,211 +714,22 @@ func (p *Periodic) Restore(data []byte) error {
 		if d.err == nil && order > ArrivalOrder {
 			d.fail("unknown reallocation order %d", order)
 		}
+		var (
+			g                      *Greedy
+			s                      = copyPlaced{m: p.m}
+			sinceRealo, activeSize int64
+			stats                  ReallocStats
+		)
 		if greedyMode {
-			placed := decPlacedNodes(d, p.m)
-			faults := decFaults(d, p.m)
-			if err := d.close(); err != nil {
-				return err
-			}
-			g := NewGreedy(p.m)
-			g.loads = rebuildLoads(p.m, placed)
-			g.placed = placed
-			g.faults = faults
-			g.failedUnder = rebuildFailedUnder(p.m, faults.failed)
-			p.d, p.order, p.lazy = int(pd), order, lazy
-			p.greedy = g
-			p.list, p.loads, p.placed = nil, nil, nil
-			p.sinceRealo, p.activeSize, p.stats, p.faults = 0, 0, ReallocStats{}, faultSet{}
-			return nil
+			g, err = decGreedy(d, p.m)
+		} else {
+			s, err = decCopyPlaced(d, p.m, func() { sinceRealo, activeSize, stats = decRealloc(d) })
 		}
-		numCopies := decCopies(d, p.m)
-		placed := decPlacedRecs(d, p.m, numCopies)
-		sinceRealo, activeSize, stats := decRealloc(d)
-		faults := decFaults(d, p.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		list, loads := rebuildCopyState(p.m, numCopies, faults.failed, placed)
-		p.d, p.order, p.lazy = int(pd), order, lazy
-		p.greedy = nil
-		p.list, p.loads, p.placed = list, loads, placed
-		p.sinceRealo, p.activeSize, p.stats, p.faults = sinceRealo, activeSize, stats, faults
-		return nil
-	})
-}
-
-// --- A_M-lazy -----------------------------------------------------------
-
-// Snapshot implements Checkpointable. The trigger state — sinceRealo and
-// activeSize, which gate the on-demand reallocation condition — rides in
-// the realloc ledger.
-func (l *Lazy) Snapshot() []byte {
-	e := newSnapEnc(tagLazy)
-	e.u(uint64(l.m.N()))
-	e.i(int64(l.d))
-	e.byte(byte(l.order))
-	e.bool(l.greedy != nil)
-	if l.greedy != nil {
-		e.encPlacedNodes(l.greedy.placed)
-		e.encFaults(&l.greedy.faults)
-	} else {
-		e.u(uint64(l.list.Len()))
-		e.encPlacedRecs(l.placed)
-		e.encRealloc(l.sinceRealo, l.activeSize, l.stats)
-		e.encFaults(&l.faults)
-	}
-	return e.finish()
-}
-
-// Restore implements Checkpointable.
-func (l *Lazy) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagLazy)
 		if err != nil {
 			return err
 		}
-		d.machineN(l.m)
-		ld := d.i()
-		order := ReallocOrder(d.byte())
-		greedyMode := d.bool()
-		if d.err == nil && (ld < -1 || ld > int64(l.m.N())<<20) {
-			d.fail("implausible d=%d", ld)
-		}
-		if d.err == nil && order > ArrivalOrder {
-			d.fail("unknown reallocation order %d", order)
-		}
-		if greedyMode {
-			placed := decPlacedNodes(d, l.m)
-			faults := decFaults(d, l.m)
-			if err := d.close(); err != nil {
-				return err
-			}
-			g := NewGreedy(l.m)
-			g.loads = rebuildLoads(l.m, placed)
-			g.placed = placed
-			g.faults = faults
-			g.failedUnder = rebuildFailedUnder(l.m, faults.failed)
-			l.d, l.order = int(ld), order
-			l.greedy = g
-			l.list, l.loads, l.placed = nil, nil, nil
-			l.sinceRealo, l.activeSize, l.stats, l.faults = 0, 0, ReallocStats{}, faultSet{}
-			return nil
-		}
-		numCopies := decCopies(d, l.m)
-		placed := decPlacedRecs(d, l.m, numCopies)
-		sinceRealo, activeSize, stats := decRealloc(d)
-		faults := decFaults(d, l.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		list, loads := rebuildCopyState(l.m, numCopies, faults.failed, placed)
-		l.d, l.order = int(ld), order
-		l.greedy = nil
-		l.list, l.loads, l.placed = list, loads, placed
-		l.sinceRealo, l.activeSize, l.stats, l.faults = sinceRealo, activeSize, stats, faults
-		return nil
-	})
-}
-
-// --- A_Rand -------------------------------------------------------------
-
-// Snapshot implements Checkpointable. PRNG position is (seed, raw
-// draws); see countingSource.
-func (r *Random) Snapshot() []byte {
-	e := newSnapEnc(tagRandom)
-	e.u(uint64(r.m.N()))
-	e.encRNG(r.src)
-	e.encPlacedNodes(r.placed)
-	return e.finish()
-}
-
-// Restore implements Checkpointable.
-func (r *Random) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagRandom)
-		if err != nil {
-			return err
-		}
-		d.machineN(r.m)
-		seed, draws := decRNG(d)
-		placed := decPlacedNodes(d, r.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		src := newCountingSource(seed)
-		src.restoreTo(seed, draws)
-		r.src = src
-		r.rng = rand.New(src)
-		r.loads = rebuildLoads(r.m, placed)
-		r.placed = placed
-		return nil
-	})
-}
-
-// --- two-choice ---------------------------------------------------------
-
-// Snapshot implements Checkpointable.
-func (tc *TwoChoice) Snapshot() []byte {
-	e := newSnapEnc(tagTwoChoice)
-	e.u(uint64(tc.m.N()))
-	e.encRNG(tc.src)
-	e.encPlacedNodes(tc.placed)
-	return e.finish()
-}
-
-// Restore implements Checkpointable.
-func (tc *TwoChoice) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagTwoChoice)
-		if err != nil {
-			return err
-		}
-		d.machineN(tc.m)
-		seed, draws := decRNG(d)
-		placed := decPlacedNodes(d, tc.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		src := newCountingSource(seed)
-		src.restoreTo(seed, draws)
-		tc.src = src
-		tc.rng = rand.New(src)
-		tc.loads = rebuildLoads(tc.m, placed)
-		tc.placed = placed
-		return nil
-	})
-}
-
-// --- greedy, random ties ------------------------------------------------
-
-// Snapshot implements Checkpointable.
-func (g *GreedyRandomTie) Snapshot() []byte {
-	e := newSnapEnc(tagGreedyTie)
-	e.u(uint64(g.m.N()))
-	e.encRNG(g.src)
-	e.encPlacedNodes(g.placed)
-	return e.finish()
-}
-
-// Restore implements Checkpointable.
-func (g *GreedyRandomTie) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagGreedyTie)
-		if err != nil {
-			return err
-		}
-		d.machineN(g.m)
-		seed, draws := decRNG(d)
-		placed := decPlacedNodes(d, g.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		src := newCountingSource(seed)
-		src.restoreTo(seed, draws)
-		g.src = src
-		g.rng = rand.New(src)
-		g.loads = rebuildLoads(g.m, placed)
-		g.placed = placed
+		p.d, p.order, p.lazy, p.greedy, p.copyPlaced = int(pd), order, lazy, g, s
+		p.sinceRealo, p.activeSize, p.stats = sinceRealo, activeSize, stats
 		return nil
 	})
 }

@@ -238,3 +238,26 @@ func TestSnapshotWrongMachine(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSnapshotRestore times a Snapshot plus a Restore of it into a
+// second instance, per checkpointable configuration, after a fixed
+// 600-step trajectory on N=64. Run with -benchmem.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	for _, tc := range chkConfigs() {
+		b.Run(tc.name, func(b *testing.B) {
+			a := tc.build(tree.MustNew(digestN))
+			for _, op := range chkScript(19, digestN, 600, tc.faulty) {
+				applyChkOp(a, op)
+			}
+			src := a.(Checkpointable)
+			dst := tc.fresh(tree.MustNew(digestN)).(Checkpointable)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := dst.Restore(src.Snapshot()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

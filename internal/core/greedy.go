@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"partalloc/internal/errs"
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -20,10 +19,8 @@ import (
 // failure are re-placed by the same rule (leftmost minimum-load healthy
 // submachine, largest tasks first).
 type Greedy struct {
-	m      *tree.Machine
-	loads  *loadtree.Tree
-	placed map[task.ID]tree.Node
-	faults faultSet
+	nodePlaced
+	faultSet
 	// failedUnder[v] counts failed PEs in v's subtree; allocated lazily on
 	// the first failure so fault-free runs keep the O(log N) placement path.
 	failedUnder []int32
@@ -31,7 +28,7 @@ type Greedy struct {
 
 // NewGreedy returns A_G on machine m.
 func NewGreedy(m *tree.Machine) *Greedy {
-	return &Greedy{m: m, loads: loadtree.New(m), placed: make(map[task.ID]tree.Node)}
+	return &Greedy{nodePlaced: newNodePlaced(m, "A_G")}
 }
 
 // GreedyFactory builds A_G allocators.
@@ -39,28 +36,18 @@ func GreedyFactory() Factory {
 	return Factory{Name: "A_G", New: func(m *tree.Machine) Allocator { return NewGreedy(m) }}
 }
 
-// Name implements Allocator.
-func (g *Greedy) Name() string { return "A_G" }
-
-// Machine implements Allocator.
-func (g *Greedy) Machine() *tree.Machine { return g.m }
-
 // Arrive implements Allocator using the leftmost-minimum-load rule.
 func (g *Greedy) Arrive(t task.Task) tree.Node {
-	checkArrival(g.m, t)
-	if _, dup := g.placed[t.ID]; dup {
-		panicDuplicate(t.ID, g.Name())
-	}
+	g.admit(t)
 	v := g.choose(t.Size)
-	g.loads.Place(v)
-	g.placed[t.ID] = v
+	g.place(t.ID, v)
 	return v
 }
 
 // choose picks the leftmost minimum-load submachine of the given size,
 // excluding any that covers a failed PE.
 func (g *Greedy) choose(size int) tree.Node {
-	if len(g.faults.failed) == 0 {
+	if len(g.failed) == 0 {
 		v, _ := g.loads.LeftmostMinLoad(size)
 		return v
 	}
@@ -74,39 +61,14 @@ func (g *Greedy) choose(size int) tree.Node {
 		}
 	}
 	if best == 0 {
-		panic(fmt.Errorf("core: no size-%d submachine avoids the %d failed PE(s) (A_G): %w", size, len(g.faults.failed), errs.ErrMachineFull))
+		panic(fmt.Errorf("core: no size-%d submachine avoids the %d failed PE(s) (A_G): %w", size, len(g.failed), errs.ErrMachineFull))
 	}
 	return best
 }
 
-// Depart implements Allocator.
-func (g *Greedy) Depart(id task.ID) {
-	v, ok := g.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (A_G)", ErrUnknownTask, id))
-	}
-	g.loads.Remove(v)
-	delete(g.placed, id)
-}
-
-// MaxLoad implements Allocator.
-func (g *Greedy) MaxLoad() int { return g.loads.MaxLoad() }
-
-// PELoads implements Allocator.
-func (g *Greedy) PELoads() []int { return g.loads.Loads() }
-
-// Placement implements Allocator.
-func (g *Greedy) Placement(id task.ID) (tree.Node, bool) {
-	v, ok := g.placed[id]
-	return v, ok
-}
-
-// Active implements Allocator.
-func (g *Greedy) Active() int { return len(g.placed) }
-
 // FailPE implements FaultTolerant.
 func (g *Greedy) FailPE(pe int) []Migration {
-	g.faults.markFailed(g.m, pe)
+	g.markFailed(g.m, pe)
 	if g.failedUnder == nil {
 		g.failedUnder = make([]int32, g.m.NumNodes()+1)
 	}
@@ -125,12 +87,7 @@ func (g *Greedy) FailPE(pe int) []Migration {
 			victims = append(victims, task.Task{ID: id, Size: g.m.Size(node)})
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].Size != victims[j].Size {
-			return victims[i].Size > victims[j].Size
-		}
-		return victims[i].ID < victims[j].ID
-	})
+	slices.SortFunc(victims, bySizeDesc)
 	for _, t := range victims {
 		g.loads.Remove(g.placed[t.ID])
 	}
@@ -138,17 +95,16 @@ func (g *Greedy) FailPE(pe int) []Migration {
 	for _, t := range victims {
 		old := g.placed[t.ID]
 		v := g.choose(t.Size)
-		g.loads.Place(v)
-		g.placed[t.ID] = v
+		g.place(t.ID, v)
 		migs = append(migs, Migration{ID: t.ID, From: old, To: v})
 	}
-	g.faults.recordMigrations(migs, g.m)
+	g.recordMigrations(migs, g.m)
 	return migs
 }
 
 // RecoverPE implements FaultTolerant.
 func (g *Greedy) RecoverPE(pe int) {
-	g.faults.markRecovered(g.m, pe)
+	g.markRecovered(g.m, pe)
 	for v := g.m.LeafOf(pe); v >= 1; v = g.m.Parent(v) {
 		g.failedUnder[v]--
 		if v == 1 {
@@ -156,9 +112,3 @@ func (g *Greedy) RecoverPE(pe int) {
 		}
 	}
 }
-
-// FailedPEs implements FaultTolerant.
-func (g *Greedy) FailedPEs() []int { return g.faults.FailedPEs() }
-
-// ForcedStats implements FaultTolerant.
-func (g *Greedy) ForcedStats() ForcedStats { return g.faults.ForcedStats() }

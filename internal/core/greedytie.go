@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -17,23 +13,12 @@ import (
 // measure whether randomized ties change average-case packing — E3's
 // ablation row).
 type GreedyRandomTie struct {
-	m      *tree.Machine
-	rng    *rand.Rand
-	src    *countingSource // rng's source, counted so Snapshot can record PRNG position
-	loads  *loadtree.Tree
-	placed map[task.ID]tree.Node
+	seeded
 }
 
 // NewGreedyRandomTie returns the random-tie greedy variant.
 func NewGreedyRandomTie(m *tree.Machine, seed int64) *GreedyRandomTie {
-	src := newCountingSource(seed)
-	return &GreedyRandomTie{
-		m:      m,
-		rng:    rand.New(src),
-		src:    src,
-		loads:  loadtree.New(m),
-		placed: make(map[task.ID]tree.Node),
-	}
+	return &GreedyRandomTie{newSeeded(m, "A_G-randtie", tagGreedyTie, seed)}
 }
 
 // GreedyRandomTieFactory builds random-tie greedy allocators.
@@ -44,19 +29,10 @@ func GreedyRandomTieFactory(seed int64) Factory {
 	}
 }
 
-// Name implements Allocator.
-func (g *GreedyRandomTie) Name() string { return "A_G-randtie" }
-
-// Machine implements Allocator.
-func (g *GreedyRandomTie) Machine() *tree.Machine { return g.m }
-
 // Arrive implements Allocator: find the minimum load via the leftmost-min
 // query, then reservoir-sample uniformly among all submachines tying it.
 func (g *GreedyRandomTie) Arrive(t task.Task) tree.Node {
-	checkArrival(g.m, t)
-	if _, dup := g.placed[t.ID]; dup {
-		panicDuplicate(t.ID, g.Name())
-	}
+	g.admit(t)
 	_, min := g.loads.LeftmostMinLoad(t.Size)
 	// Reservoir-sample among ties.
 	var pick tree.Node
@@ -69,32 +45,6 @@ func (g *GreedyRandomTie) Arrive(t task.Task) tree.Node {
 			}
 		}
 	}
-	g.loads.Place(pick)
-	g.placed[t.ID] = pick
+	g.place(t.ID, pick)
 	return pick
 }
-
-// Depart implements Allocator.
-func (g *GreedyRandomTie) Depart(id task.ID) {
-	v, ok := g.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (A_G-randtie)", ErrUnknownTask, id))
-	}
-	g.loads.Remove(v)
-	delete(g.placed, id)
-}
-
-// MaxLoad implements Allocator.
-func (g *GreedyRandomTie) MaxLoad() int { return g.loads.MaxLoad() }
-
-// PELoads implements Allocator.
-func (g *GreedyRandomTie) PELoads() []int { return g.loads.Loads() }
-
-// Placement implements Allocator.
-func (g *GreedyRandomTie) Placement(id task.ID) (tree.Node, bool) {
-	v, ok := g.placed[id]
-	return v, ok
-}
-
-// Active implements Allocator.
-func (g *GreedyRandomTie) Active() int { return len(g.placed) }

@@ -57,8 +57,8 @@ func TestLazyAllocatorContract(t *testing.T) {
 	}
 }
 
-// Lazy satisfies the same additive bound L* + d as eager A_M (see the
-// type's doc comment for why), hence the Theorem 4.2 multiplicative bound.
+// A_M-lazy satisfies the same additive bound L* + d as eager A_M (see
+// NewLazy's doc comment for why), hence the Theorem 4.2 multiplicative bound.
 func TestLazyAdditiveBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 25; trial++ {
@@ -77,7 +77,7 @@ func TestLazyAdditiveBound(t *testing.T) {
 	}
 }
 
-// Lazy with d = 0 can always reallocate, so like A_C it achieves L*.
+// A_M-lazy with d = 0 can always reallocate, so like A_C it achieves L*.
 func TestLazyZeroAchievesOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 25; trial++ {
@@ -93,7 +93,7 @@ func TestLazyZeroAchievesOptimal(t *testing.T) {
 	}
 }
 
-// Lazy never reallocates more often than it is entitled to: consecutive
+// A_M-lazy never reallocates more often than it is entitled to: consecutive
 // reallocations are at least d·N arrived size apart.
 func TestLazyRespectsBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
@@ -134,7 +134,7 @@ func TestLazyRespectsBudget(t *testing.T) {
 	}
 }
 
-// Lazy reallocates no more often than eager A_M on identical input.
+// A_M-lazy reallocates no more often than eager A_M on identical input.
 func TestLazyReallocatesAtMostAsOftenAsEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 10; trial++ {

@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
-	"partalloc/internal/copies"
-	"partalloc/internal/loadtree"
 	"partalloc/internal/mathx"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
@@ -24,19 +23,26 @@ import (
 // Theorem 4.2: its load is at most min{d+1, ⌈½(log N+1)⌉} · L*.
 // With d = 0 it reallocates on every arrival and is exactly the optimal
 // algorithm A_C of §3 (Theorem 3.1: load = L*).
+//
+// The same type is A_M-lazy (NewLazy): A_M with its on-demand trigger
+// fixed on, which spends the same d·N budget on a different schedule.
 type Periodic struct {
-	m *tree.Machine
-	d int // -1 encodes infinity
+	d        int  // -1 encodes infinity
+	lazy     bool // on-demand trigger (Degradable)
+	lazyOnly bool // A_M-lazy: lazy cannot be turned off
 
-	// greedy mode (d ≥ greedy bound)
+	// greedy mode (d ≥ greedy bound; for A_M-lazy only d = ∞)
 	greedy *Greedy
 
-	// copy mode (d < greedy bound)
-	copyLayout
+	// copy mode: A_B's state, which procedure A_R repacks in place (in
+	// greedy mode only its m is set)
+	copyPlaced
+	order      ReallocOrder
+	tasks      []task.Task // A_R's sort buffer
+	stats      ReallocStats
+	observer   MigrationObserver
 	sinceRealo int64 // cumulative arrival size since last reallocation
 	activeSize int64 // total size of active tasks, for the lazy trigger
-	lazy       bool  // on-demand trigger (Degradable), as in Lazy
-	faults     faultSet
 }
 
 // NewPeriodic returns A_M with reallocation parameter d on machine m.
@@ -44,13 +50,42 @@ type Periodic struct {
 // paper's first-fit-decreasing (DecreasingSize) or the ablation
 // ArrivalOrder for the reallocation procedure.
 func NewPeriodic(m *tree.Machine, d int, order ReallocOrder) *Periodic {
-	p := &Periodic{m: m, d: d, copyLayout: copyLayout{order: order}}
-	if p.greedyMode() {
+	return newPeriodic(m, d, order, false)
+}
+
+// NewLazy returns A_M-lazy: A_M(d) with the on-demand trigger fixed on,
+// so an earned reallocation is held until it is useful.
+//
+// The paper's A_M reallocates eagerly at the first arrival where the size
+// accumulated since the last reallocation reaches d·N. The model, however,
+// only requires that consecutive reallocations be at least d·N arrived
+// size apart — the algorithm may *hold* an earned reallocation until it is
+// useful. That is exactly what the paper's §2 example exploits: on σ* a
+// 1-reallocation algorithm reallocates at t5's arrival and achieves load
+// 1, while eager A_M(d=1) spends its reallocation at t4 and incurs load 2.
+//
+// A_M-lazy places arrivals with A_B, and reallocates (procedure A_R) only
+// when both (a) the A_B placement would create a new copy that compaction
+// would avoid, and (b) at least d·N size has arrived since the last
+// reallocation. It satisfies the same Theorem 4.2 bound as A_M — after a
+// reallocation there are at most L* copies, and every new copy is created
+// while the accumulated size is below d·N, so at most d extra copies exist
+// at any time — and in practice reallocates far less often (see
+// experiment E8). Because it reallocates so rarely it keeps its copies at
+// every finite d, delegating to A_G only at d = ∞. d = 0 is allowed: the
+// budget is always available, so it reallocates whenever A_B would grow
+// the copy count, which also achieves the optimal load L*.
+func NewLazy(m *tree.Machine, d int, order ReallocOrder) *Periodic {
+	return newPeriodic(m, d, order, true)
+}
+
+func newPeriodic(m *tree.Machine, d int, order ReallocOrder, lazyOnly bool) *Periodic {
+	p := &Periodic{d: d, lazy: lazyOnly, lazyOnly: lazyOnly, order: order}
+	if d < 0 || !lazyOnly && d >= mathx.GreedyBound(m.N()) {
 		p.greedy = NewGreedy(m)
+		p.copyPlaced = copyPlaced{m: m}
 	} else {
-		p.list = copies.NewList(m)
-		p.loads = loadtree.New(m)
-		p.placed = make(map[task.ID]placementRec)
+		p.copyPlaced = newCopyPlaced(m)
 	}
 	return p
 }
@@ -70,32 +105,33 @@ func PeriodicFactory(d int) Factory {
 	}
 }
 
+// LazyFactory builds A_M-lazy(d) allocators.
+func LazyFactory(d int) Factory {
+	return Factory{
+		Name: fmt.Sprintf("A_M-lazy(d=%d)", d),
+		New:  func(m *tree.Machine) Allocator { return NewLazy(m, d, DecreasingSize) },
+	}
+}
+
 // ConstantFactory builds A_C allocators.
 func ConstantFactory() Factory {
 	return Factory{Name: "A_C", New: func(m *tree.Machine) Allocator { return NewConstant(m) }}
 }
 
-func (p *Periodic) greedyMode() bool {
-	bound := mathx.GreedyBound(p.m.N())
-	return p.d < 0 || p.d >= bound
-}
-
-// D returns the reallocation parameter (-1 for ∞).
-func (p *Periodic) D() int { return p.d }
-
 // Name implements Allocator.
 func (p *Periodic) Name() string {
-	if p.d == 0 {
+	if p.d == 0 && !p.lazyOnly {
 		return "A_C"
 	}
-	if p.d < 0 {
-		return "A_M(d=inf)"
+	d := "inf"
+	if p.d >= 0 {
+		d = strconv.Itoa(p.d)
 	}
-	return fmt.Sprintf("A_M(d=%d)", p.d)
+	if p.lazyOnly {
+		return "A_M-lazy(d=" + d + ")"
+	}
+	return "A_M(d=" + d + ")"
 }
-
-// Machine implements Allocator.
-func (p *Periodic) Machine() *tree.Machine { return p.m }
 
 // Arrive implements Allocator.
 func (p *Periodic) Arrive(t task.Task) tree.Node {
@@ -116,18 +152,15 @@ func (p *Periodic) Arrive(t task.Task) tree.Node {
 		p.sinceRealo = 0
 		return p.placed[t.ID].node
 	}
-	ci, v := p.list.Place(t.Size)
-	p.loads.Place(v)
-	p.placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
-	return v
+	return p.place(t)
 }
 
 // shouldReallocate decides whether t's arrival fires procedure A_R. The
 // eager trigger is the paper's A_M rule (accumulated size reaches d·N);
 // the lazy trigger additionally holds the earned reallocation until A_B
-// would grow the copy count and compaction would actually avoid that —
-// Lazy's exact condition, so a lazy-mode Periodic tracks Lazy move for
-// move. Callers have already added t to sinceRealo and activeSize.
+// would grow the copy count and compaction would actually avoid that: the
+// active set, new task included, must fit in the copies that already
+// exist. Callers have already added t to sinceRealo and activeSize.
 func (p *Periodic) shouldReallocate(t task.Task) bool {
 	if p.sinceRealo < int64(p.d)*int64(p.m.N()) {
 		return false
@@ -158,14 +191,21 @@ func (p *Periodic) SetEffectiveD(d int) bool {
 	return true
 }
 
-// SetLazyRealloc implements Degradable.
+// SetLazyRealloc implements Degradable. A_M-lazy cannot leave its
+// on-demand trigger, so only lazy=true takes effect on it.
 func (p *Periodic) SetLazyRealloc(lazy bool) bool {
-	if p.greedy != nil {
+	if p.greedy != nil || p.lazyOnly && !lazy {
 		return false
 	}
 	p.lazy = lazy
 	return true
 }
+
+// SetMigrationObserver implements Observable.
+func (p *Periodic) SetMigrationObserver(fn MigrationObserver) { p.observer = fn }
+
+// ReallocStats implements Reallocator.
+func (p *Periodic) ReallocStats() ReallocStats { return p.stats }
 
 // Depart implements Allocator.
 func (p *Periodic) Depart(id task.ID) {
@@ -173,14 +213,11 @@ func (p *Periodic) Depart(id task.ID) {
 		p.greedy.Depart(id)
 		return
 	}
-	rec, ok := p.placed[id]
+	size, ok := p.depart(id)
 	if !ok {
-		panic(fmt.Errorf("%w: %d (%s)", ErrUnknownTask, id, p.Name()))
+		panicUnknown(id, p.Name())
 	}
-	p.list.Vacate(rec.copyIdx, rec.node)
-	p.loads.Remove(rec.node)
-	p.activeSize -= int64(rec.size)
-	delete(p.placed, id)
+	p.activeSize -= int64(size)
 }
 
 // MaxLoad implements Allocator.
@@ -188,7 +225,7 @@ func (p *Periodic) MaxLoad() int {
 	if p.greedy != nil {
 		return p.greedy.MaxLoad()
 	}
-	return p.loads.MaxLoad()
+	return p.copyPlaced.MaxLoad()
 }
 
 // PELoads implements Allocator.
@@ -196,7 +233,7 @@ func (p *Periodic) PELoads() []int {
 	if p.greedy != nil {
 		return p.greedy.PELoads()
 	}
-	return p.loads.Loads()
+	return p.copyPlaced.PELoads()
 }
 
 // Placement implements Allocator.
@@ -204,8 +241,7 @@ func (p *Periodic) Placement(id task.ID) (tree.Node, bool) {
 	if p.greedy != nil {
 		return p.greedy.Placement(id)
 	}
-	rec, ok := p.placed[id]
-	return rec.node, ok
+	return p.copyPlaced.Placement(id)
 }
 
 // Active implements Allocator.
@@ -213,11 +249,11 @@ func (p *Periodic) Active() int {
 	if p.greedy != nil {
 		return p.greedy.Active()
 	}
-	return len(p.placed)
+	return p.copyPlaced.Active()
 }
 
 // UsesGreedy reports whether this instance delegates to A_G (d at or above
-// the greedy bound).
+// the greedy bound; for A_M-lazy, d = ∞).
 func (p *Periodic) UsesGreedy() bool { return p.greedy != nil }
 
 // FailPE implements FaultTolerant.
@@ -225,10 +261,7 @@ func (p *Periodic) FailPE(pe int) []Migration {
 	if p.greedy != nil {
 		return p.greedy.FailPE(pe)
 	}
-	p.faults.markFailed(p.m, pe)
-	migs := failInCopies(p.m, p.list, p.loads, p.placed, pe, p.observer)
-	p.faults.recordMigrations(migs, p.m)
-	return migs
+	return p.failPE(pe, p.observer)
 }
 
 // RecoverPE implements FaultTolerant.
@@ -237,8 +270,7 @@ func (p *Periodic) RecoverPE(pe int) {
 		p.greedy.RecoverPE(pe)
 		return
 	}
-	p.faults.markRecovered(p.m, pe)
-	p.list.Unblock(p.m.LeafOf(pe))
+	p.copyPlaced.RecoverPE(pe)
 }
 
 // FailedPEs implements FaultTolerant.
@@ -246,7 +278,7 @@ func (p *Periodic) FailedPEs() []int {
 	if p.greedy != nil {
 		return p.greedy.FailedPEs()
 	}
-	return p.faults.FailedPEs()
+	return p.copyPlaced.FailedPEs()
 }
 
 // ForcedStats implements FaultTolerant.
@@ -254,5 +286,5 @@ func (p *Periodic) ForcedStats() ForcedStats {
 	if p.greedy != nil {
 		return p.greedy.ForcedStats()
 	}
-	return p.faults.ForcedStats()
+	return p.copyPlaced.ForcedStats()
 }

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -17,23 +13,12 @@ import (
 // It never reallocates. Theorem 5.1: its maximum expected load is at most
 // (3·log N / log log N + 1) · L*.
 type Random struct {
-	m      *tree.Machine
-	rng    *rand.Rand
-	src    *countingSource // rng's source, counted so Snapshot can record PRNG position
-	loads  *loadtree.Tree
-	placed map[task.ID]tree.Node
+	seeded
 }
 
 // NewRandom returns A_Rand on machine m, drawing from the given seed.
 func NewRandom(m *tree.Machine, seed int64) *Random {
-	src := newCountingSource(seed)
-	return &Random{
-		m:      m,
-		rng:    rand.New(src),
-		src:    src,
-		loads:  loadtree.New(m),
-		placed: make(map[task.ID]tree.Node),
-	}
+	return &Random{newSeeded(m, "A_Rand", tagRandom, seed)}
 }
 
 // RandomFactory builds A_Rand allocators with the given seed.
@@ -41,46 +26,11 @@ func RandomFactory(seed int64) Factory {
 	return Factory{Name: "A_Rand", New: func(m *tree.Machine) Allocator { return NewRandom(m, seed) }}
 }
 
-// Name implements Allocator.
-func (r *Random) Name() string { return "A_Rand" }
-
-// Machine implements Allocator.
-func (r *Random) Machine() *tree.Machine { return r.m }
-
 // Arrive implements Allocator with the oblivious uniform rule.
 func (r *Random) Arrive(t task.Task) tree.Node {
-	checkArrival(r.m, t)
-	if _, dup := r.placed[t.ID]; dup {
-		panicDuplicate(t.ID, r.Name())
-	}
+	r.admit(t)
 	k := r.m.NumSubmachines(t.Size)
 	v := r.m.SubmachineAt(t.Size, r.rng.Intn(k))
-	r.loads.Place(v)
-	r.placed[t.ID] = v
+	r.place(t.ID, v)
 	return v
 }
-
-// Depart implements Allocator.
-func (r *Random) Depart(id task.ID) {
-	v, ok := r.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (A_Rand)", ErrUnknownTask, id))
-	}
-	r.loads.Remove(v)
-	delete(r.placed, id)
-}
-
-// MaxLoad implements Allocator.
-func (r *Random) MaxLoad() int { return r.loads.MaxLoad() }
-
-// PELoads implements Allocator.
-func (r *Random) PELoads() []int { return r.loads.Loads() }
-
-// Placement implements Allocator.
-func (r *Random) Placement(id task.ID) (tree.Node, bool) {
-	v, ok := r.placed[id]
-	return v, ok
-}
-
-// Active implements Allocator.
-func (r *Random) Active() int { return len(r.placed) }

@@ -8,54 +8,23 @@ import (
 	"slices"
 	"testing"
 
-	"partalloc/internal/copies"
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 	"partalloc/internal/workload"
 )
 
-// inPlace is an allocator whose reallocations rerun A_R into its own
-// buffers: A_M (eager or lazy trigger) and A_M-lazy.
-type inPlace interface {
-	FaultTolerant
-	Reallocator
-	Checkpointable
-	BatchApplier
-}
-
-// layoutOf returns the copy-mode state a reallocates into.
-func layoutOf(a inPlace) *copyLayout {
-	switch x := a.(type) {
-	case *Periodic:
-		return &x.copyLayout
-	case *Lazy:
-		return &x.copyLayout
-	}
-	panic(fmt.Sprintf("core: %T has no copy layout", a))
-}
-
-// snapshotWith returns the snapshot a would encode with layout s in place
-// of its own.
-func snapshotWith(a inPlace, s copyLayout) []byte {
-	switch x := a.(type) {
-	case *Periodic:
-		y := *x
-		y.copyLayout = s
-		return y.Snapshot()
-	case *Lazy:
-		y := *x
-		y.copyLayout = s
-		return y.Snapshot()
-	}
-	panic(fmt.Sprintf("core: %T has no copy layout", a))
+// snapshotWith returns the snapshot p would encode with the copy list,
+// load tree, placements and reallocation ledger of s in place of its own.
+func snapshotWith(p, s *Periodic) []byte {
+	y := *p
+	y.list, y.loads, y.placed, y.stats = s.list, s.loads, s.placed, s.stats
+	return y.Snapshot()
 }
 
 // freshAR is the reference reallocation: the routine ReallocateAll runs,
 // on a new List and Tree, with the failed PEs' leaves blocked first.
-func freshAR(m *tree.Machine, order ReallocOrder, active map[task.ID]int, failed []int) copyLayout {
-	s := copyLayout{order: order, list: copies.NewList(m), loads: loadtree.New(m),
-		placed: make(map[task.ID]placementRec, len(active))}
+func freshAR(m *tree.Machine, order ReallocOrder, active map[task.ID]int, failed []int) *Periodic {
+	s := &Periodic{copyPlaced: newCopyPlaced(m), order: order}
 	for _, pe := range failed {
 		s.list.Block(m.LeafOf(pe))
 	}
@@ -77,15 +46,15 @@ func TestInPlaceReallocMatchesFresh(t *testing.T) {
 	m := tree.MustNew(64)
 	makers := []struct {
 		name string
-		new  func(ReallocOrder) inPlace
+		new  func(ReallocOrder) *Periodic
 	}{
-		{"A_M(d=1)", func(o ReallocOrder) inPlace { return NewPeriodic(m, 1, o) }},
-		{"A_M(d=1,lazy)", func(o ReallocOrder) inPlace {
+		{"A_M(d=1)", func(o ReallocOrder) *Periodic { return NewPeriodic(m, 1, o) }},
+		{"A_M(d=1,lazy)", func(o ReallocOrder) *Periodic {
 			p := NewPeriodic(m, 1, o)
 			p.SetLazyRealloc(true)
 			return p
 		}},
-		{"A_M-lazy(d=1)", func(o ReallocOrder) inPlace { return NewLazy(m, 1, o) }},
+		{"A_M-lazy(d=1)", func(o ReallocOrder) *Periodic { return NewLazy(m, 1, o) }},
 	}
 	for mi, mk := range makers {
 		for _, order := range []ReallocOrder{DecreasingSize, ArrivalOrder} {
@@ -102,7 +71,7 @@ func TestInPlaceReallocMatchesFresh(t *testing.T) {
 	}
 }
 
-func checkInPlaceRealloc(t *testing.T, m *tree.Machine, a, twin inPlace, order ReallocOrder, batched bool, seed int64) {
+func checkInPlaceRealloc(t *testing.T, m *tree.Machine, a, twin *Periodic, order ReallocOrder, batched bool, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	evs := workload.Poisson(workload.Config{N: m.N(), Arrivals: 5000, MeanDuration: 40, Seed: seed}).Events
 	active := make(map[task.ID]int)
@@ -125,7 +94,7 @@ func checkInPlaceRealloc(t *testing.T, m *tree.Machine, a, twin inPlace, order R
 		var pre map[task.ID]placementRec
 		var preStats ReallocStats
 		for ; k < len(evs); k++ {
-			pre, preStats = maps.Clone(layoutOf(twin).placed), twin.ReallocStats()
+			pre, preStats = maps.Clone(twin.placed), twin.ReallocStats()
 			ApplyEvents(twin, evs[k:k+1])
 			if twin.ReallocStats().Reallocations > preStats.Reallocations {
 				break
@@ -161,7 +130,7 @@ func checkInPlaceRealloc(t *testing.T, m *tree.Machine, a, twin inPlace, order R
 // checkAgainstFresh compares a's state just after a reallocation with a
 // fresh A_R over the same active set; pre and preStats are a's placements
 // and ledger just before the reallocating arrival.
-func checkAgainstFresh(t *testing.T, m *tree.Machine, a inPlace, order ReallocOrder, active map[task.ID]int, pre map[task.ID]placementRec, preStats ReallocStats) {
+func checkAgainstFresh(t *testing.T, m *tree.Machine, a *Periodic, order ReallocOrder, active map[task.ID]int, pre map[task.ID]placementRec, preStats ReallocStats) {
 	t.Helper()
 	failed := a.FailedPEs()
 	want := freshAR(m, order, active, failed)
@@ -173,12 +142,11 @@ func checkAgainstFresh(t *testing.T, m *tree.Machine, a inPlace, order ReallocOr
 			want.stats.MovedPEs += int64(rec.size)
 		}
 	}
-	got := layoutOf(a)
-	if !maps.Equal(got.placed, want.placed) {
-		t.Fatalf("placements differ from a fresh A_R:\n got %v\nwant %v", got.placed, want.placed)
+	if !maps.Equal(a.placed, want.placed) {
+		t.Fatalf("placements differ from a fresh A_R:\n got %v\nwant %v", a.placed, want.placed)
 	}
-	if got.list.Len() != want.list.Len() {
-		t.Fatalf("List.Len() = %d, fresh A_R %d", got.list.Len(), want.list.Len())
+	if a.list.Len() != want.list.Len() {
+		t.Fatalf("List.Len() = %d, fresh A_R %d", a.list.Len(), want.list.Len())
 	}
 	if a.ReallocStats() != want.stats {
 		t.Fatalf("ReallocStats = %+v, want %+v", a.ReallocStats(), want.stats)
@@ -186,8 +154,8 @@ func checkAgainstFresh(t *testing.T, m *tree.Machine, a inPlace, order ReallocOr
 	if !slices.Equal(a.PELoads(), want.loads.Loads()) {
 		t.Fatalf("PELoads = %v, fresh A_R %v", a.PELoads(), want.loads.Loads())
 	}
-	for i := 0; i < got.list.Len(); i++ {
-		c := got.list.At(i)
+	for i := 0; i < a.list.Len(); i++ {
+		c := a.list.At(i)
 		c.CheckInvariants()
 		if !slices.Equal(c.AssignedNodes(), want.list.At(i).AssignedNodes()) {
 			t.Fatalf("copy %d assigns %v, fresh A_R %v", i, c.AssignedNodes(), want.list.At(i).AssignedNodes())
@@ -198,7 +166,7 @@ func checkAgainstFresh(t *testing.T, m *tree.Machine, a inPlace, order ReallocOr
 			}
 		}
 	}
-	got.loads.CheckInvariants()
+	a.loads.CheckInvariants()
 	if !bytes.Equal(a.Snapshot(), snapshotWith(a, want)) {
 		t.Fatal("Snapshot bytes differ from the fresh A_R state's")
 	}
@@ -226,7 +194,7 @@ func TestReallocateAllocatesNothing(t *testing.T) {
 		ev(task.Depart, id, 64)
 	}
 	ev(task.Depart, 9, 128)
-	for _, a := range []inPlace{NewPeriodic(m, 2, DecreasingSize), NewLazy(m, 2, DecreasingSize)} {
+	for _, a := range []*Periodic{NewPeriodic(m, 2, DecreasingSize), NewLazy(m, 2, DecreasingSize)} {
 		a.ApplyBatch(batch)
 		const runs = 50
 		before := a.ReallocStats().Reallocations

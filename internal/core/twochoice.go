@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -21,23 +17,12 @@ import (
 // Θ(log N/log log N) to Θ(log log N) on the balls-into-bins workload —
 // experiment E6 shows the separation.
 type TwoChoice struct {
-	m      *tree.Machine
-	rng    *rand.Rand
-	src    *countingSource // rng's source, counted so Snapshot can record PRNG position
-	loads  *loadtree.Tree
-	placed map[task.ID]tree.Node
+	seeded
 }
 
 // NewTwoChoice returns the two-choice allocator with the given seed.
 func NewTwoChoice(m *tree.Machine, seed int64) *TwoChoice {
-	src := newCountingSource(seed)
-	return &TwoChoice{
-		m:      m,
-		rng:    rand.New(src),
-		src:    src,
-		loads:  loadtree.New(m),
-		placed: make(map[task.ID]tree.Node),
-	}
+	return &TwoChoice{newSeeded(m, "A_2choice", tagTwoChoice, seed)}
 }
 
 // TwoChoiceFactory builds two-choice allocators with the given seed.
@@ -45,18 +30,9 @@ func TwoChoiceFactory(seed int64) Factory {
 	return Factory{Name: "A_2choice", New: func(m *tree.Machine) Allocator { return NewTwoChoice(m, seed) }}
 }
 
-// Name implements Allocator.
-func (t *TwoChoice) Name() string { return "A_2choice" }
-
-// Machine implements Allocator.
-func (t *TwoChoice) Machine() *tree.Machine { return t.m }
-
 // Arrive implements Allocator with the two-choice rule.
 func (t *TwoChoice) Arrive(tk task.Task) tree.Node {
-	checkArrival(t.m, tk)
-	if _, dup := t.placed[tk.ID]; dup {
-		panicDuplicate(tk.ID, t.Name())
-	}
+	t.admit(tk)
 	k := t.m.NumSubmachines(tk.Size)
 	a := t.m.SubmachineAt(tk.Size, t.rng.Intn(k))
 	b := t.m.SubmachineAt(tk.Size, t.rng.Intn(k))
@@ -65,32 +41,6 @@ func (t *TwoChoice) Arrive(tk task.Task) tree.Node {
 	if lb < la || (lb == la && b < a) {
 		v = b
 	}
-	t.loads.Place(v)
-	t.placed[tk.ID] = v
+	t.place(tk.ID, v)
 	return v
 }
-
-// Depart implements Allocator.
-func (t *TwoChoice) Depart(id task.ID) {
-	v, ok := t.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (A_2choice)", ErrUnknownTask, id))
-	}
-	t.loads.Remove(v)
-	delete(t.placed, id)
-}
-
-// MaxLoad implements Allocator.
-func (t *TwoChoice) MaxLoad() int { return t.loads.MaxLoad() }
-
-// PELoads implements Allocator.
-func (t *TwoChoice) PELoads() []int { return t.loads.Loads() }
-
-// Placement implements Allocator.
-func (t *TwoChoice) Placement(id task.ID) (tree.Node, bool) {
-	v, ok := t.placed[id]
-	return v, ok
-}
-
-// Active implements Allocator.
-func (t *TwoChoice) Active() int { return len(t.placed) }

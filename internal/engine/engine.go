@@ -314,7 +314,7 @@ type tenant struct {
 	faultHit int
 
 	// Host-aware migration pricing (WithTenantHost). inFault mutes the
-	// observer while a fault is applied: failInCopies fires it for forced
+	// observer while a fault is applied: A_M's FailPE fires it for forced
 	// moves too, and those are charged once, from the FailPE return.
 	host       *topology.Host
 	migHops    int64
@@ -468,15 +468,16 @@ func New(cfg Config) *Engine {
 // not journaling. Callers own closing it when the engine is done.
 func (e *Engine) Journal() *wal.Log { return e.cfg.Journal }
 
-// tenantAlgo names the tenant's allocator type for pprof labels.
+// tenantAlgo names the tenant's algorithm for pprof labels: its paper
+// name at registration, as TenantStats.Algorithm reports it.
 func (e *Engine) tenantAlgo(id string) string {
 	s := e.lockTenantShard(id)
 	t, ok := s.tenants[id]
 	s.mu.Unlock()
-	if !ok || t.alloc == nil {
+	if !ok {
 		return "unknown"
 	}
-	return fmt.Sprintf("%T", t.alloc)
+	return t.algoName
 }
 
 // tenantOptions accumulates TenantOptions; the first invalid option

@@ -121,7 +121,9 @@ func TestReplayProfileCarriesTenantLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"tenant", "labeled-tenant", "shard", "algo"} {
+	// The algo label is the tenant's paper name (TenantStats.Algorithm),
+	// not the Go type wrapping its allocator.
+	for _, want := range []string{"tenant", "labeled-tenant", "shard", "algo", "A_B"} {
 		if !bytes.Contains(raw, []byte(want)) {
 			t.Errorf("profile missing label string %q", want)
 		}

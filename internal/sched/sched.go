@@ -270,8 +270,8 @@ func runFaultedCtx(ctx context.Context, a core.Allocator, w Workload, check *inv
 	}
 
 	// Host accounting mirrors internal/sim: voluntary hops through the
-	// migration observer (muted while a fault is applied, since
-	// failInCopies fires it for forced moves too), forced hops from the
+	// migration observer (muted while a fault is applied, since A_M's
+	// FailPE fires it for forced moves too), forced hops from the
 	// FailPE return value.
 	var migHops, forcedHops int64
 	inFault := false

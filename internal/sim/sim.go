@@ -150,7 +150,7 @@ func runCtx(ctx context.Context, a core.Allocator, seq task.Sequence, opt Option
 	}
 
 	// Host accounting: price voluntary migrations through the allocator's
-	// observer and forced ones from the FailPE return value. failInCopies
+	// observer and forced ones from the FailPE return value. A_M's FailPE
 	// fires the observer for forced moves too, so the observer is muted
 	// (inFault) while a fault is being applied — forced hops are charged
 	// exactly once, from the returned migration list.
