@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"partalloc/internal/errs"
 	"partalloc/internal/mathx"
@@ -161,13 +162,21 @@ var ErrUnknownTask = fmt.Errorf("core: departure of unknown task")
 // checkArrival validates a task against the machine; shared by all
 // allocators. It panics with errors wrapping the errs sentinels so
 // harnesses that recover (internal/engine) can surface a typed error.
+// The error is built out of line, so the check inlines. A size passes if
+// it has one bit set and is at most N read unsigned, which rules out
+// every size below 1.
 func checkArrival(m *tree.Machine, t task.Task) {
-	if t.Size < 1 || !mathx.IsPow2(t.Size) {
+	if bits.OnesCount(uint(t.Size)) != 1 || uint(t.Size) > uint(m.N()) {
+		panicBadSize(m, t)
+	}
+}
+
+// panicBadSize reports an arrival checkArrival rejects.
+func panicBadSize(m *tree.Machine, t task.Task) {
+	if !mathx.IsPow2(t.Size) {
 		panic(fmt.Errorf("core: task %d size %d: %w", t.ID, t.Size, errs.ErrNotPowerOfTwo))
 	}
-	if t.Size > m.N() {
-		panic(fmt.Errorf("core: task %d size %d on an N=%d machine: %w", t.ID, t.Size, m.N(), errs.ErrTaskTooLarge))
-	}
+	panic(fmt.Errorf("core: task %d size %d on an N=%d machine: %w", t.ID, t.Size, m.N(), errs.ErrTaskTooLarge))
 }
 
 // panicDuplicate reports a second arrival of an already-active task; shared

@@ -31,10 +31,11 @@ func (b *Basic) Name() string { return "A_B" }
 // Arrive implements Allocator with first-fit over copies.
 func (b *Basic) Arrive(t task.Task) tree.Node {
 	checkArrival(b.m, t)
-	if _, dup := b.placed[t.ID]; dup {
+	slot, dup := b.placed.find(t.ID)
+	if dup {
 		panicDuplicate(t.ID, "A_B")
 	}
-	return b.place(t)
+	return b.place(slot, t)
 }
 
 // Depart implements Allocator.

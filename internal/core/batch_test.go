@@ -7,6 +7,7 @@ import (
 
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
+	"partalloc/internal/workload"
 )
 
 // batchFactories enumerates the allocators that implement BatchApplier,
@@ -143,5 +144,77 @@ func benchApply(b *testing.B, batched bool) {
 			}
 			b.ReportMetric(float64(len(seq))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
+	}
+}
+
+// churnShape is a per-tenant shape of the benchmark workloads: an
+// allocator on an n-PE machine under Poisson churn at one arrival per time
+// unit, so the mean service time is also the mean live task count.
+type churnShape struct {
+	name string
+	n    int
+	mean float64
+	new  func(*tree.Machine) Allocator
+}
+
+// churnShapes are skew-rebalance's A_Rand tenants (n=64, about 10 live
+// tasks) and realloc-submit's tenant shape (n=256, about 40) under A_B,
+// A_M(2) and A_M-lazy(2).
+var churnShapes = []churnShape{
+	{"A_Rand/n=64", 64, 10, func(m *tree.Machine) Allocator { return NewRandom(m, 7) }},
+	{"A_B/n=256", 256, 40, func(m *tree.Machine) Allocator { return NewBasic(m) }},
+	{"A_M(d=2)/n=256", 256, 40, func(m *tree.Machine) Allocator { return NewPeriodic(m, 2, DecreasingSize) }},
+	{"A_M-lazy(d=2)/n=256", 256, 40, func(m *tree.Machine) Allocator { return NewLazy(m, 2, DecreasingSize) }},
+}
+
+// warmChurn cuts a Poisson stream for s into 256-event batches and applies
+// them all once. The stream ends with every task departed, so cycling
+// through the batches again is steady churn; the returned function
+// applies the next batch and returns its length.
+func warmChurn(s churnShape) func() int {
+	evs := workload.Poisson(workload.Config{N: s.n, Arrivals: 4096, MeanDuration: s.mean, Seed: 1}).Events
+	var batches [][]task.Event
+	for ; len(evs) > 0; evs = evs[min(256, len(evs)):] {
+		batches = append(batches, evs[:min(256, len(evs))])
+	}
+	a := s.new(tree.MustNew(s.n)).(BatchApplier)
+	for _, b := range batches {
+		a.ApplyBatch(b)
+	}
+	k := 0
+	return func() int {
+		b := batches[k]
+		a.ApplyBatch(b)
+		k = (k + 1) % len(batches)
+		return len(b)
+	}
+}
+
+// BenchmarkChurn times warm 256-event batches at each churn shape. Unlike
+// BenchmarkApplyBatch it builds the allocator once, so neither
+// construction nor buffer growth is timed.
+func BenchmarkChurn(b *testing.B) {
+	for _, s := range churnShapes {
+		b.Run(s.name, func(b *testing.B) {
+			next := warmChurn(s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			events := 0
+			for i := 0; i < b.N; i++ {
+				events += next()
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}
+
+// TestChurnAllocationFree requires a warm batch at each churn shape to
+// allocate less than once on average.
+func TestChurnAllocationFree(t *testing.T) {
+	for _, s := range churnShapes {
+		next := warmChurn(s)
+		if allocs := testing.AllocsPerRun(64, func() { next() }); allocs >= 1 {
+			t.Errorf("%s: %v allocations per warm batch, want < 1", s.name, allocs)
+		}
 	}
 }

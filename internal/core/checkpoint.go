@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"slices"
 
 	"partalloc/internal/copies"
 	"partalloc/internal/loadtree"
@@ -248,95 +247,85 @@ func (d *snapDec) machineN(m *tree.Machine) {
 
 // --- shared sub-codecs -------------------------------------------------
 
-// sortedIDs returns the tasks of a placement map in ascending order, the
-// order every codec emits and rebuilds them in.
-func sortedIDs[V any](placed map[task.ID]V) []task.ID {
-	ids := make([]task.ID, 0, len(placed))
-	for id := range placed {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-// encPlacedNodes emits a task→node placement map in ascending task order.
-func (e *snapEnc) encPlacedNodes(placed map[task.ID]tree.Node) {
-	ids := sortedIDs(placed)
+// encPlacedNodes emits task→node placements in ascending task order.
+func (e *snapEnc) encPlacedNodes(placed *taskTable[tree.Node]) {
+	ids := placed.sortedIDs()
 	e.u(uint64(len(ids)))
 	for _, id := range ids {
+		v, _ := placed.get(id)
 		e.i(int64(id))
-		e.u(uint64(placed[id]))
+		e.u(uint64(v))
 	}
 }
 
-// decPlacedNodes reads a task→node map, enforcing strictly ascending IDs
-// (the canonical encoding, which also rules out duplicates) and valid
+// decPlacedNodes reads task→node placements, enforcing strictly ascending
+// IDs (the canonical encoding, which also rules out duplicates) and valid
 // nodes.
-func decPlacedNodes(d *snapDec, m *tree.Machine) map[task.ID]tree.Node {
+func decPlacedNodes(d *snapDec, m *tree.Machine) taskTable[tree.Node] {
 	n := d.count("placement", 2)
-	placed := make(map[task.ID]tree.Node, n)
+	var placed taskTable[tree.Node]
 	prev := int64(0)
 	for k := 0; k < n; k++ {
 		id := d.i()
 		v := tree.Node(d.u())
 		if d.err != nil {
-			return nil
+			return taskTable[tree.Node]{}
 		}
 		if k > 0 && id <= prev {
 			d.fail("placement IDs not strictly ascending (%d after %d)", id, prev)
-			return nil
+			return taskTable[tree.Node]{}
 		}
 		prev = id
 		if !m.Valid(v) {
 			d.fail("task %d placed at invalid node %d", id, v)
-			return nil
+			return taskTable[tree.Node]{}
 		}
-		placed[task.ID(id)] = v
+		placed.add(task.ID(id), v)
 	}
 	return placed
 }
 
-// encPlacedRecs emits a task→placementRec map in ascending task order.
-// Sizes are derived (size == m.Size(node)), so only copy index and node
-// are stored.
-func (e *snapEnc) encPlacedRecs(placed map[task.ID]placementRec) {
-	ids := sortedIDs(placed)
+// encPlacedRecs emits task→placementRec placements in ascending task
+// order. Sizes are derived (size == m.Size(node)), so only copy index and
+// node are stored.
+func (e *snapEnc) encPlacedRecs(placed *taskTable[placementRec]) {
+	ids := placed.sortedIDs()
 	e.u(uint64(len(ids)))
 	for _, id := range ids {
-		rec := placed[id]
+		rec, _ := placed.get(id)
 		e.i(int64(id))
 		e.u(uint64(rec.copyIdx))
 		e.u(uint64(rec.node))
 	}
 }
 
-// decPlacedRecs reads a task→placementRec map for a copy list of
+// decPlacedRecs reads task→placementRec placements for a copy list of
 // numCopies copies.
-func decPlacedRecs(d *snapDec, m *tree.Machine, numCopies int) map[task.ID]placementRec {
+func decPlacedRecs(d *snapDec, m *tree.Machine, numCopies int) taskTable[placementRec] {
 	n := d.count("placement", 3)
-	placed := make(map[task.ID]placementRec, n)
+	var placed taskTable[placementRec]
 	prev := int64(0)
 	for k := 0; k < n; k++ {
 		id := d.i()
 		ci := d.u()
 		v := tree.Node(d.u())
 		if d.err != nil {
-			return nil
+			return taskTable[placementRec]{}
 		}
 		if k > 0 && id <= prev {
 			d.fail("placement IDs not strictly ascending (%d after %d)", id, prev)
-			return nil
+			return taskTable[placementRec]{}
 		}
 		prev = id
 		if ci >= uint64(numCopies) {
 			d.fail("task %d in copy %d of a %d-copy list", id, ci, numCopies)
-			return nil
+			return taskTable[placementRec]{}
 		}
 		if !m.Valid(v) {
 			d.fail("task %d placed at invalid node %d", id, v)
-			return nil
+			return taskTable[placementRec]{}
 		}
-		placed[task.ID(id)] = placementRec{copyIdx: int(ci), node: v, size: m.Size(v)}
+		placed.add(task.ID(id), placementRec{copyIdx: int(ci), node: v, size: m.Size(v)})
 	}
 	return placed
 }
@@ -422,7 +411,7 @@ func decCopies(d *snapDec, m *tree.Machine) int {
 // then the fault ledger.
 func (e *snapEnc) encCopyPlaced(s *copyPlaced, ledger func()) {
 	e.u(uint64(s.list.Len()))
-	e.encPlacedRecs(s.placed)
+	e.encPlacedRecs(&s.placed)
 	if ledger != nil {
 		ledger()
 	}
@@ -451,8 +440,8 @@ func decCopyPlaced(d *snapDec, m *tree.Machine, ledger func()) (copyPlaced, erro
 	}
 	s.list.Grow(numCopies)
 	s.loads.BeginDeferred()
-	for _, id := range sortedIDs(placed) {
-		rec := placed[id]
+	for _, id := range placed.sortedIDs() {
+		rec, _ := placed.get(id)
 		s.list.OccupyAt(rec.copyIdx, rec.node)
 		s.loads.Place(rec.node)
 	}
@@ -463,7 +452,7 @@ func decCopyPlaced(d *snapDec, m *tree.Machine, ledger func()) (copyPlaced, erro
 // encGreedy emits A_G's state after the machine size: its placements and
 // fault ledger. A_M's greedy mode embeds the same bytes.
 func (e *snapEnc) encGreedy(g *Greedy) {
-	e.encPlacedNodes(g.placed)
+	e.encPlacedNodes(&g.placed)
 	e.encFaults(&g.faultSet)
 }
 
@@ -484,11 +473,13 @@ func decGreedy(d *snapDec, m *tree.Machine) (*Greedy, error) {
 
 // nodePlacedFrom returns node-placed state holding decoded placements,
 // with the load tree derived from them.
-func nodePlacedFrom(m *tree.Machine, name string, placed map[task.ID]tree.Node) nodePlaced {
+func nodePlacedFrom(m *tree.Machine, name string, placed taskTable[tree.Node]) nodePlaced {
 	loads := loadtree.New(m)
 	loads.BeginDeferred()
-	for _, v := range placed {
-		loads.Place(v)
+	for _, e := range placed.slots {
+		if e.used {
+			loads.Place(e.val)
+		}
 	}
 	loads.EndDeferred()
 	return nodePlaced{m: m, name: name, loads: loads, placed: placed}
@@ -608,7 +599,7 @@ func (s *seeded) Snapshot() []byte {
 	e := newSnapEnc(s.tag)
 	e.u(uint64(s.m.N()))
 	e.encRNG(s.src)
-	e.encPlacedNodes(s.placed)
+	e.encPlacedNodes(&s.placed)
 	return e.finish()
 }
 

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"partalloc/internal/errs"
 	"partalloc/internal/mathx"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
@@ -145,6 +149,60 @@ func TestDuplicateArrivalPanics(t *testing.T) {
 			a.Arrive(task.Task{ID: 1, Size: 2})
 		}()
 	}
+}
+
+// TestRejectedArrivalLeavesState checks that an arrival rejected for a
+// duplicate ID, a size above N or a size that is not a power of two (zero
+// and the most negative size among them) changes nothing: not the active
+// count, the resident task's placement, the PE loads, nor a single
+// snapshot byte.
+func TestRejectedArrivalLeavesState(t *testing.T) {
+	rejects := []struct {
+		t    task.Task
+		want error
+	}{
+		{task.Task{ID: 1, Size: 2}, errs.ErrDuplicateTask},
+		{task.Task{ID: 2, Size: 32}, errs.ErrTaskTooLarge},
+		{task.Task{ID: 3, Size: 3}, errs.ErrNotPowerOfTwo},
+		{task.Task{ID: 4, Size: 0}, errs.ErrNotPowerOfTwo},
+		{task.Task{ID: 5, Size: math.MinInt64}, errs.ErrNotPowerOfTwo},
+	}
+	for _, tc := range chkConfigs() {
+		a := tc.build(tree.MustNew(16))
+		a.Arrive(task.Task{ID: 1, Size: 2})
+		for _, r := range rejects {
+			active, snap, loads := a.Active(), a.(Checkpointable).Snapshot(), a.PELoads()
+			v, ok := a.Placement(1)
+			err := arrivePanic(a, r.t)
+			if !errors.Is(err, r.want) {
+				t.Fatalf("%s: Arrive(%+v) panicked with %v, want %v", tc.name, r.t, err, r.want)
+			}
+			if a.Active() != active {
+				t.Errorf("%s: Arrive(%+v): Active %d, was %d", tc.name, r.t, a.Active(), active)
+			}
+			if v2, ok2 := a.Placement(1); v2 != v || ok2 != ok {
+				t.Errorf("%s: Arrive(%+v): task 1 at (%d, %v), was (%d, %v)", tc.name, r.t, v2, ok2, v, ok)
+			}
+			if !slices.Equal(a.PELoads(), loads) {
+				t.Errorf("%s: Arrive(%+v): PELoads %v, was %v", tc.name, r.t, a.PELoads(), loads)
+			}
+			if !bytes.Equal(a.(Checkpointable).Snapshot(), snap) {
+				t.Errorf("%s: Arrive(%+v) changed the snapshot bytes", tc.name, r.t)
+			}
+		}
+	}
+}
+
+// arrivePanic calls a.Arrive(t) and returns the error it panicked with,
+// or nil if it returned.
+func arrivePanic(a Allocator, t task.Task) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err, _ = r.(error)
+		}
+	}()
+	a.Arrive(t)
+	return nil
 }
 
 // --- Figure 1 (§2) -------------------------------------------------------

@@ -38,9 +38,9 @@ func GreedyFactory() Factory {
 
 // Arrive implements Allocator using the leftmost-minimum-load rule.
 func (g *Greedy) Arrive(t task.Task) tree.Node {
-	g.admit(t)
+	slot := g.admit(t)
 	v := g.choose(t.Size)
-	g.place(t.ID, v)
+	g.place(slot, t, v)
 	return v
 }
 
@@ -81,22 +81,23 @@ func (g *Greedy) FailPE(pe int) []Migration {
 	}
 	// Evict and re-place every task covering the failed leaf, largest
 	// first so big tasks still find healthy submachines.
-	var victims []task.Task
-	for id, node := range g.placed {
-		if g.m.Contains(node, leaf) {
-			victims = append(victims, task.Task{ID: id, Size: g.m.Size(node)})
+	var victims []slotTask
+	for i := range g.placed.slots {
+		if e := &g.placed.slots[i]; e.used && g.m.Contains(e.val, leaf) {
+			victims = append(victims, slotTask{task.Task{ID: e.id, Size: g.m.Size(e.val)}, i})
 		}
 	}
 	slices.SortFunc(victims, bySizeDesc)
 	for _, t := range victims {
-		g.loads.Remove(g.placed[t.ID])
+		g.loads.Remove(g.placed.slots[t.slot].val)
 	}
 	migs := make([]Migration, 0, len(victims))
 	for _, t := range victims {
-		old := g.placed[t.ID]
-		v := g.choose(t.Size)
-		g.place(t.ID, v)
-		migs = append(migs, Migration{ID: t.ID, From: old, To: v})
+		v := &g.placed.slots[t.slot].val
+		old := *v
+		*v = g.choose(t.Size)
+		g.loads.Place(*v)
+		migs = append(migs, Migration{ID: t.ID, From: old, To: *v})
 	}
 	g.recordMigrations(migs, g.m)
 	return migs

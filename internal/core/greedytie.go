@@ -32,7 +32,7 @@ func GreedyRandomTieFactory(seed int64) Factory {
 // Arrive implements Allocator: find the minimum load via the leftmost-min
 // query, then reservoir-sample uniformly among all submachines tying it.
 func (g *GreedyRandomTie) Arrive(t task.Task) tree.Node {
-	g.admit(t)
+	slot := g.admit(t)
 	_, min := g.loads.LeftmostMinLoad(t.Size)
 	// Reservoir-sample among ties.
 	var pick tree.Node
@@ -45,6 +45,6 @@ func (g *GreedyRandomTie) Arrive(t task.Task) tree.Node {
 			}
 		}
 	}
-	g.place(t.ID, pick)
+	g.place(slot, t, pick)
 	return pick
 }

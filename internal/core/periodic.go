@@ -38,7 +38,7 @@ type Periodic struct {
 	// greedy mode only its m is set)
 	copyPlaced
 	order      ReallocOrder
-	tasks      []task.Task // A_R's sort buffer
+	tasks      []slotTask // A_R's sort buffer
 	stats      ReallocStats
 	observer   MigrationObserver
 	sinceRealo int64 // cumulative arrival size since last reallocation
@@ -139,7 +139,8 @@ func (p *Periodic) Arrive(t task.Task) tree.Node {
 		return p.greedy.Arrive(t)
 	}
 	checkArrival(p.m, t)
-	if _, dup := p.placed[t.ID]; dup {
+	slot, dup := p.placed.find(t.ID)
+	if dup {
 		panicDuplicate(t.ID, p.Name())
 	}
 	p.sinceRealo += int64(t.Size)
@@ -147,12 +148,12 @@ func (p *Periodic) Arrive(t task.Task) tree.Node {
 	if p.shouldReallocate(t) {
 		// Threshold reached (with d = 0 that is every arrival): reallocate
 		// every active task, the new arrival included.
-		p.placed[t.ID] = placementRec{copyIdx: -1, node: 0, size: t.Size}
+		slot = p.placed.insert(slot, t.ID, placementRec{copyIdx: -1, node: 0, size: t.Size})
 		p.reallocate()
 		p.sinceRealo = 0
-		return p.placed[t.ID].node
+		return p.placed.slots[slot].val.node
 	}
-	return p.place(t)
+	return p.place(slot, t)
 }
 
 // shouldReallocate decides whether t's arrival fires procedure A_R. The

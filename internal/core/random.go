@@ -28,9 +28,9 @@ func RandomFactory(seed int64) Factory {
 
 // Arrive implements Allocator with the oblivious uniform rule.
 func (r *Random) Arrive(t task.Task) tree.Node {
-	r.admit(t)
+	slot := r.admit(t)
 	k := r.m.NumSubmachines(t.Size)
 	v := r.m.SubmachineAt(t.Size, r.rng.Intn(k))
-	r.place(t.ID, v)
+	r.place(slot, t, v)
 	return v
 }

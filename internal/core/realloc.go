@@ -42,30 +42,39 @@ func (o ReallocOrder) String() string {
 func ReallocateAll(m *tree.Machine, tasks []task.Task, order ReallocOrder) (*copies.List, map[task.ID]placementRec) {
 	p := Periodic{copyPlaced: newCopyPlaced(m), order: order}
 	for _, t := range tasks {
-		p.placed[t.ID] = placementRec{copyIdx: -1, size: t.Size}
+		p.placed.add(t.ID, placementRec{copyIdx: -1, size: t.Size})
 	}
 	p.reallocate()
-	return p.list, p.placed
+	placed := make(map[task.ID]placementRec, p.placed.len())
+	for _, e := range p.placed.slots {
+		if e.used {
+			placed[e.id] = e.val
+		}
+	}
+	return p.list, placed
 }
 
 // reallocate runs procedure A_R over every placed task into the buffers
 // A_M's copy-placed state already owns: the list's dropped copies are
 // reused with the failed leaves blocked again, the load tree is zeroed in
-// place (staying deferred mid-batch), and each placement is rewritten, so
-// once the buffers have held the peak task and copy counts a reallocation
-// allocates nothing. A task "migrates" when its submachine root changes
-// (moving between copies at the same node keeps the same PEs and is
-// free); node 0 marks the arrival that triggered the reallocation, which
-// has no previous placement. Observer calls come in A_R order.
+// place (staying deferred mid-batch), and each placement is rewritten
+// through the table slot it was read from, so once the buffers have held
+// the peak task and copy counts a reallocation allocates nothing. A task
+// "migrates" when its submachine root changes (moving between copies at
+// the same node keeps the same PEs and is free); node 0 marks the arrival
+// that triggered the reallocation, which has no previous placement.
+// Observer calls come in A_R order.
 func (p *Periodic) reallocate() {
 	p.tasks = p.tasks[:0]
-	for id, rec := range p.placed {
-		p.tasks = append(p.tasks, task.Task{ID: id, Size: rec.size})
+	for i := range p.placed.slots {
+		if e := &p.placed.slots[i]; e.used {
+			p.tasks = append(p.tasks, slotTask{task.Task{ID: e.id, Size: e.val.size}, i})
+		}
 	}
 	if p.order == DecreasingSize {
 		slices.SortFunc(p.tasks, bySizeDesc)
 	} else {
-		slices.SortFunc(p.tasks, func(a, b task.Task) int { return cmp.Compare(a.ID, b.ID) })
+		slices.SortFunc(p.tasks, func(a, b slotTask) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	p.list.Reset()
 	p.loads.Reset()
@@ -77,13 +86,14 @@ func (p *Periodic) reallocate() {
 		p.loads.BeginDeferred()
 	}
 	for _, t := range p.tasks {
-		old := p.placed[t.ID].node
-		v := p.place(t)
-		if old != 0 && old != v {
+		rec := &p.placed.slots[t.slot].val
+		old := rec.node
+		*rec = p.put(t.Size)
+		if old != 0 && old != rec.node {
 			p.stats.Migrations++
 			p.stats.MovedPEs += int64(t.Size)
 			if p.observer != nil {
-				p.observer(t.ID, old, v)
+				p.observer(t.ID, old, rec.node)
 			}
 		}
 	}
@@ -95,7 +105,7 @@ func (p *Periodic) reallocate() {
 
 // bySizeDesc is A_R's first-fit-decreasing order: size descending, then
 // task ID.
-func bySizeDesc(a, b task.Task) int {
+func bySizeDesc(a, b slotTask) int {
 	if c := cmp.Compare(b.Size, a.Size); c != 0 {
 		return c
 	}

@@ -29,7 +29,7 @@ func freshAR(m *tree.Machine, order ReallocOrder, active map[task.ID]int, failed
 		s.list.Block(m.LeafOf(pe))
 	}
 	for id, size := range active {
-		s.placed[id] = placementRec{copyIdx: -1, size: size}
+		s.placed.add(id, placementRec{copyIdx: -1, size: size})
 	}
 	s.reallocate()
 	return s
@@ -94,7 +94,7 @@ func checkInPlaceRealloc(t *testing.T, m *tree.Machine, a, twin *Periodic, order
 		var pre map[task.ID]placementRec
 		var preStats ReallocStats
 		for ; k < len(evs); k++ {
-			pre, preStats = maps.Clone(twin.placed), twin.ReallocStats()
+			pre, preStats = twin.placed.toMap(), twin.ReallocStats()
 			ApplyEvents(twin, evs[k:k+1])
 			if twin.ReallocStats().Reallocations > preStats.Reallocations {
 				break
@@ -136,14 +136,14 @@ func checkAgainstFresh(t *testing.T, m *tree.Machine, a *Periodic, order Realloc
 	want := freshAR(m, order, active, failed)
 	want.stats = preStats
 	want.stats.Reallocations++
-	for id, rec := range want.placed {
+	for id, rec := range want.placed.toMap() {
 		if old, ok := pre[id]; ok && old.node != rec.node {
 			want.stats.Migrations++
 			want.stats.MovedPEs += int64(rec.size)
 		}
 	}
-	if !maps.Equal(a.placed, want.placed) {
-		t.Fatalf("placements differ from a fresh A_R:\n got %v\nwant %v", a.placed, want.placed)
+	if !maps.Equal(a.placed.toMap(), want.placed.toMap()) {
+		t.Fatalf("placements differ from a fresh A_R:\n got %v\nwant %v", a.placed.toMap(), want.placed.toMap())
 	}
 	if a.list.Len() != want.list.Len() {
 		t.Fatalf("List.Len() = %d, fresh A_R %d", a.list.Len(), want.list.Len())

@@ -21,16 +21,16 @@ import (
 //     reallocations.
 
 // nodePlaced is the state of the allocators that place each task straight
-// on a node of the machine: the load tree and the task→node map.
+// on a node of the machine: the load tree and each task's node.
 type nodePlaced struct {
 	m      *tree.Machine
 	name   string
 	loads  *loadtree.Tree
-	placed map[task.ID]tree.Node
+	placed taskTable[tree.Node]
 }
 
 func newNodePlaced(m *tree.Machine, name string) nodePlaced {
-	return nodePlaced{m: m, name: name, loads: loadtree.New(m), placed: make(map[task.ID]tree.Node)}
+	return nodePlaced{m: m, name: name, loads: loadtree.New(m)}
 }
 
 // Name implements Allocator.
@@ -39,28 +39,30 @@ func (s *nodePlaced) Name() string { return s.name }
 // Machine implements Allocator.
 func (s *nodePlaced) Machine() *tree.Machine { return s.m }
 
-// admit panics unless t fits the machine and is not active already.
-func (s *nodePlaced) admit(t task.Task) {
+// admit panics unless t fits the machine and is not active already, and
+// returns the slot that place stores t in.
+func (s *nodePlaced) admit(t task.Task) int {
 	checkArrival(s.m, t)
-	if _, dup := s.placed[t.ID]; dup {
+	i, dup := s.placed.find(t.ID)
+	if dup {
 		panicDuplicate(t.ID, s.name)
 	}
+	return i
 }
 
-// place puts task id on node v.
-func (s *nodePlaced) place(id task.ID, v tree.Node) {
+// place puts task t on node v, in the slot admit returned for it.
+func (s *nodePlaced) place(slot int, t task.Task, v tree.Node) {
 	s.loads.Place(v)
-	s.placed[id] = v
+	s.placed.insert(slot, t.ID, v)
 }
 
 // Depart implements Allocator.
 func (s *nodePlaced) Depart(id task.ID) {
-	v, ok := s.placed[id]
+	v, ok := s.placed.remove(id)
 	if !ok {
 		panicUnknown(id, s.name)
 	}
 	s.loads.Remove(v)
-	delete(s.placed, id)
 }
 
 // MaxLoad implements Allocator.
@@ -70,13 +72,10 @@ func (s *nodePlaced) MaxLoad() int { return s.loads.MaxLoad() }
 func (s *nodePlaced) PELoads() []int { return s.loads.Loads() }
 
 // Placement implements Allocator.
-func (s *nodePlaced) Placement(id task.ID) (tree.Node, bool) {
-	v, ok := s.placed[id]
-	return v, ok
-}
+func (s *nodePlaced) Placement(id task.ID) (tree.Node, bool) { return s.placed.get(id) }
 
 // Active implements Allocator.
-func (s *nodePlaced) Active() int { return len(s.placed) }
+func (s *nodePlaced) Active() int { return s.placed.len() }
 
 // seeded is node-placed state whose placement rule draws from a PRNG
 // (A_Rand, A_2choice, A_G-randtie). The source is counted so a snapshot
@@ -108,36 +107,43 @@ type copyPlaced struct {
 	m      *tree.Machine
 	list   *copies.List
 	loads  *loadtree.Tree
-	placed map[task.ID]placementRec
+	placed taskTable[placementRec]
 	faultSet
 }
 
 func newCopyPlaced(m *tree.Machine) copyPlaced {
-	return copyPlaced{m: m, list: copies.NewList(m), loads: loadtree.New(m), placed: make(map[task.ID]placementRec)}
+	return copyPlaced{m: m, list: copies.NewList(m), loads: loadtree.New(m)}
 }
 
 // Machine implements Allocator.
 func (s *copyPlaced) Machine() *tree.Machine { return s.m }
 
-// place puts t in the leftmost vacant submachine of its size in the first
-// copy that has one, creating a copy if none does (A_B's rule).
-func (s *copyPlaced) place(t task.Task) tree.Node {
-	ci, v := s.list.Place(t.Size)
+// put occupies the leftmost vacant submachine of the given size in the
+// first copy that has one, creating a copy if none does (A_B's rule), and
+// returns the placement.
+func (s *copyPlaced) put(size int) placementRec {
+	ci, v := s.list.Place(size)
 	s.loads.Place(v)
-	s.placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
-	return v
+	return placementRec{copyIdx: ci, node: v, size: size}
+}
+
+// place puts arriving task t by A_B's rule, in the slot find returned for
+// it.
+func (s *copyPlaced) place(slot int, t task.Task) tree.Node {
+	rec := s.put(t.Size)
+	s.placed.insert(slot, t.ID, rec)
+	return rec.node
 }
 
 // depart releases id's submachine and returns its size; ok is false if id
 // is not active.
 func (s *copyPlaced) depart(id task.ID) (size int, ok bool) {
-	rec, ok := s.placed[id]
+	rec, ok := s.placed.remove(id)
 	if !ok {
 		return 0, false
 	}
 	s.list.Vacate(rec.copyIdx, rec.node)
 	s.loads.Remove(rec.node)
-	delete(s.placed, id)
 	return rec.size, true
 }
 
@@ -149,12 +155,12 @@ func (s *copyPlaced) PELoads() []int { return s.loads.Loads() }
 
 // Placement implements Allocator.
 func (s *copyPlaced) Placement(id task.ID) (tree.Node, bool) {
-	rec, ok := s.placed[id]
+	rec, ok := s.placed.get(id)
 	return rec.node, ok
 }
 
 // Active implements Allocator.
-func (s *copyPlaced) Active() int { return len(s.placed) }
+func (s *copyPlaced) Active() int { return s.placed.len() }
 
 // failPE implements FailPE: vacate every task covering the failed leaf,
 // block the leaf in every copy (and all future ones), then re-place the
@@ -166,18 +172,19 @@ func (s *copyPlaced) failPE(pe int, observer MigrationObserver) []Migration {
 	leaf := s.m.LeafOf(pe)
 	victims := s.covering(leaf)
 	for _, t := range victims {
-		rec := s.placed[t.ID]
+		rec := &s.placed.slots[t.slot].val
 		s.list.Vacate(rec.copyIdx, rec.node)
 		s.loads.Remove(rec.node)
 	}
 	s.list.Block(leaf)
 	migs := make([]Migration, 0, len(victims))
 	for _, t := range victims {
-		old := s.placed[t.ID].node
-		v := s.place(t)
-		migs = append(migs, Migration{ID: t.ID, From: old, To: v})
+		rec := &s.placed.slots[t.slot].val
+		old := rec.node
+		*rec = s.put(t.Size)
+		migs = append(migs, Migration{ID: t.ID, From: old, To: rec.node})
 		if observer != nil {
-			observer(t.ID, old, v)
+			observer(t.ID, old, rec.node)
 		}
 	}
 	s.recordMigrations(migs, s.m)
@@ -187,11 +194,11 @@ func (s *copyPlaced) failPE(pe int, observer MigrationObserver) []Migration {
 // covering returns the active tasks whose submachine covers leaf, ordered
 // by decreasing size then increasing ID (the A_R first-fit order, so
 // forced re-placement packs as tightly as the reallocation procedure).
-func (s *copyPlaced) covering(leaf tree.Node) []task.Task {
-	var out []task.Task
-	for id, rec := range s.placed {
-		if s.m.Contains(rec.node, leaf) {
-			out = append(out, task.Task{ID: id, Size: rec.size})
+func (s *copyPlaced) covering(leaf tree.Node) []slotTask {
+	var out []slotTask
+	for i := range s.placed.slots {
+		if e := &s.placed.slots[i]; e.used && s.m.Contains(e.val.node, leaf) {
+			out = append(out, slotTask{task.Task{ID: e.id, Size: e.val.size}, i})
 		}
 	}
 	slices.SortFunc(out, bySizeDesc)

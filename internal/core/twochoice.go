@@ -32,7 +32,7 @@ func TwoChoiceFactory(seed int64) Factory {
 
 // Arrive implements Allocator with the two-choice rule.
 func (t *TwoChoice) Arrive(tk task.Task) tree.Node {
-	t.admit(tk)
+	slot := t.admit(tk)
 	k := t.m.NumSubmachines(tk.Size)
 	a := t.m.SubmachineAt(tk.Size, t.rng.Intn(k))
 	b := t.m.SubmachineAt(tk.Size, t.rng.Intn(k))
@@ -41,6 +41,6 @@ func (t *TwoChoice) Arrive(tk task.Task) tree.Node {
 	if lb < la || (lb == la && b < a) {
 		v = b
 	}
-	t.place(tk.ID, v)
+	t.place(slot, tk, v)
 	return v
 }

@@ -31,7 +31,6 @@ type Tree struct {
 	levels   int
 	cover    []int32 // cover[v]: tasks assigned exactly at node v
 	maxBelow []int32 // maxBelow[v]: max PE load within v's subtree, excluding ancestor covers
-	minBelow []int32 // minBelow[v]: min PE load within v's subtree, excluding ancestor covers
 	// bestAt[v][k] is the minimum, over depth-(depth(v)+k) descendants u of
 	// v, of (covers strictly between v and u) + maxBelow(u) — i.e. the best
 	// submachine load at that granularity within v, excluding v's own cover
@@ -57,7 +56,6 @@ func New(m *tree.Machine) *Tree {
 		levels:   m.Levels(),
 		cover:    make([]int32, nn),
 		maxBelow: make([]int32, nn),
-		minBelow: make([]int32, nn),
 		bestAt:   make([][]int32, nn),
 	}
 	// Carve every bestAt row out of one flat backing array: one
@@ -82,7 +80,6 @@ func New(m *tree.Machine) *Tree {
 func (t *Tree) Reset() {
 	clear(t.cover)
 	clear(t.maxBelow)
-	clear(t.minBelow)
 	clear(t.best)
 	t.active = 0
 	t.dirty = false
@@ -134,27 +131,13 @@ func (t *Tree) add(v tree.Node, delta int32) {
 		return
 	}
 	for u := v; u >= 1; u /= 2 {
-		mb, nb := t.cover[u], t.cover[u]
-		if !t.m.IsLeaf(u) {
-			l, r := t.maxBelow[2*u], t.maxBelow[2*u+1]
-			if l < r {
-				l = r
-			}
-			mb += l
-			l2, r2 := t.minBelow[2*u], t.minBelow[2*u+1]
-			if r2 < l2 {
-				l2 = r2
-			}
-			nb += l2
-		}
-		t.maxBelow[u] = mb
-		t.minBelow[u] = nb
+		t.refreshMaxBelow(u)
 		t.refreshBestAt(tree.Node(u))
 	}
 }
 
 // BeginDeferred switches the tree into deferred-aggregation mode: Place
-// and Remove update only the O(1) cover counts, and maxBelow/minBelow/
+// and Remove update only the O(1) cover counts, and maxBelow and
 // bestAt are rebuilt in a single O(N) bottom-up pass the next time an
 // aggregate query (MaxLoad, SubmachineLoad, LeftmostMinLoad,
 // CheckInvariants) needs them. Cover-only queries (PELoad, Loads,
@@ -186,24 +169,20 @@ func (t *Tree) flush() {
 	}
 	for v := t.m.NumNodes(); v >= 1; v-- {
 		u := tree.Node(v)
-		mb, nb := t.cover[u], t.cover[u]
-		if !t.m.IsLeaf(u) {
-			l, r := t.maxBelow[2*u], t.maxBelow[2*u+1]
-			if l < r {
-				l = r
-			}
-			mb += l
-			l2, r2 := t.minBelow[2*u], t.minBelow[2*u+1]
-			if r2 < l2 {
-				l2 = r2
-			}
-			nb += l2
-		}
-		t.maxBelow[u] = mb
-		t.minBelow[u] = nb
+		t.refreshMaxBelow(u)
 		t.refreshBestAt(u)
 	}
 	t.dirty = false
+}
+
+// refreshMaxBelow recomputes maxBelow[u] from u's (already current)
+// children.
+func (t *Tree) refreshMaxBelow(u tree.Node) {
+	mb := t.cover[u]
+	if !t.m.IsLeaf(u) {
+		mb += max(t.maxBelow[2*u], t.maxBelow[2*u+1])
+	}
+	t.maxBelow[u] = mb
 }
 
 // refreshBestAt recomputes bestAt[u] from u's (already current) children.
@@ -323,31 +302,19 @@ func (t *Tree) fill(v tree.Node, pathSum int32, out []int) {
 // inconsistency.
 func (t *Tree) CheckInvariants() {
 	t.flush()
-	var rec func(v tree.Node) (int32, int32)
-	rec = func(v tree.Node) (int32, int32) {
-		mb, nb := t.cover[v], t.cover[v]
+	var rec func(v tree.Node) int32
+	rec = func(v tree.Node) int32 {
+		mb := t.cover[v]
 		if t.cover[v] < 0 {
 			panic(fmt.Sprintf("loadtree: negative cover at node %d", v))
 		}
 		if !t.m.IsLeaf(v) {
-			lmax, lmin := rec(t.m.Left(v))
-			rmax, rmin := rec(t.m.Right(v))
-			if lmax < rmax {
-				lmax = rmax
-			}
-			mb += lmax
-			if rmin < lmin {
-				lmin = rmin
-			}
-			nb += lmin
+			mb += max(rec(t.m.Left(v)), rec(t.m.Right(v)))
 		}
 		if mb != t.maxBelow[v] {
 			panic(fmt.Sprintf("loadtree: maxBelow[%d] = %d, recomputed %d", v, t.maxBelow[v], mb))
 		}
-		if nb != t.minBelow[v] {
-			panic(fmt.Sprintf("loadtree: minBelow[%d] = %d, recomputed %d", v, t.minBelow[v], nb))
-		}
-		return mb, nb
+		return mb
 	}
 	rec(1)
 	// bestAt: recompute each entry by brute force over the depth level.
