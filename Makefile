@@ -86,11 +86,11 @@ lint-json:
 	go run ./cmd/partlint -json ./... > partlint.json
 
 # Micro-benchmarks (batched vs serial apply, engine replay vs serial
-# Simulate, journaled Submit, WAL append per sync policy). The
-# repository's end-to-end benchmark is perfbench (perfbench/README.md,
-# BENCHMARK.json).
+# Simulate, journaled Submit, WAL append per sync policy, load-tree
+# updates, searches and deferred batches). The repository's end-to-end
+# benchmark is perfbench (perfbench/README.md, BENCHMARK.json).
 bench:
-	go test -bench=. -benchmem ./internal/core/ ./internal/engine/ ./internal/wal/
+	go test -bench=. -benchmem ./internal/core/ ./internal/engine/ ./internal/wal/ ./internal/loadtree/
 
 # Regenerate every experiment artifact (E1–E14) at paper scale.
 experiments:

@@ -6,15 +6,18 @@
 //	detorder     no map-range feeding order-sensitive output
 //	panicmsg     panic messages follow the "pkg: message" convention
 //	hosttopo     topology hosts built and consumed consistently
+//	obsbless     observability registries built only through the facade
+//	placer       engine shard access only through the placement layer
 //	lockorder    no lock copies, missed unlocks, or blocking under a mutex
 //	ctxflow      contexts propagate; no re-rooting outside main packages
 //	errwrapped   sentinel errors matched with errors.Is and wrapped via %w
 //	purealloc    allocator implementations stay deterministic and pure
+//	chkpt        allocators are checkpointable; Restore copies its input
 //
-// The last four are fact-powered: each package's analysis exports facts
-// (may-block, creates-root, wraps-sentinels, impure) that later analysis
-// of importing packages consumes, so cross-package call chains are
-// convicted without whole-program analysis.
+// The last five are fact-powered: each package's analysis exports facts
+// (may-block, creates-root, wraps-sentinels, impure, retains) that later
+// analysis of importing packages consumes, so cross-package call chains
+// are convicted without whole-program analysis.
 //
 // Standalone mode analyzes package patterns (default ./...):
 //

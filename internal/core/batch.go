@@ -8,11 +8,14 @@ import "partalloc/internal/task"
 // reallocation triggers, same final loads and ReallocStats — only the
 // aggregate bookkeeping is amortized: the load tree runs in deferred mode
 // for the duration of the batch, so k events cost O(k) cover updates plus
-// one O(N) rebuild instead of k · O(log²N) eager updates.
+// one O(N) rebuild instead of k eager O(log N) updates. None of these
+// allocators searches its tree, so it holds no search table, and the
+// rebuild refreshes maxBelow alone.
 //
 // A_G (and A_M in greedy mode) cannot implement this profitably:
 // greedy placement queries LeftmostMinLoad on every arrival, which would
-// force a rebuild per event anyway.
+// force a rebuild per event anyway. Its tree holds the search table, so
+// each of its eager updates costs O(log²N).
 type BatchApplier interface {
 	ApplyBatch(evs []task.Event)
 }

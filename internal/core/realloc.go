@@ -78,8 +78,13 @@ func (p *Periodic) reallocate() {
 	}
 	p.list.Reset()
 	p.loads.Reset()
-	// Outside a batch, one deferred O(N) rebuild is cheaper than
-	// len(tasks) eager O(log²N) updates above this size.
+	// Outside a batch, A_R updates the tree eagerly, one O(log N)
+	// maxBelow path per task (A_M's tree never searches, so it holds no
+	// search table), or rebuilds it once, O(N). Priced that way the
+	// switch would be len(tasks)·lv ≥ NumNodes, but an eager path step
+	// costs several steps of the rebuild's sequential pass:
+	// BenchmarkReallocate times the two even at 40 tasks on n=256 and the
+	// rebuild faster at 80 on n=1024, where this switch already rebuilds.
 	lv := p.m.Levels() + 1
 	rebuild := !p.loads.Deferred() && len(p.tasks)*lv*lv >= 4*p.m.NumNodes()
 	if rebuild {

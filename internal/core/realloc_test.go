@@ -208,19 +208,28 @@ func TestReallocateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkReallocate times procedure A_R alone: A_M reallocating about
-// 100 active tasks at n=256 outside a batch. Run with -benchmem.
+// BenchmarkReallocate times procedure A_R alone: A_M reallocating its
+// active tasks outside a batch, where reallocate picks eager updates or
+// one deferred rebuild by task count. 100 tasks on n=256 lie above the
+// switch point; 40 on n=256 and 80 on n=1024 lie between reallocate's
+// switch point (26 and 68 tasks) and the one that pricing each eager
+// update at its O(log N) path alone would give (57 and 187), so they
+// show which setting is faster there. Run with -benchmem.
 func BenchmarkReallocate(b *testing.B) {
-	m := tree.MustNew(256)
-	p := NewPeriodic(m, 4, DecreasingSize)
-	rng := rand.New(rand.NewSource(1))
-	for id := task.ID(1); id <= 100; id++ {
-		p.Arrive(task.Task{ID: id, Size: 1 << rng.Intn(7)})
-	}
-	p.reallocate()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.reallocate()
+	for _, c := range []struct{ n, tasks int }{{256, 100}, {256, 40}, {1024, 80}} {
+		b.Run(fmt.Sprintf("n=%d/tasks=%d", c.n, c.tasks), func(b *testing.B) {
+			m := tree.MustNew(c.n)
+			p := NewPeriodic(m, 4, DecreasingSize)
+			rng := rand.New(rand.NewSource(1))
+			for id := task.ID(1); id <= task.ID(c.tasks); id++ {
+				p.Arrive(task.Task{ID: id, Size: 1 << rng.Intn(7)})
+			}
+			p.reallocate()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.reallocate()
+			}
+		})
 	}
 }

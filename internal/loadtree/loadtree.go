@@ -13,8 +13,17 @@
 // and aggregates maxBelow(v) = cover(v) + max over children. The load of a
 // PE is then the sum of cover counts along its root path, and the load of a
 // submachine v is maxBelow(v) plus the cover counts of v's proper ancestors.
-// Place and Remove are O(log N); submachine-load queries are O(log N);
-// the leftmost-min search is O(N/size) via depth-first descent.
+//
+// A_G's placement rule adds a second aggregate, the search table bestAt,
+// which answers the leftmost-min query in O(log N). Only A_G's trees (A_G,
+// A_G-randtie and A_M in greedy mode) search, so the first LeftmostMinLoad
+// builds the table in one O(N) bottom-up pass and the tree keeps it
+// current from then on. A tree that never searches holds no table: Place
+// and Remove cost O(log N), one maxBelow refresh per ancestor, and a
+// deferred batch ends in one O(N) pass over maxBelow alone. On a tree that
+// holds the table, an update also refreshes one bestAt row per ancestor,
+// O(log²N) in all, and the deferred pass also rebuilds its ~4N entries.
+// Submachine-load queries are O(log N) either way.
 package loadtree
 
 import (
@@ -31,13 +40,16 @@ type Tree struct {
 	levels   int
 	cover    []int32 // cover[v]: tasks assigned exactly at node v
 	maxBelow []int32 // maxBelow[v]: max PE load within v's subtree, excluding ancestor covers
-	// bestAt[v][k] is the minimum, over depth-(depth(v)+k) descendants u of
-	// v, of (covers strictly between v and u) + maxBelow(u) — i.e. the best
-	// submachine load at that granularity within v, excluding v's own cover
-	// and everything above. bestAt[v][0] = maxBelow(v). It is the aggregate
-	// that makes LeftmostMinLoad O(log N) at every size even under
-	// adversarial fragmentation (where min-leaf pruning degrades to a full
-	// level scan).
+	// bestAt is the search table, nil until the first LeftmostMinLoad
+	// builds it; from then on every update keeps it current. bestAt[v][k]
+	// is the minimum, over depth-(depth(v)+k) descendants u of v, of
+	// (covers strictly between v and u) + maxBelow(u) — i.e. the best
+	// submachine load at that granularity within v, excluding v's own
+	// cover and everything above. bestAt[v][0] = maxBelow(v). It is the
+	// aggregate that makes LeftmostMinLoad O(log N) at every size even
+	// under adversarial fragmentation (where min-leaf pruning degrades to
+	// a full level scan). It holds about 4N entries plus 2N row headers,
+	// which is why trees that never search go without it.
 	bestAt [][]int32
 	best   []int32 // backing array every bestAt row is carved from
 	active int     // number of placed tasks
@@ -48,35 +60,44 @@ type Tree struct {
 	dirty    bool
 }
 
-// New creates an all-idle load tree over machine m.
+// New creates an all-idle load tree over machine m. It holds no search
+// table until its first LeftmostMinLoad.
 func New(m *tree.Machine) *Tree {
 	nn := m.NumNodes() + 1 // 1-indexed
-	t := &Tree{
+	return &Tree{
 		m:        m,
 		levels:   m.Levels(),
 		cover:    make([]int32, nn),
 		maxBelow: make([]int32, nn),
-		bestAt:   make([][]int32, nn),
 	}
-	// Carve every bestAt row out of one flat backing array: one
-	// allocation instead of one per node, and one clear in Reset.
+}
+
+// buildBestAt allocates the search table and fills it from the current
+// (flushed) maxBelow in one bottom-up pass. Every row is carved out of
+// one flat backing array: one allocation instead of one per node, and
+// one clear in Reset.
+func (t *Tree) buildBestAt() {
+	nn := t.m.NumNodes()
 	total := 0
-	for v := 1; v <= m.NumNodes(); v++ {
+	for v := 1; v <= nn; v++ {
 		total += t.levels - mathxLog2Floor(v) + 1
 	}
 	t.best = make([]int32, total)
+	t.bestAt = make([][]int32, nn+1)
 	off := 0
-	for v := 1; v <= m.NumNodes(); v++ {
+	for v := 1; v <= nn; v++ {
 		l := t.levels - mathxLog2Floor(v) + 1
 		t.bestAt[v] = t.best[off : off+l : off+l]
 		off += l
 	}
-	return t
+	for v := nn; v >= 1; v-- {
+		t.refreshBestAt(tree.Node(v))
+	}
 }
 
-// Reset removes every task in place, keeping the tree's storage and its
-// deferred mode: procedure A_R rebuilds loads into the same tree, even in
-// the middle of a batch.
+// Reset removes every task in place, keeping the tree's storage, its
+// search table if it has one, and its deferred mode: procedure A_R
+// rebuilds loads into the same tree, even in the middle of a batch.
 func (t *Tree) Reset() {
 	clear(t.cover)
 	clear(t.maxBelow)
@@ -132,22 +153,28 @@ func (t *Tree) add(v tree.Node, delta int32) {
 	}
 	for u := v; u >= 1; u /= 2 {
 		t.refreshMaxBelow(u)
-		t.refreshBestAt(tree.Node(u))
+	}
+	if t.bestAt != nil {
+		for u := v; u >= 1; u /= 2 {
+			t.refreshBestAt(u)
+		}
 	}
 }
 
 // BeginDeferred switches the tree into deferred-aggregation mode: Place
-// and Remove update only the O(1) cover counts, and maxBelow and
-// bestAt are rebuilt in a single O(N) bottom-up pass the next time an
-// aggregate query (MaxLoad, SubmachineLoad, LeftmostMinLoad,
-// CheckInvariants) needs them. Cover-only queries (PELoad, Loads,
-// CumulativeSize) never force a rebuild.
+// and Remove update only the O(1) cover counts, and maxBelow (and bestAt,
+// on a tree that has searched) are rebuilt in a single O(N) bottom-up
+// pass the next time an aggregate query (MaxLoad, SubmachineLoad,
+// LeftmostMinLoad, CheckInvariants) needs them. Cover-only queries
+// (PELoad, Loads, CumulativeSize) never force a rebuild.
 //
-// This is the batching lever the copies-based allocators (A_B, A_M, lazy)
-// and A_Rand exploit: their placement decisions never read the aggregates,
-// so a batch of k events costs O(k + N) instead of O(k·log²N). Algorithms
-// that query loads on every arrival (A_G) gain nothing and should stay
-// eager. Final state is bit-identical either way.
+// This is the batching lever the copies-based allocators (A_B, A_M) and
+// A_Rand exploit: their placement decisions never read the aggregates,
+// so a batch of k events costs O(k + N) instead of k eager O(log N)
+// updates. These trees never search, so they hold no bestAt and the pass
+// touches maxBelow alone. Algorithms that query loads on every arrival
+// (A_G) gain nothing and should stay eager. Final state is bit-identical
+// either way.
 func (t *Tree) BeginDeferred() { t.deferred = true }
 
 // EndDeferred rebuilds any pending aggregates and returns the tree to
@@ -161,16 +188,25 @@ func (t *Tree) EndDeferred() {
 func (t *Tree) Deferred() bool { return t.deferred }
 
 // flush rebuilds every aggregate bottom-up if cover changed since the last
-// rebuild. Children have larger heap indexes than parents, so a single
-// descending scan sees each node's children already refreshed.
+// rebuild: maxBelow always, bestAt if the tree holds one. Children have
+// larger heap indexes than parents, so a descending scan sees each node's
+// children already refreshed. A leaf's maxBelow is its cover, so the
+// leaves (heap indexes N to 2N-1) take one copy, and the scan covers the
+// internal nodes.
 func (t *Tree) flush() {
 	if !t.dirty {
 		return
 	}
-	for v := t.m.NumNodes(); v >= 1; v-- {
-		u := tree.Node(v)
-		t.refreshMaxBelow(u)
-		t.refreshBestAt(u)
+	cover, mb := t.cover, t.maxBelow
+	n := t.m.N()
+	copy(mb[n:], cover[n:])
+	for v := n - 1; v >= 1; v-- {
+		mb[v] = cover[v] + max(mb[2*v], mb[2*v+1])
+	}
+	if t.bestAt != nil {
+		for v := t.m.NumNodes(); v >= 1; v-- {
+			t.refreshBestAt(tree.Node(v))
+		}
 	}
 	t.dirty = false
 }
@@ -253,9 +289,13 @@ func (t *Tree) CumulativeSize() int64 {
 // is cover[root] + bestAt[root][d] (the root's cover burdens every
 // candidate), and the leftmost argmin is found by descending toward the
 // child whose contribution attains the minimum, preferring the left child
-// on ties.
+// on ties. The first call builds bestAt in O(N); the tree maintains it
+// from then on.
 func (t *Tree) LeftmostMinLoad(size int) (tree.Node, int) {
 	t.flush()
+	if t.bestAt == nil {
+		t.buildBestAt()
+	}
 	d := t.m.DepthForSize(size)
 	load := t.bestAt[1][d]
 	if d >= 1 {
@@ -296,10 +336,10 @@ func (t *Tree) fill(v tree.Node, pathSum int32, out []int) {
 	t.fill(2*v+1, pathSum, out)
 }
 
-// CheckInvariants recomputes the aggregate from scratch and panics on any
-// mismatch; used by tests and the simulator's paranoid mode. Pending
-// deferred updates are flushed first — they are bookkeeping debt, not an
-// inconsistency.
+// CheckInvariants recomputes the aggregates from scratch — maxBelow, and
+// bestAt on a tree that holds one — and panics on any mismatch; used by
+// tests and the simulator's paranoid mode. Pending deferred updates are
+// flushed first — they are bookkeeping debt, not an inconsistency.
 func (t *Tree) CheckInvariants() {
 	t.flush()
 	var rec func(v tree.Node) int32
@@ -317,6 +357,9 @@ func (t *Tree) CheckInvariants() {
 		return mb
 	}
 	rec(1)
+	if t.bestAt == nil {
+		return
+	}
 	// bestAt: recompute each entry by brute force over the depth level.
 	var bruteBest func(v tree.Node, k int) int32
 	bruteBest = func(v tree.Node, k int) int32 {

@@ -19,10 +19,12 @@
 // this by scanning the last segment and truncating at the first invalid
 // frame; Replay independently tolerates a torn tail — but only in the
 // last segment, since an earlier segment ending mid-frame means real
-// corruption, not a crash. A failed write leaves no torn frame behind:
-// Append cuts off whatever part of the frame reached the file before it
-// returns the error, and if that cut fails, it fails every later append
-// too, so no record is ever written after torn bytes.
+// corruption, not a crash. A failed append leaves nothing behind: when
+// the write fails, Append cuts off whatever part of the frame reached the
+// file, and when the fsync its policy calls for fails, it cuts off the
+// whole record, so a record whose Append returned an error never
+// replays. If that cut fails, it fails every later append too, so no
+// record is ever written after torn bytes.
 package wal
 
 import (
@@ -94,7 +96,7 @@ type Log struct {
 	opt       Options
 	f         *os.File
 	seg       int   // index of the open segment
-	size      int64 // bytes written to the open segment
+	size      int64 // bytes of acknowledged records in the open segment
 	sinceSync int
 	buf       []byte // frame scratch, reused across appends
 	closed    bool
@@ -102,6 +104,9 @@ type Log struct {
 	// fails every later Append.
 	err error
 }
+
+// fsync is the call Sync makes; tests replace it to make fsync fail.
+var fsync = (*os.File).Sync
 
 // ErrStop is returned by a Replay callback to end the scan early with a
 // nil error from Replay.
@@ -217,11 +222,12 @@ func (l *Log) create(i int) error {
 // threshold first. The record is in the kernel page cache when Append
 // returns; fsync follows Options.Sync.
 //
-// A failed write leaves no bytes behind: whatever part of the frame
-// reached the file is cut off again, so the segment ends where it did
-// before the call, and the next append lands right after the previous
-// record. If that cut fails too, the error sticks, and every later
-// Append returns it rather than write after a torn frame.
+// A failed append leaves no bytes behind. Whatever part of the frame
+// reached the file is cut off again when the write fails, and the whole
+// record when the fsync that Options.Sync calls for fails, so the segment
+// ends where it did before the call, and the next append lands right
+// after the previous record. If that cut fails too, the error sticks, and
+// every later Append returns it rather than write after a torn frame.
 func (l *Log) Append(rec Record) error {
 	if l.closed {
 		return errors.New("wal: append on closed log")
@@ -237,24 +243,31 @@ func (l *Log) Append(rec Record) error {
 	}
 	start := l.opt.Sink.Now()
 	if _, err := l.f.Write(l.buf); err != nil {
-		if cerr := l.f.Truncate(l.size); cerr != nil {
-			l.err = fmt.Errorf("wal: append: %w; cutting the torn frame failed: %w", err, cerr)
-			return l.err
-		}
-		return fmt.Errorf("wal: append: %w", err)
+		return l.cut(fmt.Errorf("wal: append: %w", err))
 	}
-	l.opt.Sink.WALAppend(len(l.buf), l.opt.Sink.Now()-start)
-	l.size += int64(len(l.buf))
-	switch l.opt.Sync {
-	case SyncAlways:
-		return l.Sync()
-	case SyncBatched:
+	writeNs := l.opt.Sink.Now() - start
+	switch {
+	case l.opt.Sync == SyncAlways || l.opt.Sync == SyncBatched && l.sinceSync+1 >= l.opt.SyncEvery:
+		if err := l.Sync(); err != nil {
+			return l.cut(err)
+		}
+	case l.opt.Sync == SyncBatched:
 		l.sinceSync++
-		if l.sinceSync >= l.opt.SyncEvery {
-			return l.Sync()
-		}
 	}
+	l.opt.Sink.WALAppend(len(l.buf), writeNs)
+	l.size += int64(len(l.buf))
 	return nil
+}
+
+// cut truncates the open segment back to l.size, the end of its last
+// acknowledged record, and returns err, the failure that ended the
+// append. If the truncation fails, the error sticks in l.err.
+func (l *Log) cut(err error) error {
+	if cerr := l.f.Truncate(l.size); cerr != nil {
+		l.err = fmt.Errorf("%w; cutting the segment back to %d bytes failed: %w", err, l.size, cerr)
+		return l.err
+	}
+	return err
 }
 
 // rotate seals the open segment (fsync + close) and creates the next.
@@ -272,13 +285,15 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// Sync fsyncs the open segment.
+// Sync fsyncs the open segment. Under SyncBatched the next batch counts
+// from a successful Sync, so after a failed one the next append syncs
+// again.
 func (l *Log) Sync() error {
-	l.sinceSync = 0
 	start := l.opt.Sink.Now()
-	if err := l.f.Sync(); err != nil {
+	if err := fsync(l.f); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
+	l.sinceSync = 0
 	l.opt.Sink.WALFsync(l.opt.Sink.Now() - start)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"partalloc/internal/obs"
 	"partalloc/internal/task"
 )
 
@@ -282,6 +283,76 @@ func TestFailedCutSticks(t *testing.T) {
 	}
 	if got := replayAll(t, dir); !reflect.DeepEqual(got, recs[:1]) {
 		t.Errorf("replayed %d records, want only the acknowledged one", len(got))
+	}
+}
+
+// TestFailedSyncCutsRecord makes the fsync an append calls for fail:
+// every append under SyncAlways, and the append that completes a batch
+// under SyncBatched. Append must return the error and cut the record off
+// even though write(2) already put it in the segment, so the next append
+// lands right after the last acknowledged record, a reopened log replays
+// exactly the acknowledged records, and only those count as appends.
+func TestFailedSyncCutsRecord(t *testing.T) {
+	for _, pol := range []SyncPolicy{SyncAlways, SyncBatched} {
+		t.Run(pol.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			m := obs.NewMetrics()
+			l, err := Open(dir, Options{Sync: pol, SyncEvery: 2, Sink: obs.NewSink(m, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := testRecords(5)
+			// Under SyncBatched, recs[1] syncs and recs[3] is the next
+			// append that does.
+			for _, rec := range recs[:3] {
+				if err := l.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seg := filepath.Join(dir, segmentName(1))
+			before, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			injected := errors.New("injected fsync failure")
+			fsync = func(*os.File) error { return injected }
+			err = l.Append(recs[3])
+			fsync = (*os.File).Sync
+			if !errors.Is(err, injected) {
+				t.Fatalf("append with a failing fsync returned %v, want %v", err, injected)
+			}
+			if after, err := os.Stat(seg); err != nil {
+				t.Fatal(err)
+			} else if after.Size() != before.Size() {
+				t.Errorf("segment is %d bytes after the failed append, want the %d it had before", after.Size(), before.Size())
+			}
+
+			if err := l.Append(recs[4]); err != nil {
+				t.Fatal(err)
+			}
+			if after, err := os.Stat(seg); err != nil {
+				t.Fatal(err)
+			} else if want := before.Size() + int64(len(AppendRecord(nil, recs[4]))); after.Size() != want {
+				t.Errorf("segment is %d bytes after the next append, want %d", after.Size(), want)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			acked := []Record{recs[0], recs[1], recs[2], recs[4]}
+			if got := replayAll(t, dir); !reflect.DeepEqual(got, acked) {
+				t.Errorf("replayed %d records, want the %d acknowledged ones", len(got), len(acked))
+			}
+			if got := m.Counter(obs.MetricWALAppends, "").Value(); got != int64(len(acked)) {
+				t.Errorf("%d appends counted, want the %d acknowledged ones", got, len(acked))
+			}
+		})
 	}
 }
 
