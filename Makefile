@@ -87,10 +87,11 @@ lint-json:
 
 # Micro-benchmarks (batched vs serial apply, engine replay vs serial
 # Simulate, journaled Submit, WAL append per sync policy, load-tree
-# updates, searches and deferred batches). The repository's end-to-end
-# benchmark is perfbench (perfbench/README.md, BENCHMARK.json).
+# updates, searches and deferred batches, copy placement). The
+# repository's end-to-end benchmark is perfbench (perfbench/README.md,
+# BENCHMARK.json).
 bench:
-	go test -bench=. -benchmem ./internal/core/ ./internal/engine/ ./internal/wal/ ./internal/loadtree/
+	go test -bench=. -benchmem ./internal/core/ ./internal/engine/ ./internal/wal/ ./internal/loadtree/ ./internal/copies/
 
 # Regenerate every experiment artifact (E1–E14) at paper scale.
 experiments:

@@ -20,10 +20,18 @@
 // copies, and later placements empty and reuse them before creating new
 // ones. A list therefore keeps the memory of its peak copy count, and
 // once warm a reallocation allocates nothing.
+//
+// A_R places in decreasing size order, and Lemma 1's argument shows where
+// each task lands on a machine with no failed PE: the copies fill as one
+// packed prefix, every PE before a fill cursor occupied and every PE
+// after it vacant, and the cursor stays aligned to each size it meets. A
+// List keeps that state from Reset on while it lasts and answers Place
+// from the cursor, with no search over copies or within one.
 package copies
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -337,7 +345,20 @@ func (c *Copy) CheckInvariants() {
 }
 
 // List is an ordered collection of copies, searched in creation order as
-// A_B and A_R require. The zero value is ready to use.
+// A_B and A_R require. Use NewList.
+//
+// A List is packed from a Reset with no failed leaf until the first
+// Vacate, Block, HasVacant, OccupyAt, Grow, or Place of a size that does
+// not divide the fill; it has no failed leaf to Unblock. While packed,
+// the copies hold one packed prefix of fill PEs: copies before copy
+// ⌊fill/N⌋ are full, that copy holds exactly its first fill mod N PEs,
+// and no later copy exists. Every size placed so far divides fill, and
+// so does any size no larger than the last, which is why A_R's
+// decreasing order keeps the list packed. First fit then lands at the
+// cursor, so a packed Place takes copy ⌊fill/N⌋ and node
+// SubmachineAt(size, (fill mod N)/size) without a search; Copy.Occupy
+// still validates the node. Leaving the state sets the first-fit hints,
+// which packed placements neither read nor keep, to the cursor's copy.
 type List struct {
 	m      *tree.Machine
 	copies []*Copy
@@ -352,15 +373,22 @@ type List struct {
 	// known to hold no vacant submachine of that size. Occupying only
 	// removes vacancies, so placements keep the bound valid; Vacate,
 	// Unblock, and Reset create vacancies and rewind it. This turns A_B's
-	// first-fit scan from O(copies) per arrival into amortized O(1).
+	// first-fit scan from O(copies) per arrival into amortized O(1). A
+	// packed list keeps no hints (see List).
 	firstFit []int
+	// packed and fill are the packed-prefix state (see List): fill counts
+	// the PEs placed since Reset, across copies.
+	packed bool
+	fill   int
 	// vacant is a fresh copy's maxVacant, copied into each copy that
 	// Reset dropped when newCopy hands it back.
 	vacant []int32
 }
 
 // NewList returns an empty copy list for machine m.
-func NewList(m *tree.Machine) *List { return &List{m: m} }
+func NewList(m *tree.Machine) *List {
+	return &List{m: m, firstFit: make([]int, m.Levels()+1)}
+}
 
 // LevelWidth returns the number of distinct physical switch blocks at
 // depth d of the machine's decomposition (see tree.NewDecomposition):
@@ -380,6 +408,7 @@ func (l *List) At(i int) *Copy { return l.copies[i] }
 // it to recreate a list whose copy indices — including trailing empty
 // copies — match the snapshotted layout exactly.
 func (l *List) Grow(n int) {
+	l.unpack()
 	for i := 0; i < n; i++ {
 		l.copies = append(l.copies, l.newCopy())
 	}
@@ -389,9 +418,11 @@ func (l *List) Grow(n int) {
 // the first-fit scan. Checkpoint restore uses it to replay a snapshotted
 // placement verbatim; Copy.Occupy still validates vacancy, blocking, and
 // nesting, so corrupt snapshots fail loudly instead of silently packing
-// wrong. First-fit hints are left untouched — they are lower bounds, so a
-// conservative (zeroed) hint table stays behavior-identical.
+// wrong. It ends the packed state; otherwise the first-fit hints are left
+// untouched — they are lower bounds, so a conservative (zeroed) hint
+// table stays behavior-identical.
 func (l *List) OccupyAt(copyIdx int, v tree.Node) {
+	l.unpack()
 	l.copies[copyIdx].Occupy(v)
 }
 
@@ -411,9 +442,17 @@ func (l *List) NonEmpty() int {
 // Place implements the shared placement rule of A_B and A_R: search the
 // copies in creation order for the first with a vacant submachine of the
 // given size, creating a new copy if none has one, and occupy the leftmost
-// such submachine. It returns the copy index and the node.
+// such submachine. It returns the copy index and the node. A packed list
+// whose fill the size divides answers from the fill cursor instead (see
+// List); the result is the same.
 func (l *List) Place(size int) (copyIdx int, v tree.Node) {
-	d := l.hintFor(size)
+	d := l.m.DepthForSize(size)
+	if l.packed {
+		if l.fill&(size-1) == 0 { // size, a power of two, divides fill
+			return l.placePacked(size)
+		}
+		l.unpack()
+	}
 	for i := l.firstFit[d]; i < len(l.copies); i++ {
 		c := l.copies[i]
 		if u, ok := c.FindVacant(size); ok {
@@ -437,11 +476,40 @@ func (l *List) Place(size int) (copyIdx int, v tree.Node) {
 	return len(l.copies) - 1, u
 }
 
+// placePacked occupies the size-PE submachine at the fill cursor of a
+// packed list, opening the next copy when the cursor starts one. N and
+// size are powers of two, so the divisions are shifts.
+func (l *List) placePacked(size int) (int, tree.Node) {
+	ci := l.fill >> l.m.Levels() // ⌊fill/N⌋
+	if ci == len(l.copies) {
+		l.copies = append(l.copies, l.newCopy())
+	}
+	off := l.fill & (l.m.N() - 1) // fill mod N
+	v := l.m.SubmachineAt(size, off>>bits.TrailingZeros(uint(size)))
+	l.copies[ci].Occupy(v)
+	l.fill += size
+	return ci, v
+}
+
+// unpack ends the packed state, if the list is in it. Packed placements
+// neither read nor keep the first-fit hints; every copy before the
+// cursor's is full, so each hint now starts there.
+func (l *List) unpack() {
+	if !l.packed {
+		return
+	}
+	l.packed = false
+	for d := range l.firstFit {
+		l.firstFit[d] = l.fill / l.m.N()
+	}
+}
+
 // HasVacant reports whether some existing copy has a vacant submachine of
 // the given size — i.e. whether Place would reuse a copy rather than
 // create one. It advances the same first-fit hint Place uses.
 func (l *List) HasVacant(size int) bool {
-	d := l.hintFor(size)
+	d := l.m.DepthForSize(size)
+	l.unpack()
 	for i := l.firstFit[d]; i < len(l.copies); i++ {
 		if _, ok := l.copies[i].FindVacant(size); ok {
 			l.firstFit[d] = i
@@ -450,16 +518,6 @@ func (l *List) HasVacant(size int) bool {
 		l.firstFit[d] = i + 1
 	}
 	return false
-}
-
-// hintFor validates size, lazily allocates the hint table, and returns the
-// depth index for the size.
-func (l *List) hintFor(size int) int {
-	d := l.m.DepthForSize(size)
-	if l.firstFit == nil {
-		l.firstFit = make([]int, l.m.Levels()+1)
-	}
-	return d
 }
 
 // rewind lowers every first-fit hint to at most ci after a vacancy appeared
@@ -502,6 +560,7 @@ func (l *List) Block(leaf tree.Node) {
 			panic(fmt.Sprintf("copies: Block(%d) of already-blocked leaf", leaf))
 		}
 	}
+	l.unpack()
 	for _, c := range l.copies {
 		c.Block(leaf)
 	}
@@ -537,25 +596,29 @@ func (l *List) BlockedLeaves() []tree.Node {
 // copy indices stay stable; the load metric counts per-PE occupancy, so
 // retained empty copies do not distort measurements.
 func (l *List) Vacate(copyIdx int, v tree.Node) {
+	l.unpack()
 	c := l.copies[copyIdx]
 	c.Vacate(v)
 	// Only sizes up to the copy's (post-merge) largest vacancy can have
 	// gained a vacancy here; hints for larger sizes stay valid.
-	if l.firstFit != nil {
-		minDepth := l.m.DepthForSize(int(c.maxVacant[1]))
-		for d := minDepth; d < len(l.firstFit); d++ {
-			if l.firstFit[d] > copyIdx {
-				l.firstFit[d] = copyIdx
-			}
+	minDepth := l.m.DepthForSize(int(c.maxVacant[1]))
+	for d := minDepth; d < len(l.firstFit); d++ {
+		if l.firstFit[d] > copyIdx {
+			l.firstFit[d] = copyIdx
 		}
 	}
 }
 
 // Reset drops all copies (used when a reallocation rebuilds the layout).
-// The dropped copies stay allocated for later placements to reuse.
+// The dropped copies stay allocated for later placements to reuse. With
+// no failed leaf the list is packed from here on (see List), and the
+// first-fit hints wait for the state to end.
 func (l *List) Reset() {
 	l.copies = l.copies[:0]
-	l.rewind(0)
+	l.packed, l.fill = len(l.blockedLeaves) == 0, 0
+	if !l.packed {
+		l.rewind(0)
+	}
 }
 
 // PELoad returns the real load of PE p: the number of copies in which p is

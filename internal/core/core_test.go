@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"partalloc/internal/copies"
 	"partalloc/internal/errs"
 	"partalloc/internal/mathx"
 	"partalloc/internal/task"
@@ -265,19 +267,31 @@ func TestConstantAchievesOptimal(t *testing.T) {
 
 // --- Lemma 1: procedure A_R achieves ⌈S/N⌉ on any task set ---------------
 
+// TestReallocProcedureLemma1 runs procedure A_R on random task sets.
+// Under DecreasingSize it must use ⌈S/N⌉ copies and leave no vacancy
+// except in the last (Lemma 1). Under either order every task must land
+// where a first-fit scan over fresh copies, taking the tasks in that
+// order, puts it. Every fourth set draws 128 to 227 tasks of sizes 1 and
+// 2 only, so each size class is long.
 func TestReallocProcedureLemma1(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	bySize := func(a, b task.Task) int { return cmp.Or(cmp.Compare(b.Size, a.Size), cmp.Compare(a.ID, b.ID)) }
+	byID := func(a, b task.Task) int { return cmp.Compare(a.ID, b.ID) }
 	for trial := 0; trial < 60; trial++ {
 		n := 1 << (1 + rng.Intn(7))
 		m := tree.MustNew(n)
+		count, maxLog := rng.Intn(50)+1, mathx.Log2(n)
+		if trial%4 == 0 {
+			count, maxLog = 128+rng.Intn(100), 1
+		}
 		var tasks []task.Task
 		total := 0
-		for i := 0; i < rng.Intn(50)+1; i++ {
-			size := 1 << rng.Intn(mathx.Log2(n)+1)
+		for i := 0; i < count; i++ {
+			size := 1 << rng.Intn(maxLog+1)
 			tasks = append(tasks, task.Task{ID: task.ID(i + 1), Size: size})
 			total += size
 		}
-		list, placed := ReallocateAll(m, tasks, DecreasingSize)
+		list, placed := reallocateAll(m, tasks, DecreasingSize)
 		want := mathx.CeilDiv(total, n)
 		if list.Len() != want {
 			t.Fatalf("trial %d: A_R used %d copies, want ⌈%d/%d⌉ = %d",
@@ -290,8 +304,37 @@ func TestReallocProcedureLemma1(t *testing.T) {
 					trial, i, list.At(i).OccupiedPEs(), n)
 			}
 		}
-		if len(placed) != len(tasks) {
-			t.Fatalf("trial %d: %d placements for %d tasks", trial, len(placed), len(tasks))
+		checkFirstFit(t, m, tasks, placed, bySize)
+		_, placed = reallocateAll(m, tasks, ArrivalOrder)
+		checkFirstFit(t, m, tasks, placed, byID)
+	}
+}
+
+// checkFirstFit fails t unless placed puts every task where a first-fit
+// scan over fresh copies puts it, taking the tasks in the given order.
+func checkFirstFit(t *testing.T, m *tree.Machine, tasks []task.Task, placed map[task.ID]placementRec, order func(a, b task.Task) int) {
+	t.Helper()
+	if len(placed) != len(tasks) {
+		t.Fatalf("%d placements for %d tasks", len(placed), len(tasks))
+	}
+	sorted := slices.Clone(tasks)
+	slices.SortFunc(sorted, order)
+	var ref []*copies.Copy
+	for _, tk := range sorted {
+		ci := 0
+		for ; ci < len(ref); ci++ {
+			if _, ok := ref[ci].FindVacant(tk.Size); ok {
+				break
+			}
+		}
+		if ci == len(ref) {
+			ref = append(ref, copies.NewCopy(m))
+		}
+		v, _ := ref[ci].FindVacant(tk.Size)
+		ref[ci].Occupy(v)
+		if got := placed[tk.ID]; got.copyIdx != ci || got.node != v {
+			t.Fatalf("task %d (size %d) placed at copy %d node %d, first fit gives copy %d node %d",
+				tk.ID, tk.Size, got.copyIdx, got.node, ci, v)
 		}
 	}
 }
@@ -314,12 +357,12 @@ func TestReallocOrderIrrelevantForFreshSets(t *testing.T) {
 			total += size
 		}
 		want := mathx.CeilDiv(total, 8)
-		listA, _ := ReallocateAll(m, tasks, ArrivalOrder)
+		listA, _ := reallocateAll(m, tasks, ArrivalOrder)
 		if listA.Len() != want {
 			t.Fatalf("trial %d: arrival-order used %d copies, want %d (tasks %v)",
 				trial, listA.Len(), want, tasks)
 		}
-		listD, _ := ReallocateAll(m, tasks, DecreasingSize)
+		listD, _ := reallocateAll(m, tasks, DecreasingSize)
 		if listD.Len() != want {
 			t.Fatalf("trial %d: decreasing-size used %d copies, want %d", trial, listD.Len(), want)
 		}

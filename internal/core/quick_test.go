@@ -81,7 +81,7 @@ func TestQuickActiveAccounting(t *testing.T) {
 	}
 }
 
-// Property: ReallocateAll output always covers every task exactly once
+// Property: A_R's output (reallocateAll) always covers every task exactly once
 // with correctly-sized placements, for any task multiset.
 func TestQuickReallocateAllWellFormed(t *testing.T) {
 	f := func(seed int64, count uint8) bool {
@@ -95,7 +95,7 @@ func TestQuickReallocateAllWellFormed(t *testing.T) {
 		if seed%2 == 0 {
 			order = ArrivalOrder
 		}
-		list, placed := ReallocateAll(m, tasks, order)
+		list, placed := reallocateAll(m, tasks, order)
 		if len(placed) != len(tasks) {
 			return false
 		}

@@ -2,11 +2,10 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
-	"partalloc/internal/copies"
 	"partalloc/internal/task"
-	"partalloc/internal/tree"
 )
 
 // ReallocOrder selects how the reallocation procedure orders tasks before
@@ -32,61 +31,36 @@ func (o ReallocOrder) String() string {
 	return "decreasing-size"
 }
 
-// ReallocateAll is the paper's reallocation procedure A_R (§3): take the
-// active task set, sort it (per order), and first-fit each task into the
-// first copy of T with a vacant submachine of its size, creating copies as
-// needed; within a copy, take the leftmost vacant submachine. It returns
-// a fresh copy list and the placements.
+// reallocate runs procedure A_R (§3) over every placed task into the
+// buffers A_M's copy-placed state already owns: it orders the active
+// tasks (sortTasks), then first-fits each into the copies in that order,
+// creating copies as needed, and within a copy takes the leftmost vacant
+// submachine. Under DecreasingSize on a machine with no failed PE the
+// copies fill as one packed prefix (Lemma 1), and the list places each
+// task at its fill cursor without a search (see copies.List).
 //
-// Ties in size are broken by task ID so the procedure is deterministic.
-func ReallocateAll(m *tree.Machine, tasks []task.Task, order ReallocOrder) (*copies.List, map[task.ID]placementRec) {
-	p := Periodic{copyPlaced: newCopyPlaced(m), order: order}
-	for _, t := range tasks {
-		p.placed.add(t.ID, placementRec{copyIdx: -1, size: t.Size})
-	}
-	p.reallocate()
-	placed := make(map[task.ID]placementRec, p.placed.len())
-	for _, e := range p.placed.slots {
-		if e.used {
-			placed[e.id] = e.val
-		}
-	}
-	return p.list, placed
-}
-
-// reallocate runs procedure A_R over every placed task into the buffers
-// A_M's copy-placed state already owns: the list's dropped copies are
-// reused with the failed leaves blocked again, the load tree is zeroed in
-// place (staying deferred mid-batch), and each placement is rewritten
-// through the table slot it was read from, so once the buffers have held
-// the peak task and copy counts a reallocation allocates nothing. A task
-// "migrates" when its submachine root changes (moving between copies at
-// the same node keeps the same PEs and is free); node 0 marks the arrival
-// that triggered the reallocation, which has no previous placement.
-// Observer calls come in A_R order.
+// The list's dropped copies are reused with the failed leaves blocked
+// again, the load tree is zeroed in place (staying deferred mid-batch),
+// and each placement is rewritten through the table slot it was read
+// from, so once the buffers have held the peak task and copy counts a
+// reallocation allocates nothing. A task "migrates" when its submachine
+// root changes (moving between copies at the same node keeps the same PEs
+// and is free); node 0 marks the arrival that triggered the
+// reallocation, which has no previous placement. Observer calls come in
+// A_R order.
 func (p *Periodic) reallocate() {
-	p.tasks = p.tasks[:0]
-	for i := range p.placed.slots {
-		if e := &p.placed.slots[i]; e.used {
-			p.tasks = append(p.tasks, slotTask{task.Task{ID: e.id, Size: e.val.size}, i})
-		}
-	}
-	if p.order == DecreasingSize {
-		slices.SortFunc(p.tasks, bySizeDesc)
-	} else {
-		slices.SortFunc(p.tasks, func(a, b slotTask) int { return cmp.Compare(a.ID, b.ID) })
-	}
+	p.sortTasks()
 	p.list.Reset()
 	p.loads.Reset()
-	// Outside a batch, A_R updates the tree eagerly, one O(log N)
-	// maxBelow path per task (A_M's tree never searches, so it holds no
-	// search table), or rebuilds it once, O(N). Priced that way the
-	// switch would be len(tasks)·lv ≥ NumNodes, but an eager path step
-	// costs several steps of the rebuild's sequential pass:
-	// BenchmarkReallocate times the two even at 40 tasks on n=256 and the
-	// rebuild faster at 80 on n=1024, where this switch already rebuilds.
-	lv := p.m.Levels() + 1
-	rebuild := !p.loads.Deferred() && len(p.tasks)*lv*lv >= 4*p.m.NumNodes()
+	// Outside a batch, A_R updates the tree eagerly or rebuilds it once,
+	// O(N). An eager update walks maxBelow up from the task's node only
+	// until an ancestor comes out unchanged (A_M's tree never searches,
+	// so it holds no search table). Filling the copies in A_R's order
+	// raises each node's maxBelow once per copy, so most walks stop
+	// within a step or two. BenchmarkReallocate times the two even at N/2
+	// tasks (512 of size 1 on n=1024), and eager faster at 100 tasks on
+	// n=256 and at 80 on n=1024.
+	rebuild := !p.loads.Deferred() && 2*len(p.tasks) >= p.m.N()
 	if rebuild {
 		p.loads.BeginDeferred()
 	}
@@ -108,8 +82,54 @@ func (p *Periodic) reallocate() {
 	p.stats.Reallocations++
 }
 
-// bySizeDesc is A_R's first-fit-decreasing order: size descending, then
-// task ID.
+// sortTasks fills p.tasks with every placed task in A_R's order, ties in
+// size broken by task ID so the procedure is deterministic. Sizes are
+// powers of two, so DecreasingSize needs no comparison across sizes: one
+// counting pass over the size classes (a class is a size's depth in the
+// machine) fixes where each class's range starts, a second pass scatters
+// the tasks from the table straight into their ranges, and only IDs
+// within a class are compared. ArrivalOrder keeps every task in one
+// class.
+func (p *Periodic) sortTasks() {
+	byDepth := p.order == DecreasingSize
+	class := func(size int) int {
+		if !byDepth {
+			return 0
+		}
+		return p.m.DepthForSize(size)
+	}
+	slots := p.placed.slots
+	// next[k] is where the next class-k task goes, once the counts are
+	// summed; after the scatter it is where class k ends.
+	var next [bits.UintSize + 1]int
+	for i := range slots {
+		if slots[i].used {
+			next[class(slots[i].val.size)+1]++
+		}
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	n := p.placed.len()
+	p.tasks = slices.Grow(p.tasks[:0], n)[:n]
+	for i := range slots {
+		if e := &slots[i]; e.used {
+			k := class(e.val.size)
+			p.tasks[next[k]] = slotTask{task.Task{ID: e.id, Size: e.val.size}, i}
+			next[k]++
+		}
+	}
+	lo := 0
+	for _, hi := range next[:p.m.Levels()+1] {
+		slices.SortFunc(p.tasks[lo:hi], byID)
+		lo = hi
+	}
+}
+
+func byID(a, b slotTask) int { return cmp.Compare(a.ID, b.ID) }
+
+// bySizeDesc is A_R's first-fit-decreasing order as a comparison: size
+// descending, then task ID. The fault paths sort their few victims by it.
 func bySizeDesc(a, b slotTask) int {
 	if c := cmp.Compare(b.Size, a.Size); c != 0 {
 		return c

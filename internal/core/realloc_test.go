@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"partalloc/internal/copies"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 	"partalloc/internal/workload"
@@ -21,8 +22,19 @@ func snapshotWith(p, s *Periodic) []byte {
 	return y.Snapshot()
 }
 
-// freshAR is the reference reallocation: the routine ReallocateAll runs,
-// on a new List and Tree, with the failed PEs' leaves blocked first.
+// reallocateAll runs procedure A_R over tasks on a new List and Tree and
+// returns the copies and each task's placement.
+func reallocateAll(m *tree.Machine, tasks []task.Task, order ReallocOrder) (*copies.List, map[task.ID]placementRec) {
+	active := make(map[task.ID]int, len(tasks))
+	for _, t := range tasks {
+		active[t.ID] = t.Size
+	}
+	p := freshAR(m, order, active, nil)
+	return p.list, p.placed.toMap()
+}
+
+// freshAR is the reference reallocation: procedure A_R on a new List and
+// Tree, with the failed PEs' leaves blocked first.
 func freshAR(m *tree.Machine, order ReallocOrder, active map[task.ID]int, failed []int) *Periodic {
 	s := &Periodic{copyPlaced: newCopyPlaced(m), order: order}
 	for _, pe := range failed {
@@ -210,19 +222,40 @@ func TestReallocateAllocatesNothing(t *testing.T) {
 
 // BenchmarkReallocate times procedure A_R alone: A_M reallocating its
 // active tasks outside a batch, where reallocate picks eager updates or
-// one deferred rebuild by task count. 100 tasks on n=256 lie above the
-// switch point; 40 on n=256 and 80 on n=1024 lie between reallocate's
-// switch point (26 and 68 tasks) and the one that pricing each eager
-// update at its O(log N) path alone would give (57 and 187), so they
-// show which setting is faster there. Run with -benchmem.
+// one deferred rebuild by task count. The first three rows lie below the
+// switch (N/2 tasks) and update eagerly; size=1, 512 tasks of size 1 on
+// n=1024, sits at it and rebuilds. It also puts every task in one size
+// class, the within-class sort's worst case. The fault-free rows repack a
+// packed prefix; failed-PE (one failed PE) and arrival-order run first
+// fit instead. Run with -benchmem.
 func BenchmarkReallocate(b *testing.B) {
-	for _, c := range []struct{ n, tasks int }{{256, 100}, {256, 40}, {1024, 80}} {
-		b.Run(fmt.Sprintf("n=%d/tasks=%d", c.n, c.tasks), func(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		n, tasks int
+		size     int // every task's size; 0 draws sizes 1..64
+		order    ReallocOrder
+		failed   bool
+	}{
+		{name: "n=256/tasks=100", n: 256, tasks: 100},
+		{name: "n=256/tasks=40", n: 256, tasks: 40},
+		{name: "n=1024/tasks=80", n: 1024, tasks: 80},
+		{name: "n=256/tasks=100/failed-PE", n: 256, tasks: 100, failed: true},
+		{name: "n=256/tasks=100/arrival-order", n: 256, tasks: 100, order: ArrivalOrder},
+		{name: "n=1024/tasks=512/size=1", n: 1024, tasks: 512, size: 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			m := tree.MustNew(c.n)
-			p := NewPeriodic(m, 4, DecreasingSize)
+			p := NewPeriodic(m, 4, c.order)
+			if c.failed {
+				p.FailPE(c.n / 3)
+			}
 			rng := rand.New(rand.NewSource(1))
 			for id := task.ID(1); id <= task.ID(c.tasks); id++ {
-				p.Arrive(task.Task{ID: id, Size: 1 << rng.Intn(7)})
+				size := c.size
+				if size == 0 {
+					size = 1 << rng.Intn(7)
+				}
+				p.Arrive(task.Task{ID: id, Size: size})
 			}
 			p.reallocate()
 			b.ReportAllocs()

@@ -151,12 +151,28 @@ func (t *Tree) add(v tree.Node, delta int32) {
 		t.dirty = true
 		return
 	}
-	for u := v; u >= 1; u /= 2 {
-		t.refreshMaxBelow(u)
+	// maxBelow[v] moves by delta. An ancestor's maxBelow depends only on
+	// its cover and its children's maxBelow, so the walk stops at the
+	// first ancestor whose value comes out unchanged: nothing above it
+	// moves either.
+	mb := t.maxBelow
+	mb[v] += delta
+	for u := v / 2; u >= 1; u /= 2 {
+		x := t.cover[u] + max(mb[2*u], mb[2*u+1])
+		if x == mb[u] {
+			break
+		}
+		mb[u] = x
 	}
+	// A bestAt row depends on its node's maxBelow and on its children's
+	// rows and covers. Only cover[v] changed, so once a row above v comes
+	// out unchanged (its row[0], maxBelow, included), every row above it
+	// is unchanged too.
 	if t.bestAt != nil {
 		for u := v; u >= 1; u /= 2 {
-			t.refreshBestAt(u)
+			if !t.refreshBestAt(u) && u != v {
+				break
+			}
 		}
 	}
 }
@@ -211,22 +227,14 @@ func (t *Tree) flush() {
 	t.dirty = false
 }
 
-// refreshMaxBelow recomputes maxBelow[u] from u's (already current)
-// children.
-func (t *Tree) refreshMaxBelow(u tree.Node) {
-	mb := t.cover[u]
-	if !t.m.IsLeaf(u) {
-		mb += max(t.maxBelow[2*u], t.maxBelow[2*u+1])
-	}
-	t.maxBelow[u] = mb
-}
-
-// refreshBestAt recomputes bestAt[u] from u's (already current) children.
-func (t *Tree) refreshBestAt(u tree.Node) {
+// refreshBestAt recomputes bestAt[u] from u's (already current) children
+// and reports whether the row changed.
+func (t *Tree) refreshBestAt(u tree.Node) bool {
 	b := t.bestAt[u]
+	changed := b[0] != t.maxBelow[u]
 	b[0] = t.maxBelow[u]
 	if t.m.IsLeaf(u) {
-		return
+		return changed
 	}
 	l, r := 2*u, 2*u+1
 	bl, br := t.bestAt[l], t.bestAt[r]
@@ -239,8 +247,10 @@ func (t *Tree) refreshBestAt(u tree.Node) {
 		if rv < lv {
 			lv = rv
 		}
+		changed = changed || b[k] != lv
 		b[k] = lv
 	}
+	return changed
 }
 
 // MaxLoad returns the machine-wide maximum PE load (the paper's

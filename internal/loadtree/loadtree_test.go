@@ -244,22 +244,41 @@ func TestPlaceRemoveInverseProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkPlaceRemove times an eager Place and Remove on a tree that
-// never searched, so it holds no search table.
+// BenchmarkPlaceRemove times an eager Place and Remove at N=16384. On
+// the empty tree every update walks the whole root path; loaded holds
+// 2000 background tasks, so a walk can stop at the first ancestor it
+// leaves unchanged. loaded/search also holds the search table.
 func BenchmarkPlaceRemove(b *testing.B) {
-	m := tree.MustNew(1 << 14)
-	lt := New(m)
-	rng := rand.New(rand.NewSource(1))
-	nodes := make([]tree.Node, 1024)
-	for i := range nodes {
-		size := 1 << rng.Intn(10)
-		nodes[i] = m.SubmachineAt(size, rng.Intn(m.NumSubmachines(size)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := nodes[i%len(nodes)]
-		lt.Place(v)
-		lt.Remove(v)
+	for _, c := range []struct {
+		name       string
+		background int
+		search     bool
+	}{{"empty", 0, false}, {"loaded", 2000, false}, {"loaded/search", 2000, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := tree.MustNew(1 << 14)
+			lt := New(m)
+			rng := rand.New(rand.NewSource(1))
+			randomNode := func() tree.Node {
+				size := 1 << rng.Intn(10)
+				return m.SubmachineAt(size, rng.Intn(m.NumSubmachines(size)))
+			}
+			for i := 0; i < c.background; i++ {
+				lt.Place(randomNode())
+			}
+			if c.search {
+				lt.LeftmostMinLoad(1)
+			}
+			nodes := make([]tree.Node, 1024)
+			for i := range nodes {
+				nodes[i] = randomNode()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := nodes[i%len(nodes)]
+				lt.Place(v)
+				lt.Remove(v)
+			}
+		})
 	}
 }
 
