@@ -56,13 +56,14 @@ test-snapshot:
 
 # Placement suite under the race detector (docs/ENGINE.md, "Placement
 # and rebalancing"): HashPlacer byte-identity goldens, BalancedPlacer
-# plan determinism, the MoveTenant-through-placer regression, local
-# moves relocating the same tenant without allocating, the Degrade
-# ladder surviving a move, concurrent Submit during rebalance passes,
-# the skew gate (balanced hot-shard peak backlog strictly below hash on
-# a seeded zipf fleet, routes recovered exactly), and the SIGKILL
-# mid-rebalance crash test that gates recovery on routing-table
-# consistency.
+# plan determinism (heaviest-first moves, an applied plan re-plans
+# nothing) and its fewest-tenants Place rule, the MoveTenant-through-
+# placer regression, local moves relocating the same tenant without
+# allocating, the Degrade ladder surviving a move, concurrent Submit
+# during rebalance passes, the skew gate (balanced hot-shard peak
+# backlog strictly below hash on a seeded zipf fleet at 8 shards,
+# routes recovered exactly at 6 and 8), and the SIGKILL mid-rebalance
+# crash test that gates recovery on routing-table consistency.
 test-placement:
 	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 
@@ -86,8 +87,9 @@ lint-json:
 	go run ./cmd/partlint -json ./... > partlint.json
 
 # Micro-benchmarks (batched vs serial apply, engine replay vs serial
-# Simulate, journaled Submit, WAL append per sync policy, load-tree
-# updates, searches and deferred batches, copy placement). The
+# Simulate, journaled Submit, the balanced placer's rebalance plan, WAL
+# append per sync policy, load-tree updates, searches and deferred
+# batches, copy placement). The
 # repository's end-to-end benchmark is perfbench (perfbench/README.md,
 # BENCHMARK.json).
 bench:

@@ -10,7 +10,6 @@ import (
 	"partalloc/internal/core"
 	"partalloc/internal/engine"
 	"partalloc/internal/fault"
-	"partalloc/internal/mathx"
 	"partalloc/internal/obs"
 	"partalloc/internal/task"
 	"partalloc/internal/topology"
@@ -81,11 +80,10 @@ const (
 	// PlacementHash routes each tenant to fnv32a(id) mod shards, fixed for
 	// the tenant's lifetime. The default.
 	PlacementHash = engine.PlacementHash
-	// PlacementBalanced routes through a mutable table steered by the
-	// paper's own A_M(d) allocator running over a virtual machine whose
-	// PEs are the shards; periodic rebalance passes move hot tenants off
-	// crowded shards, at most d·shards moves per pass. Requires a
-	// power-of-two shard count. See docs/ENGINE.md.
+	// PlacementBalanced routes through a mutable table: a new tenant
+	// goes to the shard with the fewest tenants, and periodic rebalance
+	// passes move the heaviest tenants off crowded shards, at most
+	// d·shards moves per pass. See docs/ENGINE.md.
 	PlacementBalanced = engine.PlacementBalanced
 )
 
@@ -323,9 +321,7 @@ func WithJournalSync(p JournalSyncPolicy) EngineOption {
 }
 
 // WithPlacement selects the tenant→shard routing policy (default
-// PlacementHash). PlacementBalanced requires a power-of-two shard
-// count: combine with WithShards(2^k), or omit WithShards and the
-// engine rounds its default down to a power of two.
+// PlacementHash). Either policy works with any shard count.
 func WithPlacement(p PlacementPolicy) EngineOption {
 	return func(o *engineOptions) {
 		switch p {
@@ -337,11 +333,10 @@ func WithPlacement(p PlacementPolicy) EngineOption {
 	}
 }
 
-// WithRebalanceD sets the paper's d knob for PlacementBalanced routing:
-// the virtual A_M(d) allocator repacks after d·shards units of tenant
-// load arrive, and each rebalance pass moves at most d·shards tenants.
-// Smaller d keeps shards tightly balanced at the cost of more moves
-// (default 1; at least 1). Requires WithPlacement(PlacementBalanced).
+// WithRebalanceD sets the per-pass move budget of PlacementBalanced
+// routing: each rebalance pass moves at most d·shards tenants, heaviest
+// first (default 1; at least 1). Requires
+// WithPlacement(PlacementBalanced).
 func WithRebalanceD(d int) EngineOption {
 	return func(o *engineOptions) {
 		if d < 1 {
@@ -434,9 +429,6 @@ func (o *engineOptions) finish() error {
 	}
 	if o.cfg.RebalanceEvery > 0 && !balanced {
 		return fmt.Errorf("%w: WithRebalanceEvery requires WithPlacement(PlacementBalanced)", ErrBadOption)
-	}
-	if balanced && o.cfg.Shards > 0 && o.cfg.Shards != mathx.FloorPow2(o.cfg.Shards) {
-		return fmt.Errorf("%w: WithPlacement(PlacementBalanced) requires a power-of-two shard count, got WithShards(%d)", ErrBadOption, o.cfg.Shards)
 	}
 	var fr *obs.FlightRecorder
 	if o.flightN > 0 {
@@ -623,11 +615,6 @@ func (e *Engine) RecoveryStats() RecoveryStats { return e.eng.RecoveryStats() }
 
 // ShardStats snapshots every shard's load ledger in index order.
 func (e *Engine) ShardStats() []EngineShardStats { return e.eng.ShardStats() }
-
-// ResetShardPeaks restarts every shard's peak-backlog high-water
-// (EngineShardStats.PeakQueued) from its current backlog, scoping the
-// peak to a measurement window instead of the engine's lifetime.
-func (e *Engine) ResetShardPeaks() { e.eng.ResetShardPeaks() }
 
 // Routes snapshots the tenant→shard routing table. Under PlacementHash
 // every tenant maps to fnv32a(id) mod shards; under PlacementBalanced

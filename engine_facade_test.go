@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"partalloc"
-	"partalloc/internal/mathx"
 )
 
 // TestEngineFacadeMatchesSimulate drives the public Engine with
@@ -106,9 +105,10 @@ func TestEngineFaultOptionAndSentinel(t *testing.T) {
 }
 
 // TestEngineShardDefaults pins the shard count the options leave to the
-// engine's defaults: min(GOMAXPROCS, 8) shards, rounded down to a power
-// of two under PlacementBalanced, and an explicit WithShards kept as is.
-// GOMAXPROCS is swept so the rounding runs whatever the host's CPU count.
+// engine's defaults: min(GOMAXPROCS, 8) shards under either placement,
+// and an explicit WithShards kept as is. GOMAXPROCS is swept so the cap
+// and counts that are not powers of two run whatever the host's CPU
+// count.
 func TestEngineShardDefaults(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shards := func(opts ...partalloc.EngineOption) int {
@@ -125,11 +125,11 @@ func TestEngineShardDefaults(t *testing.T) {
 		if got := shards(); got != want {
 			t.Errorf("GOMAXPROCS=%d: NewEngine() has %d shards, want %d", procs, got, want)
 		}
-		if got := shards(partalloc.WithPlacement(partalloc.PlacementBalanced)); got != mathx.FloorPow2(want) {
-			t.Errorf("GOMAXPROCS=%d: balanced default has %d shards, want %d", procs, got, mathx.FloorPow2(want))
+		if got := shards(partalloc.WithPlacement(partalloc.PlacementBalanced)); got != want {
+			t.Errorf("GOMAXPROCS=%d: balanced default has %d shards, want %d", procs, got, want)
 		}
-		if got := shards(partalloc.WithPlacement(partalloc.PlacementBalanced), partalloc.WithShards(4)); got != 4 {
-			t.Errorf("GOMAXPROCS=%d: balanced WithShards(4) has %d shards, want 4", procs, got)
+		if got := shards(partalloc.WithPlacement(partalloc.PlacementBalanced), partalloc.WithShards(6)); got != 6 {
+			t.Errorf("GOMAXPROCS=%d: balanced WithShards(6) has %d shards, want 6", procs, got)
 		}
 	}
 }

@@ -132,7 +132,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"WithPoisonDump", []partalloc.EngineOption{partalloc.WithPoisonDump(nil)}},
 		{"WithPoisonDump", []partalloc.EngineOption{partalloc.WithPoisonDump(&bytes.Buffer{})}}, // requires WithFlightRecorder
 		{"WithPlacement", []partalloc.EngineOption{partalloc.WithPlacement(partalloc.PlacementPolicy(99))}},
-		{"WithPlacement", []partalloc.EngineOption{partalloc.WithPlacement(partalloc.PlacementBalanced), partalloc.WithShards(6)}}, // balanced wants pow2 shards
 		{"WithRebalanceD", []partalloc.EngineOption{partalloc.WithRebalanceD(0)}},
 		{"WithRebalanceD", []partalloc.EngineOption{partalloc.WithRebalanceD(2)}}, // requires PlacementBalanced
 		{"WithRebalanceEvery", []partalloc.EngineOption{partalloc.WithRebalanceEvery(0)}},

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"partalloc/internal/core"
@@ -137,4 +138,27 @@ func BenchmarkSubmitJournaled(b *testing.B) {
 		events += int64(len(evs))
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// benchMoves keeps BenchmarkBalancedPlan's plans live.
+var benchMoves []Move
+
+// BenchmarkBalancedPlan times one rebalance plan shaped like the skew
+// gate's: 48 tenants placed on 8 shards, zipf(0.8) loads decaying as
+// 6000/(rank+1)^0.8, and a budget of d·shards moves with d=1. The plan
+// is never applied, so every op plans from the same routing table.
+func BenchmarkBalancedPlan(b *testing.B) {
+	const tenants, shards, d = 48, 8, 1
+	p := NewBalancedPlacer(shards)
+	loads := make(map[string]float64, tenants)
+	for i := 0; i < tenants; i++ {
+		id := fmt.Sprintf("tenant-%02d", i)
+		p.Place(id)
+		loads[id] = 6000 / math.Pow(float64(i+1), 0.8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchMoves = p.Plan(loads, d*shards)
+	}
 }

@@ -152,13 +152,13 @@ type Config struct {
 	Sink *obs.Sink
 	// Placement selects the tenant→shard placer (placement.go):
 	// PlacementHash (default, the historical fnv routing) or
-	// PlacementBalanced, which runs the paper's own A_M(d) over the
-	// shards and periodically moves tenants to even out measured load.
+	// PlacementBalanced, which places each new tenant on the shard with
+	// the fewest tenants and periodically moves tenants, heaviest first,
+	// to even out measured load.
 	Placement PlacementPolicy
-	// RebalanceD is the balanced placer's reallocation parameter d: the
-	// virtual A_M instance repacks when arrived task size since its last
-	// reallocation reaches d·shards, and each rebalance pass moves at
-	// most d·shards tenants (default 1). Ignored under PlacementHash.
+	// RebalanceD is the balanced placer's move budget: each rebalance
+	// pass moves at most RebalanceD·shards tenants (default 1). Ignored
+	// under PlacementHash.
 	RebalanceD int
 	// RebalanceEvery is the number of engine-wide applied batches
 	// between rebalance passes (default 32). Ignored under
@@ -208,10 +208,6 @@ func (c Config) withDefaults() Config {
 		c.DegradeBudget = 5 * time.Millisecond
 	}
 	if c.Placement == PlacementBalanced {
-		// The virtual machine's PEs are the shards, and tree machines are
-		// power-of-two; round down rather than reject — the facade
-		// validates explicit shard counts strictly (ErrBadOption).
-		c.Shards = mathx.FloorPow2(c.Shards)
 		if c.RebalanceD <= 0 {
 			c.RebalanceD = 1
 		}

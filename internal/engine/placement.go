@@ -9,14 +9,13 @@
 //     behind the routing table. Routes never change, so the engine is
 //     byte-identical to the pre-placement-layer code (gated by
 //     TestHashPlacementGolden).
-//   - BalancedPlacer: the engine eating the paper's own cooking. An
-//     internal core A_M(d) instance runs over a virtual tree machine
-//     whose PEs are the shards and whose tasks are the tenants, each
-//     sized by a power-of-two quantization of its measured apply-cost
-//     EWMA. Every Config.RebalanceEvery applied batches, the engine
-//     diffs the virtual placement against the routing table and moves
-//     at most d·shards tenants (moveTenantLocal), journaling each move
-//     as a wal.TypeMove record so Recover replays routing exactly.
+//   - BalancedPlacer: a load-levelling greedy over the routing table.
+//     A new tenant goes to the shard with the fewest routed tenants.
+//     Every Config.RebalanceEvery applied batches, the engine seats
+//     each tenant, heaviest first, on the least-loaded shard by its
+//     decayed event count and moves at most d·shards tenants
+//     (moveTenantLocal), journaling each move as a wal.TypeMove record
+//     so Recover replays routing exactly.
 //
 // Routing changes and shard membership are kept consistent by lock
 // discipline: moves hold the rebalance mutex plus both shard locks, and
@@ -31,11 +30,7 @@ import (
 	"sort"
 	"sync"
 
-	"partalloc/internal/core"
 	"partalloc/internal/invariant"
-	"partalloc/internal/mathx"
-	"partalloc/internal/task"
-	"partalloc/internal/tree"
 	"partalloc/internal/wal"
 )
 
@@ -46,8 +41,8 @@ const (
 	// PlacementHash routes tenants by fnv-32a hash (the default and the
 	// historical behavior).
 	PlacementHash PlacementPolicy = iota
-	// PlacementBalanced routes tenants through an internal A_M(d)
-	// rebalancer over the shards (see BalancedPlacer).
+	// PlacementBalanced routes tenants through a mutable table that
+	// rebalance passes level by measured load (see BalancedPlacer).
 	PlacementBalanced
 )
 
@@ -155,105 +150,50 @@ func (p *HashPlacer) Place(id string) int {
 	return idx
 }
 
-// vtask is one tenant's task in the BalancedPlacer's virtual machine.
-// want/wantN debounce resizes: the direction (+1 grow, -1 shrink) of a
-// pending size change and how many consecutive Plan passes have asked
-// for it. Direction, not the exact size — estimates drifting across a
-// quantization boundary may ask for 2 one pass and 4 the next, and a
-// growth demand that persistent should still land.
-type vtask struct {
-	tid   task.ID
-	size  int
-	want  int
-	wantN int
-}
-
-// resizePersist is how many consecutive passes a size change must
-// survive before the virtual task is re-packed. One pass of whiplash in
-// the load estimates (a client bursting, another idling through a
-// window) must not trigger an A_M reallocation, because reallocation
-// shifts submachine ranges fleet-wide and every shifted tenant becomes
-// a candidate move.
-const resizePersist = 3
-
-// BalancedPlacer routes tenants through the paper's own A_M(d): the
-// shards are the PEs of a virtual tree machine, each tenant is a task
-// sized by the power-of-two quantization of its load estimate, and a
-// multi-shard tenant may run on any PE of its assigned submachine — the
-// wide submachine reserves headroom around the heavy tenants, which is
-// where the paper's isolation guarantee lives. Singleton tasks carry no
-// such guarantee (their quantized width is one PE), so Plan levels them
-// across the whole machine. Within those ranges a constrained greedy
-// assigns each tenant, heaviest first, to the least-loaded admissible
-// shard, with enough stickiness that a converged fleet plans no moves.
-// The virtual allocator is a heuristic advisor only: the routing table
-// remains the source of truth and is recovered from the journal (hash
-// defaults plus TypeMove records plus snapshot Shard fields), never
-// from the advisor.
+// BalancedPlacer levels measured load across the shards. Place sends a
+// new tenant to the shard with the fewest routed tenants; Plan seats
+// every measured tenant, heaviest first, on the least-loaded shard, and
+// a rebalance pass performs at most d·shards of the moves it implies.
+// A tenant runs on exactly one shard, so its load alone decides its
+// seat. The routing table is the placer's only state, and it is
+// recovered from the journal (hash defaults plus TypeMove records plus
+// snapshot Shard fields).
 type BalancedPlacer struct {
 	routeTable
-	d int
-
-	vmu    sync.Mutex
-	vm     *core.Periodic
-	tasks  map[string]vtask
-	nextID task.ID
 }
 
-// NewBalancedPlacer returns an A_M(d)-backed placer over a power-of-two
-// shard count (Config.withDefaults guarantees it).
-func NewBalancedPlacer(shards, d int) *BalancedPlacer {
-	p := &BalancedPlacer{
-		d: d,
-		//lint:ignore hosttopo the virtual machine's PEs are this engine's shards, not physical processors — no host topology exists for them
-		vm:    core.NewPeriodic(tree.MustNew(shards), d, core.DecreasingSize),
-		tasks: make(map[string]vtask),
-	}
+// NewBalancedPlacer returns a load-levelling placer over shards stripes.
+func NewBalancedPlacer(shards int) *BalancedPlacer {
+	p := &BalancedPlacer{}
 	p.routes = make(map[string]int)
 	p.shards = shards
 	return p
 }
 
-// shardOf maps a virtual submachine to the shard index a tenant placed
-// there is routed to: the first PE the submachine covers.
-func (p *BalancedPlacer) shardOf(v tree.Node) int {
-	lo, _ := p.vm.Machine().PERange(v)
-	return lo
-}
-
-// Place implements Placer: a new tenant arrives in the virtual machine
-// as a size-1 task and is routed to its assigned shard. The caller
-// (addTenant) journals the divergence from the hash default as a
-// TypeMove record so recovery reproduces the route.
+// Place implements Placer: a new tenant goes to the shard with the
+// fewest routed tenants, lowest index first, so a fleet registered
+// before its first pass starts spread evenly, and a removed tenant's
+// shard is refilled first. The caller (addTenant) journals the
+// divergence from the hash default as a TypeMove record so recovery
+// reproduces the route.
 func (p *BalancedPlacer) Place(id string) int {
-	if idx, ok := p.Lookup(id); ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if idx, ok := p.routes[id]; ok {
 		return idx
 	}
-	p.vmu.Lock()
-	idx := p.shardOf(p.arriveLocked(id, 1))
-	p.vmu.Unlock()
-	p.Reroute(id, idx)
-	return idx
-}
-
-// arriveLocked adds a virtual task for id. Callers hold vmu.
-func (p *BalancedPlacer) arriveLocked(id string, size int) tree.Node {
-	p.nextID++
-	tid := p.nextID
-	v := p.vm.Arrive(task.Task{ID: tid, Size: size})
-	p.tasks[id] = vtask{tid: tid, size: size}
-	return v
-}
-
-// Remove implements Placer, retiring the virtual task too.
-func (p *BalancedPlacer) Remove(id string) {
-	p.vmu.Lock()
-	if vt, ok := p.tasks[id]; ok {
-		p.vm.Depart(vt.tid)
-		delete(p.tasks, id)
+	count := make([]int, p.shards)
+	for _, idx := range p.routes {
+		count[idx]++
 	}
-	p.vmu.Unlock()
-	p.routeTable.Remove(id)
+	best := 0
+	for s := 1; s < p.shards; s++ {
+		if count[s] < count[best] {
+			best = s
+		}
+	}
+	p.routes[id] = best
+	return best
 }
 
 // Move is one planned intra-engine tenant move.
@@ -262,176 +202,54 @@ type Move struct {
 	From, To int
 }
 
-// Plan re-sizes the virtual tasks from the per-tenant load estimates,
-// lets A_M(d) repack as its own trigger dictates, and returns at most
-// budget moves that would bring the routing table toward the virtual
-// placement. A tenant routed anywhere inside its assigned submachine
-// stays put (so plans do not oscillate between equivalent PEs); one
-// routed outside it moves to the least-loaded in-range shard, heaviest
-// tenants first, since moving them repairs the most imbalance per
-// move. Tenants in the table but absent from loads (mid-move, poisoned
-// at scan time) keep their routes.
+// Plan seats every tenant in loads, heaviest first, on the least-loaded
+// shard (lowest index on ties) and returns the moves that seating
+// implies, at most budget of them, heaviest first: moving a heavy
+// tenant repairs the most imbalance per move. A routed tenant stays
+// put unless its shard's running load exceeds the least-loaded shard's
+// by more than the tenant's own load: a move that cheap is within
+// estimate noise, and holding still keeps converged plans empty instead
+// of shuffling near-equal tenants between near-equal shards every pass.
+// Tenants in the table but absent from loads (mid-move, poisoned at
+// scan time) keep their routes and weigh nothing.
 func (p *BalancedPlacer) Plan(loads map[string]float64, budget int) []Move {
 	if budget <= 0 {
 		return nil
 	}
-	ids := make([]string, 0, len(loads))
-	for id := range loads {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	p.vmu.Lock()
-	// Retire virtual tasks for tenants that left the engine entirely.
-	current := p.Routes()
-	for id, vt := range p.tasks {
-		if _, ok := current[id]; !ok {
-			p.vm.Depart(vt.tid)
-			delete(p.tasks, id)
-		}
-	}
-	// Quantize load estimates to power-of-two task sizes relative to the
-	// heaviest tenant, who always gets the maximum width (half the
-	// machine, so no tenant can reserve every shard); each halving of
-	// load drops one notch, floor 1. The heaviest tenant's estimate is
-	// the stablest statistic the ledger has — sizing against it, rather
-	// than against the lightest (which decays toward zero the moment a
-	// tenant goes quiet), keeps the tail from inflating every width when
-	// the fleet idles. Keeping width roughly proportional to load is
-	// what makes the virtual packing track real load: every copy of the
-	// virtual machine holds ~shards units of width, so each PE column
-	// accumulates a near-equal load share.
-	maxLoad := 0.0
-	for _, id := range ids {
-		if l := loads[id]; l > maxLoad {
-			maxLoad = l
-		}
-	}
-	maxSize := p.shards / 2
-	if maxSize < 1 {
-		maxSize = 1
-	}
-	sizeFor := func(load float64) int {
-		if maxLoad <= 0 || load <= 0 {
-			return 1
-		}
-		r := int(maxLoad / load)
-		if r < 1 {
-			r = 1
-		}
-		size := maxSize >> mathx.Log2Floor(r)
-		if size < 1 {
-			size = 1
-		}
-		return size
-	}
-	for _, id := range ids {
-		size := sizeFor(loads[id])
-		vt, ok := p.tasks[id]
-		if !ok {
-			p.arriveLocked(id, size)
-			continue
-		}
-		// Hysteresis: a resize must survive a full-octave (2×) load
-		// discount (going up) or markup (going down). Size classes are
-		// powers of two, so anything less lets a tenant sitting near a
-		// quantization boundary flap the virtual packing — and, through
-		// A_M's reallocation, the whole fleet's placements — every pass.
-		dir := 0
-		switch {
-		case size > vt.size && sizeFor(loads[id]/2) > vt.size:
-			dir = 1
-		case size < vt.size && sizeFor(loads[id]*2) < vt.size:
-			dir = -1
-		}
-		if dir == 0 {
-			if vt.wantN != 0 {
-				vt.want, vt.wantN = 0, 0
-				p.tasks[id] = vt
-			}
-			continue
-		}
-		if vt.want == dir {
-			vt.wantN++
-		} else {
-			vt.want, vt.wantN = dir, 1
-		}
-		if vt.wantN >= resizePersist {
-			p.vm.Depart(vt.tid)
-			p.arriveLocked(id, size)
-		} else {
-			p.tasks[id] = vt
-		}
-	}
-	// Collect every tenant's admissible shard range — the PE span of the
-	// submachine A_M assigned its virtual task.
-	type slot struct {
+	type seat struct {
 		id     string
-		lo, hi int // admissible shard range [lo, hi)
+		load   float64
 		have   int
 		routed bool
-		load   float64
 	}
-	slots := make([]slot, 0, len(ids))
-	for _, id := range ids {
-		vt, ok := p.tasks[id]
-		if !ok {
-			continue
-		}
-		node, ok := p.vm.Placement(vt.tid)
-		if !ok {
-			continue
-		}
-		lo, hi := p.vm.Machine().PERange(node)
-		if hi-lo == 1 {
-			// A singleton has no submachine to preserve — its quantized
-			// width is a single PE, so A_M's placement of it carries no
-			// isolation guarantee, only packing-order bias (DecreasingSize
-			// fills each copy's PEs heaviest-first, so high columns
-			// systematically collect the lightest tasks). Let the greedy
-			// level the light tail across the whole machine; the reserved
-			// ranges protect the wide tenants, which is where the paper's
-			// guarantee lives.
-			lo, hi = 0, p.shards
-		}
+	seats := make([]seat, 0, len(loads))
+	for id, load := range loads {
 		have, routed := p.Lookup(id)
-		slots = append(slots, slot{id: id, lo: lo, hi: hi, have: have, routed: routed, load: loads[id]})
+		seats = append(seats, seat{id: id, load: load, have: have, routed: routed})
 	}
-	p.vmu.Unlock()
-
-	// Constrained greedy target assignment: every tenant, heaviest
-	// first, goes to the least-loaded shard its submachine covers — A_M
-	// reserves the neighborhood, the measured load picks the seat
-	// inside it. A tenant already routed in-range stays unless moving
-	// improves its shard's running load by more than the tenant's own
-	// contribution: a move that cheap is within estimate noise, and
-	// holding still keeps converged plans empty instead of shuffling
-	// near-equal tenants between near-equal shards every pass.
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].load != slots[j].load {
-			return slots[i].load > slots[j].load
+	sort.Slice(seats, func(i, j int) bool {
+		if seats[i].load != seats[j].load {
+			return seats[i].load > seats[j].load
 		}
-		return slots[i].id < slots[j].id
+		return seats[i].id < seats[j].id
 	})
 	running := make([]float64, p.shards)
 	var moves []Move
-	for _, sl := range slots {
-		best := sl.lo
-		for s := sl.lo + 1; s < sl.hi; s++ {
+	for _, st := range seats {
+		best := 0
+		for s := 1; s < p.shards; s++ {
 			if running[s] < running[best] {
 				best = s
 			}
 		}
-		if sl.routed && sl.have >= sl.lo && sl.have < sl.hi &&
-			running[sl.have] <= running[best]+sl.load {
-			best = sl.have
+		if st.routed && running[st.have] <= running[best]+st.load {
+			best = st.have
 		}
-		running[best] += sl.load
-		if sl.routed && best != sl.have {
-			moves = append(moves, Move{Tenant: sl.id, From: sl.have, To: best})
+		running[best] += st.load
+		if st.routed && best != st.have {
+			moves = append(moves, Move{Tenant: st.id, From: st.have, To: best})
 		}
 	}
-	// Heaviest-first truncation: the emission order above already is.
 	if len(moves) > budget {
 		moves = moves[:budget]
 	}
@@ -441,7 +259,7 @@ func (p *BalancedPlacer) Plan(loads map[string]float64, budget int) []Move {
 // newPlacer builds the configured placer; called by New.
 func newPlacer(cfg Config) Placer {
 	if cfg.Placement == PlacementBalanced {
-		return NewBalancedPlacer(cfg.Shards, cfg.RebalanceD)
+		return NewBalancedPlacer(cfg.Shards)
 	}
 	return NewHashPlacer(cfg.Shards)
 }
@@ -535,9 +353,9 @@ func (e *Engine) ShardStats() []ShardStats {
 
 // ResetShardPeaks starts a fresh peak-backlog measurement window:
 // every stripe's PeakQueued high-water restarts from its current
-// backlog. Benchmarks and monitors use this to scope the peak to a
-// phase (say, after a fleet's routing has converged) instead of the
-// engine's whole lifetime.
+// backlog. The skew gate uses this to scope the peak to a phase (after
+// a fleet's routing has converged) instead of the engine's whole
+// lifetime.
 func (e *Engine) ResetShardPeaks() {
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -672,14 +490,11 @@ func (e *Engine) rebalancePass(bp *BalancedPlacer) (int, error) {
 	return moved, firstErr
 }
 
-// rebalDecay ages the per-tenant load accumulator each pass. A decayed
-// accumulator — not an EWMA toward the current window — because when
-// the fleet goes quiet every estimate shrinks by the same factor and
-// the load RATIOS the packing is built from hold still; an EWMA would
-// collapse idle tenants toward zero absolutely, move the fleet maximum,
-// and re-quantize every width each pass. Slow enough to be stable, low
-// enough that a workload shift overtakes history within a few dozen
-// passes.
+// rebalDecay ages the per-tenant load accumulator each pass. When the
+// fleet goes quiet every estimate shrinks by the same factor, so the
+// load ratios Plan seats tenants by hold still. Slow enough to be
+// stable, low enough that a workload shift overtakes history within a
+// few dozen passes.
 const rebalDecay = 0.95
 
 // auditPlacement checks the two placement invariants under all shard

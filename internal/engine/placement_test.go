@@ -39,11 +39,13 @@ func placementMembers(e *Engine) map[string]int {
 // calls and load histories must plan the exact same move sequences and
 // end with identical routing tables. Recovery depends on this — replay
 // reproduces routes from journaled moves, so a nondeterministic planner
-// would make the journal's moves meaningless on the next process.
+// would make the journal's moves meaningless on the next process. Each
+// plan must also keep the contract: its moves come heaviest first, and
+// once they are applied, the same loads plan no further move.
 func TestBalancedPlacerDeterminism(t *testing.T) {
 	const shards, d, tenants = 8, 1, 12
 	mk := func() *BalancedPlacer {
-		p := NewBalancedPlacer(shards, d)
+		p := NewBalancedPlacer(shards)
 		for i := 0; i < tenants; i++ {
 			p.Place(fmt.Sprintf("t%02d", i))
 		}
@@ -55,11 +57,11 @@ func TestBalancedPlacerDeterminism(t *testing.T) {
 	}
 
 	budget := d * shards
+	planned := 0
 	for pass := 0; pass < 12; pass++ {
 		// A deterministic, skewed, drifting load history: quadratic skew
 		// across tenants, the skew direction flipping halfway so the
-		// planner has to both grow and shrink widths through the
-		// hysteresis window.
+		// heaviest tenants turn lightest and the planner must reseat them.
 		loads := make(map[string]float64)
 		for i := 0; i < tenants; i++ {
 			rank := i
@@ -72,21 +74,83 @@ func TestBalancedPlacerDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(ma, mb) {
 			t.Fatalf("pass %d: plans diverge:\n  a: %v\n  b: %v", pass, ma, mb)
 		}
+		planned += len(ma)
 		if len(ma) > budget {
 			t.Fatalf("pass %d: %d moves planned, budget is %d", pass, len(ma), budget)
 		}
-		for _, mv := range ma {
+		for i, mv := range ma {
 			if mv.To < 0 || mv.To >= shards || mv.To == mv.From {
 				t.Fatalf("pass %d: malformed move %+v", pass, mv)
+			}
+			if i > 0 && loads[mv.Tenant] > loads[ma[i-1].Tenant] {
+				t.Fatalf("pass %d: move %d (%s, load %v) is heavier than move %d (%s, load %v)",
+					pass, i, mv.Tenant, loads[mv.Tenant], i-1, ma[i-1].Tenant, loads[ma[i-1].Tenant])
 			}
 			// Apply the plan the way rebalancePass does, so the next
 			// pass sees the moved routing table.
 			a.Reroute(mv.Tenant, mv.To)
 			b.Reroute(mv.Tenant, mv.To)
 		}
+		if again := a.Plan(loads, budget); len(again) > 0 {
+			t.Fatalf("pass %d: the applied plan's loads plan %d more moves: %v", pass, len(again), again)
+		}
+	}
+	if planned == 0 {
+		t.Fatal("the load history planned no move")
 	}
 	if !reflect.DeepEqual(a.Routes(), b.Routes()) {
 		t.Fatalf("final routes diverge:\n  a: %v\n  b: %v", a.Routes(), b.Routes())
+	}
+}
+
+// TestBalancedPlacerPlace pins where a new tenant lands: on the shard
+// with the fewest routed tenants, the lowest index on ties, so a
+// removed tenant's shard is the first one refilled. Placing a routed
+// tenant again keeps its route.
+func TestBalancedPlacerPlace(t *testing.T) {
+	p := NewBalancedPlacer(6)
+	place := func(id string, want int) {
+		t.Helper()
+		if got := p.Place(id); got != want {
+			t.Fatalf("Place(%s) = shard %d, want %d (routes %v)", id, got, want, p.Routes())
+		}
+	}
+	// One tenant per shard in index order, then the ties from shard 0.
+	for i := 0; i < 9; i++ {
+		place(fmt.Sprintf("t%d", i), i%6)
+	}
+	place("t4", 4)
+	// Shard 4 is emptied, so it is refilled before shards 3 and 5, which
+	// hold one tenant each.
+	p.Remove("t4")
+	place("t9", 4)
+	place("t10", 3)
+	// Counts follow the routes: rerouting t10 off shard 3 ties it with
+	// shard 4 for the fewest tenants, and the lower index wins.
+	p.Reroute("t10", 5)
+	place("t11", 3)
+	place("t12", 4)
+}
+
+// TestBalancedPlacerPlanSticky pins the stickiness rule: a routed
+// tenant moves only when its shard's running load exceeds the
+// least-loaded shard's by more than the tenant's own load, and a budget
+// short of the plan keeps its heaviest moves.
+func TestBalancedPlacerPlanSticky(t *testing.T) {
+	p := NewBalancedPlacer(3)
+	for _, id := range []string{"a", "b", "c"} {
+		p.Reroute(id, 2)
+	}
+	p.Reroute("d", 1)
+	loads := map[string]float64{"a": 8, "b": 4, "c": 2, "d": 1}
+	// a stays on shard 2 although shard 0 is emptier: 0 ≤ 0+8. b and c
+	// leave it (8 > 0+4, 8 > 0+2) for shards 0 and 1, and d stays on 1.
+	want := []Move{{Tenant: "b", From: 2, To: 0}, {Tenant: "c", From: 2, To: 1}}
+	if got := p.Plan(loads, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("Plan = %v, want %v", got, want)
+	}
+	if got := p.Plan(loads, 1); !reflect.DeepEqual(got, want[:1]) {
+		t.Errorf("Plan with budget 1 = %v, want %v", got, want[:1])
 	}
 }
 
@@ -489,10 +553,11 @@ func skewFleet() ([]TenantSpec, map[string][]task.Event) {
 	return specs, streams
 }
 
-// skewConfig is the skew gate's engine: 8 shards, 1024-event batches,
-// and for balanced placement A_M(1) with a pass every 32 batches.
-func skewConfig(balanced bool, log *wal.Log) Config {
-	cfg := Config{Shards: 8, BatchSize: 1024, Journal: log, Rebuild: testRebuild}
+// skewConfig is the skew gate's engine: 1024-event batches, and for
+// balanced placement a budget of one move per shard (d=1) with a pass
+// every 32 batches.
+func skewConfig(shards int, balanced bool, log *wal.Log) Config {
+	cfg := Config{Shards: shards, BatchSize: 1024, Journal: log, Rebuild: testRebuild}
 	if balanced {
 		cfg.Placement, cfg.RebalanceD, cfg.RebalanceEvery = PlacementBalanced, 1, 32
 	}
@@ -536,14 +601,15 @@ func driveSkew(t *testing.T, eng *Engine, specs []TenantSpec, streams map[string
 }
 
 // TestBalancedPlacementBeatsHashOnSkew gates what rebalancing buys on
-// the zipf fleet. Each placement ingests a warm-up third of every
-// stream (feeding the balanced placer's load estimates), runs 8 forced
-// passes so routing converges, restarts the peak-backlog window, and
-// ingests the rest; the balanced hot shard's peak backlog must be
-// strictly below hash placement's. Loads are event counts, so the
-// comparison is deterministic. A journaled balanced run over the whole
-// fleet must then recover the exact pre-close routing table by
-// replaying its TypeMove records.
+// the zipf fleet. On 8 shards, each placement ingests a warm-up third
+// of every stream (feeding the balanced placer's load estimates), runs
+// 8 forced passes so routing converges, restarts the peak-backlog
+// window, and ingests the rest; the balanced hot shard's peak backlog
+// must be strictly below hash placement's. Loads are event counts, so
+// the comparison is deterministic. A journaled balanced run over the
+// whole fleet, on 6 shards as well as 8, must then pass its audits and
+// recover the exact pre-close routing table by replaying its TypeMove
+// records.
 func TestBalancedPlacementBeatsHashOnSkew(t *testing.T) {
 	specs, streams := skewFleet()
 	warm := make(map[string][]task.Event, len(streams))
@@ -553,7 +619,7 @@ func TestBalancedPlacementBeatsHashOnSkew(t *testing.T) {
 		warm[id], rest[id] = evs[:cut], evs[cut:]
 	}
 	hotPeak := func(balanced bool) (int, RebalanceStats) {
-		eng := New(skewConfig(balanced, nil))
+		eng := New(skewConfig(8, balanced, nil))
 		for _, spec := range specs {
 			addSpecTenant(t, eng, spec)
 		}
@@ -584,31 +650,38 @@ func TestBalancedPlacementBeatsHashOnSkew(t *testing.T) {
 		t.Errorf("rebalance audit: %d violations, first: %s", len(rs.Violations), rs.Violations[0])
 	}
 
-	dir := t.TempDir()
-	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(skewConfig(true, log))
-	for _, spec := range specs {
-		addSpecTenant(t, eng, spec)
-	}
-	driveSkew(t, eng, specs, streams)
-	want := eng.Routes()
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(skewConfig(true, nil), dir, wal.Options{Sync: wal.SyncNever})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	defer rec.Journal().Close()
-	if got := rec.Routes(); !reflect.DeepEqual(got, want) {
-		t.Errorf("recovered routing table differs:\n  before: %v\n  after:  %v", want, got)
-	}
-	replayed := rec.RecoveryStats().MovesReplayed
-	t.Logf("journaled balanced run: %d moves replayed", replayed)
-	if replayed < 1 {
-		t.Errorf("MovesReplayed = %d, want >= 1", replayed)
+	for _, shards := range []int{6, 8} {
+		t.Run(fmt.Sprintf("journaled/shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := New(skewConfig(shards, true, log))
+			for _, spec := range specs {
+				addSpecTenant(t, eng, spec)
+			}
+			driveSkew(t, eng, specs, streams)
+			if v := eng.RebalanceStats().Violations; len(v) > 0 {
+				t.Errorf("rebalance audit: %d violations, first: %s", len(v), v[0])
+			}
+			want := eng.Routes()
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Recover(skewConfig(shards, true, nil), dir, wal.Options{Sync: wal.SyncNever})
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			defer rec.Journal().Close()
+			if got := rec.Routes(); !reflect.DeepEqual(got, want) {
+				t.Errorf("recovered routing table differs:\n  before: %v\n  after:  %v", want, got)
+			}
+			replayed := rec.RecoveryStats().MovesReplayed
+			t.Logf("journaled balanced run on %d shards: %d moves replayed", shards, replayed)
+			if replayed < 1 {
+				t.Errorf("MovesReplayed = %d, want >= 1", replayed)
+			}
+		})
 	}
 }
