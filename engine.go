@@ -187,9 +187,10 @@ func WithBatchSize(n int) EngineOption {
 }
 
 // WithAudit attaches an invariant checker to every tenant and applies
-// events one at a time so the checker sees each placement. This trades
-// away all batching throughput for per-event validation; use it in tests
-// and canary runs, not in benchmarks.
+// events one at a time, so the checker sees each placement and the
+// tenant's PeakLoad samples the load after every event. This trades away
+// all batching throughput for per-event validation; use it in tests and
+// canary runs, not in benchmarks.
 func WithAudit() EngineOption {
 	return func(o *engineOptions) { o.cfg.Audit = true }
 }

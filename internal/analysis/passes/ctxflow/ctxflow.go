@@ -1,5 +1,5 @@
 // Package ctxflow enforces the context-propagation discipline behind the
-// *Context API family (sim.RunContext, sched.Run*Context,
+// *Context API family (sim.RunContext, sched.RunContext,
 // partalloc.SimulateContext/ExecuteContext, cli.WithInterrupt): a
 // cancellation signal must flow from main() down to the event loop
 // without any layer silently re-rooting it.

@@ -60,12 +60,11 @@ import (
 	"partalloc/internal/errs"
 	"partalloc/internal/fault"
 	"partalloc/internal/invariant"
-	"partalloc/internal/mathx"
 	"partalloc/internal/obs"
 	"partalloc/internal/parallel"
+	"partalloc/internal/sim"
 	"partalloc/internal/task"
 	"partalloc/internal/topology"
-	"partalloc/internal/tree"
 	"partalloc/internal/wal"
 )
 
@@ -98,7 +97,8 @@ type Config struct {
 	// load/latency samples, which are taken at batch boundaries.
 	BatchSize int
 	// Audit attaches an invariant.Checker to every tenant and applies
-	// events one at a time so the checker sees each placement. This trades
+	// events one at a time, so the checker sees each placement and
+	// TenantStats.PeakLoad samples the load after every event. This trades
 	// away all batching throughput for per-event validation; use it in
 	// tests and canary runs, not in benchmarks.
 	Audit bool
@@ -238,8 +238,9 @@ type TenantStats struct {
 	BatchNs []int64
 	// MaxLoad is the allocator's current maximum PE load.
 	MaxLoad int
-	// PeakLoad is the highest MaxLoad observed at a batch boundary (exact
-	// per-event under Config.Audit, since batches are then single events).
+	// PeakLoad is the highest MaxLoad sampled at a batch boundary or
+	// after an injected fault. Under Config.Audit the load is sampled
+	// after every event as well, so PeakLoad is exact.
 	PeakLoad int
 	// LStar is the running optimal bound ⌈max_τ S(σ;τ)/N⌉ over the
 	// applied prefix.
@@ -301,21 +302,13 @@ type DegradeTransition struct {
 type tenant struct {
 	id    string
 	alloc core.Allocator
-	batch core.BatchApplier // nil → per-event application
-	ft    core.FaultTolerant
-	check *invariant.Checker // non-nil only under Config.Audit
+	// step applies the tenant's events and faults and keeps its load, L*,
+	// fault and hop ledger. Its checker is non-nil only under
+	// Config.Audit.
+	step *sim.Step
 
 	faults   []fault.Event
 	faultPos int
-	faultHit int
-
-	// Host-aware migration pricing (WithTenantHost). inFault mutes the
-	// observer while a fault is applied: A_M's FailPE fires it for forced
-	// moves too, and those are charged once, from the FailPE return.
-	host       *topology.Host
-	migHops    int64
-	forcedHops int64
-	inFault    bool
 
 	queue []task.Event
 	err   error // poisoned; cleared only by a successful breaker rebuild
@@ -343,14 +336,10 @@ type tenant struct {
 	// the Config.SnapshotEvery cadence counts batches from here.
 	lastSnapBatch int64
 
-	n             int64 // machine size, for L*
-	events        int64
-	activeSize    int64
-	maxActiveSize int64
-	peakLoad      int
-	batches       int64
-	applyNs       int64
-	batchNs       []int64
+	events  int64
+	batches int64
+	applyNs int64
+	batchNs []int64
 
 	// Rebalance load estimate: rebalMark is t.events at the last pass,
 	// rebalEst the decayed accumulator of applied-event windows (see
@@ -603,7 +592,6 @@ func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faul
 		dropRoute()
 		return err
 	}
-	wireObserver(t)
 	s := e.shardAt(idx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -629,69 +617,35 @@ func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faul
 	return nil
 }
 
-// buildTenant constructs a tenant's state (everything except the
-// migration-observer wiring, which must capture the final pointer — see
-// wireObserver). Shared by registration and circuit-breaker rebuilds.
+// buildTenant constructs a tenant's state. Shared by registration,
+// snapshot restores and circuit-breaker rebuilds.
 func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host) (*tenant, error) {
 	id := spec.ID
+	var check *invariant.Checker
+	if e.cfg.Audit {
+		check = invariant.New(a.Machine())
+	}
+	step, err := sim.NewStep(a, check, host, faults != nil)
+	if err != nil {
+		return nil, fmt.Errorf("engine: AddTenant(%q): %w", id, err)
+	}
 	t := &tenant{
 		id:       id,
 		alloc:    a,
+		step:     step,
 		algoName: a.Name(),
 		spec:     spec,
 		hasSpec:  hasSpec,
-		n:        int64(a.Machine().N()),
 		sink:     e.cfg.Sink,
 		shardIdx: e.route(id),
 	}
-	if ba, ok := a.(core.BatchApplier); ok {
-		t.batch = ba
-	}
-	if ft, ok := a.(core.FaultTolerant); ok {
-		t.ft = ft
-	}
 	if faults != nil {
-		if t.ft == nil {
-			return nil, fmt.Errorf("engine: AddTenant(%q): allocator %s does not support fault injection", id, a.Name())
-		}
 		t.faults = append([]fault.Event(nil), faults.Events...)
-	}
-	if e.cfg.Audit {
-		t.check = invariant.New(a.Machine())
-	}
-	if host != nil {
-		if host.N() != a.Machine().N() {
-			return nil, fmt.Errorf("engine: AddTenant(%q): host %s has %d PEs but allocator %s runs on %d",
-				id, host.Name(), host.N(), a.Name(), a.Machine().N())
-		}
-		t.host = host
-		t.check.SetHost(host)
 	}
 	if e.cfg.Overload == Degrade {
 		t.deg = newDegradeState(a)
 	}
 	return t, nil
-}
-
-// wireObserver claims the allocator's migration observer for host-aware
-// hop pricing. Separate from buildTenant so the closure captures the
-// tenant pointer that actually lives in the shard map — a breaker
-// rebuild copies the built state into the existing tenant struct, and
-// the observer must follow it.
-func wireObserver(t *tenant) {
-	if t.host == nil {
-		return
-	}
-	if ob, ok := t.alloc.(core.Observable); ok {
-		host := t.host
-		ob.SetMigrationObserver(func(_ task.ID, from, to tree.Node) {
-			if t.inFault {
-				return
-			}
-			t.migHops += host.MigrationCost(from, to)
-			t.check.OnMigration(from, to, false)
-		})
-	}
 }
 
 // Submit queues events for a tenant, applying a batch whenever the queue
@@ -770,7 +724,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 		}
 		t.queue = append(t.queue, evs[:take]...)
 		evs = evs[take:]
-		t.check.OnQueue(len(t.queue), maxQ)
+		t.step.Checker().OnQueue(len(t.queue), maxQ)
 		// Sample the shard backlog at its pre-drain high-water mark.
 		e.shardAt(t.shardIdx).noteQueued()
 		buf := t.queue
@@ -780,7 +734,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 			if err := e.apply(t, b); err != nil {
 				return err
 			}
-			t.check.OnQueue(len(t.queue), maxQ)
+			t.step.Checker().OnQueue(len(t.queue), maxQ)
 		}
 		// Slide the leftover to the front of the buffer, so the next
 		// Submit appends into the capacity the drain freed instead of
@@ -1108,7 +1062,7 @@ func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
 				j = at
 			}
 		}
-		t.applyRun(evs[i:j])
+		t.step.Apply(evs[i:j])
 		i = j
 	}
 	ns := e.now() - start
@@ -1121,17 +1075,10 @@ func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
 	sh := e.shardAt(t.shardIdx)
 	sh.events += int64(len(evs))
 	sh.applyNs += ns
-	load := t.alloc.MaxLoad()
-	if load > t.peakLoad {
-		t.peakLoad = load
-	}
+	load := t.step.ObserveLoad()
 	if t.sink != nil {
-		var lstar int64
-		if t.maxActiveSize > 0 {
-			lstar = mathx.CeilDiv64(t.maxActiveSize, t.n)
-		}
-		t.sink.BatchApplied(t.id, t.shardIdx, len(evs), ns,
-			int64(load), int64(t.peakLoad), lstar, len(t.queue), t.migHops, t.forcedHops)
+		t.sink.BatchApplied(t.id, t.shardIdx, len(evs), ns, int64(load), int64(t.step.PeakLoad),
+			int64(t.step.LStar()), len(t.queue), t.step.MigHops, t.step.ForcedHops)
 	}
 	e.degradeStep(t, ns)
 	return nil
@@ -1144,65 +1091,9 @@ func (t *tenant) injectFaults(i int) {
 	for t.faultPos < len(t.faults) && t.faults[t.faultPos].At <= i {
 		fe := t.faults[t.faultPos]
 		t.faultPos++
-		t.faultHit++
-		switch fe.Kind {
-		case fault.FailPE:
-			t.inFault = true
-			migs := t.ft.FailPE(fe.PE)
-			t.inFault = false
-			var hops int64
-			if t.host != nil {
-				for _, mg := range migs {
-					cost := t.host.MigrationCost(mg.From, mg.To)
-					t.forcedHops += cost
-					hops += cost
-					t.check.OnMigration(mg.From, mg.To, true)
-				}
-			}
-			t.sink.ForcedFault(t.id, fe.PE, len(migs), hops)
-			t.check.OnFail(t.alloc, fe.PE)
-		case fault.RecoverPE:
-			t.ft.RecoverPE(fe.PE)
-			t.check.OnRecover(t.alloc, fe.PE)
-		default:
-			panic(fmt.Errorf("engine: tenant %q: unknown fault kind %d", t.id, fe.Kind))
-		}
-		if load := t.alloc.MaxLoad(); load > t.peakLoad {
-			t.peakLoad = load
-		}
-	}
-}
-
-// applyRun applies a fault-free run of events. Audit mode goes one event
-// at a time through the invariant checker; otherwise the allocator's
-// BatchApplier (when present) amortizes the whole run.
-func (t *tenant) applyRun(evs []task.Event) {
-	switch {
-	case t.check != nil:
-		for _, e := range evs {
-			switch e.Kind {
-			case task.Arrive:
-				tk := task.Task{ID: e.Task, Size: e.Size}
-				v := t.alloc.Arrive(tk)
-				t.check.OnArrive(t.alloc, tk, v)
-			case task.Depart:
-				t.alloc.Depart(e.Task)
-				t.check.OnDepart(t.alloc, e.Task)
-			}
-		}
-	case t.batch != nil:
-		t.batch.ApplyBatch(evs)
-	default:
-		core.ApplyEvents(t.alloc, evs)
-	}
-	for _, e := range evs {
-		if e.Kind == task.Arrive {
-			t.activeSize += int64(e.Size)
-			if t.activeSize > t.maxActiveSize {
-				t.maxActiveSize = t.activeSize
-			}
-		} else {
-			t.activeSize -= int64(e.Size)
+		moved, hops := t.step.Fault(fe)
+		if fe.Kind == fault.FailPE {
+			t.sink.ForcedFault(t.id, fe.PE, moved, hops)
 		}
 	}
 }
@@ -1218,11 +1109,15 @@ func (s *shard) stats(t *tenant) TenantStats {
 		ApplyNs:       t.applyNs,
 		BatchNs:       append([]int64(nil), t.batchNs...),
 		MaxLoad:       t.alloc.MaxLoad(),
-		PeakLoad:      t.peakLoad,
+		PeakLoad:      t.step.PeakLoad,
+		LStar:         t.step.LStar(),
 		Active:        t.alloc.Active(),
-		FaultEvents:   t.faultHit,
-		MigHops:       t.migHops,
-		ForcedHops:    t.forcedHops,
+		Realloc:       t.step.Realloc(),
+		FaultEvents:   t.step.FaultEvents,
+		Topology:      t.step.Topology(),
+		MigHops:       t.step.MigHops,
+		ForcedHops:    t.step.ForcedHops,
+		Violations:    t.step.Checker().Violations(),
 		ShedEvents:    t.shed,
 		DroppedEvents: t.dropped,
 		EffectiveD:    -1,
@@ -1236,18 +1131,6 @@ func (s *shard) stats(t *tenant) TenantStats {
 		st.EffectiveD = t.deg.da.EffectiveD()
 		st.DegradeLevel = t.deg.level
 		st.Degrades = append([]DegradeTransition(nil), t.deg.trans...)
-	}
-	if t.host != nil {
-		st.Topology = t.host.Name()
-	}
-	if t.maxActiveSize > 0 {
-		st.LStar = int(mathx.CeilDiv64(t.maxActiveSize, t.n))
-	}
-	if r, ok := t.alloc.(core.Reallocator); ok {
-		st.Realloc = r.ReallocStats()
-	}
-	if t.check != nil {
-		st.Violations = t.check.Violations()
 	}
 	return st
 }

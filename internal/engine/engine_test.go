@@ -11,6 +11,7 @@ import (
 	"partalloc/internal/fault"
 	"partalloc/internal/sim"
 	"partalloc/internal/task"
+	"partalloc/internal/topology"
 	"partalloc/internal/tree"
 	"partalloc/internal/wal"
 	"partalloc/internal/workload"
@@ -54,18 +55,36 @@ func testStream(n, arrivals int, seed int64) []task.Event {
 // TestReplayMatchesSerialSimulate is the engine-level equivalence gate:
 // batched, sharded ingestion must leave every tenant's allocator in the
 // exact state a serial sim.Run pass produces — same PE loads, same
-// MaxLoad, same active set, same ReallocStats, same fault count.
+// MaxLoad, same active set, same ReallocStats, same fault count. Two
+// tenants run on a hypercube host, one of them faulted, and their hop
+// ledgers must match the serial run's too. The audited input applies
+// its 97-event batches one event at a time, so its PeakLoad is exact.
 func TestReplayMatchesSerialSimulate(t *testing.T) {
-	for _, batch := range []int{1, 97, 256} {
+	hosted := map[string]bool{"burrow": true, "fjord": true}
+	for _, in := range []struct {
+		batch int
+		audit bool
+	}{{1, false}, {97, false}, {256, false}, {97, true}} {
+		batch := in.batch
 		fleet := testFleet(t)
-		eng := New(Config{Shards: 3, BatchSize: batch})
+		eng := New(Config{Shards: 3, BatchSize: batch, Audit: in.audit})
 		streams := make(map[string][]task.Event)
 		engAllocs := make(map[string]core.Allocator)
+		hosts := make(map[string]*topology.Host)
 		for i, tt := range fleet {
 			m := tree.MustNew(tt.n)
 			a := tt.make(m)
 			engAllocs[tt.id] = a
-			if err := eng.AddTenant(tt.id, a, tenantOpts(tt.faults)...); err != nil {
+			opts := tenantOpts(tt.faults)
+			if hosted[tt.id] {
+				h, err := topology.NewHostNamed("hypercube", tt.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hosts[tt.id] = h
+				opts = append(opts, WithTenantHost(h))
+			}
+			if err := eng.AddTenant(tt.id, a, opts...); err != nil {
 				t.Fatal(err)
 			}
 			streams[tt.id] = testStream(tt.n, 700+50*i, int64(i+1))
@@ -77,7 +96,7 @@ func TestReplayMatchesSerialSimulate(t *testing.T) {
 
 		for _, tt := range fleet {
 			ref := tt.make(tree.MustNew(tt.n))
-			var opt sim.Options
+			opt := sim.Options{Host: hosts[tt.id]}
 			if tt.faults != nil {
 				opt.Faults = tt.faults.Source()
 			}
@@ -108,10 +127,22 @@ func TestReplayMatchesSerialSimulate(t *testing.T) {
 			if st.FaultEvents != want.FaultEvents {
 				t.Errorf("batch %d, %s: FaultEvents = %d, want %d", batch, tt.id, st.FaultEvents, want.FaultEvents)
 			}
-			// With single-event batches the boundary samples see every
-			// state, so the engine's peak must equal the serial peak.
-			if batch == 1 && st.PeakLoad != want.MaxLoad {
-				t.Errorf("%s: per-event PeakLoad = %d, serial MaxLoad = %d", tt.id, st.PeakLoad, want.MaxLoad)
+			if st.MigHops != want.MigHops || st.ForcedHops != want.ForcedHops || st.Topology != want.Topology {
+				t.Errorf("batch %d, %s: hops %d/%d on %q, serial %d/%d on %q", batch, tt.id,
+					st.MigHops, st.ForcedHops, st.Topology, want.MigHops, want.ForcedHops, want.Topology)
+			}
+			if hosted[tt.id] && (want.MigHops == 0 || (tt.faults != nil && want.ForcedHops == 0)) {
+				t.Errorf("%s: the serial run priced no hops (%d/%d), so the comparison shows nothing",
+					tt.id, want.MigHops, want.ForcedHops)
+			}
+			// Single-event batches and audited ones sample every state,
+			// so the engine's peak must equal the serial peak.
+			if (batch == 1 || in.audit) && st.PeakLoad != want.MaxLoad {
+				t.Errorf("batch %d, audit %v, %s: PeakLoad = %d, serial MaxLoad = %d",
+					batch, in.audit, tt.id, st.PeakLoad, want.MaxLoad)
+			}
+			if len(st.Violations) != 0 {
+				t.Errorf("batch %d, %s: audit violations %v", batch, tt.id, st.Violations)
 			}
 		}
 	}

@@ -159,7 +159,7 @@ func (e *Engine) shiftDegrade(t *tenant, level int, cause string) {
 	}
 	d.trans = append(d.trans, tr)
 	t.sink.Degrade(t.id, level, int64(to.d), to.lazy)
-	t.check.OnDegrade(tr.FromD, tr.ToD, tr.FromLazy, tr.ToLazy, tr.Cause)
+	t.step.Checker().OnDegrade(tr.FromD, tr.ToD, tr.FromLazy, tr.ToLazy, tr.Cause)
 }
 
 // breakerArmed reports whether a poisoned tenant can ever be rebuilt:

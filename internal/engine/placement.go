@@ -351,19 +351,6 @@ func (e *Engine) ShardStats() []ShardStats {
 	return out
 }
 
-// ResetShardPeaks starts a fresh peak-backlog measurement window:
-// every stripe's PeakQueued high-water restarts from its current
-// backlog. The skew gate uses this to scope the peak to a phase (after
-// a fleet's routing has converged) instead of the engine's whole
-// lifetime.
-func (e *Engine) ResetShardPeaks() {
-	for _, s := range e.shards {
-		s.mu.Lock()
-		s.peakQueued = s.backlog()
-		s.mu.Unlock()
-	}
-}
-
 // Routes snapshots the routing table (tenant → shard index).
 func (e *Engine) Routes() map[string]int { return e.placer.Routes() }
 

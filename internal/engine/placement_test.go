@@ -600,6 +600,16 @@ func driveSkew(t *testing.T, eng *Engine, specs []TenantSpec, streams map[string
 	}
 }
 
+// resetShardPeaks starts a fresh peak-backlog measurement window: every
+// stripe's PeakQueued high-water restarts from its current backlog.
+func resetShardPeaks(e *Engine) {
+	for _, s := range e.shards {
+		s.mu.Lock()
+		s.peakQueued = s.backlog()
+		s.mu.Unlock()
+	}
+}
+
 // TestBalancedPlacementBeatsHashOnSkew gates what rebalancing buys on
 // the zipf fleet. On 8 shards, each placement ingests a warm-up third
 // of every stream (feeding the balanced placer's load estimates), runs
@@ -632,7 +642,7 @@ func TestBalancedPlacementBeatsHashOnSkew(t *testing.T) {
 		// Scope the peak to the measured phase: the warm-up stampede,
 		// before routing converges, would set both placements' high-water
 		// identically.
-		eng.ResetShardPeaks()
+		resetShardPeaks(eng)
 		driveSkew(t, eng, specs, rest)
 		peak := 0
 		for _, st := range eng.ShardStats() {

@@ -42,6 +42,7 @@ import (
 
 	"partalloc/internal/core"
 	"partalloc/internal/fault"
+	"partalloc/internal/sim"
 	"partalloc/internal/task"
 	"partalloc/internal/topology"
 	"partalloc/internal/wal"
@@ -122,20 +123,20 @@ func (e *Engine) encodeTenantSnapshot(t *tenant) ([]byte, error) {
 		Spec:          t.spec,
 		Events:        t.events,
 		Batches:       t.batches,
-		ActiveSize:    t.activeSize,
-		MaxActiveSize: t.maxActiveSize,
-		PeakLoad:      t.peakLoad,
+		ActiveSize:    t.step.ActiveSize,
+		MaxActiveSize: t.step.MaxActiveSize,
+		PeakLoad:      t.step.PeakLoad,
 		FaultPos:      t.faultPos,
-		FaultHit:      t.faultHit,
-		MigHops:       t.migHops,
-		ForcedHops:    t.forcedHops,
+		FaultHit:      t.step.FaultEvents,
+		MigHops:       t.step.MigHops,
+		ForcedHops:    t.step.ForcedHops,
 		Shed:          t.shed,
 		Dropped:       t.dropped,
 		Trips:         t.trips,
 		Shard:         t.shardIdx,
 		Queue:         wal.AppendEvents(nil, t.queue),
 		Alloc:         ck.Snapshot(),
-		Checker:       t.check.Checkpoint(),
+		Checker:       t.step.Checker().Checkpoint(),
 	}
 	data, err := json.Marshal(env)
 	if err != nil {
@@ -147,8 +148,6 @@ func (e *Engine) encodeTenantSnapshot(t *tenant) ([]byte, error) {
 // restoreTenant builds a tenant from a snapshot envelope: fresh
 // allocator from the spec, allocator state restored from the snapshot
 // bytes, checker ledger restored when auditing, engine ledger installed.
-// The caller wires the migration observer (wireObserver) once the
-// returned struct has reached its final address.
 func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fault.Schedule, host *topology.Host) (*tenant, error) {
 	id := env.Spec.ID
 	t, err := e.buildTenant(env.Spec, true, a, faults, host)
@@ -162,11 +161,11 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 	if err := ck.Restore(env.Alloc); err != nil {
 		return nil, fmt.Errorf("engine: restore %q: allocator: %w", id, err)
 	}
-	if t.check != nil {
+	if check := t.step.Checker(); check != nil {
 		if len(env.Checker) == 0 {
 			return nil, fmt.Errorf("engine: restore %q: snapshot has no audit ledger but Config.Audit is on", id)
 		}
-		if err := t.check.RestoreCheckpoint(env.Checker); err != nil {
+		if err := check.RestoreCheckpoint(env.Checker); err != nil {
 			return nil, fmt.Errorf("engine: restore %q: %w", id, err)
 		}
 	}
@@ -182,13 +181,15 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 	}
 	t.events = env.Events
 	t.batches = env.Batches
-	t.activeSize = env.ActiveSize
-	t.maxActiveSize = env.MaxActiveSize
-	t.peakLoad = env.PeakLoad
+	t.step.Ledger = sim.Ledger{
+		ActiveSize:    env.ActiveSize,
+		MaxActiveSize: env.MaxActiveSize,
+		PeakLoad:      env.PeakLoad,
+		FaultEvents:   env.FaultHit,
+		MigHops:       env.MigHops,
+		ForcedHops:    env.ForcedHops,
+	}
 	t.faultPos = env.FaultPos
-	t.faultHit = env.FaultHit
-	t.migHops = env.MigHops
-	t.forcedHops = env.ForcedHops
 	t.shed = env.Shed
 	t.dropped = env.Dropped
 	t.trips = env.Trips
@@ -405,8 +406,9 @@ func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit
 	nt.dropped = t.dropped + drop
 	nt.trips = t.trips
 	nt.deadline = t.deadline
+	// The copy keeps nt's step, and with it the allocator's migration
+	// observer, which holds the step rather than the tenant.
 	*t = *nt
-	wireObserver(t)
 	return drop, e.replayChunks(t, tail[:need])
 }
 
@@ -445,7 +447,6 @@ func (e *Engine) restoreSnapshot(pos wal.Pos, rec wal.Record) error {
 	s := e.shardAt(idx)
 	s.mu.Lock()
 	s.tenants[t.id] = t
-	wireObserver(t)
 	s.mu.Unlock()
 	e.jmu.Lock()
 	e.snapSeg[t.id] = pos.Seg
@@ -570,7 +571,6 @@ func (e *Engine) installSnapshot(data []byte) error {
 		}
 	}
 	s.tenants[id] = t
-	wireObserver(t)
 	e.cfg.Sink.TenantRegistered(id)
 	e.cfg.Sink.TenantMoved(id, "in")
 	return nil

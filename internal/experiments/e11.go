@@ -83,7 +83,7 @@ func E11Rows(cfg Config, n int) []E11Row {
 			w := sched.RandomWorkload(sched.WorkloadConfig{
 				N: n, Jobs: jobs, Seed: int64(s), Sizes: workload.GeometricSizes,
 			})
-			res := sched.Run(e.mk(int64(s)), w)
+			res := sched.Run(e.mk(int64(s)), w, sched.Options{})
 			mean += res.MeanSlowdown
 			p95 += res.P95Slowdown
 			if res.MaxSlowdown > max {

@@ -26,11 +26,12 @@
 //     holds across forced migrations, and the pigeonhole bound
 //     strengthens to ⌈S/healthy⌉ over the surviving PEs.
 //
-// Checks cost O(N + active) per event, so they are opt-in: the simulator
-// and scheduler call through a nil-guarded pointer (nil in production
-// runs), and the scheduler additionally auto-attaches a checker in
-// builds with the `invariantdebug` tag, where the constant Debug lets the
-// compiler delete the branch entirely otherwise.
+// Checks cost O(N + active) per event, so they are opt-in: the shared
+// event step (sim.Step) calls through a nil-guarded pointer (nil in
+// production runs), and the simulator and scheduler additionally attach
+// a panicking checker to every run in builds with the `invariantdebug`
+// tag, where the constant Debug lets the compiler delete the branch
+// entirely otherwise.
 package invariant
 
 import (

@@ -7,6 +7,7 @@ import (
 	"partalloc/internal/core"
 	"partalloc/internal/fault"
 	"partalloc/internal/invariant"
+	"partalloc/internal/topology"
 	"partalloc/internal/tree"
 )
 
@@ -28,7 +29,7 @@ func TestSimultaneousCompletionsDeterministic(t *testing.T) {
 		job(1, 2, 0, 5), job(2, 2, 0, 5), // disjoint on N=4, identical work
 	}}
 	for trial := 0; trial < 20; trial++ {
-		res := Run(core.NewGreedy(tree.MustNew(4)), w)
+		res := Run(core.NewGreedy(tree.MustNew(4)), w, Options{})
 		if len(res.Jobs) != 2 {
 			t.Fatalf("trial %d: %d jobs completed", trial, len(res.Jobs))
 		}
@@ -56,7 +57,7 @@ func TestCompletionDuringForcedMigration(t *testing.T) {
 	if err := s.Validate(4); err != nil {
 		t.Fatal(err)
 	}
-	res := RunFaulted(core.NewGreedy(m), w, check, s.Source())
+	res := Run(core.NewGreedy(m), w, Options{Checker: check, Faults: s.Source()})
 	if err := check.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRunFaultedDeterministicReplay(t *testing.T) {
 	run := func() Result {
 		m := tree.MustNew(16)
 		check := invariant.New(m)
-		res := RunFaulted(core.LazyFactory(2).New(m), w, check, s.Source())
+		res := Run(core.LazyFactory(2).New(m), w, Options{Checker: check, Faults: s.Source()})
 		if err := check.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -121,5 +122,35 @@ func TestRunFaultedRejectsUnsupportedAllocator(t *testing.T) {
 	}()
 	w := Workload{Jobs: []Job{job(1, 2, 0, 5)}}
 	s := fault.Schedule{Events: []fault.Event{{At: 0, Kind: fault.FailPE, PE: 0}}}
-	RunFaulted(core.NewRandom(tree.MustNew(8), 1), w, nil, s.Source())
+	Run(core.NewRandom(tree.MustNew(8), 1), w, Options{Faults: s.Source()})
+}
+
+// misreportingMaxLoad reports one more than its allocator's true maximum
+// load, which the invariant checker's maxload-snapshot rule catches.
+type misreportingMaxLoad struct{ core.Allocator }
+
+func (m misreportingMaxLoad) MaxLoad() int { return m.Allocator.MaxLoad() + 1 }
+
+// Under the invariantdebug tag every run is audited by a panicking
+// checker, hosted runs given no checker included.
+func TestDebugBuildAuditsHostedRun(t *testing.T) {
+	if !invariant.Debug {
+		t.Skip("needs the invariantdebug build tag")
+	}
+	cube, err := topology.NewHypercube(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := topology.NewHost(cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "maxload-snapshot") {
+			t.Fatalf("panic %v; want a maxload-snapshot violation", r)
+		}
+	}()
+	w := Workload{Jobs: []Job{job(1, 2, 0, 5)}}
+	Run(misreportingMaxLoad{core.NewGreedy(host.Tree())}, w, Options{Host: host})
 }

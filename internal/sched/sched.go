@@ -29,9 +29,9 @@ import (
 	"partalloc/internal/fault"
 	"partalloc/internal/invariant"
 	"partalloc/internal/mathx"
+	"partalloc/internal/sim"
 	"partalloc/internal/task"
 	"partalloc/internal/topology"
-	"partalloc/internal/tree"
 	"partalloc/internal/workload"
 )
 
@@ -71,7 +71,7 @@ type Result struct {
 	// from the voluntary reallocation budget in Realloc.
 	Forced core.ForcedStats
 	// Topology names the physical network when the run was host-aware
-	// (RunHosted/RunHostedContext); empty otherwise.
+	// (Options.Host); empty otherwise.
 	Topology string
 	// MigHops is the hop-distance-weighted cost of voluntary migrations on
 	// the host network (see sim.Result.MigHops); host-aware runs only.
@@ -173,124 +173,71 @@ type activeJob struct {
 	rate      float64 // progress per unit time; recomputed at every event
 }
 
+// Options controls what a run audits, injects and prices. The zero value
+// runs unaudited, fault-free and host-agnostic.
+type Options struct {
+	// Checker, when non-nil, audits the allocator at every arrival,
+	// completion and fault (see internal/invariant); read its findings
+	// with Checker.Err after the run. In builds with the `invariantdebug`
+	// tag a nil Checker is replaced by a panicking one.
+	Checker *invariant.Checker
+	// Faults, when non-nil, injects PE failures. Fault events for index i
+	// fire immediately before the i-th processed event (arrivals and
+	// completions both count), matching internal/sim's event-indexed
+	// semantics: in wall-clock terms the failure lands at the instant the
+	// previous event finished. Jobs whose submachine loses a PE are
+	// forcibly migrated by the allocator, which must implement
+	// core.FaultTolerant (the run panics otherwise), and keep executing at
+	// their new placement's rate.
+	Faults fault.Source
+	// Host, when non-nil, runs on a physical topology: migrations,
+	// voluntary and failure-forced, are additionally priced in network
+	// hops (Result.MigHops, Result.ForcedHops), and the checker audits the
+	// hop ledgers against the host. The allocator must run on a machine
+	// the host's decomposition describes.
+	Host *topology.Host
+}
+
 // Run executes the workload on allocator a (which must be fresh) and
 // returns timings. Placement happens at arrival exactly as in the paper's
 // model; departures are generated when jobs finish executing under
 // round-robin gang scheduling.
-//
-// In builds with the `invariantdebug` tag, every Run is audited by a
-// panicking invariant.Checker; the branch below compiles away otherwise.
-func Run(a core.Allocator, w Workload) Result {
-	var check *invariant.Checker
-	if invariant.Debug {
-		check = invariant.New(a.Machine())
-		check.SetPanic(true)
-	}
-	return RunChecked(a, w, check)
-}
-
-// RunChecked is Run with an explicit invariant checker auditing the
-// allocator at every arrival and completion. check may be nil.
-func RunChecked(a core.Allocator, w Workload, check *invariant.Checker) Result {
-	return RunFaulted(a, w, check, nil)
-}
-
-// RunContext is Run with cooperative cancellation; see RunFaultedContext.
-func RunContext(ctx context.Context, a core.Allocator, w Workload) (Result, error) {
-	var check *invariant.Checker
-	if invariant.Debug {
-		check = invariant.New(a.Machine())
-		check.SetPanic(true)
-	}
-	return runFaultedCtx(ctx, a, w, check, nil, nil)
-}
-
-// RunCheckedContext is RunChecked with cooperative cancellation.
-func RunCheckedContext(ctx context.Context, a core.Allocator, w Workload, check *invariant.Checker) (Result, error) {
-	return runFaultedCtx(ctx, a, w, check, nil, nil)
-}
-
-// RunFaultedContext is RunFaulted with cooperative cancellation: the
-// context is polled periodically and, once cancelled, the run stops at the
-// next event boundary and returns the partially summarized Result (jobs
-// completed so far, makespan = simulated time reached) with ctx.Err() —
-// the same shape a SIGINT checkpoint records.
-func RunFaultedContext(ctx context.Context, a core.Allocator, w Workload, check *invariant.Checker, faults fault.Source) (Result, error) {
-	return runFaultedCtx(ctx, a, w, check, faults, nil)
-}
-
-// RunHosted is RunFaulted on a physical topology host: migrations —
-// voluntary and failure-forced — are additionally priced in network hops
-// (Result.MigHops, Result.ForcedHops), and a non-nil checker audits the
-// migration ledgers against the host. The allocator must run on a machine
-// the host's decomposition describes. faults and check may be nil.
-func RunHosted(a core.Allocator, w Workload, check *invariant.Checker, faults fault.Source, host *topology.Host) Result {
-	res, _ := runFaultedCtx(nil, a, w, check, faults, host)
+func Run(a core.Allocator, w Workload, opt Options) Result {
+	res, _ := runCtx(nil, a, w, opt)
 	return res
 }
 
-// RunHostedContext is RunHosted with cooperative cancellation.
-func RunHostedContext(ctx context.Context, a core.Allocator, w Workload, check *invariant.Checker, faults fault.Source, host *topology.Host) (Result, error) {
-	return runFaultedCtx(ctx, a, w, check, faults, host)
+// RunContext is Run with cooperative cancellation: the context is polled
+// periodically and, once cancelled, the run stops at the next event
+// boundary and returns the partially summarized Result (jobs completed so
+// far, makespan = simulated time reached) with ctx.Err() — the same shape
+// a SIGINT checkpoint records.
+func RunContext(ctx context.Context, a core.Allocator, w Workload, opt Options) (Result, error) {
+	return runCtx(ctx, a, w, opt)
 }
 
-// RunFaulted is RunChecked with PE-failure injection. Fault events for
-// index i fire immediately before the i-th processed event (arrivals and
-// completions both count), matching internal/sim's event-indexed
-// semantics — in wall-clock terms the failure lands at the instant the
-// previous event finished. Jobs whose submachine loses a PE are forcibly
-// migrated by the allocator (which must implement core.FaultTolerant;
-// RunFaulted panics otherwise) and keep executing at their new
-// placement's rate. faults may be nil.
-func RunFaulted(a core.Allocator, w Workload, check *invariant.Checker, faults fault.Source) Result {
-	res, _ := runFaultedCtx(nil, a, w, check, faults, nil)
-	return res
-}
-
-// cancelCheckStride is how many events runFaultedCtx processes between
-// context polls.
+// cancelCheckStride is how many events runCtx processes between context
+// polls.
 const cancelCheckStride = 64
 
-// runFaultedCtx is the shared implementation; ctx == nil skips
-// cancellation checks entirely.
-func runFaultedCtx(ctx context.Context, a core.Allocator, w Workload, check *invariant.Checker, faults fault.Source, host *topology.Host) (Result, error) {
+// runCtx is the shared implementation; ctx == nil skips cancellation
+// checks entirely.
+func runCtx(ctx context.Context, a core.Allocator, w Workload, opt Options) (Result, error) {
 	m := a.Machine()
 	n := m.N()
 	if err := w.Validate(n); err != nil {
 		panic(err)
 	}
+	check := opt.Checker
+	if check == nil && invariant.Debug {
+		check = invariant.New(m)
+		check.SetPanic(true)
+	}
+	step, err := sim.NewStep(a, check, opt.Host, opt.Faults != nil)
+	if err != nil {
+		panic(fmt.Sprintf("sched: %v", err))
+	}
 	res := Result{Algorithm: a.Name(), N: n}
-
-	var ft core.FaultTolerant
-	if faults != nil {
-		var ok bool
-		if ft, ok = a.(core.FaultTolerant); !ok {
-			panic(fmt.Sprintf("sched: allocator %s does not support fault injection", a.Name()))
-		}
-	}
-
-	// Host accounting mirrors internal/sim: voluntary hops through the
-	// migration observer (muted while a fault is applied, since A_M's
-	// FailPE fires it for forced moves too), forced hops from the
-	// FailPE return value.
-	var migHops, forcedHops int64
-	inFault := false
-	if host != nil {
-		if host.N() != n {
-			panic(fmt.Sprintf("sched: host %s has %d PEs but allocator %s runs on %d", host.Name(), host.N(), a.Name(), n))
-		}
-		res.Topology = host.Name()
-		check.SetHost(host)
-		if obs, ok := a.(core.Observable); ok {
-			obs.SetMigrationObserver(func(_ task.ID, from, to tree.Node) {
-				if inFault {
-					return
-				}
-				migHops += host.MigrationCost(from, to)
-				check.OnMigration(from, to, false)
-			})
-		}
-	}
 
 	active := make(map[task.ID]*activeJob)
 	now := 0.0
@@ -338,8 +285,7 @@ func runFaultedCtx(ctx context.Context, a core.Allocator, w Workload, check *inv
 	}
 
 	finishJob := func(aj *activeJob) {
-		a.Depart(aj.job.ID)
-		check.OnDepart(a, aj.job.ID)
+		step.Depart(aj.job.ID, aj.job.Size)
 		delete(active, aj.job.ID)
 		r := JobResult{
 			Job:        aj.job,
@@ -362,32 +308,11 @@ func runFaultedCtx(ctx context.Context, a core.Allocator, w Workload, check *inv
 				break
 			}
 		}
-		if ft != nil {
+		if opt.Faults != nil {
 			applied := false
-			for _, fe := range faults.Next(events, a) {
-				switch fe.Kind {
-				case fault.FailPE:
-					inFault = true
-					migs := ft.FailPE(fe.PE)
-					inFault = false
-					if host != nil {
-						for _, mg := range migs {
-							forcedHops += host.MigrationCost(mg.From, mg.To)
-							check.OnMigration(mg.From, mg.To, true)
-						}
-					}
-					check.OnFail(a, fe.PE)
-				case fault.RecoverPE:
-					ft.RecoverPE(fe.PE)
-					check.OnRecover(a, fe.PE)
-				default:
-					panic(fmt.Sprintf("sched: unknown fault kind %d before event %d", fe.Kind, events))
-				}
-				res.FaultEvents++
+			for _, fe := range opt.Faults.Next(events, a) {
+				step.Fault(fe)
 				applied = true
-				if l := a.MaxLoad(); l > res.MaxLoad {
-					res.MaxLoad = l
-				}
 			}
 			if applied {
 				// Forced migrations moved jobs and changed loads; every
@@ -414,13 +339,9 @@ func runFaultedCtx(ctx context.Context, a core.Allocator, w Workload, check *inv
 			advance(arrivalAt)
 			j := w.Jobs[next]
 			next++
-			t := task.Task{ID: j.ID, Size: j.Size}
-			v := a.Arrive(t)
-			check.OnArrive(a, t, v)
+			step.Arrive(task.Task{ID: j.ID, Size: j.Size})
 			active[j.ID] = &activeJob{job: j, remaining: j.Work}
-			if l := a.MaxLoad(); l > res.MaxLoad {
-				res.MaxLoad = l
-			}
+			step.ObserveLoad()
 		} else {
 			// Next event: completion.
 			advance(soonestAt)
@@ -436,14 +357,13 @@ func runFaultedCtx(ctx context.Context, a core.Allocator, w Workload, check *inv
 
 	res.Makespan = now
 	summarize(&res)
-	if r, ok := a.(core.Reallocator); ok {
-		res.Realloc = r.ReallocStats()
-	}
-	if ft != nil {
-		res.Forced = ft.ForcedStats()
-	}
-	res.MigHops = migHops
-	res.ForcedHops = forcedHops
+	res.MaxLoad = step.PeakLoad
+	res.Realloc = step.Realloc()
+	res.FaultEvents = step.FaultEvents
+	res.Forced = step.Forced()
+	res.Topology = step.Topology()
+	res.MigHops = step.MigHops
+	res.ForcedHops = step.ForcedHops
 	return res, runErr
 }
 

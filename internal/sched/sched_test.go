@@ -37,7 +37,7 @@ func TestValidate(t *testing.T) {
 func TestSingleJobRunsAtFullSpeed(t *testing.T) {
 	m := tree.MustNew(8)
 	w := Workload{Jobs: []Job{job(1, 4, 2.0, 7.5)}}
-	res := Run(core.NewGreedy(m), w)
+	res := Run(core.NewGreedy(m), w, Options{})
 	if len(res.Jobs) != 1 {
 		t.Fatalf("finished %d jobs", len(res.Jobs))
 	}
@@ -57,7 +57,7 @@ func TestSingleJobRunsAtFullSpeed(t *testing.T) {
 func TestTwoJobsTimeShare(t *testing.T) {
 	m := tree.MustNew(4)
 	w := Workload{Jobs: []Job{job(1, 4, 0, 10), job(2, 4, 0, 10)}}
-	res := Run(core.NewGreedy(m), w)
+	res := Run(core.NewGreedy(m), w, Options{})
 	for _, j := range res.Jobs {
 		if math.Abs(j.Completion-20) > 1e-9 {
 			t.Fatalf("job %d completed at %g, want 20", j.ID, j.Completion)
@@ -74,7 +74,7 @@ func TestTwoJobsTimeShare(t *testing.T) {
 func TestRateRecoveryAfterCompletion(t *testing.T) {
 	m := tree.MustNew(4)
 	w := Workload{Jobs: []Job{job(1, 4, 0, 5), job(2, 4, 0, 10)}}
-	res := Run(core.NewGreedy(m), w)
+	res := Run(core.NewGreedy(m), w, Options{})
 	byID := map[task.ID]JobResult{}
 	for _, j := range res.Jobs {
 		byID[j.ID] = j
@@ -92,7 +92,7 @@ func TestRateRecoveryAfterCompletion(t *testing.T) {
 func TestDisjointJobsFullSpeed(t *testing.T) {
 	m := tree.MustNew(4)
 	w := Workload{Jobs: []Job{job(1, 2, 0, 10), job(2, 2, 0, 10)}}
-	res := Run(core.NewGreedy(m), w)
+	res := Run(core.NewGreedy(m), w, Options{})
 	for _, j := range res.Jobs {
 		if math.Abs(j.Slowdown-1) > 1e-9 {
 			t.Fatalf("job %d slowdown %g, want 1", j.ID, j.Slowdown)
@@ -106,7 +106,7 @@ func TestGangRateIsSlowestPE(t *testing.T) {
 	m := tree.MustNew(2)
 	// Job 1 takes both PEs; job 2 takes one PE. Greedy places job 2 at PE0.
 	w := Workload{Jobs: []Job{job(1, 2, 0, 10), job(2, 1, 0, 10)}}
-	res := Run(core.NewGreedy(m), w)
+	res := Run(core.NewGreedy(m), w, Options{})
 	byID := map[task.ID]JobResult{}
 	for _, j := range res.Jobs {
 		byID[j.ID] = j
@@ -137,7 +137,7 @@ func TestRandomWorkloadAcrossAllocators(t *testing.T) {
 		core.LazyFactory(2),
 		core.RandomFactory(5),
 	} {
-		res := Run(f.New(tree.MustNew(n)), w)
+		res := Run(f.New(tree.MustNew(n)), w, Options{})
 		if len(res.Jobs) != len(w.Jobs) {
 			t.Fatalf("%s: finished %d of %d jobs", f.Name, len(res.Jobs), len(w.Jobs))
 		}
@@ -170,8 +170,8 @@ func TestBalancingHelpsSlowdowns(t *testing.T) {
 	var constSum, randSum float64
 	for s := int64(0); s < seeds; s++ {
 		w := RandomWorkload(WorkloadConfig{N: n, Jobs: 300, Seed: s})
-		cRes := Run(core.NewConstant(tree.MustNew(n)), w)
-		rRes := Run(core.NewRandom(tree.MustNew(n), s+99), w)
+		cRes := Run(core.NewConstant(tree.MustNew(n)), w, Options{})
+		rRes := Run(core.NewRandom(tree.MustNew(n), s+99), w, Options{})
 		constSum += cRes.MeanSlowdown
 		randSum += rRes.MeanSlowdown
 	}
@@ -187,5 +187,5 @@ func TestRunPanicsOnInvalidWorkload(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Run(core.NewGreedy(tree.MustNew(4)), Workload{Jobs: []Job{job(1, 8, 0, 1)}})
+	Run(core.NewGreedy(tree.MustNew(4)), Workload{Jobs: []Job{job(1, 8, 0, 1)}}, Options{})
 }

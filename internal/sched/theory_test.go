@@ -44,7 +44,7 @@ func TestSchedMatchesMM1ProcessorSharing(t *testing.T) {
 					w.Jobs[i].Work = 1e-6
 				}
 			}
-			res := Run(core.NewGreedy(tree.MustNew(n)), w)
+			res := Run(core.NewGreedy(tree.MustNew(n)), w, Options{})
 			// Discard warmup and drain tails: keep the middle half by
 			// completion order.
 			for _, j := range res.Jobs[len(res.Jobs)/4 : 3*len(res.Jobs)/4] {
@@ -84,7 +84,7 @@ func TestSchedTwoIndependentHalves(t *testing.T) {
 		}
 		w.Jobs = append(w.Jobs, Job{ID: task.ID(i), Size: n / 2, Arrival: now, Work: work})
 	}
-	res := Run(core.NewGreedy(tree.MustNew(n)), w)
+	res := Run(core.NewGreedy(tree.MustNew(n)), w, Options{})
 	var sum float64
 	var cnt int
 	for _, j := range res.Jobs[len(res.Jobs)/4 : 3*len(res.Jobs)/4] {

@@ -8,6 +8,11 @@
 // metric is a pure thread count, so driving the allocator event by event
 // and reading its load state exercises exactly the objects the theorems
 // constrain (see DESIGN.md, substitutions).
+//
+// The event step itself is Step (step.go). Run drives it through a
+// validated sequence; the closed-loop scheduler (internal/sched) and each
+// engine tenant (internal/engine) drive the same Step, so all three keep
+// one ledger of loads, L*, faults and migration hops.
 package sim
 
 import (
@@ -17,11 +22,9 @@ import (
 	"partalloc/internal/core"
 	"partalloc/internal/fault"
 	"partalloc/internal/invariant"
-	"partalloc/internal/mathx"
 	"partalloc/internal/metrics"
 	"partalloc/internal/task"
 	"partalloc/internal/topology"
-	"partalloc/internal/tree"
 )
 
 // Options controls what Run records.
@@ -125,8 +128,7 @@ func RunContext(ctx context.Context, a core.Allocator, seq task.Sequence, opt Op
 // checks entirely (the hot path of Run).
 func runCtx(ctx context.Context, a core.Allocator, seq task.Sequence, opt Options) (Result, error) {
 	m := a.Machine()
-	n := m.N()
-	res := Result{Algorithm: a.Name(), N: n, Events: len(seq.Events)}
+	res := Result{Algorithm: a.Name(), N: m.N(), Events: len(seq.Events)}
 	var series *metrics.Series
 	if opt.RecordSeries {
 		series = &metrics.Series{}
@@ -140,41 +142,11 @@ func runCtx(ctx context.Context, a core.Allocator, seq task.Sequence, opt Option
 		check = invariant.New(m)
 		check.SetPanic(true)
 	}
-
-	var ft core.FaultTolerant
-	if opt.Faults != nil {
-		var ok bool
-		if ft, ok = a.(core.FaultTolerant); !ok {
-			panic(fmt.Sprintf("sim: allocator %s does not support fault injection", a.Name()))
-		}
+	step, err := NewStep(a, check, opt.Host, opt.Faults != nil)
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
 	}
 
-	// Host accounting: price voluntary migrations through the allocator's
-	// observer and forced ones from the FailPE return value. A_M's FailPE
-	// fires the observer for forced moves too, so the observer is muted
-	// (inFault) while a fault is being applied — forced hops are charged
-	// exactly once, from the returned migration list.
-	host := opt.Host
-	var migHops, forcedHops int64
-	inFault := false
-	if host != nil {
-		if host.N() != n {
-			panic(fmt.Sprintf("sim: host %s has %d PEs but allocator %s runs on %d", host.Name(), host.N(), a.Name(), n))
-		}
-		res.Topology = host.Name()
-		check.SetHost(host)
-		if obs, ok := a.(core.Observable); ok {
-			obs.SetMigrationObserver(func(id task.ID, from, to tree.Node) {
-				if inFault {
-					return
-				}
-				migHops += host.MigrationCost(from, to)
-				check.OnMigration(from, to, false)
-			})
-		}
-	}
-
-	var activeSize, maxActiveSize int64
 	peakRatio := 0.0
 	failedNow := 0
 	var runErr error
@@ -191,45 +163,19 @@ func runCtx(ctx context.Context, a core.Allocator, seq task.Sequence, opt Option
 				break
 			}
 		}
-		if ft != nil {
+		if opt.Faults != nil {
 			for _, fe := range opt.Faults.Next(i, a) {
-				switch fe.Kind {
-				case fault.FailPE:
-					inFault = true
-					migs := ft.FailPE(fe.PE)
-					inFault = false
-					if host != nil {
-						for _, mg := range migs {
-							forcedHops += host.MigrationCost(mg.From, mg.To)
-							check.OnMigration(mg.From, mg.To, true)
-						}
-					}
-					check.OnFail(a, fe.PE)
+				step.Fault(fe)
+				if fe.Kind == fault.FailPE {
 					failedNow++
-				case fault.RecoverPE:
-					ft.RecoverPE(fe.PE)
-					check.OnRecover(a, fe.PE)
+				} else {
 					failedNow--
-				default:
-					panic(fmt.Sprintf("sim: unknown fault kind %d before event %d", fe.Kind, i))
-				}
-				res.FaultEvents++
-				// Forced migrations can concentrate load between samples;
-				// observe the post-fault peak so MaxLoad never misses it.
-				if load := a.MaxLoad(); load > res.MaxLoad {
-					res.MaxLoad = load
 				}
 			}
 		}
 		switch e.Kind {
 		case task.Arrive:
-			t := task.Task{ID: e.Task, Size: e.Size}
-			v := a.Arrive(t)
-			check.OnArrive(a, t, v)
-			activeSize += int64(e.Size)
-			if activeSize > maxActiveSize {
-				maxActiveSize = activeSize
-			}
+			v := step.Arrive(task.Task{ID: e.Task, Size: e.Size})
 			if slow != nil {
 				slow.Arrive(e.Task, v)
 			}
@@ -240,21 +186,13 @@ func runCtx(ctx context.Context, a core.Allocator, seq task.Sequence, opt Option
 				// observed; departure can only lower loads).
 				slow.Depart(e.Task)
 			}
-			a.Depart(e.Task)
-			check.OnDepart(a, e.Task)
-			activeSize -= int64(e.Size)
+			step.Depart(e.Task, e.Size)
 		default:
 			panic(fmt.Sprintf("sim: unknown event kind %d at %d", e.Kind, i))
 		}
 
-		load := a.MaxLoad()
-		if load > res.MaxLoad {
-			res.MaxLoad = load
-		}
-		runningLStar := 0
-		if maxActiveSize > 0 {
-			runningLStar = int(mathx.CeilDiv64(maxActiveSize, int64(n)))
-		}
+		load := step.ObserveLoad()
+		runningLStar := step.LStar()
 		if runningLStar > 0 {
 			if r := float64(load) / float64(runningLStar); r > peakRatio {
 				peakRatio = r
@@ -268,7 +206,7 @@ func runCtx(ctx context.Context, a core.Allocator, seq task.Sequence, opt Option
 				EventIndex:   i,
 				Time:         e.Time,
 				MaxLoad:      load,
-				ActiveSize:   activeSize,
+				ActiveSize:   step.ActiveSize,
 				RunningLStar: runningLStar,
 				FailedPEs:    failedNow,
 			})
@@ -276,23 +214,19 @@ func runCtx(ctx context.Context, a core.Allocator, seq task.Sequence, opt Option
 	}
 
 	res.Events = processed
+	res.MaxLoad = step.PeakLoad
 	res.FinalLoad = a.MaxLoad()
-	res.LStar = int(0)
-	if maxActiveSize > 0 {
-		res.LStar = int(mathx.CeilDiv64(maxActiveSize, int64(n)))
-	}
+	res.LStar = step.LStar()
 	if res.LStar > 0 {
 		res.Ratio = float64(res.MaxLoad) / float64(res.LStar)
 	}
 	res.PeakRatio = peakRatio
-	if r, ok := a.(core.Reallocator); ok {
-		res.Realloc = r.ReallocStats()
-	}
-	if ft != nil {
-		res.Forced = ft.ForcedStats()
-	}
-	res.MigHops = migHops
-	res.ForcedHops = forcedHops
+	res.Realloc = step.Realloc()
+	res.FaultEvents = step.FaultEvents
+	res.Forced = step.Forced()
+	res.Topology = step.Topology()
+	res.MigHops = step.MigHops
+	res.ForcedHops = step.ForcedHops
 	res.Series = series
 	if slow != nil {
 		res.Slowdowns = slow.All()

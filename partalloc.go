@@ -267,27 +267,27 @@ func RandomSchedWorkload(cfg SchedWorkloadConfig) SchedWorkload {
 // built with WithTopology reports hop-weighted migration costs
 // (SchedResult's Topology/MigHops/ForcedHops fields).
 func Execute(a Allocator, w SchedWorkload) SchedResult {
-	inner, schedF, host := unwrapRun(a)
-	var src FaultSource
-	if schedF != nil {
-		src = schedF.Source()
-	}
-	if schedF == nil && host == nil {
-		return sched.Run(inner, w)
-	}
-	return sched.RunHosted(inner, w, nil, src, host)
+	inner, opt := resolveSched(a)
+	return sched.Run(inner, w, opt)
 }
 
 // ExecuteContext is Execute with cooperative cancellation: once ctx is
 // cancelled the run stops at the next event boundary and returns the jobs
 // completed so far together with ctx.Err().
 func ExecuteContext(ctx context.Context, a Allocator, w SchedWorkload) (SchedResult, error) {
+	inner, opt := resolveSched(a)
+	return sched.RunContext(ctx, inner, w, opt)
+}
+
+// resolveSched unwraps a WithFaults/WithTopology allocator into (inner
+// allocator, scheduler options with the schedule's source and the host).
+func resolveSched(a Allocator) (Allocator, sched.Options) {
 	inner, schedF, host := unwrapRun(a)
-	var src FaultSource
+	opt := sched.Options{Host: host}
 	if schedF != nil {
-		src = schedF.Source()
+		opt.Faults = schedF.Source()
 	}
-	return sched.RunHostedContext(ctx, inner, w, nil, src, host)
+	return inner, opt
 }
 
 // FaultSource feeds fault events into a run; FaultSchedule.Source returns
