@@ -55,17 +55,19 @@ test-snapshot:
 	go test -race -run 'TestSnapshotRecoveryEquivalence' -count=1 .
 
 # Placement suite under the race detector (docs/ENGINE.md, "Placement
-# and rebalancing"): HashPlacer byte-identity goldens, BalancedPlacer
-# plan determinism (heaviest-first moves, an applied plan re-plans
-# nothing) and its fewest-tenants Place rule, the MoveTenant-through-
-# placer regression, local moves relocating the same tenant without
-# allocating, the Degrade ladder surviving a move, concurrent Submit
-# during rebalance passes, the skew gate (balanced hot-shard peak
-# backlog strictly below hash on a seeded zipf fleet at 8 shards,
-# routes recovered exactly at 6 and 8), and the SIGKILL mid-rebalance
-# crash test that gates recovery on routing-table consistency.
+# and rebalancing"): hash placement's byte-identity goldens, balanced
+# placement's plan determinism (heaviest-first moves, an applied plan
+# re-plans nothing) and its fewest-tenants rule for new tenants, the
+# MoveTenant routing regression, local moves relocating the same tenant
+# without allocating, the Degrade ladder surviving a move, concurrent
+# Submit, registration and cross-engine moves during rebalance passes,
+# Tenants and Stats listing each tenant once while tenants move, the
+# skew gate (balanced hot-shard peak backlog strictly below hash on a
+# seeded zipf fleet at 8 shards, routes recovered exactly at 6 and 8),
+# and the SIGKILL mid-rebalance crash test that gates recovery on
+# routing-table consistency.
 test-placement:
-	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestListingsSeeEachTenantOnce|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
 # on a random port, scrapes /metrics, asserts the required series exist

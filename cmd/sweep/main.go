@@ -368,7 +368,7 @@ func algoLabel(algo string, d int) (string, error) {
 	if err != nil {
 		return "", badFlag("%v", err)
 	}
-	if _, err := cli.MakeAllocator(scratch.Tree(), algo, mathx.Max(d, 0), 0); err != nil {
+	if _, err := cli.MakeAllocator(scratch.Tree(), algo, max(d, 0), 0); err != nil {
 		return "", badFlag("%v", err)
 	}
 	switch algo {

@@ -45,7 +45,7 @@ func TestDeterministicAdversaryAgainstPeriodic(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 5} {
 		a := core.NewPeriodic(m, d, core.DecreasingSize)
 		res := RunDeterministic(a, d)
-		if res.Phases != mathx.Min(d, 10) {
+		if res.Phases != min(d, 10) {
 			t.Fatalf("d=%d: phases = %d", d, res.Phases)
 		}
 		if res.FinalLoad < res.LowerBound {

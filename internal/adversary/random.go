@@ -37,10 +37,10 @@ type SigmaRConfig struct {
 func (c SigmaRConfig) withDefaults() SigmaRConfig {
 	logN := mathx.Log2(c.N)
 	if c.Base == 0 {
-		c.Base = mathx.CeilPow2(mathx.Max(logN, 2))
+		c.Base = mathx.CeilPow2(max(logN, 2))
 	}
 	if c.Phases == 0 {
-		c.Phases = mathx.Max(1, logN/(2*mathx.Log2(c.Base)))
+		c.Phases = max(1, logN/(2*mathx.Log2(c.Base)))
 	}
 	if c.KeepProb == 0 {
 		c.KeepProb = 1 / float64(logN)

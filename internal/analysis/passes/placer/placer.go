@@ -1,11 +1,10 @@
 // Package placer keeps tenant routing behind the engine's placement
 // layer.
 //
-// PR 9 made tenant→shard routing dynamic: a rebalance pass can rewrite
-// any tenant's route between two batches, so the only correct way to
-// reach a tenant's shard is through the Placer (route/shardAt/shardFor
-// in placement.go), which reads the mutable routing table. Code that
-// indexes e.shards[...] directly with its own arithmetic, or re-derives
+// Tenant→shard routing is dynamic: a rebalance pass can rewrite any
+// tenant's route between two batches, so the only correct way to reach
+// a tenant's shard is through the mutable routing table
+// (route/shardAt/lockTenant in placement.go). Code that indexes e.shards[...] directly with its own arithmetic, or re-derives
 // a route by fnv-hashing the tenant ID, resurrects the pre-placement
 // wiring: it is right until the first move, then silently reads or
 // locks the wrong stripe. placer flags both outside placement.go. The
@@ -29,7 +28,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flags direct e.shards[...] indexing and fnv.New32a tenant-hashing in the engine " +
 		"outside placement.go; routes are dynamic (a rebalance pass may rewrite them at any " +
 		"batch boundary), so shard access must go through the placement layer " +
-		"(route/shardAt/shardFor)",
+		"(route/shardAt/lockTenant)",
 	Run: run,
 }
 
@@ -52,7 +51,7 @@ func run(pass *analysis.Pass) error {
 			pass.Reportf(n.Pos(),
 				"direct shards[...] indexing bypasses the placement layer; routes are dynamic "+
 					"(a rebalance pass may rewrite them between batches) — go through "+
-					"route/shardAt/shardFor in placement.go")
+					"route/shardAt/lockTenant in placement.go")
 		case *ast.CallExpr:
 			if pass.FuncNameOf(n) != "hash/fnv.New32a" {
 				return
@@ -60,7 +59,7 @@ func run(pass *analysis.Pass) error {
 			pass.Reportf(n.Pos(),
 				"fnv.New32a re-derives a tenant route the placer may have moved away from; "+
 					"hashShard in placement.go is the single tenant-hashing site — "+
-					"look routes up through the Placer instead")
+					"look routes up through the routing table instead")
 		}
 	})
 	return nil

@@ -149,11 +149,11 @@ var benchMoves []Move
 // is never applied, so every op plans from the same routing table.
 func BenchmarkBalancedPlan(b *testing.B) {
 	const tenants, shards, d = 48, 8, 1
-	p := NewBalancedPlacer(shards)
+	p := newRouting(PlacementBalanced, shards)
 	loads := make(map[string]float64, tenants)
 	for i := 0; i < tenants; i++ {
 		id := fmt.Sprintf("tenant-%02d", i)
-		p.Place(id)
+		place(p, id)
 		loads[id] = 6000 / math.Pow(float64(i+1), 0.8)
 	}
 	b.ReportAllocs()

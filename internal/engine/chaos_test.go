@@ -89,7 +89,7 @@ func (s *stallAllocator) Arrive(tk task.Task) tree.Node {
 // stall wrapper, and the counters for the final summary.
 type chaosHarness struct {
 	seed int64
-	// balanced runs every engine generation under the A_M(d) placer, so
+	// balanced runs every engine generation under balanced placement, so
 	// rebalance moves land between poison pills, stalls, and crashes.
 	balanced bool
 

@@ -8,9 +8,9 @@
 //     loadtree's aggregate maintenance over whole batches instead of
 //     paying O(log² N) per event;
 //   - sharding: tenants are spread across lock-striped shards by the
-//     configured placer (placement.go), so ingestion for tenants on
-//     different shards never contends, and
-//     Replay fans out one worker per shard via parallel.RunCells.
+//     configured placement policy (placement.go), so ingestion for
+//     tenants on different shards never contends, and Replay fans out
+//     one worker per shard via parallel.RunCells.
 //
 // Within a shard, application is serialized by the shard mutex — the
 // allocators themselves are not safe for concurrent use, and per-shard
@@ -150,13 +150,13 @@ type Config struct {
 	// nothing: every obs.Sink method no-ops on a nil receiver, and the
 	// engine takes no clock readings beyond its own ledger's.
 	Sink *obs.Sink
-	// Placement selects the tenant→shard placer (placement.go):
+	// Placement selects the tenant→shard policy (placement.go):
 	// PlacementHash (default, the historical fnv routing) or
 	// PlacementBalanced, which places each new tenant on the shard with
 	// the fewest tenants and periodically moves tenants, heaviest first,
 	// to even out measured load.
 	Placement PlacementPolicy
-	// RebalanceD is the balanced placer's move budget: each rebalance
+	// RebalanceD is balanced placement's move budget: each rebalance
 	// pass moves at most RebalanceD·shards tenants (default 1). Ignored
 	// under PlacementHash.
 	RebalanceD int
@@ -356,7 +356,12 @@ type tenant struct {
 
 // shard is one lock stripe.
 type shard struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// tenants is the stripe's membership. It and the routing table are
+	// written together, only by admit, relocate and evict (placement.go),
+	// under rebalMu and mu, and by Recover before it returns the engine.
+	// It is read under either lock: mu for the tenants it holds, rebalMu
+	// for one exact view of every stripe (auditPlacement).
 	tenants map[string]*tenant
 
 	// Shard-level ledger (ShardStats), owned by mu except inbound.
@@ -405,13 +410,12 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 
-	// placer owns the tenant→shard routing table; every shard lookup
-	// goes through it (placement.go). rebalMu serializes rebalance
-	// passes, intra-engine moves, and membership changes (addTenant,
-	// MoveTenant), so the per-pass bijection audit sees an exact
-	// snapshot. rsMu guards the rebalance ledger, and
+	// routing is the tenant→shard table; every shard lookup goes
+	// through it (placement.go). rebalMu serializes rebalance passes and
+	// every write of a route or a stripe's membership (see
+	// shard.tenants). rsMu guards the rebalance ledger, and
 	// batchesTotal/nextRebal implement the RebalanceEvery cadence.
-	placer       Placer
+	routing      *routing
 	rebalMu      sync.Mutex
 	rsMu         sync.Mutex
 	rebalStats   RebalanceStats
@@ -442,8 +446,8 @@ type Engine struct {
 // New builds an engine from cfg (zero value = defaults).
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, shards: newShards(cfg.Shards), snapSeg: make(map[string]int)}
-	e.placer = newPlacer(cfg)
+	e := &Engine{cfg: cfg, shards: newShards(cfg.Shards), routing: newRouting(cfg.Placement, cfg.Shards),
+		snapSeg: make(map[string]int)}
 	e.nextRebal.Store(int64(cfg.RebalanceEvery))
 	e.now = func() int64 { return time.Now().UnixNano() }
 	return e
@@ -456,12 +460,11 @@ func (e *Engine) Journal() *wal.Log { return e.cfg.Journal }
 // tenantAlgo names the tenant's algorithm for pprof labels: its paper
 // name at registration, as TenantStats.Algorithm reports it.
 func (e *Engine) tenantAlgo(id string) string {
-	s := e.lockTenantShard(id)
-	t, ok := s.tenants[id]
-	s.mu.Unlock()
-	if !ok {
+	s, t := e.lockTenant(id)
+	if t == nil {
 		return "unknown"
 	}
+	defer s.mu.Unlock()
 	return t.algoName
 }
 
@@ -557,11 +560,11 @@ func (e *Engine) AddTenant(id string, a core.Allocator, topts ...TenantOption) e
 	return e.addTenant(o.spec, o.hasSpec, a, o.faults, o.host)
 }
 
-// addTenant is the registration path. On a journaled engine the genesis
-// snapshot — spec, empty ledger, fault position 0, and the route the
-// placer chose — is appended inside the critical section that installs
-// the tenant, so every journaled tenant has a snapshot from birth.
-// (Recovery registers tenants from their snapshots: restoreSnapshot.)
+// addTenant is the registration path. On a journaled engine admit
+// journals the genesis snapshot — spec, empty ledger, fault position 0,
+// and the chosen route — before the tenant becomes visible, so every
+// journaled tenant has a snapshot from birth. (Recovery registers
+// tenants from their snapshots: restoreSnapshot.)
 func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host) error {
 	id := spec.ID
 	if a == nil {
@@ -575,51 +578,30 @@ func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faul
 			return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a core.Checkpointable allocator; %s is not", id, a.Name())
 		}
 	}
-	// Registration changes routing and membership together; holding the
-	// rebalance mutex keeps the pair atomic with respect to passes and
-	// their bijection audit.
+	// rebalMu keeps the choice of stripe and the registration that
+	// commits it atomic with respect to passes and other registrations.
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
-	_, routed := e.placer.Lookup(id)
-	idx := e.placer.Place(id)
-	dropRoute := func() {
-		if !routed {
-			e.placer.Remove(id)
-		}
-	}
-	t, err := e.buildTenant(spec, hasSpec, a, faults, host)
-	if err != nil {
-		dropRoute()
-		return err
-	}
-	s := e.shardAt(idx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[id]; ok {
-		// The route predates this call and belongs to the live tenant.
+	if _, ok := e.routing.lookup(id); ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateTenant, id)
 	}
+	t, err := e.buildTenant(spec, hasSpec, a, faults, host, e.routing.choose(id))
+	if err != nil {
+		return err
+	}
+	var genesis []byte
 	if e.cfg.Journal != nil {
-		data, err := e.encodeTenantSnapshot(t)
-		if err == nil {
-			//lint:ignore lockorder append-before-apply: the genesis snapshot must land in the journal inside the same critical section that installs the tenant, or a crash between the two would orphan its Submit records
-			err = e.appendSnapshot(id, data)
-		}
-		if err != nil {
-			dropRoute()
+		if genesis, err = e.encodeTenantSnapshot(t); err != nil {
 			return err
 		}
 	}
-	s.tenants[id] = t
-	// Pre-creates every per-tenant series so gauges (breaker state, queue
-	// depth) are scrapeable as 0 before the first batch.
-	e.cfg.Sink.TenantRegistered(id)
-	return nil
+	//lint:ignore lockorder append-before-apply: the genesis snapshot must be journaled before the tenant is registered, or a crash between the two would orphan its Submit records; rebalMu freezes the stripe choice the snapshot records
+	return e.admit(t, genesis)
 }
 
-// buildTenant constructs a tenant's state. Shared by registration,
-// snapshot restores and circuit-breaker rebuilds.
-func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host) (*tenant, error) {
+// buildTenant constructs a tenant's state for stripe idx. Shared by
+// registration, snapshot restores and circuit-breaker rebuilds.
+func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host, idx int) (*tenant, error) {
 	id := spec.ID
 	var check *invariant.Checker
 	if e.cfg.Audit {
@@ -637,7 +619,7 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 		spec:     spec,
 		hasSpec:  hasSpec,
 		sink:     e.cfg.Sink,
-		shardIdx: e.route(id),
+		shardIdx: idx,
 	}
 	if faults != nil {
 		t.faults = append([]fault.Event(nil), faults.Events...)
@@ -669,17 +651,19 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 	// gauge is a pressure sample, not a ledger.
 	in := e.shardAt(e.route(id))
 	in.inbound.Add(int64(len(evs)))
-	s := e.lockTenantShard(id)
+	s, t := e.lockTenant(id)
 	// Admitted: from here the events are the queue's to count, not the
 	// backlog's.
 	in.inbound.Add(-int64(len(evs)))
+	if t == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
+	}
 	defer s.mu.Unlock()
-	// The half-open probe inside get reads the tenant's journal tail — its
-	// latest snapshot's segment on — under the shard lock by design: the
-	// rebuild must see a frozen view of this tenant's records and
+	// The half-open probe inside ready reads the tenant's journal tail —
+	// its latest snapshot's segment on — under the shard lock by design:
+	// the rebuild must see a frozen view of this tenant's records and
 	// watermark, and the lock is what freezes them.
-	t, err := e.get(s, id)
-	if err != nil {
+	if err := e.ready(t); err != nil {
 		return err
 	}
 	if e.cfg.Overload == Shed && e.cfg.MaxQueue > 0 && len(t.queue)+len(evs) > e.cfg.MaxQueue {
@@ -756,12 +740,14 @@ func (e *Engine) Flush(id string) error {
 }
 
 func (e *Engine) flushLocked(id string) error {
-	s := e.lockTenantShard(id)
+	s, t := e.lockTenant(id)
+	if t == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
+	}
 	defer s.mu.Unlock()
-	// The half-open probe inside get reads the journal tail under the
+	// The half-open probe inside ready reads the journal tail under the
 	// shard lock by design (see Submit).
-	t, err := e.get(s, id)
-	if err != nil {
+	if err := e.ready(t); err != nil {
 		return err
 	}
 	if len(t.queue) == 0 {
@@ -791,18 +777,13 @@ func (e *Engine) FlushAll() error {
 	return nil
 }
 
-// Tenants returns all tenant IDs in sorted order.
+// Tenants returns all tenant IDs in sorted order, read from one
+// snapshot of the routing table, so a tenant moving between stripes is
+// listed exactly once.
 func (e *Engine) Tenants() []string {
 	var ids []string
-	for _, s := range e.shards {
-		s.mu.Lock()
-		shardIDs := make([]string, 0, len(s.tenants))
-		for id := range s.tenants {
-			shardIDs = append(shardIDs, id)
-		}
-		sort.Strings(shardIDs)
-		s.mu.Unlock()
-		ids = append(ids, shardIDs...)
+	for id := range e.routing.snapshot() {
+		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	return ids
@@ -811,42 +792,33 @@ func (e *Engine) Tenants() []string {
 // TenantStats snapshots one tenant's ledger. MaxLoad/Active query the
 // live allocator, so a poisoned tenant still reports its last state.
 func (e *Engine) TenantStats(id string) (TenantStats, error) {
-	s := e.lockTenantShard(id)
-	defer s.mu.Unlock()
-	t, ok := s.tenants[id]
-	if !ok {
+	s, t := e.lockTenant(id)
+	if t == nil {
 		return TenantStats{}, fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
+	defer s.mu.Unlock()
 	return s.stats(t), nil
 }
 
-// Stats snapshots every tenant's ledger in sorted ID order.
+// Stats snapshots every tenant's ledger in sorted ID order: the tenants
+// Tenants lists, less any that left the engine in the meantime.
 func (e *Engine) Stats() []TenantStats {
 	var out []TenantStats
-	for _, s := range e.shards {
-		s.mu.Lock()
-		ids := make([]string, 0, len(s.tenants))
-		for id := range s.tenants {
-			ids = append(ids, id)
+	for _, id := range e.Tenants() {
+		if st, err := e.TenantStats(id); err == nil {
+			out = append(out, st)
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			out = append(out, s.stats(s.tenants[id]))
-		}
-		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
 // Err returns the tenant's poisoning error (nil while healthy).
 func (e *Engine) Err(id string) error {
-	s := e.lockTenantShard(id)
-	defer s.mu.Unlock()
-	t, ok := s.tenants[id]
-	if !ok {
+	s, t := e.lockTenant(id)
+	if t == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
+	defer s.mu.Unlock()
 	if t.err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrTenantPoisoned, id, t.err)
 	}
@@ -873,13 +845,10 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 	// move a tenant mid-replay, so each batch re-resolves its shard.
 	byShard := make(map[int][]string)
 	for _, id := range ids {
-		s := e.lockTenantShard(id)
-		_, ok := s.tenants[id]
-		s.mu.Unlock()
+		idx, ok := e.routing.lookup(id)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 		}
-		idx := e.route(id)
 		byShard[idx] = append(byShard[idx], id)
 	}
 	var cells [][]string
@@ -895,8 +864,6 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 	}
 	// ReplayWatchdog arms the RunCells per-cell timeout so a stalled
 	// allocator fails its shard instead of hanging the whole replay.
-	// Retries must stay 0: a retried worker would restart its loop and
-	// apply events twice.
 	opts := parallel.RunOptions{Cancel: cancel, Timeout: e.cfg.ReplayWatchdog, Sink: e.cfg.Sink}
 	cellErrs := parallel.RunCells(len(cells), opts, func(ci int) error {
 		for _, id := range cells[ci] {
@@ -914,10 +881,13 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 					if end > len(evs) {
 						end = len(evs)
 					}
-					s := e.lockTenantShard(id)
-					// The half-open probe inside get reads the journal tail under the
+					s, t := e.lockTenant(id)
+					if t == nil {
+						return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
+					}
+					// The half-open probe inside ready reads the journal tail under the
 					// shard lock by design (see Submit).
-					t, err := e.get(s, id)
+					err := e.ready(t)
 					if err == nil {
 						// Append-before-apply under the shard lock (see Submit).
 						err = e.journalApply(t, off == 0, evs[off:end])
@@ -982,31 +952,27 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 	return nil
 }
 
-// get looks up a live tenant; poisoned tenants report their cause. When
-// the circuit breaker is armed (journal + rebuild recipe) and the
-// tenant's backoff deadline has passed, get runs the half-open probe: it
-// rebuilds the tenant from the journal and, on success, returns it
-// healthy. Callers hold the shard lock.
-func (e *Engine) get(s *shard, id string) (*tenant, error) {
-	t, ok := s.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, id)
-	}
+// ready reports whether t can take events: nil for a healthy tenant,
+// while a poisoned one reports its cause. When the circuit breaker is
+// armed (journal + rebuild recipe) and the tenant's backoff deadline has
+// passed, ready runs the half-open probe: it rebuilds the tenant from
+// the journal and, on success, returns nil. Callers hold the shard lock.
+func (e *Engine) ready(t *tenant) error {
 	if t.err == nil {
-		return t, nil
+		return nil
 	}
 	if !e.breakerArmed(t) {
-		return nil, fmt.Errorf("%w: %q: %w", ErrTenantPoisoned, id, t.err)
+		return fmt.Errorf("%w: %q: %w", ErrTenantPoisoned, t.id, t.err)
 	}
 	if wait := t.deadline - e.now(); wait > 0 {
-		return nil, fmt.Errorf("%w: %q (circuit open, probe in %v): %w",
-			ErrTenantPoisoned, id, time.Duration(wait), t.err)
+		return fmt.Errorf("%w: %q (circuit open, probe in %v): %w",
+			ErrTenantPoisoned, t.id, time.Duration(wait), t.err)
 	}
-	t.sink.BreakerProbe(id, int64(t.trips))
+	t.sink.BreakerProbe(t.id, int64(t.trips))
 	if err := e.probe(t); err != nil {
-		return nil, fmt.Errorf("%w: %q (half-open probe failed): %w", ErrTenantPoisoned, id, err)
+		return fmt.Errorf("%w: %q (half-open probe failed): %w", ErrTenantPoisoned, t.id, err)
 	}
-	return t, nil
+	return nil
 }
 
 // flushTenant applies the tenant's queued events. The queue keeps its

@@ -247,13 +247,11 @@ func (e *Engine) dispatch(pos wal.Pos, rec wal.Record) error {
 // probing happens here; rebuilds exist in the journal as records of
 // their own.
 func (e *Engine) redo(id string, pos wal.Pos, fn func(*tenant) error) error {
-	s := e.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tenants[id]
-	if !ok {
+	s, t := e.lockTenant(id)
+	if t == nil {
 		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
+	defer s.mu.Unlock()
 	if t.err != nil {
 		// The live engine never journals for a poisoned tenant, so a
 		// record here means journal and state diverged.
@@ -276,14 +274,11 @@ func (e *Engine) redo(id string, pos wal.Pos, fn func(*tenant) error) error {
 // from the same snapshot plus the tail up to this record, and the
 // journaled drop count must agree.
 func (e *Engine) redoRebuild(id string, pos wal.Pos, keep, drop int64) error {
-	s := e.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tenants[id]
-	if !ok {
+	s, t := e.lockTenant(id)
+	if t == nil {
 		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
-	//lint:ignore lockorder recovery is single-threaded, and the rebuild reads only the tenant's tail — its watermark segment up to this record — under the shard lock it mutates under, same as the live probe
+	defer s.mu.Unlock()
 	_, err := e.rebuildFromSnapshot(t, keep, pos, func(got int64) error {
 		if got != drop {
 			return fmt.Errorf("engine: recover record %s: rebuild drops %d events, the journal says %d", pos, got, drop)

@@ -1,27 +1,28 @@
 // The placement layer: tenant→shard routing as a first-class, mutable
 // concern. Every shard addressing decision in the engine flows through
-// a Placer's routing table — this file owns the only code allowed to
-// index e.shards or hash tenant IDs (enforced by the placer lint).
+// the routing table — this file owns the only code allowed to index
+// e.shards or hash tenant IDs (enforced by the placer lint), and the
+// only code that writes where a tenant lives.
 //
-// Two placers ship:
+// One table serves both policies:
 //
-//   - HashPlacer: the historical behavior — fnv-32a(id) mod shards —
-//     behind the routing table. Routes never change, so the engine is
-//     byte-identical to the pre-placement-layer code (gated by
-//     TestHashPlacementGolden).
-//   - BalancedPlacer: a load-levelling greedy over the routing table.
-//     A new tenant goes to the shard with the fewest routed tenants.
-//     Every Config.RebalanceEvery applied batches, the engine seats
-//     each tenant, heaviest first, on the least-loaded shard by its
-//     decayed event count and moves at most d·shards tenants
-//     (moveTenantLocal), journaling each move as a wal.TypeMove record
-//     so Recover replays routing exactly.
+//   - PlacementHash: the historical behavior — fnv-32a(id) mod shards.
+//     Routes never change, so the engine is byte-identical to the
+//     pre-placement-layer code (gated by TestHashPlacementGolden).
+//   - PlacementBalanced: a load-levelling greedy over the routing table.
+//     A new tenant goes to the shard with the fewest tenants. Every
+//     Config.RebalanceEvery applied batches, the engine seats each
+//     tenant, heaviest first, on the least-loaded shard by its decayed
+//     event count and moves at most d·shards tenants (moveTenantLocal),
+//     journaling each move as a wal.TypeMove record so Recover replays
+//     routing exactly.
 //
-// Routing changes and shard membership are kept consistent by lock
-// discipline: moves hold the rebalance mutex plus both shard locks, and
-// lookups re-verify the route after acquiring the shard lock
-// (lockTenantShard), so a tenant can never be operated on through a
-// stale stripe.
+// A tenant's route and its stripe membership are one fact kept in two
+// tables, so they are written together: admit, relocate and evict write
+// both under rebalMu and the stripe lock (see shard.tenants). Lookups
+// find the tenant in its stripe's map under that stripe's lock
+// (lockTenant), so a tenant can never be operated on through a stale
+// stripe.
 package engine
 
 import (
@@ -34,15 +35,15 @@ import (
 	"partalloc/internal/wal"
 )
 
-// PlacementPolicy selects the engine's tenant→shard placer.
+// PlacementPolicy selects how the engine seats tenants on shards.
 type PlacementPolicy int
 
 const (
 	// PlacementHash routes tenants by fnv-32a hash (the default and the
 	// historical behavior).
 	PlacementHash PlacementPolicy = iota
-	// PlacementBalanced routes tenants through a mutable table that
-	// rebalance passes level by measured load (see BalancedPlacer).
+	// PlacementBalanced seats each new tenant on the shard with the
+	// fewest tenants, and rebalance passes level shards by measured load.
 	PlacementBalanced
 )
 
@@ -57,26 +58,6 @@ func (p PlacementPolicy) String() string {
 	return fmt.Sprintf("PlacementPolicy(%d)", int(p))
 }
 
-// Placer is the engine's tenant→shard routing table. Implementations
-// must be safe for concurrent use: ingestion looks routes up while a
-// rebalance pass rewrites them.
-type Placer interface {
-	// Place assigns a shard to a tenant and records the route. Placing
-	// an already-routed tenant returns its existing route unchanged.
-	Place(id string) int
-	// Lookup returns the tenant's current route. For an unrouted tenant
-	// it reports ok=false along with the deterministic hash default, so
-	// callers always have a shard to address.
-	Lookup(id string) (shard int, ok bool)
-	// Remove forgets the tenant's route (tenant moved away or removed).
-	Remove(id string)
-	// Reroute overwrites the tenant's route: intra-engine moves and
-	// recovery's TypeMove replay.
-	Reroute(id string, shard int)
-	// Routes snapshots the routing table (tenant → shard index).
-	Routes() map[string]int
-}
-
 // hashShard is the deterministic default route: fnv-32a(id) mod shards.
 // It is the single tenant-hashing site in the engine (placer lint).
 func hashShard(id string, shards int) int {
@@ -85,115 +66,79 @@ func hashShard(id string, shards int) int {
 	return int(h.Sum32()) % shards
 }
 
-// routeTable is the mutable routing table both placers share.
-type routeTable struct {
+// routing is the engine's tenant→shard table: it holds exactly the
+// registered tenants, and its policy decides where a new one goes. Its
+// own mutex lets ingestion look routes up while a pass rewrites them.
+// The table is recovered from the journal (snapshot Shard fields plus
+// TypeMove records).
+type routing struct {
+	policy PlacementPolicy
+	shards int
 	mu     sync.RWMutex
 	routes map[string]int
-	shards int
 }
 
-func (rt *routeTable) Lookup(id string) (int, bool) {
-	rt.mu.RLock()
-	idx, ok := rt.routes[id]
-	rt.mu.RUnlock()
-	if !ok {
-		return hashShard(id, rt.shards), false
+// newRouting returns an empty table over shards stripes.
+func newRouting(policy PlacementPolicy, shards int) *routing {
+	return &routing{policy: policy, shards: shards, routes: make(map[string]int)}
+}
+
+// lookup returns the tenant's route; ok is false for a tenant that is
+// not registered.
+func (r *routing) lookup(id string) (shard int, ok bool) {
+	r.mu.RLock()
+	shard, ok = r.routes[id]
+	r.mu.RUnlock()
+	return shard, ok
+}
+
+// choose returns the shard a new tenant goes to, without recording it.
+// Under PlacementHash that is the hash default. Under PlacementBalanced
+// it is the shard with the fewest tenants, lowest index first, so a
+// fleet registered before its first pass starts spread evenly, and a
+// removed tenant's shard is refilled first.
+func (r *routing) choose(id string) int {
+	if r.policy != PlacementBalanced {
+		return hashShard(id, r.shards)
 	}
-	return idx, true
-}
-
-func (rt *routeTable) Remove(id string) {
-	rt.mu.Lock()
-	delete(rt.routes, id)
-	rt.mu.Unlock()
-}
-
-func (rt *routeTable) Reroute(id string, shard int) {
-	rt.mu.Lock()
-	rt.routes[id] = shard
-	rt.mu.Unlock()
-}
-
-func (rt *routeTable) Routes() map[string]int {
-	rt.mu.RLock()
-	out := make(map[string]int, len(rt.routes))
-	for id, idx := range rt.routes {
-		out[id] = idx
-	}
-	rt.mu.RUnlock()
-	return out
-}
-
-// HashPlacer routes every tenant to its hash default. The routing table
-// exists only so membership audits and recovery have one source of
-// truth; a route, once placed, never changes on its own.
-type HashPlacer struct {
-	routeTable
-}
-
-// NewHashPlacer returns the default placer for an engine with the given
-// shard count.
-func NewHashPlacer(shards int) *HashPlacer {
-	p := &HashPlacer{}
-	p.routes = make(map[string]int)
-	p.shards = shards
-	return p
-}
-
-// Place implements Placer: the hash default, recorded.
-func (p *HashPlacer) Place(id string) int {
-	if idx, ok := p.Lookup(id); ok {
-		return idx
-	}
-	idx := hashShard(id, p.shards)
-	p.Reroute(id, idx)
-	return idx
-}
-
-// BalancedPlacer levels measured load across the shards. Place sends a
-// new tenant to the shard with the fewest routed tenants; Plan seats
-// every measured tenant, heaviest first, on the least-loaded shard, and
-// a rebalance pass performs at most d·shards of the moves it implies.
-// A tenant runs on exactly one shard, so its load alone decides its
-// seat. The routing table is the placer's only state, and it is
-// recovered from the journal (hash defaults plus TypeMove records plus
-// snapshot Shard fields).
-type BalancedPlacer struct {
-	routeTable
-}
-
-// NewBalancedPlacer returns a load-levelling placer over shards stripes.
-func NewBalancedPlacer(shards int) *BalancedPlacer {
-	p := &BalancedPlacer{}
-	p.routes = make(map[string]int)
-	p.shards = shards
-	return p
-}
-
-// Place implements Placer: a new tenant goes to the shard with the
-// fewest routed tenants, lowest index first, so a fleet registered
-// before its first pass starts spread evenly, and a removed tenant's
-// shard is refilled first. The caller (addTenant) journals the
-// divergence from the hash default as a TypeMove record so recovery
-// reproduces the route.
-func (p *BalancedPlacer) Place(id string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if idx, ok := p.routes[id]; ok {
-		return idx
-	}
-	count := make([]int, p.shards)
-	for _, idx := range p.routes {
+	count := make([]int, r.shards)
+	r.mu.RLock()
+	for _, idx := range r.routes {
 		count[idx]++
 	}
+	r.mu.RUnlock()
 	best := 0
-	for s := 1; s < p.shards; s++ {
+	for s := 1; s < r.shards; s++ {
 		if count[s] < count[best] {
 			best = s
 		}
 	}
-	p.routes[id] = best
 	return best
+}
+
+// set records id's route; drop forgets it. Only admit, relocate and
+// evict call them, each with the matching membership write.
+func (r *routing) set(id string, shard int) {
+	r.mu.Lock()
+	r.routes[id] = shard
+	r.mu.Unlock()
+}
+
+func (r *routing) drop(id string) {
+	r.mu.Lock()
+	delete(r.routes, id)
+	r.mu.Unlock()
+}
+
+// snapshot copies the table (tenant → shard index).
+func (r *routing) snapshot() map[string]int {
+	r.mu.RLock()
+	out := make(map[string]int, len(r.routes))
+	for id, idx := range r.routes {
+		out[id] = idx
+	}
+	r.mu.RUnlock()
+	return out
 }
 
 // Move is one planned intra-engine tenant move.
@@ -212,7 +157,7 @@ type Move struct {
 // of shuffling near-equal tenants between near-equal shards every pass.
 // Tenants in the table but absent from loads (mid-move, poisoned at
 // scan time) keep their routes and weigh nothing.
-func (p *BalancedPlacer) Plan(loads map[string]float64, budget int) []Move {
+func (r *routing) Plan(loads map[string]float64, budget int) []Move {
 	if budget <= 0 {
 		return nil
 	}
@@ -224,7 +169,7 @@ func (p *BalancedPlacer) Plan(loads map[string]float64, budget int) []Move {
 	}
 	seats := make([]seat, 0, len(loads))
 	for id, load := range loads {
-		have, routed := p.Lookup(id)
+		have, routed := r.lookup(id)
 		seats = append(seats, seat{id: id, load: load, have: have, routed: routed})
 	}
 	sort.Slice(seats, func(i, j int) bool {
@@ -233,11 +178,11 @@ func (p *BalancedPlacer) Plan(loads map[string]float64, budget int) []Move {
 		}
 		return seats[i].id < seats[j].id
 	})
-	running := make([]float64, p.shards)
+	running := make([]float64, r.shards)
 	var moves []Move
 	for _, st := range seats {
 		best := 0
-		for s := 1; s < p.shards; s++ {
+		for s := 1; s < r.shards; s++ {
 			if running[s] < running[best] {
 				best = s
 			}
@@ -256,14 +201,6 @@ func (p *BalancedPlacer) Plan(loads map[string]float64, budget int) []Move {
 	return moves
 }
 
-// newPlacer builds the configured placer; called by New.
-func newPlacer(cfg Config) Placer {
-	if cfg.Placement == PlacementBalanced {
-		return NewBalancedPlacer(cfg.Shards)
-	}
-	return NewHashPlacer(cfg.Shards)
-}
-
 // newShards allocates the lock stripes; the only shard-slice
 // construction site.
 func newShards(n int) []*shard {
@@ -274,9 +211,12 @@ func newShards(n int) []*shard {
 	return shards
 }
 
-// route resolves a tenant to its shard index through the placer.
+// route returns the tenant's shard index, 0 for a tenant that is not
+// registered. The answer is a point in time: a pass can move the tenant
+// before the caller acts on it, so paths that operate on the tenant use
+// lockTenant.
 func (e *Engine) route(id string) int {
-	idx, _ := e.placer.Lookup(id)
+	idx, _ := e.routing.lookup(id)
 	return idx
 }
 
@@ -286,30 +226,56 @@ func (e *Engine) shardAt(idx int) *shard {
 	return e.shards[idx]
 }
 
-// shardFor resolves a tenant ID to its stripe. The returned shard is a
-// point-in-time answer: a concurrent rebalance can reroute the tenant
-// before the caller locks it. Paths that operate on the tenant must use
-// lockTenantShard instead; shardFor remains for single-threaded paths
-// (recovery) and callers that only need a default stripe.
-func (e *Engine) shardFor(id string) *shard {
-	return e.shardAt(e.route(id))
-}
-
-// lockTenantShard locks the shard currently routing id, re-verifying
-// the route after acquisition: moveTenantLocal rewrites the route while
-// holding both shard locks, so a route that still matches under the
-// lock cannot be mid-move.
-func (e *Engine) lockTenantShard(id string) *shard {
+// lockTenant locks the stripe holding id and returns it with the
+// tenant, or (nil, nil) when id is not registered. Route and membership
+// change together under the stripe lock, so a tenant found in the
+// stripe's map under that lock lives there; a miss means a move got
+// there first, and the lookup starts over.
+func (e *Engine) lockTenant(id string) (*shard, *tenant) {
 	for {
-		idx := e.route(id)
+		idx, ok := e.routing.lookup(id)
+		if !ok {
+			return nil, nil
+		}
 		s := e.shardAt(idx)
 		s.mu.Lock()
-		if e.route(id) == idx {
-			//lint:ignore lockorder lockTenantShard transfers s.mu to the caller by contract; every caller unlocks it
-			return s
+		if t, ok := s.tenants[id]; ok {
+			//lint:ignore lockorder lockTenant transfers s.mu to the caller by contract; every caller unlocks it
+			return s, t
 		}
 		s.mu.Unlock()
 	}
+}
+
+// admit registers t on stripe t.shardIdx, the one way in: registration
+// (addTenant), MoveTenant's arrival (installSnapshot) and recovery
+// (restoreSnapshot). It journals snapshot first when one is given. The
+// tenant stays invisible until its route is written, so none of its
+// records can reach the journal before that one, and nothing needs
+// undoing when the append fails. Then route and membership are written
+// in one stripe critical section. Callers hold rebalMu, or are Recover.
+func (e *Engine) admit(t *tenant, snapshot []byte) error {
+	if snapshot != nil {
+		if err := e.appendSnapshot(t.id, snapshot); err != nil {
+			return err
+		}
+	}
+	s := e.shardAt(t.shardIdx)
+	s.mu.Lock()
+	s.tenants[t.id] = t
+	e.routing.set(t.id, t.shardIdx)
+	s.mu.Unlock()
+	// Pre-creates every per-tenant series so gauges (breaker state, queue
+	// depth) are scrapeable as 0 before the first batch.
+	e.cfg.Sink.TenantRegistered(t.id)
+	return nil
+}
+
+// evict unregisters id from stripe s: MoveTenant's removal. Callers hold
+// rebalMu and s.mu.
+func (e *Engine) evict(s *shard, id string) {
+	delete(s.tenants, id)
+	e.routing.drop(id)
 }
 
 // ShardStats is a point-in-time ledger for one lock stripe.
@@ -352,14 +318,14 @@ func (e *Engine) ShardStats() []ShardStats {
 }
 
 // Routes snapshots the routing table (tenant → shard index).
-func (e *Engine) Routes() map[string]int { return e.placer.Routes() }
+func (e *Engine) Routes() map[string]int { return e.routing.snapshot() }
 
-// RebalanceStats is the cumulative ledger of the balanced placer's
+// RebalanceStats is the cumulative ledger of balanced placement's
 // rebalance passes.
 type RebalanceStats struct {
 	// Passes counts completed rebalance passes.
 	Passes int64
-	// Planned counts moves the placer proposed (within budget).
+	// Planned counts moves the plans proposed (within budget).
 	Planned int64
 	// Moves counts moves actually performed.
 	Moves int64
@@ -384,11 +350,7 @@ func (e *Engine) RebalanceStats() RebalanceStats {
 // paths after the shard lock is released; TryLock keeps ingestion
 // non-blocking when a pass is already running.
 func (e *Engine) maybeRebalance() {
-	bp, ok := e.placer.(*BalancedPlacer)
-	if !ok {
-		return
-	}
-	if e.batchesTotal.Load() < e.nextRebal.Load() {
+	if e.routing.policy != PlacementBalanced || e.batchesTotal.Load() < e.nextRebal.Load() {
 		return
 	}
 	if !e.rebalMu.TryLock() {
@@ -398,28 +360,27 @@ func (e *Engine) maybeRebalance() {
 	if e.batchesTotal.Load() < e.nextRebal.Load() {
 		return // another pass got here first
 	}
-	e.rebalancePass(bp)
+	e.rebalancePass()
 	e.nextRebal.Store(e.batchesTotal.Load() + int64(e.cfg.RebalanceEvery))
 }
 
 // Rebalance forces a rebalance pass now, returning the number of
 // tenants moved. A no-op (0, nil) on hash-placed engines.
 func (e *Engine) Rebalance() (int, error) {
-	bp, ok := e.placer.(*BalancedPlacer)
-	if !ok {
+	if e.routing.policy != PlacementBalanced {
 		return 0, nil
 	}
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
 	//lint:ignore lockorder a pass journals its moves while rebalMu serializes it — append-before-apply needs the move frozen, and rebalMu is what freezes routing
-	moved, err := e.rebalancePass(bp)
+	moved, err := e.rebalancePass()
 	e.nextRebal.Store(e.batchesTotal.Load() + int64(e.cfg.RebalanceEvery))
 	return moved, err
 }
 
 // rebalancePass measures, plans, moves, and audits. Callers hold
 // rebalMu.
-func (e *Engine) rebalancePass(bp *BalancedPlacer) (int, error) {
+func (e *Engine) rebalancePass() (int, error) {
 	// Measure: fold each tenant's events applied since the last pass
 	// into its load accumulator. Events, not wall time — the cost unit
 	// is deterministic (wall-time windows whiplash with scheduler noise
@@ -442,7 +403,7 @@ func (e *Engine) rebalancePass(bp *BalancedPlacer) (int, error) {
 	}
 
 	budget := e.cfg.RebalanceD * len(e.shards)
-	moves := bp.Plan(loads, budget)
+	moves := e.routing.Plan(loads, budget)
 
 	moved := 0
 	var firstErr error
@@ -457,12 +418,11 @@ func (e *Engine) rebalancePass(bp *BalancedPlacer) (int, error) {
 		}
 	}
 
-	// Audit only passes that changed routing: the sweep takes every shard
-	// lock at once, and paying that pause on no-op steady-state passes
-	// would stall ingestion to re-verify a table nothing touched.
+	// Audit only passes that changed routing: a pass that moved nothing
+	// left the tables as the last audit saw them.
 	var viol []invariant.Violation
 	if moved > 0 {
-		viol = e.auditPlacement(moved, budget)
+		viol = e.auditPlacement(moved)
 	}
 	e.rsMu.Lock()
 	e.rebalStats.Passes++
@@ -484,29 +444,20 @@ func (e *Engine) rebalancePass(bp *BalancedPlacer) (int, error) {
 // few dozen passes.
 const rebalDecay = 0.95
 
-// auditPlacement checks the two placement invariants under all shard
-// locks (acquired in index order): the routing table is a bijection to
-// shard membership, and the pass's move count respected the d·shards
-// budget. Membership writers (addTenant, MoveTenant, installSnapshot)
-// hold rebalMu, which the caller holds, so the snapshot is exact.
-func (e *Engine) auditPlacement(moved, budget int) []invariant.Violation {
-	for _, s := range e.shards {
-		s.mu.Lock()
-	}
+// auditPlacement checks the two placement invariants: the routing table
+// is a bijection to shard membership, and the pass's move count
+// respected the d·shards budget. Every route and membership write holds
+// rebalMu, which the caller holds, so the two tables read here are one
+// exact snapshot without taking any stripe lock (see shard.tenants).
+func (e *Engine) auditPlacement(moved int) []invariant.Violation {
 	members := make(map[string]int)
 	for i, s := range e.shards {
 		for id := range s.tenants {
 			members[id] = i
 		}
 	}
-	routes := e.placer.Routes()
-	for i := len(e.shards) - 1; i >= 0; i-- {
-		e.shards[i].mu.Unlock()
-	}
-	viol := invariant.CheckRouting(routes, members)
-	viol = append(viol, invariant.CheckMoveBudget(moved, e.cfg.RebalanceD, len(e.shards))...)
-	//lint:ignore lockorder every shard lock taken by the loop above is released by the reverse loop; the analyzer cannot pair loop-acquired locks
-	return viol
+	viol := invariant.CheckRouting(e.routing.snapshot(), members)
+	return append(viol, invariant.CheckMoveBudget(moved, e.cfg.RebalanceD, len(e.shards))...)
 }
 
 // journalMove appends the TypeMove record that commits an intra-engine
@@ -565,12 +516,12 @@ func (e *Engine) moveTenantLocal(id string, from, to int) (bool, error) {
 // relocate re-homes t from stripe from to stripe to and rewrites its
 // route. It is the one move routine: live moves (moveTenantLocal) and
 // recovered ones (redoMove) both run it, so the two cannot drift apart.
-// Callers hold both stripes' locks.
+// Callers hold rebalMu and both stripes' locks, or are Recover.
 func (e *Engine) relocate(t *tenant, from, to int) {
 	delete(e.shards[from].tenants, t.id)
 	t.shardIdx = to
 	e.shards[to].tenants[t.id] = t
-	e.placer.Reroute(t.id, to)
+	e.routing.set(t.id, to)
 }
 
 // redoMove re-applies a journaled TypeMove during Recover through the
@@ -583,7 +534,10 @@ func (e *Engine) redoMove(id string, pos wal.Pos, to int) error {
 	if to < 0 || to >= len(e.shards) {
 		return fmt.Errorf("engine: recover record %s: move %q to shard %d of %d", pos, id, to, len(e.shards))
 	}
-	from := e.route(id)
+	from, ok := e.routing.lookup(id)
+	if !ok {
+		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
+	}
 	lo, hi := from, to
 	if lo > hi {
 		lo, hi = hi, lo
@@ -594,10 +548,6 @@ func (e *Engine) redoMove(id string, pos wal.Pos, to int) error {
 		e.shards[hi].mu.Lock()
 		defer e.shards[hi].mu.Unlock()
 	}
-	t, ok := e.shards[from].tenants[id]
-	if !ok {
-		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
-	}
-	e.relocate(t, from, to)
+	e.relocate(e.shards[from].tenants[id], from, to)
 	return nil
 }

@@ -16,12 +16,12 @@ import (
 	"partalloc/internal/wal"
 )
 
-// The placement golden gate pins the HashPlacer routing to the exact
-// ledger bytes the pre-placement-layer engine produced. The golden file
-// was generated against the hard-wired fnv shardFor (before Placer
-// existed) and must never be regenerated casually: byte-identity here
-// is the proof that extracting the placement layer changed no observable
-// tenant state for the default hash routing.
+// The placement golden gate pins hash placement to the exact ledger
+// bytes the pre-placement-layer engine produced. The golden file was
+// generated against the hard-wired fnv routing (before the routing
+// table existed) and must never be regenerated casually: byte-identity
+// here is the proof that extracting the placement layer changed no
+// observable tenant state for the default hash routing.
 var updatePlacementGolden = flag.Bool("update-placement-golden", false,
 	"rewrite testdata/hash_placement_golden.json from the current engine")
 

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,9 +36,17 @@ func placementMembers(e *Engine) map[string]int {
 	return members
 }
 
+// place seats a new tenant the way admit does: on the shard choose
+// picks, with its route recorded.
+func place(r *routing, id string) int {
+	idx := r.choose(id)
+	r.set(id, idx)
+	return idx
+}
+
 // TestBalancedPlacerDeterminism is the placement twin of the engine's
-// replay gate: two placers built the same way and fed the same Place
-// calls and load histories must plan the exact same move sequences and
+// replay gate: two routing tables built the same way and fed the same
+// placements and load histories must plan the exact same move sequences and
 // end with identical routing tables. Recovery depends on this — replay
 // reproduces routes from journaled moves, so a nondeterministic planner
 // would make the journal's moves meaningless on the next process. Each
@@ -44,16 +54,16 @@ func placementMembers(e *Engine) map[string]int {
 // once they are applied, the same loads plan no further move.
 func TestBalancedPlacerDeterminism(t *testing.T) {
 	const shards, d, tenants = 8, 1, 12
-	mk := func() *BalancedPlacer {
-		p := NewBalancedPlacer(shards)
+	mk := func() *routing {
+		p := newRouting(PlacementBalanced, shards)
 		for i := 0; i < tenants; i++ {
-			p.Place(fmt.Sprintf("t%02d", i))
+			place(p, fmt.Sprintf("t%02d", i))
 		}
 		return p
 	}
 	a, b := mk(), mk()
-	if !reflect.DeepEqual(a.Routes(), b.Routes()) {
-		t.Fatalf("initial routes diverge:\n  a: %v\n  b: %v", a.Routes(), b.Routes())
+	if !reflect.DeepEqual(a.snapshot(), b.snapshot()) {
+		t.Fatalf("initial routes diverge:\n  a: %v\n  b: %v", a.snapshot(), b.snapshot())
 	}
 
 	budget := d * shards
@@ -88,8 +98,8 @@ func TestBalancedPlacerDeterminism(t *testing.T) {
 			}
 			// Apply the plan the way rebalancePass does, so the next
 			// pass sees the moved routing table.
-			a.Reroute(mv.Tenant, mv.To)
-			b.Reroute(mv.Tenant, mv.To)
+			a.set(mv.Tenant, mv.To)
+			b.set(mv.Tenant, mv.To)
 		}
 		if again := a.Plan(loads, budget); len(again) > 0 {
 			t.Fatalf("pass %d: the applied plan's loads plan %d more moves: %v", pass, len(again), again)
@@ -98,38 +108,36 @@ func TestBalancedPlacerDeterminism(t *testing.T) {
 	if planned == 0 {
 		t.Fatal("the load history planned no move")
 	}
-	if !reflect.DeepEqual(a.Routes(), b.Routes()) {
-		t.Fatalf("final routes diverge:\n  a: %v\n  b: %v", a.Routes(), b.Routes())
+	if !reflect.DeepEqual(a.snapshot(), b.snapshot()) {
+		t.Fatalf("final routes diverge:\n  a: %v\n  b: %v", a.snapshot(), b.snapshot())
 	}
 }
 
-// TestBalancedPlacerPlace pins where a new tenant lands: on the shard
-// with the fewest routed tenants, the lowest index on ties, so a
-// removed tenant's shard is the first one refilled. Placing a routed
-// tenant again keeps its route.
+// TestBalancedPlacerPlace pins where a new tenant lands under balanced
+// placement: on the shard with the fewest routed tenants, the lowest
+// index on ties, so a removed tenant's shard is the first one refilled.
 func TestBalancedPlacerPlace(t *testing.T) {
-	p := NewBalancedPlacer(6)
-	place := func(id string, want int) {
+	p := newRouting(PlacementBalanced, 6)
+	want := func(id string, shard int) {
 		t.Helper()
-		if got := p.Place(id); got != want {
-			t.Fatalf("Place(%s) = shard %d, want %d (routes %v)", id, got, want, p.Routes())
+		if got := place(p, id); got != shard {
+			t.Fatalf("place(%s) = shard %d, want %d (routes %v)", id, got, shard, p.snapshot())
 		}
 	}
 	// One tenant per shard in index order, then the ties from shard 0.
 	for i := 0; i < 9; i++ {
-		place(fmt.Sprintf("t%d", i), i%6)
+		want(fmt.Sprintf("t%d", i), i%6)
 	}
-	place("t4", 4)
 	// Shard 4 is emptied, so it is refilled before shards 3 and 5, which
 	// hold one tenant each.
-	p.Remove("t4")
-	place("t9", 4)
-	place("t10", 3)
+	p.drop("t4")
+	want("t9", 4)
+	want("t10", 3)
 	// Counts follow the routes: rerouting t10 off shard 3 ties it with
 	// shard 4 for the fewest tenants, and the lower index wins.
-	p.Reroute("t10", 5)
-	place("t11", 3)
-	place("t12", 4)
+	p.set("t10", 5)
+	want("t11", 3)
+	want("t12", 4)
 }
 
 // TestBalancedPlacerPlanSticky pins the stickiness rule: a routed
@@ -137,11 +145,11 @@ func TestBalancedPlacerPlace(t *testing.T) {
 // least-loaded shard's by more than the tenant's own load, and a budget
 // short of the plan keeps its heaviest moves.
 func TestBalancedPlacerPlanSticky(t *testing.T) {
-	p := NewBalancedPlacer(3)
+	p := newRouting(PlacementBalanced, 3)
 	for _, id := range []string{"a", "b", "c"} {
-		p.Reroute(id, 2)
+		p.set(id, 2)
 	}
-	p.Reroute("d", 1)
+	p.set("d", 1)
 	loads := map[string]float64{"a": 8, "b": 4, "c": 2, "d": 1}
 	// a stays on shard 2 although shard 0 is emptier: 0 ≤ 0+8. b and c
 	// leave it (8 > 0+4, 8 > 0+2) for shards 0 and 1, and d stays on 1.
@@ -155,10 +163,12 @@ func TestBalancedPlacerPlanSticky(t *testing.T) {
 }
 
 // TestMoveTenantRoutesThroughPlacer is the regression gate for the
-// cross-engine move path: MoveTenant must retire the source route via
-// Placer.Remove and assign the destination route via Placer.Place, so
-// neither engine's routing table can disagree with its shard membership
-// after the move.
+// cross-engine move path: MoveTenant must retire the source route with
+// the source membership and seat the tenant at the destination through
+// its routing table, so neither engine's routing table can disagree
+// with its shard membership after the move. A move onto an engine that
+// already has the tenant is refused and leaves both engines' tenants
+// where they were.
 func TestMoveTenantRoutesThroughPlacer(t *testing.T) {
 	cfg := Config{Shards: 4, BatchSize: 4, Placement: PlacementBalanced,
 		RebalanceD: 1, RebalanceEvery: 1 << 30, Rebuild: testRebuild}
@@ -168,8 +178,19 @@ func TestMoveTenantRoutesThroughPlacer(t *testing.T) {
 		addSpecTenant(t, dst, TenantSpec{ID: fmt.Sprintf("dst%d", i), Algorithm: "basic", N: 16})
 	}
 	addSpecTenant(t, src, TenantSpec{ID: "mover", Algorithm: "basic", N: 16})
-	if _, ok := src.placer.Lookup("mover"); !ok {
+	if _, ok := src.routing.lookup("mover"); !ok {
 		t.Fatal("tenant not routed at the source before the move")
+	}
+	twin := TenantSpec{ID: "twin", Algorithm: "basic", N: 16}
+	addSpecTenant(t, src, twin)
+	addSpecTenant(t, dst, twin)
+	if err := src.MoveTenant("twin", dst); !errors.Is(err, ErrDuplicateTenant) {
+		t.Fatalf("MoveTenant onto an engine that has the tenant = %v, want ErrDuplicateTenant", err)
+	}
+	for name, e := range map[string]*Engine{"source": src, "destination": dst} {
+		if _, err := e.TenantStats("twin"); err != nil {
+			t.Errorf("%s lost its own tenant to a refused move: %v", name, err)
+		}
 	}
 	if err := src.Submit("mover", arrivals(1, 6, 1)...); err != nil {
 		t.Fatal(err)
@@ -179,7 +200,7 @@ func TestMoveTenantRoutesThroughPlacer(t *testing.T) {
 		t.Fatalf("MoveTenant: %v", err)
 	}
 
-	if _, ok := src.placer.Lookup("mover"); ok {
+	if _, ok := src.routing.lookup("mover"); ok {
 		t.Error("source routing table still routes the tenant after the move")
 	}
 	idx, ok := dst.Routes()["mover"]
@@ -462,12 +483,15 @@ func TestSIGKILLRebalanceRecovery(t *testing.T) {
 
 // TestConcurrentSubmitDuringRebalance hammers forced rebalance passes
 // while every tenant's stream is being submitted from its own
-// goroutine. Run under -race this is the placement layer's memory-model
-// gate; the assertions close the loop on conservation (no event lost or
-// duplicated by a mid-ingest move) and routing consistency.
+// goroutine, and a further goroutine registers fresh tenants and moves
+// every third one to a second engine. Run under -race this is the
+// placement layer's memory-model gate; the assertions close the loop on
+// conservation (no event lost or duplicated by a mid-ingest move) and
+// on routing consistency at both engines.
 func TestConcurrentSubmitDuringRebalance(t *testing.T) {
-	eng := New(Config{Shards: 4, BatchSize: 16, MaxQueue: 256, Overload: Block,
-		Placement: PlacementBalanced, RebalanceD: 2, RebalanceEvery: 2, Rebuild: testRebuild})
+	cfg := Config{Shards: 4, BatchSize: 16, MaxQueue: 256, Overload: Block,
+		Placement: PlacementBalanced, RebalanceD: 2, RebalanceEvery: 2, Rebuild: testRebuild}
+	eng, dst := New(cfg), New(cfg)
 	const tenants = 8
 	streams := make([][]task.Event, tenants)
 	for i := 0; i < tenants; i++ {
@@ -496,6 +520,28 @@ func TestConcurrentSubmitDuringRebalance(t *testing.T) {
 			}
 		}(i)
 	}
+	const fresh = 24
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < fresh; i++ {
+			spec := TenantSpec{ID: fmt.Sprintf("f%02d", i), Algorithm: "basic", N: 16}
+			a, _, _, err := testRebuild(spec)
+			if err == nil {
+				err = eng.AddTenant(spec.ID, a, WithTenantSpec(spec))
+			}
+			if err == nil {
+				err = eng.Submit(spec.ID, arrivals(1, 4, 1)...)
+			}
+			if err == nil && i%3 == 0 {
+				err = eng.MoveTenant(spec.ID, dst)
+			}
+			if err != nil {
+				t.Errorf("fresh tenant %s: %v", spec.ID, err)
+				return
+			}
+		}
+	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -510,6 +556,21 @@ func TestConcurrentSubmitDuringRebalance(t *testing.T) {
 	<-done
 	if err := eng.FlushAll(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := dst.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fresh; i++ {
+		id, home, away := fmt.Sprintf("f%02d", i), eng, dst
+		if i%3 == 0 {
+			home, away = dst, eng
+		}
+		if _, err := home.TenantStats(id); err != nil {
+			t.Errorf("fresh tenant %s missing from its engine: %v", id, err)
+		}
+		if _, err := away.TenantStats(id); err == nil {
+			t.Errorf("fresh tenant %s registered on both engines", id)
+		}
 	}
 
 	// Conservation: every submitted event was applied exactly once,
@@ -529,11 +590,74 @@ func TestConcurrentSubmitDuringRebalance(t *testing.T) {
 			t.Errorf("%s: %d events applied, submitted %d", id, st.Events, len(streams[i]))
 		}
 	}
-	if v := invariant.CheckRouting(eng.Routes(), placementMembers(eng)); len(v) > 0 {
-		t.Errorf("routing inconsistent after concurrent rebalancing: %v", v)
+	for name, e := range map[string]*Engine{"source": eng, "destination": dst} {
+		if v := invariant.CheckRouting(e.Routes(), placementMembers(e)); len(v) > 0 {
+			t.Errorf("%s routing inconsistent after concurrent rebalancing: %v", name, v)
+		}
+		if st := e.RebalanceStats(); len(st.Violations) > 0 {
+			t.Errorf("%s rebalance audit violations: %v", name, st.Violations)
+		}
 	}
-	if st := eng.RebalanceStats(); len(st.Violations) > 0 {
-		t.Errorf("rebalance audit violations: %v", st.Violations)
+}
+
+// TestListingsSeeEachTenantOnce takes Tenants and Stats listings while
+// a goroutine moves tenants between stripes the way a rebalance pass
+// does. Every listing must hold each tenant exactly once: a listing
+// that walks the stripes one lock at a time sees a tenant moved
+// mid-walk on both stripes or on neither, and FlushAll, which flushes
+// what Tenants lists, would then skip it.
+func TestListingsSeeEachTenantOnce(t *testing.T) {
+	const tenants, shards, listings = 16, 4, 2000
+	eng := New(Config{Shards: shards, BatchSize: 8, Placement: PlacementBalanced,
+		RebalanceEvery: 1 << 30, Rebuild: testRebuild})
+	want := make([]string, tenants)
+	for i := range want {
+		want[i] = fmt.Sprintf("l%02d", i)
+		addSpecTenant(t, eng, TenantSpec{ID: want[i], Algorithm: "random", N: 16, Seed: int64(i + 1)})
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var moved atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id := want[i%tenants]
+			eng.rebalMu.Lock()
+			from := eng.route(id)
+			//lint:ignore lockorder moveTenantLocal requires rebalMu, as in Rebalance, and on a journaled engine a pass appends each move's record under it the same way
+			_, err := eng.moveTenantLocal(id, from, (from+1+i%(shards-1))%shards)
+			eng.rebalMu.Unlock()
+			if err != nil {
+				t.Errorf("move %s: %v", id, err)
+				return
+			}
+			moved.Add(1)
+		}
+	}()
+	for n := 0; n < listings; n++ {
+		if got := eng.Tenants(); !reflect.DeepEqual(got, want) {
+			t.Errorf("listing %d: Tenants() = %v, want each tenant once: %v", n, got, want)
+			break
+		}
+		var got []string
+		for _, st := range eng.Stats() {
+			got = append(got, st.Tenant)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("listing %d: Stats() lists %v, want each tenant once: %v", n, got, want)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if moved.Load() == 0 {
+		t.Error("no tenant moved while the listings ran")
 	}
 }
 

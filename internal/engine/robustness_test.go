@@ -390,9 +390,8 @@ func TestBreakerRebuildsFromJournal(t *testing.T) {
 	ref := core.NewGreedy(tree.MustNew(8))
 	core.ApplyEvents(ref, arrivals(1, 4, 1))
 	core.ApplyEvents(ref, arrivals(8, 4, 1))
-	s := eng.shardFor("t")
-	s.mu.Lock()
-	got := s.tenants["t"].alloc.PELoads()
+	s, tn := eng.lockTenant("t")
+	got := tn.alloc.PELoads()
 	s.mu.Unlock()
 	if !reflect.DeepEqual(got, ref.PELoads()) {
 		t.Errorf("rebuilt PE loads %v, reference %v", got, ref.PELoads())

@@ -145,12 +145,13 @@ func (e *Engine) encodeTenantSnapshot(t *tenant) ([]byte, error) {
 	return data, nil
 }
 
-// restoreTenant builds a tenant from a snapshot envelope: fresh
-// allocator from the spec, allocator state restored from the snapshot
-// bytes, checker ledger restored when auditing, engine ledger installed.
-func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fault.Schedule, host *topology.Host) (*tenant, error) {
+// restoreTenant builds a tenant for stripe idx from a snapshot
+// envelope: fresh allocator from the spec, allocator state restored from
+// the snapshot bytes, checker ledger restored when auditing, engine
+// ledger installed. The envelope's Shard is the caller's to interpret.
+func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fault.Schedule, host *topology.Host, idx int) (*tenant, error) {
 	id := env.Spec.ID
-	t, err := e.buildTenant(env.Spec, true, a, faults, host)
+	t, err := e.buildTenant(env.Spec, true, a, faults, host, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -230,13 +231,13 @@ func (e *Engine) snapshotTenant(t *tenant) error {
 
 // appendSnapshot journals data as id's TypeSnapshot record and advances
 // id's compaction watermark to the segment the record landed in. Every
-// snapshot goes through here: genesis (addTenant), cadence and healing
-// (snapshotTenant), and arrival by MoveTenant (installSnapshot). Seg is
-// read and the watermark set under the append's jmu hold: a rotation
-// from another shard could misattribute the segment otherwise, and a
-// truncation that computed its bound before this append cannot pass a
-// segment this append wrote. Callers hold id's shard lock — only a
-// tenant itself moves its watermark.
+// snapshot goes through here: genesis and arrival by MoveTenant (admit),
+// cadence and healing (snapshotTenant). Seg is read and the watermark
+// set under the append's jmu hold: a rotation from another shard could
+// misattribute the segment otherwise, and a truncation that computed its
+// bound before this append cannot pass a segment this append wrote. Only
+// a tenant itself moves its watermark: callers hold id's shard lock, or
+// rebalMu while id is not yet registered (admit).
 func (e *Engine) appendSnapshot(id string, data []byte) error {
 	e.jmu.Lock()
 	//lint:ignore lockorder jmu serializes all journal writes (see journalAppend), and the watermark must move under the same hold as the append
@@ -392,7 +393,9 @@ func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit
 	if err != nil {
 		return fail(err)
 	}
-	nt, err := e.restoreTenant(env, a, faults, host)
+	// The tenant stays on its current stripe: env.Shard is stale if a
+	// pass moved it after that snapshot.
+	nt, err := e.restoreTenant(env, a, faults, host, t.shardIdx)
 	if err != nil {
 		return fail(err)
 	}
@@ -430,29 +433,23 @@ func (e *Engine) restoreSnapshot(pos wal.Pos, rec wal.Record) error {
 	if err != nil {
 		return fmt.Errorf("engine: recover %q: %w", rec.Tenant, err)
 	}
-	t, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		return fmt.Errorf("engine: recover record %s: %w", pos, err)
-	}
 	// The envelope carries the tenant's route: compaction may have
 	// deleted the TypeMove records that produced it. Out-of-range routes
 	// (a journal recovered into a smaller engine) fall back to the hash
 	// default.
 	idx := env.Shard
 	if idx < 0 || idx >= len(e.shards) {
-		idx = hashShard(t.id, len(e.shards))
+		idx = hashShard(rec.Tenant, len(e.shards))
 	}
-	e.placer.Reroute(t.id, idx)
-	t.shardIdx = idx
-	s := e.shardAt(idx)
-	s.mu.Lock()
-	s.tenants[t.id] = t
-	s.mu.Unlock()
+	t, err := e.restoreTenant(&env, a, faults, host, idx)
+	if err != nil {
+		return fmt.Errorf("engine: recover record %s: %w", pos, err)
+	}
 	e.jmu.Lock()
 	e.snapSeg[t.id] = pos.Seg
 	e.jmu.Unlock()
-	e.cfg.Sink.TenantRegistered(t.id)
-	return nil
+	// The snapshot is already in the journal.
+	return e.admit(t, nil)
 }
 
 // moveMu serializes MoveTenant calls process-wide. A move holds shard
@@ -484,18 +481,16 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 	}
 	moveMu.Lock()
 	defer moveMu.Unlock()
-	// The source's routing and membership change together; the rebalance
-	// mutex keeps the pair atomic with respect to the source's own
-	// passes (and freezes the route, so shardFor cannot go stale here).
+	// The removal writes the source's route and membership, which needs
+	// rebalMu; holding it from here also keeps the source's own passes
+	// from moving the tenant while it travels.
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
-	s := e.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tenants[id]
-	if !ok {
+	s, t := e.lockTenant(id)
+	if t == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
+	defer s.mu.Unlock()
 	if t.err != nil {
 		return fmt.Errorf("engine: MoveTenant(%q): %w: move healthy tenants only: %w", id, ErrTenantPoisoned, t.err)
 	}
@@ -513,20 +508,19 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 			return fmt.Errorf("engine: MoveTenant(%q): installed at destination but source removal failed (tenant now on both): %w", id, err)
 		}
 	}
-	delete(s.tenants, id)
-	e.placer.Remove(id)
+	e.evict(s, id)
 	e.untrackTenant(id)
 	e.cfg.Sink.TenantMoved(id, "out")
 	return nil
 }
 
 // installSnapshot decodes a tenant snapshot and registers the tenant on
-// this engine, journaling the snapshot first when journaled (so a crash
-// right after the move still recovers the tenant here). The tenant is
-// placed through this engine's placer — the envelope's Shard field
-// describes the source engine's layout — and the envelope is re-sealed
-// with the new route before journaling, so this journal recovers the
-// tenant onto the shard it actually landed on.
+// this engine through admit, which journals the snapshot first when
+// journaled (so a crash right after the move still recovers the tenant
+// here). The tenant is seated by this engine's policy — the envelope's
+// Shard field describes the source engine's layout — and the envelope
+// is re-sealed with the new route before journaling, so this journal
+// recovers the tenant onto the shard it actually landed on.
 func (e *Engine) installSnapshot(data []byte) error {
 	var env tenantSnapshot
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -539,39 +533,24 @@ func (e *Engine) installSnapshot(data []byte) error {
 	}
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
-	_, routed := e.placer.Lookup(id)
-	idx := e.placer.Place(id)
-	env.Shard = idx
-	data, err = json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("engine: install %q: %w", id, err)
-	}
-	t, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		if !routed {
-			e.placer.Remove(id)
-		}
-		return fmt.Errorf("engine: install %q: %w", id, err)
-	}
-	t.shardIdx = idx
-	s := e.shardAt(idx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[id]; ok {
-		// The pre-existing route belongs to the live tenant; keep it.
+	if _, ok := e.routing.lookup(id); ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateTenant, id)
 	}
+	env.Shard = e.routing.choose(id)
+	t, err := e.restoreTenant(&env, a, faults, host, env.Shard)
+	if err != nil {
+		return fmt.Errorf("engine: install %q: %w", id, err)
+	}
+	var arrival []byte
 	if e.cfg.Journal != nil {
-		//lint:ignore lockorder append-before-apply: the arrival snapshot must land before the tenant is installed under this shard lock (see Submit)
-		if err := e.appendSnapshot(id, data); err != nil {
-			if !routed {
-				e.placer.Remove(id)
-			}
+		if arrival, err = json.Marshal(env); err != nil {
 			return fmt.Errorf("engine: install %q: %w", id, err)
 		}
 	}
-	s.tenants[id] = t
-	e.cfg.Sink.TenantRegistered(id)
+	//lint:ignore lockorder append-before-apply: the arrival snapshot must be journaled before the tenant is registered here; rebalMu freezes the stripe choice the snapshot records
+	if err := e.admit(t, arrival); err != nil {
+		return fmt.Errorf("engine: install %q: %w", id, err)
+	}
 	e.cfg.Sink.TenantMoved(id, "in")
 	return nil
 }

@@ -321,9 +321,8 @@ func TestBreakerProbeRestoresFromSnapshot(t *testing.T) {
 	core.ApplyEvents(ref, arrivals(1, 8, 1))
 	core.ApplyEvents(ref, arrivals(9, 2, 1))
 	core.ApplyEvents(ref, arrivals(11, 4, 1))
-	s := eng.shardFor("t")
-	s.mu.Lock()
-	got := s.tenants["t"].alloc.PELoads()
+	s, tn := eng.lockTenant("t")
+	got := tn.alloc.PELoads()
 	s.mu.Unlock()
 	if !reflect.DeepEqual(got, ref.PELoads()) {
 		t.Errorf("healed PE loads %v, reference %v", got, ref.PELoads())
@@ -694,9 +693,8 @@ func TestSnapshotCrashBetweenRebuildAndHeal(t *testing.T) {
 			}
 			ref := core.NewPeriodic(tree.MustNew(16), 1, core.DecreasingSize)
 			core.ApplyEvents(ref, arrivals(1, 10, 1))
-			s := rec.shardFor("t")
-			s.mu.Lock()
-			got := s.tenants["t"].alloc.PELoads()
+			s, tn := rec.lockTenant("t")
+			got := tn.alloc.PELoads()
 			s.mu.Unlock()
 			if !reflect.DeepEqual(got, ref.PELoads()) {
 				t.Errorf("healed PE loads %v, reference %v", got, ref.PELoads())

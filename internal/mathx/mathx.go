@@ -45,11 +45,6 @@ func CeilPow2(n int) int {
 	return 1 << Log2Ceil(n)
 }
 
-// FloorPow2 returns the largest power of two <= n, for n >= 1.
-func FloorPow2(n int) int {
-	return 1 << Log2Floor(n)
-}
-
 // CeilDiv returns ceil(a/b) for b > 0 and a >= 0.
 func CeilDiv(a, b int) int {
 	if b <= 0 {
@@ -70,22 +65,6 @@ func CeilDiv64(a, b int64) int64 {
 		panic("mathx: CeilDiv64 of negative dividend")
 	}
 	return (a + b - 1) / b
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // HalfCeil returns ceil(n/2) without overflow for n >= 0.

@@ -59,12 +59,8 @@ func TestLog2FloorCeil(t *testing.T) {
 func TestCeilFloorPow2(t *testing.T) {
 	for n := 1; n <= 1025; n++ {
 		cp := CeilPow2(n)
-		fp := FloorPow2(n)
 		if !IsPow2(cp) || cp < n || cp/2 >= n && n > 1 && cp != n {
 			t.Fatalf("CeilPow2(%d) = %d invalid", n, cp)
-		}
-		if !IsPow2(fp) || fp > n || fp*2 <= n {
-			t.Fatalf("FloorPow2(%d) = %d invalid", n, fp)
 		}
 	}
 }
@@ -97,9 +93,6 @@ func TestCeilDivProperty(t *testing.T) {
 }
 
 func TestMinMaxHalfCeil(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 || Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Min/Max broken")
-	}
 	for n, want := range map[int]int{0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 11: 6} {
 		if got := HalfCeil(n); got != want {
 			t.Errorf("HalfCeil(%d) = %d, want %d", n, got, want)

@@ -34,7 +34,6 @@ const (
 	EventWALRotate    = "wal-rotate"
 	EventWALRepair    = "wal-repair"
 	EventWatchdogKill = "watchdog-kill"
-	EventCellRetry    = "cell-retry"
 	EventCellPanic    = "cell-panic"
 	EventSnapshot     = "snapshot"
 	EventWALTruncate  = "wal-truncate"

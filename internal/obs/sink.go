@@ -39,7 +39,6 @@ const (
 	MetricWALRepairs       = "partalloc_wal_torn_tail_repairs_total"
 
 	MetricWatchdogTimeouts = "partalloc_parallel_watchdog_timeouts_total"
-	MetricCellRetries      = "partalloc_parallel_retries_total"
 	MetricCellPanics       = "partalloc_parallel_panics_total"
 
 	MetricSnapshots         = "partalloc_snapshot_taken_total"
@@ -408,7 +407,7 @@ func (s *Sink) WALRepair(truncated int64) {
 }
 
 // WatchdogTimeout records a replay cell killed by the watchdog.
-func (s *Sink) WatchdogTimeout(cell, attempt int, timeoutNs int64) {
+func (s *Sink) WatchdogTimeout(cell int, timeoutNs int64) {
 	if s == nil {
 		return
 	}
@@ -417,22 +416,7 @@ func (s *Sink) WatchdogTimeout(cell, attempt int, timeoutNs int64) {
 	}
 	s.fr.Record(EventWatchdogKill, "", "", map[string]int64{
 		"cell":       int64(cell),
-		"attempt":    int64(attempt),
 		"timeout_ns": timeoutNs,
-	})
-}
-
-// CellRetry records a retried replay cell.
-func (s *Sink) CellRetry(cell, attempt int) {
-	if s == nil {
-		return
-	}
-	if s.m != nil {
-		s.m.Counter(MetricCellRetries, "Replay cell retry attempts.").Inc()
-	}
-	s.fr.Record(EventCellRetry, "", "", map[string]int64{
-		"cell":    int64(cell),
-		"attempt": int64(attempt),
 	})
 }
 

@@ -31,8 +31,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.WALFsync(1)
 	s.WALRotate(1)
 	s.WALRepair(1)
-	s.WatchdogTimeout(1, 2, 3)
-	s.CellRetry(1, 2)
+	s.WatchdogTimeout(1, 3)
 	s.CellPanic(1)
 }
 

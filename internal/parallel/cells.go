@@ -33,52 +33,41 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: cell %d panicked: %v", e.Index, e.Value)
 }
 
-// TimeoutError marks a cell attempt that outran the per-cell watchdog.
+// TimeoutError marks a cell that outran the per-cell watchdog.
 type TimeoutError struct {
 	// Index is the cell that timed out.
 	Index int
-	// Attempt is the 0-based attempt number that timed out.
-	Attempt int
 	// Timeout is the watchdog duration that expired.
 	Timeout time.Duration
 }
 
 func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("parallel: cell %d attempt %d exceeded %v", e.Index, e.Attempt, e.Timeout)
+	return fmt.Sprintf("parallel: cell %d exceeded %v", e.Index, e.Timeout)
 }
 
 // RunOptions configures RunCells.
 type RunOptions struct {
 	// Workers bounds concurrency (≤ 0 selects GOMAXPROCS).
 	Workers int
-	// Retries is how many times a failed cell is re-attempted after the
-	// first try (0 = single attempt). Deterministic failures fail every
-	// attempt; retries exist for cells with environmental flakiness
-	// (timeouts under load).
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt
-	// (exponential backoff). 0 retries immediately.
-	Backoff time.Duration
-	// Timeout is the per-attempt watchdog (0 = none). A timed-out
-	// attempt's goroutine cannot be killed — it is abandoned and its
-	// eventual result discarded — so fn should not hold unbounded
-	// resources when this is set.
+	// Timeout is the per-cell watchdog (0 = none). A timed-out cell's
+	// goroutine cannot be killed — it is abandoned and its eventual
+	// result discarded — so fn should not hold unbounded resources when
+	// this is set.
 	Timeout time.Duration
 	// Cancel, when closed, stops workers from claiming new cells; cells
 	// never started report ErrCanceled. In-flight cells drain normally,
 	// which is what lets a SIGINT handler keep a consistent checkpoint.
 	Cancel <-chan struct{}
-	// Sink counts watchdog kills, retries, and captured panics. nil (the
-	// default) records nothing.
+	// Sink counts watchdog kills and captured panics. nil (the default)
+	// records nothing.
 	Sink *obs.Sink
 }
 
 // RunCells runs fn(i) for i in [0, n) on a bounded worker pool and returns
 // per-index errors (nil for success). Unlike ForEach it never lets one bad
-// cell take down the sweep: panics become *PanicError, hung cells trip the
-// watchdog as *TimeoutError, and transient failures are retried with
-// exponential backoff. Results are index-ordered, so downstream tables
-// stay byte-identical to a sequential run regardless of scheduling.
+// cell take down the sweep: panics become *PanicError and hung cells trip
+// the watchdog as *TimeoutError. Results are index-ordered, so downstream
+// tables stay byte-identical to a sequential run regardless of scheduling.
 func RunCells(n int, opt RunOptions, fn func(i int) error) []error {
 	if n <= 0 {
 		return nil
@@ -114,25 +103,8 @@ func RunCells(n int, opt RunOptions, fn func(i int) error) []error {
 	return errs
 }
 
-// runCell drives one cell through its attempts.
+// runCell runs one cell under the watchdog (if armed).
 func runCell(i int, opt RunOptions, fn func(i int) error) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = runAttempt(i, attempt, opt, fn)
-		if err == nil || attempt >= opt.Retries || canceled(opt.Cancel) {
-			return err
-		}
-		opt.Sink.CellRetry(i, attempt+1)
-		if opt.Backoff > 0 {
-			if !sleepOrCancel(opt.Backoff<<uint(attempt), opt.Cancel) {
-				return err
-			}
-		}
-	}
-}
-
-// runAttempt runs one attempt under the watchdog (if armed).
-func runAttempt(i, attempt int, opt RunOptions, fn func(i int) error) error {
 	if opt.Timeout <= 0 {
 		return capture(i, opt.Sink, fn)
 	}
@@ -144,10 +116,10 @@ func runAttempt(i, attempt int, opt RunOptions, fn func(i int) error) error {
 	case err := <-done:
 		return err
 	case <-timer.C:
-		// The attempt goroutine is abandoned; its buffered send cannot
+		// The cell's goroutine is abandoned; its buffered send cannot
 		// block and its result is discarded.
-		opt.Sink.WatchdogTimeout(i, attempt, int64(opt.Timeout))
-		return &TimeoutError{Index: i, Attempt: attempt, Timeout: opt.Timeout}
+		opt.Sink.WatchdogTimeout(i, int64(opt.Timeout))
+		return &TimeoutError{Index: i, Timeout: opt.Timeout}
 	}
 }
 
@@ -172,39 +144,4 @@ func canceled(c <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// sleepOrCancel sleeps d, returning false if cancel fired first.
-func sleepOrCancel(d time.Duration, cancel <-chan struct{}) bool {
-	if cancel == nil {
-		time.Sleep(d)
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-cancel:
-		return false
-	}
-}
-
-// ForEachErr runs fn(i) for i in [0, n) on up to workers goroutines and
-// returns the per-index errors (nil entries for successes). It is the
-// error-aware ForEach: callers that used to swallow failures inside fn get
-// them back in index order. Panics in fn are captured as *PanicError
-// rather than crashing the pool.
-func ForEachErr(n, workers int, fn func(i int) error) []error {
-	return RunCells(n, RunOptions{Workers: workers}, fn)
-}
-
-// FirstError returns the lowest-index non-nil error, or nil.
-func FirstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

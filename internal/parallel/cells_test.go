@@ -3,13 +3,12 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestForEachErrCollectsInOrder(t *testing.T) {
-	errs := ForEachErr(10, 4, func(i int) error {
+	errs := RunCells(10, RunOptions{Workers: 4}, func(i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("cell %d", i)
 		}
@@ -75,39 +74,6 @@ func TestRunCellsWatchdog(t *testing.T) {
 	}
 }
 
-func TestRunCellsRetriesTransientFailures(t *testing.T) {
-	var attempts [3]atomic.Int32
-	errs := RunCells(3, RunOptions{Workers: 3, Retries: 2, Backoff: time.Millisecond}, func(i int) error {
-		if attempts[i].Add(1) <= 2 && i == 1 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err := FirstError(errs); err != nil {
-		t.Fatalf("unexpected error after retries: %v", err)
-	}
-	if got := attempts[1].Load(); got != 3 {
-		t.Fatalf("cell 1 attempted %d times, want 3", got)
-	}
-	if got := attempts[0].Load(); got != 1 {
-		t.Fatalf("cell 0 attempted %d times, want 1", got)
-	}
-}
-
-func TestRunCellsRetriesExhaust(t *testing.T) {
-	var n atomic.Int32
-	errs := RunCells(1, RunOptions{Retries: 2, Backoff: time.Microsecond}, func(i int) error {
-		n.Add(1)
-		return errors.New("always")
-	})
-	if errs[0] == nil || errs[0].Error() != "always" {
-		t.Fatalf("err = %v", errs[0])
-	}
-	if n.Load() != 3 {
-		t.Fatalf("attempted %d times, want 3 (1 + 2 retries)", n.Load())
-	}
-}
-
 func TestRunCellsCancelDrains(t *testing.T) {
 	cancel := make(chan struct{})
 	started := make(chan int, 64)
@@ -143,15 +109,5 @@ func TestRunCellsZeroAndNegative(t *testing.T) {
 	}
 	if errs := RunCells(-3, RunOptions{}, nil); len(errs) != 0 {
 		t.Fatalf("n<0 returned %d errors", len(errs))
-	}
-}
-
-func TestFirstError(t *testing.T) {
-	if err := FirstError([]error{nil, nil}); err != nil {
-		t.Fatalf("FirstError of nils = %v", err)
-	}
-	e := errors.New("x")
-	if err := FirstError([]error{nil, e, errors.New("y")}); err != e {
-		t.Fatalf("FirstError = %v, want %v", err, e)
 	}
 }

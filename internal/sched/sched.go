@@ -125,7 +125,7 @@ func RandomWorkload(cfg WorkloadConfig) Workload {
 		cfg.MeanWork = 10
 	}
 	if cfg.MaxExp == 0 {
-		cfg.MaxExp = mathx.Max(mathx.Log2(cfg.N)-1, 0)
+		cfg.MaxExp = max(mathx.Log2(cfg.N)-1, 0)
 	}
 	if cfg.Jobs == 0 {
 		cfg.Jobs = 200

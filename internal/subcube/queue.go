@@ -181,7 +181,7 @@ func RunQueue(dim int, st Strategy, jobs []Job) QueueResult {
 // RandomJobs draws a Poisson job stream for space-shared experiments.
 func RandomJobs(dim, count int, rate, meanDuration float64, seed int64) []Job {
 	rng := rand.New(rand.NewSource(seed))
-	maxExp := mathx.Max(dim-1, 0)
+	maxExp := max(dim-1, 0)
 	jobs := make([]Job, 0, count)
 	now := 0.0
 	for i := 0; i < count; i++ {

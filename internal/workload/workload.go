@@ -107,7 +107,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxExp == 0 {
-		c.MaxExp = mathx.Max(mathx.Log2(c.N)-1, 0)
+		c.MaxExp = max(mathx.Log2(c.N)-1, 0)
 	}
 	if c.ArrivalRate == 0 {
 		c.ArrivalRate = 1
@@ -234,7 +234,7 @@ type SaturationConfig struct {
 // the two so fragmentation opportunities appear continuously.
 func Saturation(cfg SaturationConfig) task.Sequence {
 	if cfg.MaxExp == 0 {
-		cfg.MaxExp = mathx.Max(mathx.Log2(cfg.N)-1, 0)
+		cfg.MaxExp = max(mathx.Log2(cfg.N)-1, 0)
 	}
 	if cfg.Target == 0 {
 		cfg.Target = 0.9
@@ -300,7 +300,7 @@ func Sessions(cfg SessionConfig) task.Sequence {
 		cfg.MeanLifetime = 20
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	maxExp := mathx.Max(mathx.Log2(cfg.N)-1, 0)
+	maxExp := max(mathx.Log2(cfg.N)-1, 0)
 
 	var evs []sessionEv
 	now := 0.0
