@@ -82,8 +82,8 @@ const (
 	PlacementHash = engine.PlacementHash
 	// PlacementBalanced routes through a mutable table: a new tenant
 	// goes to the shard with the fewest tenants, and periodic rebalance
-	// passes move the heaviest tenants off crowded shards, at most
-	// d·shards moves per pass. See docs/ENGINE.md.
+	// passes move tenants off the most-loaded shard while a move lowers
+	// it, at most d·shards moves per pass. See docs/ENGINE.md.
 	PlacementBalanced = engine.PlacementBalanced
 )
 
@@ -335,9 +335,8 @@ func WithPlacement(p PlacementPolicy) EngineOption {
 }
 
 // WithRebalanceD sets the per-pass move budget of PlacementBalanced
-// routing: each rebalance pass moves at most d·shards tenants, heaviest
-// first (default 1; at least 1). Requires
-// WithPlacement(PlacementBalanced).
+// routing: each rebalance pass moves at most d·shards tenants (default
+// 1; at least 1). Requires WithPlacement(PlacementBalanced).
 func WithRebalanceD(d int) EngineOption {
 	return func(o *engineOptions) {
 		if d < 1 {
@@ -348,8 +347,8 @@ func WithRebalanceD(d int) EngineOption {
 	}
 }
 
-// WithRebalanceEvery sets how many applied batches elapse between
-// rebalance passes (default 32; at least 1). Requires
+// WithRebalanceEvery sets how many applied batches elapse between the
+// starts of rebalance passes (default 32; at least 1). Requires
 // WithPlacement(PlacementBalanced).
 func WithRebalanceEvery(k int) EngineOption {
 	return func(o *engineOptions) {

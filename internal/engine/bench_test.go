@@ -144,9 +144,11 @@ func BenchmarkSubmitJournaled(b *testing.B) {
 var benchMoves []Move
 
 // BenchmarkBalancedPlan times one rebalance plan shaped like the skew
-// gate's: 48 tenants placed on 8 shards, zipf(0.8) loads decaying as
-// 6000/(rank+1)^0.8, and a budget of d·shards moves with d=1. The plan
-// is never applied, so every op plans from the same routing table.
+// gate's: 48 tenants placed on 8 shards by the fewest-tenants rule,
+// zipf(0.8) loads decaying as 6000/(rank+1)^0.8, and a budget of
+// d·shards moves with d=1. The plan levels the shards in 6 moves, short
+// of its budget. It is never applied, so every op plans from the same
+// routing table.
 func BenchmarkBalancedPlan(b *testing.B) {
 	const tenants, shards, d = 48, 8, 1
 	p := newRouting(PlacementBalanced, shards)
@@ -161,4 +163,49 @@ func BenchmarkBalancedPlan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchMoves = p.Plan(loads, d*shards)
 	}
+}
+
+// BenchmarkRebalancePass times one uncontended forced pass (measure,
+// plan, and the audit when it moved anything) on the skew gate's fleet:
+// 48 zipf tenants on 8 shards with d=1, after their whole streams and 8
+// forced passes, so routing has converged. No event arrives between
+// passes: each one measures empty windows and decays every estimate by
+// the same factor, so the load ratios it plans from hold still. After
+// about 14,000 passes the estimates would turn subnormal, where rounding
+// upsets those ratios, so every 1024 passes they are put back, off the
+// clock.
+func BenchmarkRebalancePass(b *testing.B) {
+	specs, streams := skewFleet()
+	eng := New(skewConfig(8, true, nil))
+	for _, spec := range specs {
+		addSpecTenant(b, eng, spec)
+	}
+	driveSkew(b, eng, specs, streams)
+	for i := 0; i < 8; i++ {
+		if _, err := eng.Rebalance(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	warm := eng.RebalanceStats().Moves
+	est := make(map[*tenant]float64)
+	for _, s := range eng.shards {
+		for _, t := range s.tenants {
+			est[t] = t.rebalEst
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 1023 {
+			b.StopTimer()
+			for t, e := range est {
+				t.rebalEst = e
+			}
+			b.StartTimer()
+		}
+		if _, err := eng.Rebalance(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(eng.RebalanceStats().Moves-warm)/float64(b.N), "moves/op")
 }

@@ -153,16 +153,17 @@ type Config struct {
 	// Placement selects the tenant→shard policy (placement.go):
 	// PlacementHash (default, the historical fnv routing) or
 	// PlacementBalanced, which places each new tenant on the shard with
-	// the fewest tenants and periodically moves tenants, heaviest first,
-	// to even out measured load.
+	// the fewest tenants and periodically moves tenants from the
+	// most-loaded shard to the least-loaded one while a move lowers the
+	// larger of the two measured loads.
 	Placement PlacementPolicy
 	// RebalanceD is balanced placement's move budget: each rebalance
 	// pass moves at most RebalanceD·shards tenants (default 1). Ignored
 	// under PlacementHash.
 	RebalanceD int
 	// RebalanceEvery is the number of engine-wide applied batches
-	// between rebalance passes (default 32). Ignored under
-	// PlacementHash.
+	// between the starts of rebalance passes (default 32). Ignored
+	// under PlacementHash.
 	RebalanceEvery int
 }
 

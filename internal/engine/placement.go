@@ -11,11 +11,12 @@
 //     pre-placement-layer code (gated by TestHashPlacementGolden).
 //   - PlacementBalanced: a load-levelling greedy over the routing table.
 //     A new tenant goes to the shard with the fewest tenants. Every
-//     Config.RebalanceEvery applied batches, the engine seats each
-//     tenant, heaviest first, on the least-loaded shard by its decayed
-//     event count and moves at most d·shards tenants (moveTenantLocal),
+//     Config.RebalanceEvery applied batches, a pass weighs each tenant
+//     by its decayed event count and, at most d·shards times, moves a
+//     tenant from the most-loaded shard to the least-loaded one when
+//     its load is below half the gap between them (moveTenantLocal),
 //     journaling each move as a wal.TypeMove record so Recover replays
-//     routing exactly.
+//     routing exactly. A levelled fleet moves nothing.
 //
 // A tenant's route and its stripe membership are one fact kept in two
 // tables, so they are written together: admit, relocate and evict write
@@ -26,9 +27,11 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"partalloc/internal/invariant"
@@ -147,56 +150,60 @@ type Move struct {
 	From, To int
 }
 
-// Plan seats every tenant in loads, heaviest first, on the least-loaded
-// shard (lowest index on ties) and returns the moves that seating
-// implies, at most budget of them, heaviest first: moving a heavy
-// tenant repairs the most imbalance per move. A routed tenant stays
-// put unless its shard's running load exceeds the least-loaded shard's
-// by more than the tenant's own load: a move that cheap is within
-// estimate noise, and holding still keeps converged plans empty instead
-// of shuffling near-equal tenants between near-equal shards every pass.
-// Tenants in the table but absent from loads (mid-move, poisoned at
-// scan time) keep their routes and weigh nothing.
+// Plan levels shard loads from the current routes. While budget
+// remains, it takes the most-loaded shard (hot) and the least-loaded
+// one (cold), lowest index on ties, and moves the heaviest tenant on
+// hot whose load is positive and below half the gap between the two,
+// lowest ID on ties. Below half the gap the two shards cannot swap
+// roles, so every move lowers the larger of their loads, and the sum
+// of squared shard loads falls strictly, so the loop ends. It stops
+// when no tenant qualifies: a levelled fleet plans nothing. An idle
+// tenant, whose estimate has decayed to 0, lowers nothing by moving.
+// Moves come in greedy order, not always heaviest first: a later move
+// can take a heavier tenant off another hot shard. Tenants in the
+// table but absent from loads (mid-move, poisoned at scan time) keep
+// their routes and weigh nothing.
 func (r *routing) Plan(loads map[string]float64, budget int) []Move {
-	if budget <= 0 {
-		return nil
-	}
 	type seat struct {
-		id     string
-		load   float64
-		have   int
-		routed bool
+		id    string
+		load  float64
+		shard int
 	}
 	seats := make([]seat, 0, len(loads))
+	r.mu.RLock()
 	for id, load := range loads {
-		have, routed := r.lookup(id)
-		seats = append(seats, seat{id: id, load: load, have: have, routed: routed})
-	}
-	sort.Slice(seats, func(i, j int) bool {
-		if seats[i].load != seats[j].load {
-			return seats[i].load > seats[j].load
+		if shard, ok := r.routes[id]; ok {
+			seats = append(seats, seat{id: id, load: load, shard: shard})
 		}
-		return seats[i].id < seats[j].id
+	}
+	r.mu.RUnlock()
+	// One order for the sums and the tie-breaks: map order reaches
+	// neither.
+	slices.SortFunc(seats, func(a, b seat) int {
+		if c := cmp.Compare(b.load, a.load); c != 0 {
+			return c
+		}
+		return strings.Compare(a.id, b.id)
 	})
-	running := make([]float64, r.shards)
-	var moves []Move
+	sum := make([]float64, r.shards)
 	for _, st := range seats {
-		best := 0
-		for s := 1; s < r.shards; s++ {
-			if running[s] < running[best] {
-				best = s
-			}
-		}
-		if st.routed && running[st.have] <= running[best]+st.load {
-			best = st.have
-		}
-		running[best] += st.load
-		if st.routed && best != st.have {
-			moves = append(moves, Move{Tenant: st.id, From: st.have, To: best})
-		}
+		sum[st.shard] += st.load
 	}
-	if len(moves) > budget {
-		moves = moves[:budget]
+	var moves []Move
+	for len(moves) < budget {
+		hot, cold := slices.Index(sum, slices.Max(sum)), slices.Index(sum, slices.Min(sum))
+		half := (sum[hot] - sum[cold]) / 2
+		i := slices.IndexFunc(seats, func(st seat) bool {
+			return st.shard == hot && st.load > 0 && st.load < half
+		})
+		if i < 0 {
+			break
+		}
+		st := &seats[i]
+		st.shard = cold
+		sum[hot] -= st.load
+		sum[cold] += st.load
+		moves = append(moves, Move{Tenant: st.id, From: hot, To: cold})
 	}
 	return moves
 }
@@ -357,11 +364,11 @@ func (e *Engine) maybeRebalance() {
 		return
 	}
 	defer e.rebalMu.Unlock()
-	if e.batchesTotal.Load() < e.nextRebal.Load() {
+	start := e.batchesTotal.Load()
+	if start < e.nextRebal.Load() {
 		return // another pass got here first
 	}
-	e.rebalancePass()
-	e.nextRebal.Store(e.batchesTotal.Load() + int64(e.cfg.RebalanceEvery))
+	e.rebalancePass(start)
 }
 
 // Rebalance forces a rebalance pass now, returning the number of
@@ -373,14 +380,16 @@ func (e *Engine) Rebalance() (int, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
 	//lint:ignore lockorder a pass journals its moves while rebalMu serializes it — append-before-apply needs the move frozen, and rebalMu is what freezes routing
-	moved, err := e.rebalancePass()
-	e.nextRebal.Store(e.batchesTotal.Load() + int64(e.cfg.RebalanceEvery))
-	return moved, err
+	return e.rebalancePass(e.batchesTotal.Load())
 }
 
-// rebalancePass measures, plans, moves, and audits. Callers hold
-// rebalMu.
-func (e *Engine) rebalancePass() (int, error) {
+// rebalancePass sets the next pass due RebalanceEvery batches after
+// start, the batch count when this one began, then measures, plans,
+// moves, and audits. Batches applied while it runs count toward the
+// next pass, so the number of passes does not depend on how long a pass
+// takes. Callers hold rebalMu.
+func (e *Engine) rebalancePass(start int64) (int, error) {
+	e.nextRebal.Store(start + int64(e.cfg.RebalanceEvery))
 	// Measure: fold each tenant's events applied since the last pass
 	// into its load accumulator. Events, not wall time — the cost unit
 	// is deterministic (wall-time windows whiplash with scheduler noise
@@ -439,7 +448,7 @@ func (e *Engine) rebalancePass() (int, error) {
 
 // rebalDecay ages the per-tenant load accumulator each pass. When the
 // fleet goes quiet every estimate shrinks by the same factor, so the
-// load ratios Plan seats tenants by hold still. Slow enough to be
+// load ratios Plan levels shards by hold still. Slow enough to be
 // stable, low enough that a workload shift overtakes history within a
 // few dozen passes.
 const rebalDecay = 0.95

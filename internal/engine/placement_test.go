@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,9 +52,10 @@ func place(r *routing, id string) int {
 // placements and load histories must plan the exact same move sequences and
 // end with identical routing tables. Recovery depends on this — replay
 // reproduces routes from journaled moves, so a nondeterministic planner
-// would make the journal's moves meaningless on the next process. Each
-// plan must also keep the contract: its moves come heaviest first, and
-// once they are applied, the same loads plan no further move.
+// would make the journal's moves meaningless on the next process. On
+// this load history each plan's moves also come heaviest first (Plan
+// promises only greedy order), and once they are applied, the same
+// loads plan no further move.
 func TestBalancedPlacerDeterminism(t *testing.T) {
 	const shards, d, tenants = 8, 1, 12
 	mk := func() *routing {
@@ -140,25 +144,231 @@ func TestBalancedPlacerPlace(t *testing.T) {
 	want("t12", 4)
 }
 
-// TestBalancedPlacerPlanSticky pins the stickiness rule: a routed
-// tenant moves only when its shard's running load exceeds the
-// least-loaded shard's by more than the tenant's own load, and a budget
-// short of the plan keeps its heaviest moves.
-func TestBalancedPlacerPlanSticky(t *testing.T) {
-	p := newRouting(PlacementBalanced, 3)
-	for _, id := range []string{"a", "b", "c"} {
-		p.set(id, 2)
+// TestBalancedPlacerPlanHalfGap pins the levelling rule: each move takes
+// the heaviest tenant on the most-loaded shard whose load is positive
+// and below half the gap to the least-loaded shard, lowest ID on ties,
+// and a budget short of the plan keeps its first moves. The fleets the
+// rule leaves alone plan nothing.
+func TestBalancedPlacerPlanHalfGap(t *testing.T) {
+	// a, b and c load shard 2 to 14 and d loads shard 1 to 1. b leaves
+	// first, for empty shard 0 (a's 8 is not below half of 14); then
+	// shard 1 is the coldest, and c (2 < (10−1)/2) joins d there.
+	levels := map[string]int{"a": 2, "b": 2, "c": 2, "d": 1}
+	levelsLoads := map[string]float64{"a": 8, "b": 4, "c": 2, "d": 1}
+	cases := []struct {
+		name   string
+		routes map[string]int
+		loads  map[string]float64
+		budget int
+		want   []Move
+	}{
+		{"levels", levels, levelsLoads, 3, []Move{{Tenant: "b", From: 2, To: 0}, {Tenant: "c", From: 2, To: 1}}},
+		{"budget keeps the first moves", levels, levelsLoads, 1, []Move{{Tenant: "b", From: 2, To: 0}}},
+		{"ties go to the lowest ID", map[string]int{"a": 0, "b": 0, "c": 0},
+			map[string]float64{"a": 2, "b": 2, "c": 10}, 1, []Move{{Tenant: "a", From: 0, To: 1}}},
+		{"levelled fleet", map[string]int{"a": 0, "b": 1, "c": 2, "d": 2},
+			map[string]float64{"a": 6, "b": 5, "c": 3, "d": 3}, 3, nil},
+		// Moving a lone tenant would only swap its shard with an empty one.
+		{"lone tenant", map[string]int{"a": 0}, map[string]float64{"a": 9}, 3, nil},
+		{"at half the gap", map[string]int{"a": 0, "b": 0}, map[string]float64{"a": 4, "b": 4}, 3, nil},
+		{"idle tenant", map[string]int{"a": 0, "b": 0}, map[string]float64{"a": 9, "b": 0}, 3, nil},
 	}
-	p.set("d", 1)
-	loads := map[string]float64{"a": 8, "b": 4, "c": 2, "d": 1}
-	// a stays on shard 2 although shard 0 is emptier: 0 ≤ 0+8. b and c
-	// leave it (8 > 0+4, 8 > 0+2) for shards 0 and 1, and d stays on 1.
-	want := []Move{{Tenant: "b", From: 2, To: 0}, {Tenant: "c", From: 2, To: 1}}
-	if got := p.Plan(loads, 3); !reflect.DeepEqual(got, want) {
-		t.Errorf("Plan = %v, want %v", got, want)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := newRouting(PlacementBalanced, 3)
+			for id, shard := range c.routes {
+				p.set(id, shard)
+			}
+			if got := p.Plan(c.loads, c.budget); !reflect.DeepEqual(got, c.want) {
+				t.Errorf("Plan = %v, want %v", got, c.want)
+			}
+		})
 	}
-	if got := p.Plan(loads, 1); !reflect.DeepEqual(got, want[:1]) {
-		t.Errorf("Plan with budget 1 = %v, want %v", got, want[:1])
+
+	// Shards 0 and 1 hold the same three loads, whose float sum depends
+	// on the order they are added in: summed in map order, either shard
+	// could come out hotter and lose a tenant first.
+	t.Run("map order", func(t *testing.T) {
+		routes := map[string]int{"x1": 0, "x2": 0, "x3": 0, "y1": 1, "y2": 1, "y3": 1, "z": 2}
+		ids := []string{"x1", "x2", "x3", "y1", "y2", "y3", "z"}
+		load := map[string]float64{"x1": 0.1, "x2": 0.2, "x3": 0.3, "y1": 0.1, "y2": 0.2, "y3": 0.3, "z": 0.05}
+		want := []Move{{Tenant: "x2", From: 0, To: 2}, {Tenant: "y1", From: 1, To: 2}}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 50; i++ {
+			p := newRouting(PlacementBalanced, 3)
+			loads := make(map[string]float64, len(ids))
+			for _, j := range rng.Perm(len(ids)) {
+				p.set(ids[j], routes[ids[j]])
+				loads[ids[j]] = load[ids[j]]
+			}
+			if got := p.Plan(loads, 3); !reflect.DeepEqual(got, want) {
+				t.Fatalf("build %d: Plan = %v, want %v", i, got, want)
+			}
+		}
+	})
+}
+
+// TestBalancedPlacerPlanProperty checks the rule on 200 seeded fleets
+// of 2–8 shards and up to 48 tenants, some idle, with integer loads so
+// every sum is exact whatever its order. Each move must lower the larger
+// of its two shards' loads, the largest shard load must never rise, and
+// a plan its budget did not cut must, once applied, re-plan nothing.
+func TestBalancedPlacerPlanProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for c := 0; c < 200; c++ {
+		shards, tenants := 2+rng.Intn(7), rng.Intn(49)
+		p := newRouting(PlacementBalanced, shards)
+		loads := make(map[string]float64, tenants)
+		sum := make([]float64, shards)
+		for i := 0; i < tenants; i++ {
+			id, shard, load := fmt.Sprintf("t%02d", i), rng.Intn(shards), 0.0
+			if rng.Intn(5) > 0 {
+				load = float64(1 + rng.Intn(60))
+			}
+			p.set(id, shard)
+			loads[id] = load
+			sum[shard] += load
+		}
+		budget := 1 + rng.Intn(2*shards)
+		moves := p.Plan(loads, budget)
+		if len(moves) > budget {
+			t.Fatalf("case %d: %d moves planned, budget is %d", c, len(moves), budget)
+		}
+		for i, mv := range moves {
+			if at, _ := p.lookup(mv.Tenant); at != mv.From || mv.To == mv.From {
+				t.Fatalf("case %d: move %d %+v from shard %d", c, i, mv, at)
+			}
+			before, peak := max(sum[mv.From], sum[mv.To]), slices.Max(sum)
+			sum[mv.From] -= loads[mv.Tenant]
+			sum[mv.To] += loads[mv.Tenant]
+			if after := max(sum[mv.From], sum[mv.To]); after >= before {
+				t.Fatalf("case %d: move %d %+v (load %v) takes the pair's larger load from %v to %v",
+					c, i, mv, loads[mv.Tenant], before, after)
+			}
+			if slices.Max(sum) > peak {
+				t.Fatalf("case %d: move %d %+v raises the largest shard load above %v: %v", c, i, mv, peak, sum)
+			}
+			p.set(mv.Tenant, mv.To)
+		}
+		if len(moves) < budget {
+			if again := p.Plan(loads, budget); len(again) > 0 {
+				t.Fatalf("case %d: the applied plan re-plans %v (loads %v)", c, again, sum)
+			}
+		}
+	}
+}
+
+// TestRebalanceCadenceCountsFromPassStart pins the pass cadence to each
+// pass's start: batches other clients apply while a pass runs count
+// toward the next pass, so how long a pass takes does not change how
+// many passes run. A pass is held in its measure step on stripe 1's
+// lock while tenant a, on stripe 0, applies RebalanceEvery batches,
+// whose own passes lose the TryLock; once the held pass ends, the next
+// one is due on a's next batch.
+func TestRebalanceCadenceCountsFromPassStart(t *testing.T) {
+	const every = 4
+	eng := New(Config{Shards: 2, BatchSize: 1, Placement: PlacementBalanced,
+		RebalanceD: 1, RebalanceEvery: every, Rebuild: testRebuild})
+	for _, id := range []string{"a", "b"} {
+		addSpecTenant(t, eng, TenantSpec{ID: id, Algorithm: "greedy", N: 8})
+	}
+	if a, b := eng.route("a"), eng.route("b"); a != 0 || b != 1 {
+		t.Fatalf("routes a=%d b=%d, want 0 and 1", a, b)
+	}
+	next := 1
+	batch := func() {
+		t.Helper()
+		if err := eng.Submit("a", arrivals(next, 1, 1)...); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	mark := func() int64 {
+		s, tn := eng.lockTenant("a")
+		defer s.mu.Unlock()
+		return tn.rebalMark
+	}
+	batch()
+
+	held := eng.shardAt(1)
+	held.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Rebalance()
+		done <- err
+	}()
+	// The pass has started, and read the batch count, once it has
+	// measured stripe 0; it now waits for stripe 1.
+	for mark() != 1 {
+		runtime.Gosched()
+	}
+	if eng.rebalMu.TryLock() {
+		eng.rebalMu.Unlock()
+		t.Error("rebalMu is free while the pass waits for stripe 1")
+	}
+	for i := 0; i < every; i++ {
+		//lint:ignore lockorder the test holds stripe 1 so that the pass waits in its measure step while these batches apply on stripe 0
+		batch()
+	}
+	held.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.RebalanceStats().Passes; got != 1 {
+		t.Fatalf("%d passes ran while one was held, want only the held one", got)
+	}
+	// The held pass started after batch 1, so the next is due at batch
+	// 1+every, which has already been applied.
+	if got := eng.nextRebal.Load(); got != 1+every {
+		t.Errorf("next pass due at batch %d, want %d", got, 1+every)
+	}
+	batch()
+	if got := eng.RebalanceStats().Passes; got != 2 {
+		t.Errorf("%d passes after the first batch past the due point, want 2", got)
+	}
+}
+
+// TestBreakerHealKeepsLoadEstimate checks that a breaker heal carries
+// the tenant's rebalance load estimate across the rebuild: the rebuild
+// replays the kept events, so a zeroed mark would make the next pass
+// count the tenant's whole history as one window and see its shard hot.
+func TestBreakerHealKeepsLoadEstimate(t *testing.T) {
+	eng := New(Config{Shards: 2, BatchSize: 4, Journal: testJournal(t), Placement: PlacementBalanced,
+		RebalanceD: 1, RebalanceEvery: 1 << 30, Rebuild: testRebuild})
+	clk := &fakeClock{step: 1}
+	eng.now = clk.tick
+	addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "greedy", N: 8})
+	estimate := func() (events, mark int64, est float64) {
+		s, tn := eng.lockTenant("t")
+		defer s.mu.Unlock()
+		return tn.events, tn.rebalMark, tn.rebalEst
+	}
+
+	if err := eng.Submit("t", arrivals(1, 4, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if events, mark, est := estimate(); events != 4 || mark != 4 || est != 4 {
+		t.Fatalf("after a pass: events %d, mark %d, estimate %v, want 4/4/4", events, mark, est)
+	}
+	poison := []task.Event{
+		{Kind: task.Arrive, Task: 5, Size: 1},
+		{Kind: task.Arrive, Task: 5, Size: 1},
+		{Kind: task.Arrive, Task: 6, Size: 1},
+		{Kind: task.Arrive, Task: 7, Size: 1},
+	}
+	if err := eng.Submit("t", poison...); !errors.Is(err, ErrTenantPoisoned) {
+		t.Fatalf("poisonous submit: %v", err)
+	}
+	// Past the backoff, the Flush's half-open probe heals the tenant.
+	clk.advance(time.Hour)
+	if err := eng.Flush("t"); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if events, mark, est := estimate(); events != 4 || mark != 4 || est != 4 {
+		t.Errorf("after the heal: events %d, mark %d, estimate %v, want 4/4/4", events, mark, est)
 	}
 }
 
@@ -696,7 +906,7 @@ func skewConfig(shards int, balanced bool, log *wal.Log) Config {
 // concurrent clients look like from a shard's queue — every tenant's
 // residue is present when its neighbours submit — but deterministic, so
 // the backlog compares placements instead of scheduler luck.
-func driveSkew(t *testing.T, eng *Engine, specs []TenantSpec, streams map[string][]task.Event) {
+func driveSkew(t testing.TB, eng *Engine, specs []TenantSpec, streams map[string][]task.Event) {
 	t.Helper()
 	const bursts, minBurst, flushEvery = 12, 16, 4
 	for round := 0; round < bursts; round++ {

@@ -368,12 +368,14 @@ func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 // restore t's latest snapshot, replay the journaled tail up to keep
 // events in replayChunks chunks, and carry over what the envelope does
 // not hold for a rebuild — shed events, dropped events plus the suffix
-// past keep, the trip count, and the breaker deadline. stop bounds the
-// tail read. commit gets the drop count once the replacement is built
-// and before t changes: the probe journals its TypeRebuild there,
-// recovery checks the journaled count. A failure up to and including
-// commit leaves t as it was and re-opens the breaker; a failing replay
-// poisons t again. Callers hold t's shard lock.
+// past keep, the trip count, the breaker deadline, and the rebalance
+// load estimate (the replay restores t.events, so a zeroed mark would
+// count the tenant's whole history as the next pass's window). stop
+// bounds the tail read. commit gets the drop count once the replacement
+// is built and before t changes: the probe journals its TypeRebuild
+// there, recovery checks the journaled count. A failure up to and
+// including commit leaves t as it was and re-opens the breaker; a
+// failing replay poisons t again. Callers hold t's shard lock.
 func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit func(drop int64) error) (int64, error) {
 	fail := func(err error) (int64, error) {
 		e.rearm(t)
@@ -409,6 +411,8 @@ func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit
 	nt.dropped = t.dropped + drop
 	nt.trips = t.trips
 	nt.deadline = t.deadline
+	nt.rebalMark = t.rebalMark
+	nt.rebalEst = t.rebalEst
 	// The copy keeps nt's step, and with it the allocator's migration
 	// observer, which holds the step rather than the tenant.
 	*t = *nt
