@@ -60,17 +60,18 @@ test-snapshot:
 # tenant below half the hot-to-cold gap, so every move lowers the
 # larger load and a levelled fleet plans nothing; seeded property
 # cases), its fewest-tenants rule for new tenants, the pass cadence
-# counted from each pass's start, a breaker heal keeping the load
-# estimate, the MoveTenant routing regression, local moves relocating
-# the same tenant without allocating, the Degrade ladder surviving a
-# move, concurrent Submit, registration and cross-engine moves during
-# rebalance passes, Tenants and Stats listing each tenant once while
+# counted from each pass's start, a pass falling due inside Replay, a
+# breaker heal keeping the load estimate, the MoveTenant routing
+# regression, local moves relocating the same tenant without
+# allocating, the Degrade ladder surviving a move, concurrent Submit,
+# registration and cross-engine moves during rebalance passes,
+# Tenants and Stats listing each tenant once while
 # tenants move, the skew gate (balanced hot-shard peak backlog strictly
 # below hash on a seeded zipf fleet at 8 shards, routes recovered
 # exactly at 6 and 8), and the SIGKILL mid-rebalance crash test that
 # gates recovery on routing-table consistency.
 test-placement:
-	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestRebalanceCadenceCountsFromPassStart|TestBreakerHealKeepsLoadEstimate|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestListingsSeeEachTenantOnce|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestRebalanceCadenceCountsFromPassStart|TestReplayRunsDuePass|TestBreakerHealKeepsLoadEstimate|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestListingsSeeEachTenantOnce|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
 # on a random port, scrapes /metrics, asserts the required series exist

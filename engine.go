@@ -196,8 +196,9 @@ func WithAudit() EngineOption {
 }
 
 // WithMaxQueue bounds each tenant's ingestion queue to n events
-// (0 = unbounded). What happens past the bound is WithOverloadPolicy's
-// call.
+// (0 = unbounded). A bound below the batch size lowers the batch size to
+// it, for Submit and Replay alike. What happens past the bound is
+// WithOverloadPolicy's call.
 func WithMaxQueue(n int) EngineOption {
 	return func(o *engineOptions) {
 		if n < 0 {
@@ -588,9 +589,13 @@ func (e *Engine) Flush(id string) error { return e.eng.Flush(id) }
 // FlushAll flushes every tenant and returns the first error.
 func (e *Engine) FlushAll() error { return e.eng.FlushAll() }
 
-// Replay feeds each tenant its stream in batches, one parallel worker
-// per shard. Cancelling ctx drains the batches in flight and returns
-// ctx.Err(), like every other context-aware entry point.
+// Replay feeds each tenant its stream, one parallel worker per shard,
+// through the same calls a client makes: a Flush, one Submit per
+// batch-sized chunk, and a Flush for the remainder. So replayed events
+// are batched, journaled and rebalanced exactly as submitted ones. ctx
+// must be non-nil; a nil ctx is an error. Cancelling ctx drains the
+// batches in flight and returns ctx.Err(), like every other
+// context-aware entry point.
 func (e *Engine) Replay(ctx context.Context, streams map[string][]Event) error {
 	return e.eng.Replay(ctx, streams)
 }

@@ -92,9 +92,10 @@ type Config struct {
 	// at least 1). Placement decides which shard each tenant lands on.
 	Shards int
 	// BatchSize is the ingestion batch: Submit queues events per tenant
-	// and applies them whenever the queue reaches this size (default 256).
-	// Larger batches amortize loadtree maintenance further but delay
-	// load/latency samples, which are taken at batch boundaries.
+	// and applies them whenever the queue reaches this size (default 256,
+	// and never above MaxQueue when a bound is set). Larger batches
+	// amortize loadtree maintenance further but delay load/latency
+	// samples, which are taken at batch boundaries.
 	BatchSize int
 	// Audit attaches an invariant.Checker to every tenant and applies
 	// events one at a time, so the checker sees each placement and
@@ -103,8 +104,9 @@ type Config struct {
 	// tests and canary runs, not in benchmarks.
 	Audit bool
 	// MaxQueue bounds each tenant's ingestion queue (0 = unbounded, the
-	// historical behavior). With a bound below BatchSize, batches shrink
-	// to the bound — the queue must still be able to fill a batch.
+	// historical behavior). A bound below BatchSize lowers BatchSize to
+	// the bound: the queue must still be able to fill a batch, or Block
+	// would wait for room that only draining creates.
 	MaxQueue int
 	// Overload selects what happens when a submission would exceed
 	// MaxQueue: Block (default), Shed, or Degrade.
@@ -204,6 +206,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
+	}
+	if c.MaxQueue > 0 {
+		c.BatchSize = min(c.BatchSize, c.MaxQueue)
 	}
 	if c.DegradeBudget <= 0 {
 		c.DegradeBudget = 5 * time.Millisecond
@@ -632,11 +637,11 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 }
 
 // Submit queues events for a tenant, applying a batch whenever the queue
-// reaches Config.BatchSize (or MaxQueue, whichever is smaller). A
-// returned apply error poisons the tenant. Under MaxQueue the overload
-// policy decides what an over-bound submission does: Block and Degrade
-// admit it in bound-sized chunks (applying batches in between, so the
-// bound never overshoots), Shed rejects it whole with ErrOverloaded.
+// reaches Config.BatchSize. A returned apply error poisons the tenant.
+// Under MaxQueue the overload policy decides what an over-bound
+// submission does: Block and Degrade admit it in bound-sized chunks
+// (applying batches in between, so the bound never overshoots), Shed
+// rejects it whole with ErrOverloaded.
 func (e *Engine) Submit(id string, evs ...task.Event) error {
 	err := e.submitLocked(id, evs)
 	// Outside the shard lock: a due rebalance pass takes many locks and
@@ -690,16 +695,10 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 	return e.maybeSnapshot(t)
 }
 
-// ingest admits evs into the tenant's queue and applies full batches.
-// The batch trigger is min(BatchSize, MaxQueue): a bound below the batch
-// size must still let the queue fill a (smaller) batch, or Block would
-// deadlock waiting for room that draining alone can create.
+// ingest admits evs into the tenant's queue, at most MaxQueue at a time,
+// and applies every full batch.
 func (e *Engine) ingest(t *tenant, evs []task.Event) error {
-	maxQ := e.cfg.MaxQueue
-	trigger := e.cfg.BatchSize
-	if maxQ > 0 && trigger > maxQ {
-		trigger = maxQ
-	}
+	maxQ, trigger := e.cfg.MaxQueue, e.cfg.BatchSize
 	for {
 		take := len(evs)
 		if maxQ > 0 {
@@ -826,14 +825,20 @@ func (e *Engine) Err(id string) error {
 	return nil
 }
 
-// Replay feeds each tenant its stream in Config.BatchSize batches, one
-// parallel worker per shard, honoring ctx between batches (cancellation
-// drains the batch in flight and returns ctx.Err(), the same contract as
-// the sweep harness). Pending Submit queues are flushed first so replayed
-// events land after anything already ingested. Tenants within a shard are
-// processed in sorted ID order; an apply error stops that shard's worker
-// but not the others.
+// Replay feeds each tenant its stream, one parallel worker per shard,
+// through the public calls: Flush, one Submit per Config.BatchSize chunk,
+// and a Flush for the remainder. Pending queued events therefore apply
+// first, replayed events are batched, journaled and snapshotted like
+// submitted ones, and a rebalance pass can fall due inside Replay as in
+// any other ingestion call. ctx must be non-nil and is honored between
+// chunks: cancellation drains the batch in flight and returns ctx.Err(),
+// the same contract as the sweep harness. Tenants within a shard are
+// processed in sorted ID order; an error stops that shard's worker but
+// not the others.
 func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) error {
+	if ctx == nil {
+		return errors.New("engine: Replay requires a non-nil context")
+	}
 	ids := make([]string, 0, len(streams))
 	for id := range streams {
 		ids = append(ids, id)
@@ -843,7 +848,7 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 	// Validate up front: an unknown tenant fails the whole replay before
 	// any event is applied, not halfway through one shard. The grouping
 	// by current route is a parallelism heuristic only — a rebalance can
-	// move a tenant mid-replay, so each batch re-resolves its shard.
+	// move a tenant mid-replay, and each call re-resolves its shard.
 	byShard := make(map[int][]string)
 	for _, id := range ids {
 		idx, ok := e.routing.lookup(id)
@@ -859,77 +864,23 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 		}
 	}
 
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
 	// ReplayWatchdog arms the RunCells per-cell timeout so a stalled
 	// allocator fails its shard instead of hanging the whole replay.
-	opts := parallel.RunOptions{Cancel: cancel, Timeout: e.cfg.ReplayWatchdog, Sink: e.cfg.Sink}
+	opts := parallel.RunOptions{Cancel: ctx.Done(), Timeout: e.cfg.ReplayWatchdog, Sink: e.cfg.Sink}
 	cellErrs := parallel.RunCells(len(cells), opts, func(ci int) error {
 		for _, id := range cells[ci] {
-			evs := streams[id]
-			runTenant := func() error {
-				for off := 0; off < len(evs); off += e.cfg.BatchSize {
-					if ctx != nil {
-						select {
-						case <-ctx.Done():
-							return ctx.Err()
-						default:
-						}
-					}
-					end := off + e.cfg.BatchSize
-					if end > len(evs) {
-						end = len(evs)
-					}
-					s, t := e.lockTenant(id)
-					if t == nil {
-						return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
-					}
-					// The half-open probe inside ready reads the journal tail under the
-					// shard lock by design (see Submit).
-					err := e.ready(t)
-					if err == nil {
-						// Append-before-apply under the shard lock (see Submit).
-						err = e.journalApply(t, off == 0, evs[off:end])
-					}
-					if err == nil {
-						if off == 0 {
-							err = e.flushTenant(t)
-						}
-						if err == nil {
-							err = e.apply(t, evs[off:end])
-						}
-						if err == nil {
-							// The snapshot must capture the tenant frozen by this shard lock
-							// (see Submit).
-							err = e.maybeSnapshot(t)
-						}
-					}
-					s.mu.Unlock()
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			}
 			var err error
 			if e.cfg.Sink != nil {
 				// Label the worker's samples so CPU profiles attribute
 				// time to the tenant/shard/algorithm being replayed.
-				lctx := ctx
-				if lctx == nil {
-					//lint:ignore ctxflow Replay documents ctx == nil as valid; pprof.Do requires a non-nil context
-					lctx = context.Background()
-				}
 				labels := pprof.Labels(
 					"tenant", id,
 					"shard", strconv.Itoa(e.route(id)),
 					"algo", e.tenantAlgo(id),
 				)
-				pprof.Do(lctx, labels, func(context.Context) { err = runTenant() })
+				pprof.Do(ctx, labels, func(ctx context.Context) { err = e.replayTenant(ctx, id, streams[id]) })
 			} else {
-				err = runTenant()
+				err = e.replayTenant(ctx, id, streams[id])
 			}
 			if err != nil {
 				return err
@@ -942,15 +893,34 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, parallel.ErrCanceled) && ctx != nil && ctx.Err() != nil {
+		if errors.Is(err, parallel.ErrCanceled) && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return err
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return ctx.Err()
+	return ctx.Err()
+}
+
+// replayTenant is one tenant's Replay. The first Flush empties the
+// queue, so each full chunk applies as one batch inside its Submit, and
+// the last Flush applies the short remainder. An empty stream is a
+// no-op.
+func (e *Engine) replayTenant(ctx context.Context, id string, evs []task.Event) error {
+	if len(evs) == 0 {
+		return nil
 	}
-	return nil
+	if err := e.Flush(id); err != nil {
+		return err
+	}
+	for off := 0; off < len(evs); off += e.cfg.BatchSize {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := e.Submit(id, evs[off:min(off+e.cfg.BatchSize, len(evs))]...); err != nil {
+			return err
+		}
+	}
+	return e.Flush(id)
 }
 
 // ready reports whether t can take events: nil for a healthy tenant,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -150,54 +151,71 @@ func TestReplayMatchesSerialSimulate(t *testing.T) {
 
 // TestSubmitMatchesReplay feeds the same streams through the incremental
 // Submit path (odd-sized chunks, so queue boundaries and batch boundaries
-// disagree) and requires the same final state as a one-shot Replay.
+// disagree) and through one-shot Replay. On different configurations the
+// two must reach the same final state. On one bounded queue (MaxQueue
+// below BatchSize, so batches shrink to the bound) they must agree on the
+// whole canonical ledger, batch count included.
 func TestSubmitMatchesReplay(t *testing.T) {
-	fleet := testFleet(t)
-	a := New(Config{Shards: 2, BatchSize: 64})
-	b := New(Config{Shards: 5, BatchSize: 256})
-	streams := make(map[string][]task.Event)
-	aAllocs := make(map[string]core.Allocator)
-	bAllocs := make(map[string]core.Allocator)
-	for i, tt := range fleet {
-		aAllocs[tt.id] = tt.make(tree.MustNew(tt.n))
-		bAllocs[tt.id] = tt.make(tree.MustNew(tt.n))
-		if err := a.AddTenant(tt.id, aAllocs[tt.id], tenantOpts(tt.faults)...); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AddTenant(tt.id, bAllocs[tt.id], tenantOpts(tt.faults)...); err != nil {
-			t.Fatal(err)
-		}
-		streams[tt.id] = testStream(tt.n, 600, int64(i+10))
-	}
-
-	for _, tt := range fleet {
-		evs := streams[tt.id]
-		for off := 0; off < len(evs); off += 17 {
-			end := off + 17
-			if end > len(evs) {
-				end = len(evs)
+	bounded := Config{Shards: 2, BatchSize: 16, MaxQueue: 8}
+	for _, in := range []struct {
+		name      string
+		submit    Config
+		replay    Config
+		canonical bool
+	}{
+		{"batch-64-vs-256", Config{Shards: 2, BatchSize: 64}, Config{Shards: 5, BatchSize: 256}, false},
+		{"bounded-queue", bounded, bounded, true},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			fleet := testFleet(t)
+			a, b := New(in.submit), New(in.replay)
+			streams := make(map[string][]task.Event)
+			aAllocs := make(map[string]core.Allocator)
+			bAllocs := make(map[string]core.Allocator)
+			for i, tt := range fleet {
+				aAllocs[tt.id] = tt.make(tree.MustNew(tt.n))
+				bAllocs[tt.id] = tt.make(tree.MustNew(tt.n))
+				if err := a.AddTenant(tt.id, aAllocs[tt.id], tenantOpts(tt.faults)...); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.AddTenant(tt.id, bAllocs[tt.id], tenantOpts(tt.faults)...); err != nil {
+					t.Fatal(err)
+				}
+				streams[tt.id] = testStream(tt.n, 600, int64(i+10))
 			}
-			if err := a.Submit(tt.id, evs[off:end]...); err != nil {
+
+			for _, tt := range fleet {
+				evs := streams[tt.id]
+				for off := 0; off < len(evs); off += 17 {
+					if err := a.Submit(tt.id, evs[off:min(off+17, len(evs))]...); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := a.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if err := a.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Replay(context.Background(), streams); err != nil {
-		t.Fatal(err)
-	}
+			if err := b.Replay(context.Background(), streams); err != nil {
+				t.Fatal(err)
+			}
 
-	for _, tt := range fleet {
-		if !reflect.DeepEqual(aAllocs[tt.id].PELoads(), bAllocs[tt.id].PELoads()) {
-			t.Errorf("%s: Submit path and Replay path disagree on PE loads", tt.id)
-		}
-		sa, _ := a.TenantStats(tt.id)
-		sb, _ := b.TenantStats(tt.id)
-		if sa.Events != sb.Events || sa.MaxLoad != sb.MaxLoad || !reflect.DeepEqual(sa.Realloc, sb.Realloc) {
-			t.Errorf("%s: Submit stats %+v disagree with Replay stats %+v", tt.id, sa, sb)
-		}
+			for _, tt := range fleet {
+				if !reflect.DeepEqual(aAllocs[tt.id].PELoads(), bAllocs[tt.id].PELoads()) {
+					t.Errorf("%s: Submit path and Replay path disagree on PE loads", tt.id)
+				}
+				sa, _ := a.TenantStats(tt.id)
+				sb, _ := b.TenantStats(tt.id)
+				if sa.Events != sb.Events || sa.MaxLoad != sb.MaxLoad || !reflect.DeepEqual(sa.Realloc, sb.Realloc) {
+					t.Errorf("%s: Submit stats %+v disagree with Replay stats %+v", tt.id, sa, sb)
+				}
+				if !in.canonical {
+					continue
+				}
+				if ca, cb := CanonicalStats(sa), CanonicalStats(sb); !bytes.Equal(ca, cb) {
+					t.Errorf("%s: canonical ledgers differ:\n  submit: %s\n  replay: %s", tt.id, ca, cb)
+				}
+			}
+		})
 	}
 }
 
@@ -392,12 +410,17 @@ func TestTenantRegistry(t *testing.T) {
 	}
 }
 
-// TestReplayContextCancellation checks that a pre-cancelled context stops
-// the replay before any event is applied and reports ctx.Err().
+// TestReplayContextCancellation checks that a nil context is refused and
+// that a pre-cancelled one stops the replay before any event is applied
+// and reports ctx.Err().
 func TestReplayContextCancellation(t *testing.T) {
 	eng := New(Config{BatchSize: 32})
 	if err := eng.AddTenant("t", core.NewBasic(tree.MustNew(16))); err != nil {
 		t.Fatal(err)
+	}
+	var nilCtx context.Context
+	if err := eng.Replay(nilCtx, map[string][]task.Event{"t": testStream(16, 500, 1)}); err == nil {
+		t.Error("Replay accepted a nil context")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,13 +1,13 @@
 // Write-ahead journaling and crash recovery. The journal mirrors
 // ingestion *calls*, not abstract event streams: a tenant's registration
 // is its genesis TypeSnapshot (snapshot.go), a TypeSubmit record is one
-// accepted Submit, a TypeApply record is one Replay batch (bypassing the
-// queue), a TypeFlush is an explicit flush, and a TypeRebuild is a
-// circuit-breaker rebuild. Replaying the records after each tenant's
-// latest snapshot therefore reproduces the engine's queue and batch
-// structure exactly — Recover yields the same Events/Queued/Batches/
-// PeakLoad ledger an uninterrupted run has, not merely the same final
-// placements.
+// accepted Submit, a TypeFlush is a flush of a non-empty queue, and a
+// TypeRebuild is a circuit-breaker rebuild. Replay is made of Flush and
+// Submit calls, so it writes those records and no type of its own.
+// Replaying the records after each tenant's latest snapshot therefore
+// reproduces the engine's queue and batch structure exactly — Recover
+// yields the same Events/Queued/Batches/PeakLoad ledger an uninterrupted
+// run has, not merely the same final placements.
 //
 // Every record is appended before the state change it describes
 // (append-before-apply), so the journal can only ever be ahead of the
@@ -78,15 +78,6 @@ func (e *Engine) journalSubmit(t *tenant, evs []task.Event) error {
 	s := e.shardAt(t.shardIdx)
 	s.enc = wal.AppendEvents(s.enc[:0], evs)
 	return e.journalAppend(wal.Record{Type: wal.TypeSubmit, Tenant: t.id, Data: s.enc})
-}
-
-func (e *Engine) journalApply(t *tenant, flushFirst bool, evs []task.Event) error {
-	if e.cfg.Journal == nil {
-		return nil
-	}
-	s := e.shardAt(t.shardIdx)
-	s.enc = wal.AppendApply(s.enc[:0], flushFirst, evs)
-	return e.journalAppend(wal.Record{Type: wal.TypeApply, Tenant: t.id, Data: s.enc})
 }
 
 func (e *Engine) journalFlush(t *tenant) error {
@@ -204,19 +195,6 @@ func (e *Engine) dispatch(pos wal.Pos, rec wal.Record) error {
 			return fmt.Errorf("engine: recover record %s: %w", pos, err)
 		}
 		return e.redo(rec.Tenant, pos, func(t *tenant) error { return e.ingest(t, evs) })
-	case wal.TypeApply:
-		flushFirst, evs, err := wal.DecodeApply(rec.Data)
-		if err != nil {
-			return fmt.Errorf("engine: recover record %s: %w", pos, err)
-		}
-		return e.redo(rec.Tenant, pos, func(t *tenant) error {
-			if flushFirst {
-				if err := e.flushTenant(t); err != nil {
-					return err
-				}
-			}
-			return e.apply(t, evs)
-		})
 	case wal.TypeFlush:
 		return e.redo(rec.Tenant, pos, func(t *tenant) error { return e.flushTenant(t) })
 	case wal.TypeRebuild:

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -325,6 +326,28 @@ func TestRebalanceCadenceCountsFromPassStart(t *testing.T) {
 	batch()
 	if got := eng.RebalanceStats().Passes; got != 2 {
 		t.Errorf("%d passes after the first batch past the due point, want 2", got)
+	}
+}
+
+// TestReplayRunsDuePass checks that a rebalance pass falls due inside
+// Replay as in every other ingestion call: a balanced engine fed only by
+// Replay applies many RebalanceEvery cadences of batches, so it must run
+// passes.
+func TestReplayRunsDuePass(t *testing.T) {
+	const every = 4
+	eng := New(Config{Shards: 4, BatchSize: 8, Placement: PlacementBalanced, RebalanceEvery: every})
+	streams := make(map[string][]task.Event)
+	for i := range 5 {
+		spec := TenantSpec{ID: fmt.Sprintf("b%d", i), Algorithm: "basic", N: 32}
+		addSpecTenant(t, eng, spec)
+		streams[spec.ID] = testStream(spec.N, 200, int64(i+1))
+	}
+	if err := eng.Replay(context.Background(), streams); err != nil {
+		t.Fatal(err)
+	}
+	if passes := eng.RebalanceStats().Passes; passes == 0 {
+		t.Errorf("no rebalance pass ran in %d batches through Replay, due every %d",
+			eng.batchesTotal.Load(), every)
 	}
 }
 

@@ -399,8 +399,8 @@ func TestBreakerRebuildsFromJournal(t *testing.T) {
 }
 
 // TestRecoverMatchesUninterrupted is the crash-recovery equivalence gate
-// for the clean-shutdown case: an engine journaling Submit, Flush, Replay
-// batches, a poisoning, and a breaker rebuild is reconstructed by Recover
+// for the clean-shutdown case: an engine journaling Submit, Flush, a
+// Replay, a poisoning, and a breaker rebuild is reconstructed by Recover
 // with byte-identical CanonicalStats for every tenant — including queued
 // counts, batch structure, fault injection, and the poisoned tenant's
 // open breaker.
@@ -432,8 +432,9 @@ func TestRecoverMatchesUninterrupted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// perry: queued submits flushed by a Replay (TypeApply records with
-	// flushFirst), faults riding at their scheduled event indexes.
+	// perry: queued submits flushed by a Replay (a TypeFlush record, then
+	// one TypeSubmit per batch), faults riding at their scheduled event
+	// indexes.
 	if err := eng.Submit("perry", arrivals(1_000_000, 10, 1)...); err != nil {
 		t.Fatal(err)
 	}
@@ -507,6 +508,73 @@ func TestRecoverMatchesUninterrupted(t *testing.T) {
 	}
 	if err := rec.Flush("alpha"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverRetiredApplyRecord pins where a journal from an earlier
+// build stops recovering. Replay used to journal each batch as a
+// TypeApply record (a flush flag byte, then the events); that type is
+// retired. After the tenant's latest snapshot such a record would have
+// to be replayed, so Recover fails naming record type 3. Before a later
+// snapshot of the tenant it is history the snapshot summarizes, so it is
+// skipped and recovery matches the live engine.
+func TestRecoverRetiredApplyRecord(t *testing.T) {
+	retired := wal.Record{Type: wal.TypeApply, Tenant: "t",
+		Data: append([]byte{1}, wal.AppendEvents(nil, arrivals(1000, 4, 1))...)}
+	for _, snapshotAfter := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshot-after=%v", snapshotAfter), func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Shards: 2, BatchSize: 8, SnapshotEvery: 1, Rebuild: testRebuild}
+			live := cfg
+			live.Journal = log
+			eng := New(live)
+			addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "basic", N: 16})
+			if err := eng.Submit("t", testStream(16, 40, 1)...); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(retired); err != nil {
+				t.Fatal(err)
+			}
+			if snapshotAfter {
+				// A full batch applies, and the cadence snapshots after it.
+				if err := eng.Submit("t", arrivals(2000, 8, 1)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := eng.Stats()
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec, err := Recover(cfg, dir, wal.Options{Sync: wal.SyncNever})
+			if !snapshotAfter {
+				if err == nil {
+					rec.cfg.Journal.Close()
+					t.Fatal("Recover replayed a retired TypeApply record after the latest snapshot")
+				}
+				if !strings.Contains(err.Error(), "unknown record type 3") {
+					t.Fatalf("Recover error %q does not name record type 3", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			defer rec.cfg.Journal.Close()
+			got := rec.Stats()
+			if len(got) != len(want) {
+				t.Fatalf("recovered %d tenants, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if w, g := CanonicalStats(want[i]), CanonicalStats(got[i]); !bytes.Equal(w, g) {
+					t.Errorf("%s: recovered stats diverge:\n  live: %s\n  rec:  %s", want[i].Tenant, w, g)
+				}
+			}
+		})
 	}
 }
 

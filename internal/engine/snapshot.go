@@ -199,7 +199,7 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 }
 
 // maybeSnapshot checkpoints t when the Config.SnapshotEvery cadence is
-// due. Called on the live ingestion paths (Submit, Flush, Replay) after
+// due. Called on the live ingestion paths (Submit and Flush) after
 // a successful apply, under the shard lock; never during recovery or a
 // breaker rebuild, whose replays go through other entry points (a probe
 // appends its own healing snapshot).
@@ -278,7 +278,7 @@ func (e *Engine) compact() error {
 
 // readTail reads id's journal from its watermark segment on: the latest
 // snapshot record, decoded, and the tenant's valid event stream after it
-// — the snapshot's queued events, then every later Submit/Apply record's
+// — the snapshot's queued events, then every later Submit record's
 // events, with TypeRebuild records applied as truncations (their keep
 // counts index the whole stream, so they translate by env.Events).
 // Records at or after stop are not read. Position p of the tail is
@@ -315,8 +315,6 @@ func (e *Engine) readTail(id string, stop wal.Pos) (*tenantSnapshot, []task.Even
 			// History the latest snapshot already summarizes.
 		case rec.Type == wal.TypeSubmit:
 			evs, err = wal.DecodeEvents(rec.Data)
-		case rec.Type == wal.TypeApply:
-			_, evs, err = wal.DecodeApply(rec.Data)
 		case rec.Type == wal.TypeRebuild:
 			var keep int64
 			if keep, _, err = wal.DecodeRebuild(rec.Data); err == nil {
@@ -343,20 +341,12 @@ func (e *Engine) readTail(id string, stop wal.Pos) (*tenantSnapshot, []task.Even
 	return env, tail, nil
 }
 
-// replayChunks applies evs through t in min(BatchSize, MaxQueue)-sized
-// chunks, so the live probe and recovery's redo of it — both
-// rebuildFromSnapshot — produce the same batch ledger.
+// replayChunks applies evs through t in BatchSize chunks, so the live
+// probe and recovery's redo of it — both rebuildFromSnapshot — produce
+// the same batch ledger.
 func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
-	trigger := e.cfg.BatchSize
-	if e.cfg.MaxQueue > 0 && trigger > e.cfg.MaxQueue {
-		trigger = e.cfg.MaxQueue
-	}
-	for off := 0; off < len(evs); off += trigger {
-		end := off + trigger
-		if end > len(evs) {
-			end = len(evs)
-		}
-		if err := e.apply(t, evs[off:end]); err != nil {
+	for off := 0; off < len(evs); off += e.cfg.BatchSize {
+		if err := e.apply(t, evs[off:min(off+e.cfg.BatchSize, len(evs))]); err != nil {
 			return err
 		}
 	}

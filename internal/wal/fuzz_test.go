@@ -68,11 +68,6 @@ func FuzzRecordRoundTrip(f *testing.F) {
 				t.Fatal("accepted event payload is not canonical")
 			}
 		}
-		if flush, evs, err := DecodeApply(data); err == nil {
-			if !bytes.Equal(AppendApply(nil, flush, evs), data) {
-				t.Fatal("accepted apply payload is not canonical")
-			}
-		}
 		if keep, drop, err := DecodeRebuild(data); err == nil {
 			if !bytes.Equal(AppendRebuild(nil, keep, drop), data) {
 				t.Fatal("accepted rebuild payload is not canonical")

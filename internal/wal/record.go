@@ -39,8 +39,10 @@ const (
 	// TypeSubmit carries events that entered through Engine.Submit and
 	// were accepted into the tenant queue (shed events are not journaled).
 	TypeSubmit Type = 2
-	// TypeApply carries one Replay batch applied directly, bypassing the
-	// queue, with a flush-first flag for the replay-entry flush.
+	// TypeApply is a retired type, kept reserved: it carried one Replay
+	// batch, and Replay now journals the Flush and Submit calls it is made
+	// of. Recovery rejects a record of this type as unknown rather than
+	// misreading it.
 	TypeApply Type = 3
 	// TypeFlush marks an explicit Flush of a non-empty queue.
 	TypeFlush Type = 4
@@ -212,24 +214,6 @@ func decodeEvents(data []byte) ([]task.Event, []byte, error) {
 		evs = append(evs, e)
 	}
 	return evs, data, nil
-}
-
-// AppendApply appends a TypeApply payload: [flushFirst byte][events].
-func AppendApply(dst []byte, flushFirst bool, evs []task.Event) []byte {
-	b := byte(0)
-	if flushFirst {
-		b = 1
-	}
-	return AppendEvents(append(dst, b), evs)
-}
-
-// DecodeApply decodes a TypeApply payload.
-func DecodeApply(data []byte) (flushFirst bool, evs []task.Event, err error) {
-	if len(data) < 1 || data[0] > 1 {
-		return false, nil, fmt.Errorf("%w: apply flush flag", ErrCorruptRecord)
-	}
-	evs, err = DecodeEvents(data[1:])
-	return data[0] == 1, evs, err
 }
 
 // AppendMove appends a TypeMove payload: uvarint from-shard, uvarint

@@ -9,11 +9,12 @@ import (
 	"partalloc/internal/task"
 )
 
-// goldenFrames pins one frame per live record type, byte for byte. The
-// hex was produced by AppendRecord before it learned to frame in place,
-// so a passing test means journals written by earlier builds still
-// decode, and new frames are the ones those builds wrote. Never
-// regenerate these: a diff here is a wire-format change.
+// goldenFrames pins one frame per record type, byte for byte: every live
+// type, and the retired TypeApply, whose payload was a flush flag byte
+// before the events. The hex was produced by AppendRecord before it
+// learned to frame in place, so a passing test means journals written by
+// earlier builds still decode, and new frames are the ones those builds
+// wrote. Never regenerate these: a diff here is a wire-format change.
 var goldenFrames = []struct {
 	name string
 	rec  Record
@@ -21,7 +22,7 @@ var goldenFrames = []struct {
 }{
 	{"submit", Record{Type: TypeSubmit, Tenant: "tenant-0", Data: AppendEvents(nil, goldenEvents)},
 		"2d00000042a71ed2020874656e616e742d3003000204000000000000e03f01020400000000000000400011ac02000000000000f4bf"},
-	{"apply", Record{Type: TypeApply, Tenant: "tenant-1", Data: AppendApply(nil, true, goldenEvents[:2])},
+	{"apply", Record{Type: TypeApply, Tenant: "tenant-1", Data: append([]byte{1}, AppendEvents(nil, goldenEvents[:2])...)},
 		"2200000063b803e4030874656e616e742d310102000204000000000000e03f0102040000000000000040"},
 	{"flush", Record{Type: TypeFlush, Tenant: "tenant-0"},
 		"0a0000004a454bdf040874656e616e742d30"},

@@ -48,7 +48,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	want = append(want,
 		Record{Type: TypeAddTenant, Tenant: "t1", Data: []byte(`{"ID":"t1"}`)},
 		Record{Type: TypeFlush, Tenant: "t1"},
-		Record{Type: TypeApply, Tenant: "t1", Data: AppendApply(nil, true, nil)},
+		Record{Type: TypeApply, Tenant: "t1", Data: append([]byte{1}, AppendEvents(nil, nil)...)},
 		Record{Type: TypeRebuild, Tenant: "t1", Data: AppendRebuild(nil, 7, 3)},
 	)
 	for _, rec := range want {
