@@ -60,7 +60,10 @@ test-snapshot:
 # tenant below half the hot-to-cold gap, so every move lowers the
 # larger load and a levelled fleet plans nothing; seeded property
 # cases), its fewest-tenants rule for new tenants, the pass cadence
-# counted from each pass's start, a pass falling due inside Replay, a
+# counted from a forced pass's start and from a due pass's due point, a
+# pass that moves nothing completing while a stripe lock is held, the
+# load meters read by passes while tenants apply, poison and heal (ten
+# times over), a pass falling due inside Replay, a
 # breaker heal keeping the load estimate, the MoveTenant routing
 # regression, local moves relocating the same tenant without
 # allocating, the Degrade ladder surviving a move, concurrent Submit,
@@ -71,7 +74,8 @@ test-snapshot:
 # exactly at 6 and 8), and the SIGKILL mid-rebalance crash test that
 # gates recovery on routing-table consistency.
 test-placement:
-	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestRebalanceCadenceCountsFromPassStart|TestReplayRunsDuePass|TestBreakerHealKeepsLoadEstimate|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestListingsSeeEachTenantOnce|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestRebalanceCadenceCountsFromPassStart|TestRebalanceCadenceCountsFromDuePoint|TestRebalancePassMeasuresWithoutStripeLocks|TestReplayRunsDuePass|TestBreakerHealKeepsLoadEstimate|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestListingsSeeEachTenantOnce|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestRebalanceMeterDuringHeals' -count=10 ./internal/engine/
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
 # on a random port, scrapes /metrics, asserts the required series exist
@@ -93,13 +97,14 @@ lint-json:
 	go run ./cmd/partlint -json ./... > partlint.json
 
 # Micro-benchmarks (batched vs serial apply, engine replay vs serial
-# Simulate, journaled Submit, the balanced placer's rebalance plan, WAL
-# append per sync policy, load-tree updates, searches and deferred
-# batches, copy placement). The
+# Simulate, journaled Submit, the balanced placer's rebalance plan and
+# passes with and without a concurrent submitter, WAL append per sync
+# policy, load-tree updates, searches and deferred batches, copy
+# placement, histogram observations). The
 # repository's end-to-end benchmark is perfbench (perfbench/README.md,
 # BENCHMARK.json).
 bench:
-	go test -bench=. -benchmem ./internal/core/ ./internal/engine/ ./internal/wal/ ./internal/loadtree/ ./internal/copies/
+	go test -bench=. -benchmem ./internal/core/ ./internal/engine/ ./internal/wal/ ./internal/loadtree/ ./internal/copies/ ./internal/obs/
 
 # Regenerate every experiment artifact (E1–E14) at paper scale.
 experiments:

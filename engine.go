@@ -349,8 +349,8 @@ func WithRebalanceD(d int) EngineOption {
 }
 
 // WithRebalanceEvery sets how many applied batches elapse between the
-// starts of rebalance passes (default 32; at least 1). Requires
-// WithPlacement(PlacementBalanced).
+// points at which rebalance passes fall due (default 32; at least 1).
+// Requires WithPlacement(PlacementBalanced).
 func WithRebalanceEvery(k int) EngineOption {
 	return func(o *engineOptions) {
 		if k < 1 {

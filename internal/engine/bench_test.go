@@ -165,16 +165,10 @@ func BenchmarkBalancedPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalancePass times one uncontended forced pass (measure,
-// plan, and the audit when it moved anything) on the skew gate's fleet:
-// 48 zipf tenants on 8 shards with d=1, after their whole streams and 8
-// forced passes, so routing has converged. No event arrives between
-// passes: each one measures empty windows and decays every estimate by
-// the same factor, so the load ratios it plans from hold still. After
-// about 14,000 passes the estimates would turn subnormal, where rounding
-// upsets those ratios, so every 1024 passes they are put back, off the
-// clock.
-func BenchmarkRebalancePass(b *testing.B) {
+// convergedSkew builds the skew gate's fleet, 48 zipf tenants on 8
+// shards with d=1, and runs their whole streams and 8 forced passes, so
+// routing has converged.
+func convergedSkew(b *testing.B) *Engine {
 	specs, streams := skewFleet()
 	eng := New(skewConfig(8, true, nil))
 	for _, spec := range specs {
@@ -186,20 +180,30 @@ func BenchmarkRebalancePass(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return eng
+}
+
+// BenchmarkRebalancePass times one uncontended forced pass (measure,
+// plan, and the audit when it moved anything) on convergedSkew's fleet.
+// No event arrives between passes: each one measures empty windows and
+// decays every estimate by the same factor, so the load ratios it plans
+// from hold still. After about 14,000 passes the estimates would turn
+// subnormal, where rounding upsets those ratios, so every 1024 passes
+// the meters' estimates are put back, off the clock.
+func BenchmarkRebalancePass(b *testing.B) {
+	eng := convergedSkew(b)
 	warm := eng.RebalanceStats().Moves
-	est := make(map[*tenant]float64)
-	for _, s := range eng.shards {
-		for _, t := range s.tenants {
-			est[t] = t.rebalEst
-		}
+	est := make(map[*loadMeter]float64)
+	for _, rt := range eng.routing.routes {
+		est[rt.meter] = rt.meter.est
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%1024 == 1023 {
 			b.StopTimer()
-			for t, e := range est {
-				t.rebalEst = e
+			for m, e := range est {
+				m.est = e
 			}
 			b.StartTimer()
 		}
@@ -207,5 +211,55 @@ func BenchmarkRebalancePass(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(eng.RebalanceStats().Moves-warm)/float64(b.N), "moves/op")
+}
+
+// BenchmarkRebalancePassContended times the same forced passes while
+// another goroutine keeps submitting 1024-event batches to the fleet's
+// tenants in turn, one batch per Submit, as skew-rebalance's second
+// client does. Each batch arrives and departs 512 fresh size-1 tasks,
+// so every stripe keeps applying while the live task set holds still.
+// A pass that waited for each stripe lock in turn would queue behind
+// those applies. moves/op counts the passes that had to lock stripes to
+// move a tenant: back-to-back passes each fold about one batch, so the
+// tenant just fed looks heavy and is often moved.
+func BenchmarkRebalancePassContended(b *testing.B) {
+	eng := convergedSkew(b)
+	ids := eng.Tenants()
+	evs := make([]task.Event, 0, 1024)
+	for id := task.ID(1 << 40); len(evs) < cap(evs); id++ {
+		evs = append(evs, task.Event{Kind: task.Arrive, Task: id, Size: 1}, task.Event{Kind: task.Depart, Task: id, Size: 1})
+	}
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				errc <- nil
+				return
+			default:
+			}
+			if err := eng.Submit(ids[i%len(ids)], evs...); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-errc; err != nil {
+			b.Error(err)
+		}
+	}()
+	warm := eng.RebalanceStats().Moves
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Rebalance(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
 	b.ReportMetric(float64(eng.RebalanceStats().Moves-warm)/float64(b.N), "moves/op")
 }

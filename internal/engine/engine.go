@@ -164,8 +164,8 @@ type Config struct {
 	// under PlacementHash.
 	RebalanceD int
 	// RebalanceEvery is the number of engine-wide applied batches
-	// between the starts of rebalance passes (default 32). Ignored
-	// under PlacementHash.
+	// between the points at which rebalance passes fall due (default
+	// 32). Ignored under PlacementHash.
 	RebalanceEvery int
 }
 
@@ -347,11 +347,10 @@ type tenant struct {
 	applyNs int64
 	batchNs []int64
 
-	// Rebalance load estimate: rebalMark is t.events at the last pass,
-	// rebalEst the decayed accumulator of applied-event windows (see
-	// rebalDecay). Owned by the shard lock.
-	rebalMark int64
-	rebalEst  float64
+	// meter publishes events and the poisoned state to rebalance passes,
+	// which read it from the routing table without this stripe's lock.
+	// It is the tenant's for its whole stay: a heal carries it over.
+	meter *loadMeter
 
 	// sink mirrors Config.Sink and shardIdx the tenant's stripe, kept on
 	// the tenant so the hot paths (apply, injectFaults) reach them with
@@ -626,6 +625,7 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 		hasSpec:  hasSpec,
 		sink:     e.cfg.Sink,
 		shardIdx: idx,
+		meter:    new(loadMeter),
 	}
 	if faults != nil {
 		t.faults = append([]fault.Event(nil), faults.Events...)
@@ -963,6 +963,7 @@ func (e *Engine) flushTenant(t *tenant) error {
 // breaker's backoff. Callers hold the shard lock.
 func (e *Engine) poison(t *tenant, cause error) {
 	t.err = cause
+	t.meter.poisoned.Store(true)
 	t.queue = nil
 	t.trips++
 	t.deadline = e.now() + e.backoff(t)
@@ -1005,6 +1006,7 @@ func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
 	ns := e.now() - start
 
 	t.events += int64(len(evs))
+	t.meter.publish(t.events)
 	t.batches++
 	t.applyNs += ns
 	t.batchNs = append(t.batchNs, ns)

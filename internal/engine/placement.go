@@ -23,7 +23,10 @@
 // both under rebalMu and the stripe lock (see shard.tenants). Lookups
 // find the tenant in its stripe's map under that stripe's lock
 // (lockTenant), so a tenant can never be operated on through a stale
-// stripe.
+// stripe. Beside each route the table keeps the tenant's load meter,
+// which the tenant's stripe-lock holder publishes its event count to,
+// so a pass measures the fleet under rebalMu alone and takes stripe
+// locks only for the moves it makes.
 package engine
 
 import (
@@ -33,6 +36,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"partalloc/internal/invariant"
 	"partalloc/internal/wal"
@@ -78,21 +82,71 @@ type routing struct {
 	policy PlacementPolicy
 	shards int
 	mu     sync.RWMutex
-	routes map[string]int
+	routes map[string]route
+}
+
+// route is one registered tenant's entry: its stripe, and the load
+// meter admit registered with it, which a tenant keeps for its whole
+// stay (a breaker heal carries it over).
+type route struct {
+	shard int
+	meter *loadMeter
+}
+
+// loadMeter is a tenant's load as rebalance passes see it, read
+// without the tenant's stripe lock.
+type loadMeter struct {
+	// events and poisoned mirror t.events and t.err != nil. They are
+	// written only by the holder of the tenant's stripe lock (apply,
+	// poison, a breaker heal and a snapshot restore) and read under
+	// rebalMu alone (measure). events never runs backwards (publish), and
+	// a heal clears poisoned only once it has succeeded.
+	events   atomic.Int64
+	poisoned atomic.Bool
+	// mark is events at the last pass that measured the tenant, and est
+	// the decayed accumulator of the windows since (rebalDecay). Both are
+	// written and read only under rebalMu.
+	mark int64
+	est  float64
+}
+
+// publish raises the published event count to n. A heal restores a
+// snapshot's lower count and replays back up to the one it had, so only
+// a count above the last one published is stored, and a pass never
+// sees a window run backwards. The caller holds the tenant's stripe
+// lock, which makes it the only writer, so a load then a store
+// suffices.
+func (m *loadMeter) publish(n int64) {
+	if n > m.events.Load() {
+		m.events.Store(n)
+	}
+}
+
+// fold adds the events published since the last pass to the estimate
+// and returns it; ok is false for a poisoned tenant, whose route stays
+// frozen until it heals. Callers hold rebalMu.
+func (m *loadMeter) fold() (est float64, ok bool) {
+	if m.poisoned.Load() {
+		return 0, false
+	}
+	n := m.events.Load()
+	m.est = rebalDecay*m.est + float64(n-m.mark)
+	m.mark = n
+	return m.est, true
 }
 
 // newRouting returns an empty table over shards stripes.
 func newRouting(policy PlacementPolicy, shards int) *routing {
-	return &routing{policy: policy, shards: shards, routes: make(map[string]int)}
+	return &routing{policy: policy, shards: shards, routes: make(map[string]route)}
 }
 
 // lookup returns the tenant's route; ok is false for a tenant that is
 // not registered.
 func (r *routing) lookup(id string) (shard int, ok bool) {
 	r.mu.RLock()
-	shard, ok = r.routes[id]
+	rt, ok := r.routes[id]
 	r.mu.RUnlock()
-	return shard, ok
+	return rt.shard, ok
 }
 
 // choose returns the shard a new tenant goes to, without recording it.
@@ -106,8 +160,8 @@ func (r *routing) choose(id string) int {
 	}
 	count := make([]int, r.shards)
 	r.mu.RLock()
-	for _, idx := range r.routes {
-		count[idx]++
+	for _, rt := range r.routes {
+		count[rt.shard]++
 	}
 	r.mu.RUnlock()
 	best := 0
@@ -119,11 +173,12 @@ func (r *routing) choose(id string) int {
 	return best
 }
 
-// set records id's route; drop forgets it. Only admit, relocate and
-// evict call them, each with the matching membership write.
-func (r *routing) set(id string, shard int) {
+// set records id's route and load meter; drop forgets both. Only
+// admit, relocate and evict call them, each with the matching
+// membership write, so every write of the table holds rebalMu.
+func (r *routing) set(id string, shard int, m *loadMeter) {
 	r.mu.Lock()
-	r.routes[id] = shard
+	r.routes[id] = route{shard: shard, meter: m}
 	r.mu.Unlock()
 }
 
@@ -133,12 +188,29 @@ func (r *routing) drop(id string) {
 	r.mu.Unlock()
 }
 
+// measure folds each healthy tenant's published events into its load
+// estimate (loadMeter.fold) and returns the estimates. It reads only
+// the meters, so it takes no stripe lock. Callers hold rebalMu, which
+// owns every meter's mark and estimate and freezes the table's
+// membership.
+func (r *routing) measure() map[string]float64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	loads := make(map[string]float64, len(r.routes))
+	for id, rt := range r.routes {
+		if est, ok := rt.meter.fold(); ok {
+			loads[id] = est
+		}
+	}
+	return loads
+}
+
 // snapshot copies the table (tenant → shard index).
 func (r *routing) snapshot() map[string]int {
 	r.mu.RLock()
 	out := make(map[string]int, len(r.routes))
-	for id, idx := range r.routes {
-		out[id] = idx
+	for id, rt := range r.routes {
+		out[id] = rt.shard
 	}
 	r.mu.RUnlock()
 	return out
@@ -161,8 +233,8 @@ type Move struct {
 // tenant, whose estimate has decayed to 0, lowers nothing by moving.
 // Moves come in greedy order, not always heaviest first: a later move
 // can take a heavier tenant off another hot shard. Tenants in the
-// table but absent from loads (mid-move, poisoned at scan time) keep
-// their routes and weigh nothing.
+// table but absent from loads (poisoned when measured) keep their
+// routes and weigh nothing.
 func (r *routing) Plan(loads map[string]float64, budget int) []Move {
 	type seat struct {
 		id    string
@@ -172,8 +244,8 @@ func (r *routing) Plan(loads map[string]float64, budget int) []Move {
 	seats := make([]seat, 0, len(loads))
 	r.mu.RLock()
 	for id, load := range loads {
-		if shard, ok := r.routes[id]; ok {
-			seats = append(seats, seat{id: id, load: load, shard: shard})
+		if rt, ok := r.routes[id]; ok {
+			seats = append(seats, seat{id: id, load: load, shard: rt.shard})
 		}
 	}
 	r.mu.RUnlock()
@@ -270,7 +342,7 @@ func (e *Engine) admit(t *tenant, snapshot []byte) error {
 	s := e.shardAt(t.shardIdx)
 	s.mu.Lock()
 	s.tenants[t.id] = t
-	e.routing.set(t.id, t.shardIdx)
+	e.routing.set(t.id, t.shardIdx, t.meter)
 	s.mu.Unlock()
 	// Pre-creates every per-tenant series so gauges (breaker state, queue
 	// depth) are scrapeable as 0 before the first batch.
@@ -353,9 +425,14 @@ func (e *Engine) RebalanceStats() RebalanceStats {
 }
 
 // maybeRebalance runs a rebalance pass when the engine-wide batch
-// counter has crossed the RebalanceEvery cadence. Called from ingestion
-// paths after the shard lock is released; TryLock keeps ingestion
-// non-blocking when a pass is already running.
+// counter has crossed the due point. The next pass is due RebalanceEvery
+// batches after the crossed point, so neither the batches that applied
+// between the crossing and this pass nor the pass's own length shift
+// the cadence; when the count has already passed that point too (one
+// call crossed two points, or a running pass kept this one waiting),
+// the next pass is due at the first cadence point above the count.
+// Called from ingestion paths after the shard lock is released; TryLock
+// keeps ingestion non-blocking when a pass is already running.
 func (e *Engine) maybeRebalance() {
 	if e.routing.policy != PlacementBalanced || e.batchesTotal.Load() < e.nextRebal.Load() {
 		return
@@ -364,15 +441,17 @@ func (e *Engine) maybeRebalance() {
 		return
 	}
 	defer e.rebalMu.Unlock()
-	start := e.batchesTotal.Load()
-	if start < e.nextRebal.Load() {
+	due, count := e.nextRebal.Load(), e.batchesTotal.Load()
+	if count < due {
 		return // another pass got here first
 	}
-	e.rebalancePass(start)
+	every := int64(e.cfg.RebalanceEvery)
+	e.rebalancePass(due + every*((count-due)/every+1))
 }
 
 // Rebalance forces a rebalance pass now, returning the number of
-// tenants moved. A no-op (0, nil) on hash-placed engines.
+// tenants moved. The next pass is due RebalanceEvery batches after this
+// one starts. A no-op (0, nil) on hash-placed engines.
 func (e *Engine) Rebalance() (int, error) {
 	if e.routing.policy != PlacementBalanced {
 		return 0, nil
@@ -380,36 +459,25 @@ func (e *Engine) Rebalance() (int, error) {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
 	//lint:ignore lockorder a pass journals its moves while rebalMu serializes it — append-before-apply needs the move frozen, and rebalMu is what freezes routing
-	return e.rebalancePass(e.batchesTotal.Load())
+	return e.rebalancePass(e.batchesTotal.Load() + int64(e.cfg.RebalanceEvery))
 }
 
-// rebalancePass sets the next pass due RebalanceEvery batches after
-// start, the batch count when this one began, then measures, plans,
-// moves, and audits. Batches applied while it runs count toward the
-// next pass, so the number of passes does not depend on how long a pass
-// takes. Callers hold rebalMu.
-func (e *Engine) rebalancePass(start int64) (int, error) {
-	e.nextRebal.Store(start + int64(e.cfg.RebalanceEvery))
+// rebalancePass sets the next pass due at batch count next, then
+// measures, plans, moves, and audits. Batches applied while it runs
+// count toward the next pass, so the number of passes does not depend
+// on how long a pass takes. The measure step reads the load meters
+// under rebalMu alone, so a pass that plans no move takes no stripe
+// lock, and one that does locks only each move's two stripes. Callers
+// hold rebalMu.
+func (e *Engine) rebalancePass(next int64) (int, error) {
+	e.nextRebal.Store(next)
 	// Measure: fold each tenant's events applied since the last pass
 	// into its load accumulator. Events, not wall time — the cost unit
 	// is deterministic (wall-time windows whiplash with scheduler noise
 	// and GC pauses, and two engines fed the same streams then place
 	// differently), and queue pressure follows event volume. Healthy
 	// tenants only — a poisoned tenant's route is frozen until it heals.
-	loads := make(map[string]float64)
-	for _, s := range e.shards {
-		s.mu.Lock()
-		for id, t := range s.tenants {
-			if t.err != nil {
-				continue
-			}
-			window := float64(t.events - t.rebalMark)
-			t.rebalMark = t.events
-			t.rebalEst = rebalDecay*t.rebalEst + window
-			loads[id] = t.rebalEst
-		}
-		s.mu.Unlock()
-	}
+	loads := e.routing.measure()
 
 	budget := e.cfg.RebalanceD * len(e.shards)
 	moves := e.routing.Plan(loads, budget)
@@ -530,7 +598,7 @@ func (e *Engine) relocate(t *tenant, from, to int) {
 	delete(e.shards[from].tenants, t.id)
 	t.shardIdx = to
 	e.shards[to].tenants[t.id] = t
-	e.routing.set(t.id, to)
+	e.routing.set(t.id, to, t.meter)
 }
 
 // redoMove re-applies a journaled TypeMove during Recover through the

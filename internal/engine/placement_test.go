@@ -44,7 +44,7 @@ func placementMembers(e *Engine) map[string]int {
 // picks, with its route recorded.
 func place(r *routing, id string) int {
 	idx := r.choose(id)
-	r.set(id, idx)
+	r.set(id, idx, nil)
 	return idx
 }
 
@@ -103,8 +103,8 @@ func TestBalancedPlacerDeterminism(t *testing.T) {
 			}
 			// Apply the plan the way rebalancePass does, so the next
 			// pass sees the moved routing table.
-			a.set(mv.Tenant, mv.To)
-			b.set(mv.Tenant, mv.To)
+			a.set(mv.Tenant, mv.To, nil)
+			b.set(mv.Tenant, mv.To, nil)
 		}
 		if again := a.Plan(loads, budget); len(again) > 0 {
 			t.Fatalf("pass %d: the applied plan's loads plan %d more moves: %v", pass, len(again), again)
@@ -140,7 +140,7 @@ func TestBalancedPlacerPlace(t *testing.T) {
 	want("t10", 3)
 	// Counts follow the routes: rerouting t10 off shard 3 ties it with
 	// shard 4 for the fewest tenants, and the lower index wins.
-	p.set("t10", 5)
+	p.set("t10", 5, nil)
 	want("t11", 3)
 	want("t12", 4)
 }
@@ -178,7 +178,7 @@ func TestBalancedPlacerPlanHalfGap(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := newRouting(PlacementBalanced, 3)
 			for id, shard := range c.routes {
-				p.set(id, shard)
+				p.set(id, shard, nil)
 			}
 			if got := p.Plan(c.loads, c.budget); !reflect.DeepEqual(got, c.want) {
 				t.Errorf("Plan = %v, want %v", got, c.want)
@@ -199,7 +199,7 @@ func TestBalancedPlacerPlanHalfGap(t *testing.T) {
 			p := newRouting(PlacementBalanced, 3)
 			loads := make(map[string]float64, len(ids))
 			for _, j := range rng.Perm(len(ids)) {
-				p.set(ids[j], routes[ids[j]])
+				p.set(ids[j], routes[ids[j]], nil)
 				loads[ids[j]] = load[ids[j]]
 			}
 			if got := p.Plan(loads, 3); !reflect.DeepEqual(got, want) {
@@ -226,7 +226,7 @@ func TestBalancedPlacerPlanProperty(t *testing.T) {
 			if rng.Intn(5) > 0 {
 				load = float64(1 + rng.Intn(60))
 			}
-			p.set(id, shard)
+			p.set(id, shard, nil)
 			loads[id] = load
 			sum[shard] += load
 		}
@@ -249,7 +249,7 @@ func TestBalancedPlacerPlanProperty(t *testing.T) {
 			if slices.Max(sum) > peak {
 				t.Fatalf("case %d: move %d %+v raises the largest shard load above %v: %v", c, i, mv, peak, sum)
 			}
-			p.set(mv.Tenant, mv.To)
+			p.set(mv.Tenant, mv.To, nil)
 		}
 		if len(moves) < budget {
 			if again := p.Plan(loads, budget); len(again) > 0 {
@@ -259,73 +259,310 @@ func TestBalancedPlacerPlanProperty(t *testing.T) {
 	}
 }
 
-// TestRebalanceCadenceCountsFromPassStart pins the pass cadence to each
-// pass's start: batches other clients apply while a pass runs count
+// TestRebalanceCadenceCountsFromPassStart pins a forced pass's cadence
+// to its start: batches other clients apply while a pass runs count
 // toward the next pass, so how long a pass takes does not change how
-// many passes run. A pass is held in its measure step on stripe 1's
-// lock while tenant a, on stripe 0, applies RebalanceEvery batches,
-// whose own passes lose the TryLock; once the held pass ends, the next
-// one is due on a's next batch.
+// many passes run. The pass's plan moves tenant e from stripe 1 to
+// stripe 2, and the test holds it at that move on stripe 2's lock while
+// tenant a, on stripe 0, applies RebalanceEvery batches, whose own
+// passes lose the TryLock; once the held pass ends, the next one is due
+// on a's next batch.
 func TestRebalanceCadenceCountsFromPassStart(t *testing.T) {
-	const every = 4
-	eng := New(Config{Shards: 2, BatchSize: 1, Placement: PlacementBalanced,
+	const every = 8
+	eng := New(Config{Shards: 3, BatchSize: 1 << 10, Placement: PlacementBalanced,
 		RebalanceD: 1, RebalanceEvery: every, Rebuild: testRebuild})
-	for _, id := range []string{"a", "b"} {
+	// The fewest-tenants rule seats a and d on stripe 0, b and e on
+	// stripe 1, and c on stripe 2.
+	for _, id := range []string{"a", "b", "c", "d", "e"} {
 		addSpecTenant(t, eng, TenantSpec{ID: id, Algorithm: "greedy", N: 8})
 	}
-	if a, b := eng.route("a"), eng.route("b"); a != 0 || b != 1 {
-		t.Fatalf("routes a=%d b=%d, want 0 and 1", a, b)
+	if got := []int{eng.route("a"), eng.route("b"), eng.route("c"), eng.route("d"), eng.route("e")}; !slices.Equal(got, []int{0, 1, 2, 0, 1}) {
+		t.Fatalf("routes of a..e = %v, want [0 1 2 0 1]", got)
 	}
+	// feed applies n arrivals to id as one batch.
+	feed := func(id string, from, n int) {
+		t.Helper()
+		if err := eng.Submit(id, arrivals(from, n, 1)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Flush(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Stripe 0 weighs d's 20 events plus a's 1 to 1+every, stripe 1
+	// b's 100 and e's 10, and stripe 2 nothing. The plan moves e, below
+	// half the gap, from the hot stripe 1 to the cold stripe 2, and then
+	// nothing: b alone is above half of any gap.
+	feed("d", 1, 20)
+	feed("b", 1, 100)
+	feed("e", 1, 10)
 	next := 1
 	batch := func() {
 		t.Helper()
-		if err := eng.Submit("a", arrivals(next, 1, 1)...); err != nil {
-			t.Fatal(err)
-		}
+		feed("a", next, 1)
 		next++
 	}
-	mark := func() int64 {
-		s, tn := eng.lockTenant("a")
-		defer s.mu.Unlock()
-		return tn.rebalMark
-	}
 	batch()
+	start := eng.batchesTotal.Load()
 
-	held := eng.shardAt(1)
+	held := eng.shardAt(2)
 	held.mu.Lock()
 	done := make(chan error, 1)
 	go func() {
 		_, err := eng.Rebalance()
 		done <- err
 	}()
-	// The pass has started, and read the batch count, once it has
-	// measured stripe 0; it now waits for stripe 1.
-	for mark() != 1 {
+	// The pass has started, and read the batch count, once it has set
+	// the next due point. It measures without stripe locks and then
+	// waits for stripe 2 to move e.
+	for eng.nextRebal.Load() != start+every {
 		runtime.Gosched()
 	}
 	if eng.rebalMu.TryLock() {
 		eng.rebalMu.Unlock()
-		t.Error("rebalMu is free while the pass waits for stripe 1")
+		t.Error("rebalMu is free while the pass waits for stripe 2")
 	}
 	for i := 0; i < every; i++ {
-		//lint:ignore lockorder the test holds stripe 1 so that the pass waits in its measure step while these batches apply on stripe 0
+		//lint:ignore lockorder the test holds stripe 2 so that the pass waits at its move while these batches apply on stripe 0
 		batch()
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the pass ended (err %v) while its move's destination stripe was held", err)
+	default:
 	}
 	held.mu.Unlock()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.RebalanceStats().Passes; got != 1 {
-		t.Fatalf("%d passes ran while one was held, want only the held one", got)
+	if rs := eng.RebalanceStats(); rs.Passes != 1 || rs.Moves != 1 || eng.route("e") != 2 {
+		t.Fatalf("%d passes, %d moves, e on stripe %d; want only the held pass, moving e to stripe 2",
+			rs.Passes, rs.Moves, eng.route("e"))
 	}
-	// The held pass started after batch 1, so the next is due at batch
-	// 1+every, which has already been applied.
-	if got := eng.nextRebal.Load(); got != 1+every {
-		t.Errorf("next pass due at batch %d, want %d", got, 1+every)
+	// The held pass started at batch start, so the next is due at
+	// start+every, which has already been applied.
+	if got := eng.nextRebal.Load(); got != start+every {
+		t.Errorf("next pass due at batch %d, want %d", got, start+every)
 	}
 	batch()
 	if got := eng.RebalanceStats().Passes; got != 2 {
 		t.Errorf("%d passes after the first batch past the due point, want 2", got)
+	}
+}
+
+// TestRebalanceCadenceCountsFromDuePoint checks that a due pass sets
+// the next due point RebalanceEvery batches after the point it crossed,
+// not after the batch count it read. One tenant's eight 3-event Submits
+// apply 24 one-event batches and cross the due points 4, 8, ..., 24: six
+// passes, where counting from the count read would run four. A call
+// that crosses two due points runs one pass, and the next pass is due
+// at the first cadence point above the count.
+func TestRebalanceCadenceCountsFromDuePoint(t *testing.T) {
+	const every, submits, size = 4, 8, 3
+	eng := New(Config{Shards: 2, BatchSize: 1, Placement: PlacementBalanced,
+		RebalanceD: 1, RebalanceEvery: every})
+	addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "greedy", N: 8})
+	submit := func(from, n int) {
+		t.Helper()
+		if err := eng.Submit("t", arrivals(from, n, 1)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < submits; i++ {
+		submit(1+i*size, size)
+	}
+	if got := eng.batchesTotal.Load(); got != submits*size {
+		t.Fatalf("%d batches applied, want %d", got, submits*size)
+	}
+	if got, want := eng.RebalanceStats().Passes, int64(submits*size/every); got != want {
+		t.Errorf("%d passes over %d batches due every %d, want %d", got, submits*size, every, want)
+	}
+	if got := eng.nextRebal.Load(); got != submits*size+every {
+		t.Errorf("next pass due at batch %d, want %d", got, submits*size+every)
+	}
+	// Batches 25..33 cross the due points 28 and 32.
+	submit(1+submits*size, 9)
+	if got, want := eng.RebalanceStats().Passes, int64(submits*size/every+1); got != want {
+		t.Errorf("%d passes after one call crossed two due points, want %d", got, want)
+	}
+	if got := eng.nextRebal.Load(); got != 36 {
+		t.Errorf("next pass due at batch %d, want 36, the first cadence point above 33", got)
+	}
+}
+
+// TestRebalancePassMeasuresWithoutStripeLocks checks that a pass which
+// plans no move completes while another goroutine holds a stripe lock:
+// the measure step reads the tenants' load meters under rebalMu alone,
+// and only a move takes stripe locks.
+func TestRebalancePassMeasuresWithoutStripeLocks(t *testing.T) {
+	eng := New(Config{Shards: 2, BatchSize: 4, Placement: PlacementBalanced,
+		RebalanceD: 1, RebalanceEvery: 1 << 30})
+	// One tenant per stripe with equal loads: the plan moves nothing.
+	for _, id := range []string{"a", "b"} {
+		addSpecTenant(t, eng, TenantSpec{ID: id, Algorithm: "greedy", N: 8})
+		if err := eng.Submit(id, arrivals(1, 4, 1)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := eng.shardAt(eng.route("a"))
+	held.mu.Lock()
+	defer held.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		moved, err := eng.Rebalance()
+		if err == nil && moved != 0 {
+			err = fmt.Errorf("the pass moved %d tenants, want 0", moved)
+		}
+		done <- err
+	}()
+	//lint:ignore lockorder the test holds the stripe lock while it waits, to show that the pass never asks for it
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a pass that plans no move did not complete while a stripe lock was held")
+	}
+	if got := eng.RebalanceStats().Passes; got != 1 {
+		t.Errorf("%d passes, want 1", got)
+	}
+}
+
+// TestRebalanceMeterDuringHeals runs passes while other goroutines
+// apply batches, poison tenants with a pill (a task that arrives twice)
+// and let the breaker heal them. A heal restores a snapshot's lower
+// event count and replays back up to the count it had, so a pass that
+// read a count mid-heal would fold a negative window: no estimate may
+// go negative. A poisoned tenant's route is frozen until it heals, so
+// no tenant may move while it is poisoned. Run under -race, this is the
+// load meter's memory-model gate.
+func TestRebalanceMeterDuringHeals(t *testing.T) {
+	eng := New(Config{Shards: 4, BatchSize: 4, Journal: testJournal(t), Placement: PlacementBalanced,
+		RebalanceD: 2, RebalanceEvery: 4, Rebuild: testRebuild})
+	clk := &fakeClock{step: 1}
+	eng.now = clk.tick
+	const healthy, pilled, rounds = 4, 3, 12
+	for i := 0; i < healthy; i++ {
+		addSpecTenant(t, eng, TenantSpec{ID: fmt.Sprintf("h%d", i), Algorithm: "basic", N: 16})
+	}
+	for i := 0; i < pilled; i++ {
+		addSpecTenant(t, eng, TenantSpec{ID: fmt.Sprintf("p%d", i), Algorithm: "greedy", N: 16})
+	}
+
+	// negative finds a tenant whose load estimate is below zero.
+	negative := func() (id string, est float64, found bool) {
+		eng.rebalMu.Lock()
+		defer eng.rebalMu.Unlock()
+		for id, rt := range eng.routing.routes {
+			if !(rt.meter.est >= 0) {
+				return id, rt.meter.est, true
+			}
+		}
+		return "", 0, false
+	}
+	stop := make(chan struct{})
+	passesDone := make(chan struct{})
+	go func() {
+		defer close(passesDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := eng.Rebalance(); err != nil {
+				t.Errorf("rebalance: %v", err)
+				return
+			}
+			if id, est, found := negative(); found {
+				t.Errorf("tenant %s: load estimate %v after a pass, want >= 0", id, est)
+				return
+			}
+		}
+	}()
+	// waitPasses returns once n more passes than now have completed, or
+	// the pass loop has stopped on an error.
+	waitPasses := func(n int64) {
+		for target := eng.RebalanceStats().Passes + n; eng.RebalanceStats().Passes < target; {
+			select {
+			case <-passesDone:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	var heals atomic.Int64
+	for i := 0; i < healthy; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id, evs := fmt.Sprintf("h%d", i), testStream(16, 150*(i+1), int64(i+1))
+			for off := 0; off < len(evs); off += 3 {
+				if err := eng.Submit(id, evs[off:min(off+3, len(evs))]...); err != nil {
+					t.Errorf("submit %s: %v", id, err)
+					return
+				}
+			}
+		}(i)
+	}
+	for i := 0; i < pilled; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id, next := fmt.Sprintf("p%d", i), 1
+			for r := 0; r < rounds; r++ {
+				if err := eng.Submit(id, arrivals(next, 4*(i+2), 1)...); err != nil {
+					t.Errorf("submit %s: %v", id, err)
+					return
+				}
+				next += 4 * (i + 2)
+				// Passes decay the estimate toward 0 first, so a pass that
+				// folded a count below its mark would leave it negative.
+				waitPasses(64)
+				pill := []task.Event{
+					{Kind: task.Arrive, Task: task.ID(next), Size: 1},
+					{Kind: task.Arrive, Task: task.ID(next), Size: 1},
+					{Kind: task.Arrive, Task: task.ID(next + 1), Size: 1},
+					{Kind: task.Arrive, Task: task.ID(next + 2), Size: 1},
+				}
+				next += 3
+				if err := eng.Submit(id, pill...); !errors.Is(err, ErrTenantPoisoned) {
+					t.Errorf("pill for %s: %v, want ErrTenantPoisoned", id, err)
+					return
+				}
+				from := eng.route(id)
+				waitPasses(2)
+				if to := eng.route(id); to != from {
+					t.Errorf("poisoned tenant %s moved from stripe %d to %d", id, from, to)
+				}
+				// Past the backoff, the Flush's half-open probe heals it.
+				clk.advance(time.Hour)
+				if err := eng.Flush(id); err != nil {
+					t.Errorf("heal %s: %v", id, err)
+					return
+				}
+				heals.Add(1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	<-passesDone
+
+	rs := eng.RebalanceStats()
+	t.Logf("%d passes, %d moves, %d heals", rs.Passes, rs.Moves, heals.Load())
+	if heals.Load() != pilled*rounds {
+		t.Errorf("%d heals, want %d", heals.Load(), pilled*rounds)
+	}
+	if len(rs.Violations) > 0 {
+		t.Errorf("rebalance audit: %d violations, first: %s", len(rs.Violations), rs.Violations[0])
+	}
+	if v := invariant.CheckRouting(eng.Routes(), placementMembers(eng)); len(v) > 0 {
+		t.Errorf("routing inconsistent after the run: %v", v)
 	}
 }
 
@@ -361,10 +598,15 @@ func TestBreakerHealKeepsLoadEstimate(t *testing.T) {
 	clk := &fakeClock{step: 1}
 	eng.now = clk.tick
 	addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "greedy", N: 8})
-	estimate := func() (events, mark int64, est float64) {
+	// estimate reads the tenant's count under its stripe lock, then its
+	// meter's published count, mark and estimate under rebalMu.
+	estimate := func() (events, published, mark int64, est float64) {
 		s, tn := eng.lockTenant("t")
-		defer s.mu.Unlock()
-		return tn.events, tn.rebalMark, tn.rebalEst
+		events, m := tn.events, tn.meter
+		s.mu.Unlock()
+		eng.rebalMu.Lock()
+		defer eng.rebalMu.Unlock()
+		return events, m.events.Load(), m.mark, m.est
 	}
 
 	if err := eng.Submit("t", arrivals(1, 4, 1)...); err != nil {
@@ -373,8 +615,8 @@ func TestBreakerHealKeepsLoadEstimate(t *testing.T) {
 	if _, err := eng.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	if events, mark, est := estimate(); events != 4 || mark != 4 || est != 4 {
-		t.Fatalf("after a pass: events %d, mark %d, estimate %v, want 4/4/4", events, mark, est)
+	if events, published, mark, est := estimate(); events != 4 || published != 4 || mark != 4 || est != 4 {
+		t.Fatalf("after a pass: events %d, published %d, mark %d, estimate %v, want 4/4/4/4", events, published, mark, est)
 	}
 	poison := []task.Event{
 		{Kind: task.Arrive, Task: 5, Size: 1},
@@ -390,8 +632,15 @@ func TestBreakerHealKeepsLoadEstimate(t *testing.T) {
 	if err := eng.Flush("t"); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if events, mark, est := estimate(); events != 4 || mark != 4 || est != 4 {
-		t.Errorf("after the heal: events %d, mark %d, estimate %v, want 4/4/4", events, mark, est)
+	if events, published, mark, est := estimate(); events != 4 || published != 4 || mark != 4 || est != 4 {
+		t.Errorf("after the heal: events %d, published %d, mark %d, estimate %v, want 4/4/4/4", events, published, mark, est)
+	}
+	// The heal's window is empty: the next pass only decays the estimate.
+	if _, err := eng.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, mark, est := estimate(); mark != 4 || est != rebalDecay*4 {
+		t.Errorf("the pass after the heal: mark %d, estimate %v, want 4 and %v", mark, est, rebalDecay*4)
 	}
 }
 
@@ -505,7 +754,7 @@ func TestMoveTenantLocalRelocates(t *testing.T) {
 
 			from := eng.route("t")
 			tn := eng.shardAt(from).tenants["t"]
-			alloc, est := tn.alloc, tn.rebalEst
+			alloc, meter, est := tn.alloc, tn.meter, tn.meter.est
 			if est == 0 {
 				t.Fatal("rebalance pass left no load estimate to carry")
 			}
@@ -518,8 +767,8 @@ func TestMoveTenantLocalRelocates(t *testing.T) {
 			if got.alloc != alloc {
 				t.Fatal("the move replaced the tenant's allocator")
 			}
-			if got.rebalEst != est {
-				t.Errorf("load estimate %v after the move, want %v", got.rebalEst, est)
+			if got.meter != meter || eng.routing.routes["t"].meter != meter || meter.est != est {
+				t.Errorf("load estimate %v after the move, want the same meter holding %v", got.meter.est, est)
 			}
 			if after, _ := eng.TenantStats("t"); !reflect.DeepEqual(after, before) {
 				t.Errorf("move changed the ledger:\n  before: %+v\n  after:  %+v", before, after)

@@ -181,6 +181,7 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 		return nil, fmt.Errorf("engine: restore %q: inconsistent snapshot ledger", id)
 	}
 	t.events = env.Events
+	t.meter.publish(t.events)
 	t.batches = env.Batches
 	t.step.Ledger = sim.Ledger{
 		ActiveSize:    env.ActiveSize,
@@ -358,10 +359,12 @@ func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 // restore t's latest snapshot, replay the journaled tail up to keep
 // events in replayChunks chunks, and carry over what the envelope does
 // not hold for a rebuild — shed events, dropped events plus the suffix
-// past keep, the trip count, the breaker deadline, and the rebalance
-// load estimate (the replay restores t.events, so a zeroed mark would
-// count the tenant's whole history as the next pass's window). stop
-// bounds the tail read. commit gets the drop count once the replacement
+// past keep, the trip count, the breaker deadline, and the load meter
+// (the replay restores t.events, so a fresh meter would count the
+// tenant's whole history as the next pass's window). The meter stays
+// poisoned until the replay succeeds, and its published count does not
+// drop to the snapshot's while the replay climbs back. stop bounds the
+// tail read. commit gets the drop count once the replacement
 // is built and before t changes: the probe journals its TypeRebuild
 // there, recovery checks the journaled count. A failure up to and
 // including commit leaves t as it was and re-opens the breaker; a
@@ -401,12 +404,15 @@ func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit
 	nt.dropped = t.dropped + drop
 	nt.trips = t.trips
 	nt.deadline = t.deadline
-	nt.rebalMark = t.rebalMark
-	nt.rebalEst = t.rebalEst
+	nt.meter = t.meter
 	// The copy keeps nt's step, and with it the allocator's migration
 	// observer, which holds the step rather than the tenant.
 	*t = *nt
-	return drop, e.replayChunks(t, tail[:need])
+	if err := e.replayChunks(t, tail[:need]); err != nil {
+		return drop, err
+	}
+	t.meter.poisoned.Store(false)
+	return drop, nil
 }
 
 // restoreSnapshot registers a tenant from its reset-point snapshot during
