@@ -13,13 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"partalloc/internal/core"
 	"partalloc/internal/report"
 	"partalloc/internal/sim"
 	"partalloc/internal/subcube"
-	"partalloc/internal/task"
 	"partalloc/internal/topology"
 )
 
@@ -68,6 +66,7 @@ func main() {
 		fatal(err)
 	}
 	m := host.Tree()
+	seq, _ := subcube.Sequence(stream)
 	for _, e := range []struct {
 		name string
 		mk   func() core.Allocator
@@ -76,7 +75,6 @@ func main() {
 		{"time/A_M(d=2)", func() core.Allocator { return core.NewPeriodic(m, 2, core.DecreasingSize) }},
 		{"time/A_G", func() core.Allocator { return core.NewGreedy(m) }},
 	} {
-		seq := toSequence(stream)
 		res := sim.Run(e.mk(), seq, sim.Options{Host: host})
 		tab.AddRowf(e.name, 0.0, 0.0, 0.0, 0.0, res.MaxLoad, res.MigHops)
 	}
@@ -85,47 +83,14 @@ func main() {
 	}
 }
 
-func parseStrategy(s string) (subcube.Strategy, error) {
-	switch s {
-	case "buddy":
-		return subcube.Buddy, nil
-	case "graycode":
-		return subcube.GrayCode, nil
-	case "exhaustive":
-		return subcube.Exhaustive, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q", s)
-}
-
-// toSequence replays the job stream as a time-shared open-loop sequence.
-func toSequence(jobs []subcube.Job) task.Sequence {
-	type ev struct {
-		at     float64
-		arrive bool
-		idx    int
-	}
-	evs := make([]ev, 0, 2*len(jobs))
-	for i, j := range jobs {
-		evs = append(evs, ev{j.Arrival, true, i})
-		evs = append(evs, ev{j.Arrival + j.Duration, false, i})
-	}
-	sort.SliceStable(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
-		}
-		return !evs[a].arrive && evs[b].arrive
-	})
-	b := task.NewBuilder()
-	ids := make([]task.ID, len(jobs))
-	for _, e := range evs {
-		b.At(e.at)
-		if e.arrive {
-			ids[e.idx] = b.Arrive(jobs[e.idx].Size)
-		} else {
-			b.Depart(ids[e.idx])
+// parseStrategy looks a recognition strategy up by its name.
+func parseStrategy(name string) (subcube.Strategy, error) {
+	for _, st := range subcube.Strategies() {
+		if st.String() == name {
+			return st, nil
 		}
 	}
-	return b.Sequence()
+	return 0, fmt.Errorf("unknown strategy %q", name)
 }
 
 func fatal(err error) {

@@ -198,7 +198,8 @@ func WithAudit() EngineOption {
 // WithMaxQueue bounds each tenant's ingestion queue to n events
 // (0 = unbounded). A bound below the batch size lowers the batch size to
 // it, for Submit and Replay alike. What happens past the bound is
-// WithOverloadPolicy's call.
+// WithOverloadPolicy's call. RecoverEngine and MoveTenant refuse a
+// snapshot that queues more events than the bound.
 func WithMaxQueue(n int) EngineOption {
 	return func(o *engineOptions) {
 		if n < 0 {
@@ -643,7 +644,10 @@ func (e *Engine) Rebalance() (int, error) { return e.eng.Rebalance() }
 // snapshot (when journaling) and the source journals the removal, so
 // each engine's log recovers its own post-move view. A crash between
 // the two journal writes can leave the tenant on both engines
-// (at-least-once); it is never lost.
+// (at-least-once); it is never lost. dst refuses a tenant it cannot
+// hold, and the tenant stays on the source: one whose queue is longer
+// than dst's WithMaxQueue bound, or one without audit state when dst
+// runs WithAudit.
 func (e *Engine) MoveTenant(id string, dst *Engine) error {
 	if dst == nil {
 		return fmt.Errorf("partalloc: MoveTenant(%q): nil destination engine", id)

@@ -106,7 +106,8 @@ type Config struct {
 	// MaxQueue bounds each tenant's ingestion queue (0 = unbounded, the
 	// historical behavior). A bound below BatchSize lowers BatchSize to
 	// the bound: the queue must still be able to fill a batch, or Block
-	// would wait for room that only draining creates.
+	// would wait for room that only draining creates. Recover and
+	// MoveTenant refuse a snapshot that queues more events than the bound.
 	MaxQueue int
 	// Overload selects what happens when a submission would exceed
 	// MaxQueue: Block (default), Shed, or Degrade.
@@ -352,10 +353,7 @@ type tenant struct {
 	// It is the tenant's for its whole stay: a heal carries it over.
 	meter *loadMeter
 
-	// sink mirrors Config.Sink and shardIdx the tenant's stripe, kept on
-	// the tenant so the hot paths (apply, injectFaults) reach them with
-	// no engine pointer.
-	sink     *obs.Sink
+	// shardIdx is the tenant's stripe, written with its route.
 	shardIdx int
 }
 
@@ -562,51 +560,56 @@ func (e *Engine) AddTenant(id string, a core.Allocator, topts ...TenantOption) e
 	if o.hasSpec && o.spec.ID != id {
 		return fmt.Errorf("engine: AddTenant(%q): %w: WithTenantSpec ID %q does not match", id, errs.ErrBadOption, o.spec.ID)
 	}
-	return e.addTenant(o.spec, o.hasSpec, a, o.faults, o.host)
-}
-
-// addTenant is the registration path. On a journaled engine admit
-// journals the genesis snapshot — spec, empty ledger, fault position 0,
-// and the chosen route — before the tenant becomes visible, so every
-// journaled tenant has a snapshot from birth. (Recovery registers
-// tenants from their snapshots: restoreSnapshot.)
-func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host) error {
-	id := spec.ID
 	if a == nil {
 		return fmt.Errorf("engine: AddTenant(%q): nil allocator", id)
 	}
 	if e.cfg.Journal != nil {
-		if !hasSpec {
+		if !o.hasSpec {
 			return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a rebuild recipe; use WithTenantSpec", id)
 		}
 		if _, ok := a.(core.Checkpointable); !ok {
 			return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a core.Checkpointable allocator; %s is not", id, a.Name())
 		}
 	}
-	// rebalMu keeps the choice of stripe and the registration that
-	// commits it atomic with respect to passes and other registrations.
-	e.rebalMu.Lock()
-	defer e.rebalMu.Unlock()
-	if _, ok := e.routing.lookup(id); ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateTenant, id)
-	}
-	t, err := e.buildTenant(spec, hasSpec, a, faults, host, e.routing.choose(id))
+	t, err := e.buildTenant(o.spec, o.hasSpec, a, o.faults, o.host)
 	if err != nil {
 		return err
 	}
-	var genesis []byte
+	return e.register(t)
+}
+
+// register seats a new tenant, AddTenant's or MoveTenant's arrival, on
+// the stripe the placement policy chooses. On a journaled engine it
+// first journals the tenant's snapshot with that route: the genesis
+// snapshot (spec, empty ledger, fault position 0) or the arrival's
+// thawed state, so every journaled tenant has a snapshot from birth.
+// rebalMu keeps the choice of stripe and the admit that commits it
+// atomic with respect to passes and other registrations. (Recovery
+// seats tenants where their snapshots put them: restoreSnapshot.)
+func (e *Engine) register(t *tenant) error {
+	e.rebalMu.Lock()
+	defer e.rebalMu.Unlock()
+	if _, ok := e.routing.lookup(t.id); ok {
+		return fmt.Errorf("%w: %q", ErrDuplicateTenant, t.id)
+	}
+	t.shardIdx = e.routing.choose(t.id)
 	if e.cfg.Journal != nil {
-		if genesis, err = e.encodeTenantSnapshot(t); err != nil {
+		env, err := snapshotOf(t)
+		if err != nil {
+			return err
+		}
+		//lint:ignore lockorder append-before-apply: the snapshot must be journaled before the tenant is registered, or a crash between the two would orphan its Submit records; rebalMu freezes the stripe choice the snapshot records
+		if err := e.appendSnapshot(env); err != nil {
 			return err
 		}
 	}
-	//lint:ignore lockorder append-before-apply: the genesis snapshot must be journaled before the tenant is registered, or a crash between the two would orphan its Submit records; rebalMu freezes the stripe choice the snapshot records
-	return e.admit(t, genesis)
+	e.admit(t)
+	return nil
 }
 
-// buildTenant constructs a tenant's state for stripe idx. Shared by
-// registration, snapshot restores and circuit-breaker rebuilds.
-func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host, idx int) (*tenant, error) {
+// buildTenant constructs a tenant's state; its caller sets the stripe.
+// Shared by registration and thaw.
+func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host) (*tenant, error) {
 	id := spec.ID
 	var check *invariant.Checker
 	if e.cfg.Audit {
@@ -623,8 +626,6 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 		algoName: a.Name(),
 		spec:     spec,
 		hasSpec:  hasSpec,
-		sink:     e.cfg.Sink,
-		shardIdx: idx,
 		meter:    new(loadMeter),
 	}
 	if faults != nil {
@@ -674,7 +675,7 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 	}
 	if e.cfg.Overload == Shed && e.cfg.MaxQueue > 0 && len(t.queue)+len(evs) > e.cfg.MaxQueue {
 		t.shed += int64(len(evs))
-		t.sink.Shed(id, len(evs), len(t.queue))
+		e.cfg.Sink.Shed(id, len(evs), len(t.queue))
 		return fmt.Errorf("%w: tenant %q: %d queued + %d submitted exceeds MaxQueue %d",
 			ErrOverloaded, id, len(t.queue), len(evs), e.cfg.MaxQueue)
 	}
@@ -726,7 +727,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 		// copy the queue.
 		t.queue = buf[:copy(buf, t.queue)]
 		if len(evs) == 0 {
-			t.sink.QueueDepth(t.id, len(t.queue))
+			e.cfg.Sink.QueueDepth(t.id, len(t.queue))
 			return nil
 		}
 	}
@@ -939,7 +940,7 @@ func (e *Engine) ready(t *tenant) error {
 		return fmt.Errorf("%w: %q (circuit open, probe in %v): %w",
 			ErrTenantPoisoned, t.id, time.Duration(wait), t.err)
 	}
-	t.sink.BreakerProbe(t.id, int64(t.trips))
+	e.cfg.Sink.BreakerProbe(t.id, int64(t.trips))
 	if err := e.probe(t); err != nil {
 		return fmt.Errorf("%w: %q (half-open probe failed): %w", ErrTenantPoisoned, t.id, err)
 	}
@@ -969,7 +970,7 @@ func (e *Engine) poison(t *tenant, cause error) {
 	t.deadline = e.now() + e.backoff(t)
 	// Opens the breaker gauge and, when a poison-dump writer is wired,
 	// flushes the flight recorder so the events leading here survive.
-	t.sink.BreakerTrip(t.id, int64(t.trips), cause.Error())
+	e.cfg.Sink.BreakerTrip(t.id, int64(t.trips), cause.Error())
 }
 
 // apply runs one batch through the allocator, interleaving scheduled
@@ -992,7 +993,7 @@ func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
 	start := e.now()
 	base := int(t.events)
 	for i := 0; i < len(evs); {
-		t.injectFaults(base + i)
+		e.injectFaults(t, base+i)
 		// Run uninterrupted until the next scheduled fault (or the end).
 		j := len(evs)
 		if t.faultPos < len(t.faults) {
@@ -1015,8 +1016,8 @@ func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
 	sh.events += int64(len(evs))
 	sh.applyNs += ns
 	load := t.step.ObserveLoad()
-	if t.sink != nil {
-		t.sink.BatchApplied(t.id, t.shardIdx, len(evs), ns, int64(load), int64(t.step.PeakLoad),
+	if e.cfg.Sink != nil {
+		e.cfg.Sink.BatchApplied(t.id, t.shardIdx, len(evs), ns, int64(load), int64(t.step.PeakLoad),
 			int64(t.step.LStar()), len(t.queue), t.step.MigHops, t.step.ForcedHops)
 	}
 	e.degradeStep(t, ns)
@@ -1026,13 +1027,13 @@ func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
 // injectFaults applies every scheduled fault with At ≤ i (but not beyond
 // the stream position i itself — fault At values index the tenant's event
 // stream, so a fault at index k fires before event k is applied).
-func (t *tenant) injectFaults(i int) {
+func (e *Engine) injectFaults(t *tenant, i int) {
 	for t.faultPos < len(t.faults) && t.faults[t.faultPos].At <= i {
 		fe := t.faults[t.faultPos]
 		t.faultPos++
 		moved, hops := t.step.Fault(fe)
 		if fe.Kind == fault.FailPE {
-			t.sink.ForcedFault(t.id, fe.PE, moved, hops)
+			e.cfg.Sink.ForcedFault(t.id, fe.PE, moved, hops)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func (e *Engine) probe(t *tenant) error {
 	if err := e.snapshotTenant(t); err != nil {
 		return err
 	}
-	t.sink.BreakerHeal(t.id, drop)
+	e.cfg.Sink.BreakerHeal(t.id, drop)
 	return nil
 }
 

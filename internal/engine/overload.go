@@ -158,7 +158,7 @@ func (e *Engine) shiftDegrade(t *tenant, level int, cause string) {
 		Cause: cause,
 	}
 	d.trans = append(d.trans, tr)
-	t.sink.Degrade(t.id, level, int64(to.d), to.lazy)
+	e.cfg.Sink.Degrade(t.id, level, int64(to.d), to.lazy)
 	t.step.Checker().OnDegrade(tr.FromD, tr.ToD, tr.FromLazy, tr.ToLazy, tr.Cause)
 }
 

@@ -326,19 +326,14 @@ func (e *Engine) lockTenant(id string) (*shard, *tenant) {
 	}
 }
 
-// admit registers t on stripe t.shardIdx, the one way in: registration
-// (addTenant), MoveTenant's arrival (installSnapshot) and recovery
-// (restoreSnapshot). It journals snapshot first when one is given. The
-// tenant stays invisible until its route is written, so none of its
-// records can reach the journal before that one, and nothing needs
-// undoing when the append fails. Then route and membership are written
-// in one stripe critical section. Callers hold rebalMu, or are Recover.
-func (e *Engine) admit(t *tenant, snapshot []byte) error {
-	if snapshot != nil {
-		if err := e.appendSnapshot(t.id, snapshot); err != nil {
-			return err
-		}
-	}
+// admit registers t on stripe t.shardIdx, the one way in: register
+// (AddTenant and MoveTenant's arrival) and recovery (restoreSnapshot).
+// The tenant stays invisible until its route is written, so none of its
+// records can reach the journal before the snapshot register appends
+// first, and nothing needs undoing when that append fails. Route and
+// membership are written in one stripe critical section. Callers hold
+// rebalMu, or are Recover.
+func (e *Engine) admit(t *tenant) {
 	s := e.shardAt(t.shardIdx)
 	s.mu.Lock()
 	s.tenants[t.id] = t
@@ -347,14 +342,16 @@ func (e *Engine) admit(t *tenant, snapshot []byte) error {
 	// Pre-creates every per-tenant series so gauges (breaker state, queue
 	// depth) are scrapeable as 0 before the first batch.
 	e.cfg.Sink.TenantRegistered(t.id)
-	return nil
 }
 
-// evict unregisters id from stripe s: MoveTenant's removal. Callers hold
-// rebalMu and s.mu.
+// evict unregisters id from stripe s and drops its compaction
+// watermark: MoveTenant's removal. Callers hold rebalMu and s.mu.
 func (e *Engine) evict(s *shard, id string) {
 	delete(s.tenants, id)
 	e.routing.drop(id)
+	e.jmu.Lock()
+	delete(e.snapSeg, id)
+	e.jmu.Unlock()
 }
 
 // ShardStats is a point-in-time ledger for one lock stripe.

@@ -9,6 +9,11 @@
 // every journaled tenant has one from birth, and there is one way to
 // rebuild a tenant: restore its latest snapshot, replay the tail.
 //
+// A tenant becomes an envelope one way, snapshotOf, and an envelope
+// becomes a tenant one way, thaw: recovery's restores, MoveTenant's
+// arrival and breaker heals all go through it, and it refuses a queue
+// longer than the receiving engine's MaxQueue.
+//
 //   - Compaction: the engine tracks, per tenant, the segment holding its
 //     latest snapshot (its watermark). Once every tenant's latest
 //     snapshot lives in segment ≥ s, segments before s contain only
@@ -32,7 +37,9 @@
 //
 // MoveTenant rounds the feature out: a snapshot is, operationally, a
 // tenant in a box, so rebalancing a tenant onto another engine is
-// encode → install → journal a TypeRemove at the source.
+// snapshotOf → thaw → register at the destination, then a TypeRemove
+// journaled at the source. The envelope crosses as a struct; only the
+// journals marshal it (appendSnapshot).
 package engine
 
 import (
@@ -41,10 +48,8 @@ import (
 	"sync"
 
 	"partalloc/internal/core"
-	"partalloc/internal/fault"
 	"partalloc/internal/sim"
 	"partalloc/internal/task"
-	"partalloc/internal/topology"
 	"partalloc/internal/wal"
 )
 
@@ -102,16 +107,10 @@ type RecoveryStats struct {
 // engine; all-zero for an engine built with New.
 func (e *Engine) RecoveryStats() RecoveryStats { return e.recStats }
 
-// untrackTenant drops a tenant from the compaction watermark (MoveTenant).
-func (e *Engine) untrackTenant(id string) {
-	e.jmu.Lock()
-	delete(e.snapSeg, id)
-	e.jmu.Unlock()
-}
-
-// encodeTenantSnapshot serializes t's full state. Callers hold the shard
-// lock, so the allocator and ledger are frozen.
-func (e *Engine) encodeTenantSnapshot(t *tenant) ([]byte, error) {
+// snapshotOf captures t's full state as a snapshot envelope. Callers
+// hold t's shard lock, or own t before it is registered, so the
+// allocator and ledger are frozen.
+func snapshotOf(t *tenant) (*tenantSnapshot, error) {
 	if !t.hasSpec {
 		return nil, fmt.Errorf("engine: snapshot %q: tenant has no rebuild recipe", t.id)
 	}
@@ -119,7 +118,7 @@ func (e *Engine) encodeTenantSnapshot(t *tenant) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: snapshot %q: allocator %s is not checkpointable", t.id, t.alloc.Name())
 	}
-	env := tenantSnapshot{
+	return &tenantSnapshot{
 		Spec:          t.spec,
 		Events:        t.events,
 		Batches:       t.batches,
@@ -137,21 +136,26 @@ func (e *Engine) encodeTenantSnapshot(t *tenant) ([]byte, error) {
 		Queue:         wal.AppendEvents(nil, t.queue),
 		Alloc:         ck.Snapshot(),
 		Checker:       t.step.Checker().Checkpoint(),
-	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("engine: snapshot %q: %w", t.id, err)
-	}
-	return data, nil
+	}, nil
 }
 
-// restoreTenant builds a tenant for stripe idx from a snapshot
-// envelope: fresh allocator from the spec, allocator state restored from
-// the snapshot bytes, checker ledger restored when auditing, engine
-// ledger installed. The envelope's Shard is the caller's to interpret.
-func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fault.Schedule, host *topology.Host, idx int) (*tenant, error) {
+// thaw turns a snapshot envelope into a tenant, the one way a snapshot
+// becomes one: recovery's restores (restoreSnapshot), MoveTenant's
+// arrival and breaker heals (rebuildFromSnapshot). It builds a fresh
+// allocator from the spec with Config.Rebuild, restores the allocator's
+// state, the checker ledger when auditing, the queue and the engine
+// ledger. The envelope's Shard is the caller's to interpret, and the
+// caller sets the tenant's stripe. A queue longer than MaxQueue is
+// refused: ingest relies on the bound, so a tenant moved, or a journal
+// recovered, into an engine with a smaller bound would otherwise crash
+// the tenant's next Submit.
+func (e *Engine) thaw(env *tenantSnapshot) (*tenant, error) {
 	id := env.Spec.ID
-	t, err := e.buildTenant(env.Spec, true, a, faults, host, idx)
+	a, faults, host, err := e.cfg.Rebuild(env.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("engine: restore %q: %w", id, err)
+	}
+	t, err := e.buildTenant(env.Spec, true, a, faults, host)
 	if err != nil {
 		return nil, err
 	}
@@ -173,6 +177,9 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 	queue, err := wal.DecodeEvents(env.Queue)
 	if err != nil {
 		return nil, fmt.Errorf("engine: restore %q: queue: %w", id, err)
+	}
+	if e.cfg.MaxQueue > 0 && len(queue) > e.cfg.MaxQueue {
+		return nil, fmt.Errorf("engine: restore %q: snapshot queues %d events, above MaxQueue %d", id, len(queue), e.cfg.MaxQueue)
 	}
 	if len(queue) > 0 {
 		t.queue = queue
@@ -219,30 +226,36 @@ func (e *Engine) maybeSnapshot(t *tenant) error {
 // cadence or healing snapshot) and runs the compaction rule. Callers
 // hold the shard lock.
 func (e *Engine) snapshotTenant(t *tenant) error {
-	data, err := e.encodeTenantSnapshot(t)
+	env, err := snapshotOf(t)
 	if err != nil {
 		return err
 	}
-	if err := e.appendSnapshot(t.id, data); err != nil {
+	if err := e.appendSnapshot(env); err != nil {
 		return err
 	}
 	t.lastSnapBatch = t.batches
 	return e.compact()
 }
 
-// appendSnapshot journals data as id's TypeSnapshot record and advances
-// id's compaction watermark to the segment the record landed in. Every
-// snapshot goes through here: genesis and arrival by MoveTenant (admit),
-// cadence and healing (snapshotTenant). Seg is read and the watermark
-// set under the append's jmu hold: a rotation from another shard could
-// misattribute the segment otherwise, and a truncation that computed its
-// bound before this append cannot pass a segment this append wrote. Only
-// a tenant itself moves its watermark: callers hold id's shard lock, or
-// rebalMu while id is not yet registered (admit).
-func (e *Engine) appendSnapshot(id string, data []byte) error {
+// appendSnapshot journals env as its tenant's TypeSnapshot record and
+// advances the tenant's compaction watermark to the segment the record
+// landed in. Every snapshot goes through here: genesis and arrival by
+// MoveTenant (register), cadence and healing (snapshotTenant). Seg is
+// read and the watermark set under the append's jmu hold: a rotation
+// from another shard could misattribute the segment otherwise, and a
+// truncation that computed its bound before this append cannot pass a
+// segment this append wrote. Only a tenant itself moves its watermark:
+// callers hold its shard lock, or rebalMu while it is not yet
+// registered (register).
+func (e *Engine) appendSnapshot(env *tenantSnapshot) error {
+	id := env.Spec.ID
+	data, err := json.Marshal(env)
+	if err != nil {
+		return fmt.Errorf("engine: snapshot %q: %w", id, err)
+	}
 	e.jmu.Lock()
 	//lint:ignore lockorder jmu serializes all journal writes (see journalAppend), and the watermark must move under the same hold as the append
-	err := e.cfg.Journal.Append(wal.Record{Type: wal.TypeSnapshot, Tenant: id, Data: data})
+	err = e.cfg.Journal.Append(wal.Record{Type: wal.TypeSnapshot, Tenant: id, Data: data})
 	seg := e.cfg.Journal.Seg()
 	if err == nil {
 		e.snapSeg[id] = seg
@@ -384,16 +397,13 @@ func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit
 			t.id, keep, env.Events, len(tail)))
 	}
 	drop := int64(len(tail)) - need
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
+	nt, err := e.thaw(env)
 	if err != nil {
 		return fail(err)
 	}
 	// The tenant stays on its current stripe: env.Shard is stale if a
 	// pass moved it after that snapshot.
-	nt, err := e.restoreTenant(env, a, faults, host, t.shardIdx)
-	if err != nil {
-		return fail(err)
-	}
+	nt.shardIdx = t.shardIdx
 	if err := commit(drop); err != nil {
 		return fail(err)
 	}
@@ -429,27 +439,24 @@ func (e *Engine) restoreSnapshot(pos wal.Pos, rec wal.Record) error {
 	if env.Spec.ID != rec.Tenant {
 		return fmt.Errorf("engine: recover record %s: snapshot spec ID %q does not match tenant %q", pos, env.Spec.ID, rec.Tenant)
 	}
-	a, faults, host, err := e.cfg.Rebuild(env.Spec)
+	t, err := e.thaw(&env)
 	if err != nil {
-		return fmt.Errorf("engine: recover %q: %w", rec.Tenant, err)
+		return fmt.Errorf("engine: recover record %s: %w", pos, err)
 	}
 	// The envelope carries the tenant's route: compaction may have
 	// deleted the TypeMove records that produced it. Out-of-range routes
 	// (a journal recovered into a smaller engine) fall back to the hash
 	// default.
-	idx := env.Shard
-	if idx < 0 || idx >= len(e.shards) {
-		idx = hashShard(rec.Tenant, len(e.shards))
-	}
-	t, err := e.restoreTenant(&env, a, faults, host, idx)
-	if err != nil {
-		return fmt.Errorf("engine: recover record %s: %w", pos, err)
+	t.shardIdx = env.Shard
+	if t.shardIdx < 0 || t.shardIdx >= len(e.shards) {
+		t.shardIdx = hashShard(rec.Tenant, len(e.shards))
 	}
 	e.jmu.Lock()
 	e.snapSeg[t.id] = pos.Seg
 	e.jmu.Unlock()
 	// The snapshot is already in the journal.
-	return e.admit(t, nil)
+	e.admit(t)
+	return nil
 }
 
 // moveMu serializes MoveTenant calls process-wide. A move holds shard
@@ -458,12 +465,16 @@ func (e *Engine) restoreSnapshot(pos wal.Pos, rec wal.Record) error {
 // opposite-direction moves from deadlocking on each other's shards.
 var moveMu sync.Mutex
 
-// MoveTenant extracts tenant id from e and installs it in dst — a
-// rebalance with no event replay: the tenant travels as one snapshot.
-// The destination journals the snapshot (when it has a journal), then
-// the source journals a TypeRemove and forgets the tenant, so each
-// engine's log recovers its own post-move view. The tenant must be
-// healthy, have a rebuild recipe, and dst must have Config.Rebuild.
+// MoveTenant extracts tenant id from e and registers it in dst — a
+// rebalance with no event replay: the tenant travels as one snapshot
+// envelope, which dst thaws and seats by its own placement policy.
+// The destination journals the arrival's snapshot (when it has a
+// journal), then the source journals a TypeRemove and forgets the
+// tenant, so each engine's log recovers its own post-move view. The
+// tenant must be healthy, have a rebuild recipe, and dst must have
+// Config.Rebuild. A tenant dst cannot thaw (its queue is longer than
+// dst's MaxQueue, or dst audits and the envelope has no audit ledger)
+// or already holds is refused, and stays on the source.
 //
 // The two journals cannot be updated atomically: a crash after the
 // destination's append but before the source's leaves the tenant on
@@ -494,14 +505,19 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 	if t.err != nil {
 		return fmt.Errorf("engine: MoveTenant(%q): %w: move healthy tenants only: %w", id, ErrTenantPoisoned, t.err)
 	}
-	data, err := e.encodeTenantSnapshot(t)
+	env, err := snapshotOf(t)
 	if err != nil {
 		return err
 	}
-	//lint:ignore lockorder the move is a two-journal transaction: the destination's install and the source's removal must happen with the tenant frozen under this shard lock, and moveMu serializes moves so the cross-engine lock pair cannot deadlock
-	if err := dst.installSnapshot(data); err != nil {
+	nt, err := dst.thaw(env)
+	if err != nil {
 		return fmt.Errorf("engine: MoveTenant(%q): %w", id, err)
 	}
+	//lint:ignore lockorder the move is a two-journal transaction: the destination's registration and the source's removal must happen with the tenant frozen under this shard lock, and moveMu serializes moves so the cross-engine lock pair cannot deadlock
+	if err := dst.register(nt); err != nil {
+		return fmt.Errorf("engine: MoveTenant(%q): %w", id, err)
+	}
+	dst.cfg.Sink.TenantMoved(id, "in")
 	if e.cfg.Journal != nil {
 		//lint:ignore lockorder append-before-apply: the removal record must land before the tenant disappears from this engine (see Submit)
 		if err := e.journalAppend(wal.Record{Type: wal.TypeRemove, Tenant: id}); err != nil {
@@ -509,48 +525,6 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 		}
 	}
 	e.evict(s, id)
-	e.untrackTenant(id)
 	e.cfg.Sink.TenantMoved(id, "out")
-	return nil
-}
-
-// installSnapshot decodes a tenant snapshot and registers the tenant on
-// this engine through admit, which journals the snapshot first when
-// journaled (so a crash right after the move still recovers the tenant
-// here). The tenant is seated by this engine's policy — the envelope's
-// Shard field describes the source engine's layout — and the envelope
-// is re-sealed with the new route before journaling, so this journal
-// recovers the tenant onto the shard it actually landed on.
-func (e *Engine) installSnapshot(data []byte) error {
-	var env tenantSnapshot
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("engine: install snapshot: %w", err)
-	}
-	id := env.Spec.ID
-	a, faults, host, err := e.cfg.Rebuild(env.Spec)
-	if err != nil {
-		return fmt.Errorf("engine: install %q: %w", id, err)
-	}
-	e.rebalMu.Lock()
-	defer e.rebalMu.Unlock()
-	if _, ok := e.routing.lookup(id); ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateTenant, id)
-	}
-	env.Shard = e.routing.choose(id)
-	t, err := e.restoreTenant(&env, a, faults, host, env.Shard)
-	if err != nil {
-		return fmt.Errorf("engine: install %q: %w", id, err)
-	}
-	var arrival []byte
-	if e.cfg.Journal != nil {
-		if arrival, err = json.Marshal(env); err != nil {
-			return fmt.Errorf("engine: install %q: %w", id, err)
-		}
-	}
-	//lint:ignore lockorder append-before-apply: the arrival snapshot must be journaled before the tenant is registered here; rebalMu freezes the stripe choice the snapshot records
-	if err := e.admit(t, arrival); err != nil {
-		return fmt.Errorf("engine: install %q: %w", id, err)
-	}
-	e.cfg.Sink.TenantMoved(id, "in")
 	return nil
 }

@@ -858,3 +858,179 @@ func TestSnapshotGenesisIsRegistration(t *testing.T) {
 		t.Errorf("genesis envelope %+v: want spec %+v, empty ledger, fault position 0, shard %d", env, spec, eng.Routes()["t"])
 	}
 }
+
+// TestMoveTenantRefusesQueueAboveMaxQueue moves a tenant whose queue
+// holds more events than the destination's MaxQueue. ingest assumes a
+// queue within the bound, so such an arrival would crash the next
+// Submit with a negative slice bound. The move is refused instead, and
+// the tenant stays on the source, where it keeps ingesting.
+func TestMoveTenantRefusesQueueAboveMaxQueue(t *testing.T) {
+	src := New(Config{Shards: 2, BatchSize: 32, Rebuild: testRebuild})
+	dst := New(Config{Shards: 2, MaxQueue: 8, Rebuild: testRebuild})
+	addSpecTenant(t, src, TenantSpec{ID: "q", Algorithm: "basic", N: 16})
+	if err := src.Submit("q", arrivals(1, 20, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	moveErr := src.MoveTenant("q", dst)
+	home := src
+	if moveErr == nil {
+		home = dst
+	}
+	if err := home.Submit("q", arrivals(21, 1, 1)...); err != nil {
+		t.Fatalf("submit after the move attempt: %v", err)
+	}
+	if moveErr == nil {
+		t.Fatal("MoveTenant of a 20-event queue into MaxQueue 8 succeeded")
+	}
+	if _, ok := dst.Routes()["q"]; ok {
+		t.Error("the refused tenant has a route at the destination")
+	}
+	st, err := src.TenantStats("q")
+	if err != nil {
+		t.Fatalf("source lost the tenant: %v", err)
+	}
+	if st.Queued != 21 || st.Events != 0 {
+		t.Errorf("source tenant has %d queued, %d applied; want 21 queued, 0 applied", st.Queued, st.Events)
+	}
+}
+
+// TestSnapshotRecoverRefusesQueueAboveMaxQueue recovers, under MaxQueue
+// 8, a journal whose last snapshot holds 14 queued events. Replaying
+// the Submit after it would crash on a negative slice bound; Recover
+// refuses the snapshot instead, and the same journal still recovers
+// under the configuration that wrote it.
+func TestSnapshotRecoverRefusesQueueAboveMaxQueue(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Shards: 1, BatchSize: 16, SnapshotEvery: 1, Journal: log, Rebuild: testRebuild}
+	eng := New(cfg)
+	addSpecTenant(t, eng, TenantSpec{ID: "q", Algorithm: "basic", N: 16})
+	if err := eng.Submit("q", arrivals(1, 30, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit("q", arrivals(31, 1, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Stats()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bounded := cfg
+	bounded.Journal, bounded.MaxQueue = nil, 8
+	if rec, err := Recover(bounded, dir, wal.Options{}); err == nil {
+		rec.cfg.Journal.Close()
+		t.Fatal("Recover under MaxQueue 8 restored a snapshot with 14 queued events")
+	} else if !strings.Contains(err.Error(), "MaxQueue") {
+		t.Errorf("Recover error %q does not name MaxQueue", err)
+	}
+
+	cfg.Journal = nil
+	assertRecovers(t, cfg, dir, wal.Options{}, want)
+}
+
+// TestMoveTenantKeepsAuditLedger moves a tenant between two audited
+// engines. The invariant checker's ledger travels with it: the
+// destination's stats and its recovery equal the source's before the
+// move, and the tenant's later departures of tasks that arrived before
+// the move find their sizes in the restored ledger, so the audit stays
+// clean.
+func TestMoveTenantKeepsAuditLedger(t *testing.T) {
+	srcDir, dstDir := t.TempDir(), t.TempDir()
+	srcLog, err := wal.Open(srcDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srcLog.Close()
+	dstLog, err := wal.Open(dstDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Shards: 2, BatchSize: 8, Audit: true, Rebuild: testRebuild}
+	srcCfg, dstCfg := cfg, cfg
+	srcCfg.Journal, dstCfg.Journal = srcLog, dstLog
+	src, dst := New(srcCfg), New(dstCfg)
+	addSpecTenant(t, src, TenantSpec{ID: "mover", Algorithm: "periodic", N: 16, D: 1, DSet: true})
+	stream := testStream(16, 120, 9)
+	half := len(stream) / 2
+	if err := src.Submit("mover", stream[:half]...); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := src.TenantStats("mover")
+
+	if err := src.MoveTenant("mover", dst); err != nil {
+		t.Fatalf("MoveTenant: %v", err)
+	}
+	after, _ := dst.TenantStats("mover")
+	if w, g := CanonicalStats(before), CanonicalStats(after); !bytes.Equal(w, g) {
+		t.Fatalf("move changed the ledger:\n  before: %s\n  after:  %s", w, g)
+	}
+	if err := dstLog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := assertRecovers(t, cfg, dstDir, wal.Options{}, []TenantStats{before})
+
+	if err := rec.Submit("mover", stream[half:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Flush("mover"); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := rec.TenantStats("mover")
+	if st.Events != int64(len(stream)) {
+		t.Errorf("after the move the tenant applied %d of %d events", st.Events, len(stream))
+	}
+	if len(st.Violations) != 0 {
+		t.Errorf("after the move the audit found %d violations, the first: %v", len(st.Violations), st.Violations[0])
+	}
+}
+
+// TestMoveTenantRefusesUnauditedIntoAudited moves a tenant from an
+// unaudited engine into an audited one. Its snapshot has no audit
+// ledger to restore, so the move is refused: the source keeps the
+// tenant and goes on ingesting, and the destination has neither a route
+// nor a journal record for it.
+func TestMoveTenantRefusesUnauditedIntoAudited(t *testing.T) {
+	dstDir := t.TempDir()
+	dstLog, err := wal.Open(dstDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dstLog.Close()
+	src := New(Config{Shards: 2, BatchSize: 8, Journal: testJournal(t), Rebuild: testRebuild})
+	dst := New(Config{Shards: 2, BatchSize: 8, Audit: true, Journal: dstLog, Rebuild: testRebuild})
+	addSpecTenant(t, src, TenantSpec{ID: "mover", Algorithm: "basic", N: 16})
+	stream := testStream(16, 60, 10)
+	half := len(stream) / 2
+	if err := src.Submit("mover", stream[:half]...); err != nil {
+		t.Fatal(err)
+	}
+
+	err = src.MoveTenant("mover", dst)
+	if err == nil || !strings.Contains(err.Error(), "no audit ledger") {
+		t.Fatalf("MoveTenant from an unaudited into an audited engine = %v, want a refusal naming the missing audit ledger", err)
+	}
+	if err := src.Submit("mover", stream[half:]...); err != nil {
+		t.Fatalf("source stopped ingesting after the refused move: %v", err)
+	}
+	if err := src.Flush("mover"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := src.TenantStats("mover"); err != nil || st.Events != int64(len(stream)) {
+		t.Errorf("source tenant after the refused move: %+v, %v; want all %d events applied", st, err, len(stream))
+	}
+	if _, ok := dst.Routes()["mover"]; ok {
+		t.Error("the refused tenant has a route at the destination")
+	}
+	if err := wal.Replay(dstDir, func(_ int, rec wal.Record) error {
+		if rec.Tenant == "mover" {
+			t.Errorf("destination journal holds a type-%d record for the refused tenant", rec.Type)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

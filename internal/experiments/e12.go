@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"partalloc/internal/core"
 	"partalloc/internal/report"
 	"partalloc/internal/sim"
 	"partalloc/internal/stats"
 	"partalloc/internal/subcube"
-	"partalloc/internal/task"
 )
 
 // E12Row is one discipline's outcome on the common job stream.
@@ -102,7 +100,7 @@ func E12Rows(cfg Config, dim int) []E12Row {
 		maxLoad := 0
 		for s := 0; s < seeds; s++ {
 			stream := subcube.RandomJobs(dim, jobs, rate, 8, int64(s))
-			seq, offered := jobsToSequence(stream)
+			seq, offered := subcube.Sequence(stream)
 			res := sim.Run(entry.mk(), seq, sim.Options{})
 			if res.MaxLoad > maxLoad {
 				maxLoad = res.MaxLoad
@@ -119,50 +117,4 @@ func E12Rows(cfg Config, dim int) []E12Row {
 		})
 	}
 	return rows
-}
-
-// jobsToSequence converts a space-sharing job stream into the paper's
-// open-loop event sequence (every job is serviced immediately) and returns
-// the time-averaged offered PE load alongside.
-func jobsToSequence(jobs []subcube.Job) (task.Sequence, float64) {
-	type ev struct {
-		at     float64
-		arrive bool
-		idx    int
-	}
-	evs := make([]ev, 0, 2*len(jobs))
-	for i, j := range jobs {
-		evs = append(evs, ev{at: j.Arrival, arrive: true, idx: i})
-		evs = append(evs, ev{at: j.Arrival + j.Duration, arrive: false, idx: i})
-	}
-	sort.SliceStable(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
-		}
-		// Departures before arrivals at ties frees capacity first.
-		return !evs[a].arrive && evs[b].arrive
-	})
-	b := task.NewBuilder()
-	ids := make([]task.ID, len(jobs))
-	var peTime float64
-	var span float64
-	for _, e := range evs {
-		b.At(e.at)
-		if e.arrive {
-			ids[e.idx] = b.Arrive(jobs[e.idx].Size)
-		} else {
-			b.Depart(ids[e.idx])
-		}
-		if e.at > span {
-			span = e.at
-		}
-	}
-	for _, j := range jobs {
-		peTime += float64(j.Size) * j.Duration
-	}
-	offered := 0.0
-	if span > 0 {
-		offered = peTime / span
-	}
-	return b.Sequence(), offered
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"partalloc/internal/mathx"
+	"partalloc/internal/task"
 )
 
 // Job is one space-shared request: it needs a dedicated subcube of Size
@@ -198,4 +199,49 @@ func RandomJobs(dim, count int, rate, meanDuration float64, seed int64) []Job {
 		})
 	}
 	return jobs
+}
+
+// Sequence converts a space-sharing job stream into the paper's
+// open-loop event sequence, in which every job is serviced immediately
+// for its duration, and returns the time-averaged offered PE load
+// alongside. This is the time-shared side of the E12 comparison.
+func Sequence(jobs []Job) (task.Sequence, float64) {
+	type ev struct {
+		at     float64
+		arrive bool
+		idx    int
+	}
+	evs := make([]ev, 0, 2*len(jobs))
+	for i, j := range jobs {
+		evs = append(evs, ev{at: j.Arrival, arrive: true, idx: i})
+		evs = append(evs, ev{at: j.Arrival + j.Duration, arrive: false, idx: i})
+	}
+	sort.SliceStable(evs, func(a, b int) bool {
+		if evs[a].at != evs[b].at {
+			return evs[a].at < evs[b].at
+		}
+		// Departures before arrivals at ties frees capacity first.
+		return !evs[a].arrive && evs[b].arrive
+	})
+	b := task.NewBuilder()
+	ids := make([]task.ID, len(jobs))
+	var span float64
+	for _, e := range evs {
+		b.At(e.at)
+		if e.arrive {
+			ids[e.idx] = b.Arrive(jobs[e.idx].Size)
+		} else {
+			b.Depart(ids[e.idx])
+		}
+		span = max(span, e.at)
+	}
+	var peTime float64
+	for _, j := range jobs {
+		peTime += float64(j.Size) * j.Duration
+	}
+	offered := 0.0
+	if span > 0 {
+		offered = peTime / span
+	}
+	return b.Sequence(), offered
 }

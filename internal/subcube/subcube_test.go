@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"partalloc/internal/mathx"
+	"partalloc/internal/task"
 )
 
 func TestSubcubeBasics(t *testing.T) {
@@ -294,5 +295,35 @@ func TestNextSubsetGosper(t *testing.T) {
 	}
 	if count != 10 {
 		t.Fatalf("enumerated %d 3-subsets, want 10", count)
+	}
+}
+
+// TestSequenceOpenLoop converts a two-job stream: each job arrives and
+// departs at its own times, a departure sorts before an arrival at the
+// same instant, and the offered load is PE-time over the span.
+func TestSequenceOpenLoop(t *testing.T) {
+	jobs := []Job{
+		{ID: 1, Size: 2, Arrival: 0, Duration: 1},
+		{ID: 2, Size: 4, Arrival: 1, Duration: 3},
+	}
+	seq, offered := Sequence(jobs)
+	if err := seq.Validate(4); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		kind task.Kind
+		size int
+		at   float64
+	}{{task.Arrive, 2, 0}, {task.Depart, 2, 1}, {task.Arrive, 4, 1}, {task.Depart, 4, 4}}
+	if len(seq.Events) != len(want) {
+		t.Fatalf("%d events, want %d", len(seq.Events), len(want))
+	}
+	for i, w := range want {
+		if e := seq.Events[i]; e.Kind != w.kind || e.Size != w.size || e.Time != w.at {
+			t.Errorf("event %d = %+v, want %v of size %d at %v", i, e, w.kind, w.size, w.at)
+		}
+	}
+	if offered != 3.5 {
+		t.Errorf("offered load %v, want (2·1 + 4·3)/4 = 3.5", offered)
 	}
 }

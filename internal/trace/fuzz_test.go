@@ -7,41 +7,6 @@ import (
 	"partalloc/internal/task"
 )
 
-// FuzzReadCSV: arbitrary input must never panic, and anything accepted
-// must round-trip through WriteCSV and validate.
-func FuzzReadCSV(f *testing.F) {
-	f.Add("kind,task,size,time\narrive,1,2,0.5\ndepart,1,2,1.5\n")
-	f.Add("arrive,1,1,0\n")
-	f.Add("")
-	f.Add("kind,task,size,time\n")
-	f.Add("depart,1,1,0\n")
-	f.Add("arrive,1,3,0\n")
-	f.Add("arrive,-1,1,0\n")
-	f.Add("arrive,1,1,nan\narrive,2,1,0\n")
-	f.Add(strings.Repeat("arrive,1,1,0\n", 3))
-	f.Fuzz(func(t *testing.T, in string) {
-		seq, err := ReadCSV(strings.NewReader(in), 0)
-		if err != nil {
-			return
-		}
-		// Accepted sequences must be valid and re-serializable.
-		if verr := seq.Validate(0); verr != nil {
-			t.Fatalf("ReadCSV accepted invalid sequence: %v", verr)
-		}
-		var b strings.Builder
-		if werr := WriteCSV(&b, seq); werr != nil {
-			t.Fatalf("WriteCSV failed on accepted sequence: %v", werr)
-		}
-		back, rerr := ReadCSV(strings.NewReader(b.String()), 0)
-		if rerr != nil {
-			t.Fatalf("round trip failed: %v", rerr)
-		}
-		if len(back.Events) != len(seq.Events) {
-			t.Fatalf("round trip changed length: %d vs %d", len(back.Events), len(seq.Events))
-		}
-	})
-}
-
 // FuzzReadJSON: arbitrary input must never panic; accepted sequences must
 // validate.
 func FuzzReadJSON(f *testing.F) {

@@ -1,17 +1,14 @@
-// Package trace serializes task sequences and run results so experiments
-// are replayable: a sequence generated once (including adversarial
+// Package trace serializes task sequences so experiments are
+// replayable: a sequence generated once (including adversarial
 // constructions, which are expensive to regenerate against a specific
-// algorithm) can be saved as JSON or CSV, reloaded, and replayed against
-// any allocator.
+// algorithm) can be saved as JSON, reloaded, and replayed against any
+// allocator.
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"partalloc/internal/task"
 )
@@ -78,71 +75,4 @@ func ReadJSON(r io.Reader) (task.Sequence, string, int, error) {
 		return task.Sequence{}, "", 0, fmt.Errorf("trace: invalid sequence: %w", err)
 	}
 	return seq, f.Label, f.N, nil
-}
-
-// WriteCSV serializes a sequence as "kind,task,size,time" records with a
-// header row.
-func WriteCSV(w io.Writer, seq task.Sequence) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("kind,task,size,time\n"); err != nil {
-		return err
-	}
-	for _, e := range seq.Events {
-		if _, err := fmt.Fprintf(bw, "%s,%d,%d,%g\n", e.Kind, e.Task, e.Size, e.Time); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV deserializes a sequence written by WriteCSV and validates it
-// against machine size n (pass 0 to skip the size cap check).
-func ReadCSV(r io.Reader, n int) (task.Sequence, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var seq task.Sequence
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if line == 1 && strings.HasPrefix(text, "kind,") {
-			continue
-		}
-		parts := strings.Split(text, ",")
-		if len(parts) != 4 {
-			return task.Sequence{}, fmt.Errorf("trace: line %d: %d fields, want 4", line, len(parts))
-		}
-		var kind task.Kind
-		switch parts[0] {
-		case "arrive":
-			kind = task.Arrive
-		case "depart":
-			kind = task.Depart
-		default:
-			return task.Sequence{}, fmt.Errorf("trace: line %d: unknown kind %q", line, parts[0])
-		}
-		id, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return task.Sequence{}, fmt.Errorf("trace: line %d: task id: %w", line, err)
-		}
-		size, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return task.Sequence{}, fmt.Errorf("trace: line %d: size: %w", line, err)
-		}
-		tm, err := strconv.ParseFloat(parts[3], 64)
-		if err != nil {
-			return task.Sequence{}, fmt.Errorf("trace: line %d: time: %w", line, err)
-		}
-		seq.Events = append(seq.Events, task.Event{Kind: kind, Task: task.ID(id), Size: size, Time: tm})
-	}
-	if err := sc.Err(); err != nil {
-		return task.Sequence{}, err
-	}
-	if err := seq.Validate(n); err != nil {
-		return task.Sequence{}, fmt.Errorf("trace: invalid sequence: %w", err)
-	}
-	return seq, nil
 }

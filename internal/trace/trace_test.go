@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"partalloc/internal/task"
 	"partalloc/internal/workload"
 )
 
@@ -20,26 +19,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if label != "poisson-test" || n != 32 {
 		t.Fatalf("metadata: %q %d", label, n)
-	}
-	if len(got.Events) != len(seq.Events) {
-		t.Fatalf("length %d vs %d", len(got.Events), len(seq.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != seq.Events[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, got.Events[i], seq.Events[i])
-		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	seq := task.Figure1Sequence()
-	var b strings.Builder
-	if err := WriteCSV(&b, seq); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(strings.NewReader(b.String()), 4)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(got.Events) != len(seq.Events) {
 		t.Fatalf("length %d vs %d", len(got.Events), len(seq.Events))
@@ -69,32 +48,5 @@ func TestReadJSONValidates(t *testing.T) {
 	bad := `{"format":1,"events":[{"kind":"depart","task":5,"size":1}]}`
 	if _, _, _, err := ReadJSON(strings.NewReader(bad)); err == nil {
 		t.Fatal("accepted invalid sequence")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"kind,task,size,time\nbogus,1,1,0\n",
-		"kind,task,size,time\narrive,x,1,0\n",
-		"kind,task,size,time\narrive,1,x,0\n",
-		"kind,task,size,time\narrive,1,1,x\n",
-		"kind,task,size,time\narrive,1,1\n",
-		"kind,task,size,time\ndepart,9,1,0\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c), 8); err == nil {
-			t.Errorf("case %d accepted invalid CSV", i)
-		}
-	}
-}
-
-func TestReadCSVSkipsBlankLinesAndHeader(t *testing.T) {
-	in := "kind,task,size,time\n\narrive,1,2,0.5\n\ndepart,1,2,1.5\n"
-	seq, err := ReadCSV(strings.NewReader(in), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Events) != 2 || seq.Events[0].Size != 2 || seq.Events[1].Kind != task.Depart {
-		t.Fatalf("parsed %+v", seq.Events)
 	}
 }
