@@ -49,7 +49,8 @@ test-chaos:
 # its healing snapshot, the crash points of segment truncation,
 # MoveTenant (an audit ledger kept between audited engines; refusals of
 # an unaudited tenant into an audited engine and of a queue above
-# MaxQueue, which Recover refuses too), the snapshot SIGKILL crash test,
+# MaxQueue, which Recover refuses too; a thawed queue of several
+# batches drained before a top-up), the snapshot SIGKILL crash test,
 # and the facade-level three-way recovery equivalence gate.
 test-snapshot:
 	go test -race -run 'TestSnapshot|TestRecoveryReadsOnlyTail|TestBreakerProbeRestoresFromSnapshot|TestBreakerRebuildsFromJournal|TestMoveTenant|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
@@ -109,12 +110,12 @@ lint-json:
 	go run ./cmd/partlint -json ./... > partlint.json
 
 # Micro-benchmarks (batched vs serial apply, engine replay vs serial
-# Simulate, journaled Submit, the balanced placer's rebalance plan and
-# passes with and without a concurrent submitter, WAL append per sync
-# policy, load-tree updates, searches and deferred batches, copy
-# placement, histogram observations). The
-# repository's end-to-end benchmark is perfbench (perfbench/README.md,
-# BENCHMARK.json).
+# Simulate, journaled Submit, Submit bursts of several batches, the
+# balanced placer's rebalance plan and passes with and without a
+# concurrent submitter, WAL append per sync policy, load-tree updates,
+# searches and deferred batches, copy placement, histogram
+# observations). The repository's end-to-end benchmark is perfbench
+# (perfbench/README.md, BENCHMARK.json).
 bench:
 	go test -bench=. -benchmem ./internal/core/ ./internal/engine/ ./internal/wal/ ./internal/loadtree/ ./internal/copies/ ./internal/obs/
 

@@ -172,10 +172,11 @@ func WithShards(n int) EngineOption {
 	}
 }
 
-// WithBatchSize sets the ingestion batch: Submit queues events per tenant
-// and applies them whenever the queue reaches this size (default 256).
-// Larger batches amortize loadtree maintenance further but delay
-// load/latency samples, which are taken at batch boundaries.
+// WithBatchSize sets the ingestion batch: Submit applies a tenant's
+// events in batches of this size (default 256) and queues the
+// remainder, under one batch, for a later Submit or Flush. Larger
+// batches amortize loadtree maintenance further but delay load/latency
+// samples, which are taken at batch boundaries.
 func WithBatchSize(n int) EngineOption {
 	return func(o *engineOptions) {
 		if n < 1 {
@@ -577,8 +578,10 @@ func (e *Engine) AddTenant(id string, algo Algorithm, m *Machine, opts ...Option
 }
 
 // Submit queues events for a tenant, applying a batch whenever the
-// queue reaches the configured batch size. Past a WithMaxQueue bound the
-// overload policy takes over: OverloadBlock and OverloadDegrade admit in
+// queue reaches the configured batch size. Full batches apply straight
+// from evs, which the engine neither keeps nor writes, so the caller may
+// reuse it once Submit returns. Past a WithMaxQueue bound the overload
+// policy takes over: OverloadBlock and OverloadDegrade admit in
 // bound-sized chunks, OverloadShed fails with ErrOverloaded.
 func (e *Engine) Submit(id string, evs ...Event) error {
 	return e.eng.Submit(id, evs...)

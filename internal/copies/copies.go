@@ -348,9 +348,9 @@ func (c *Copy) CheckInvariants() {
 // A_B and A_R require. Use NewList.
 //
 // A List is packed from a Reset with no failed leaf until the first
-// Vacate, Block, HasVacant, OccupyAt, Grow, or Place of a size that does
-// not divide the fill; it has no failed leaf to Unblock. While packed,
-// the copies hold one packed prefix of fill PEs: copies before copy
+// Vacate, Block, PlaceExisting, OccupyAt, Grow, or Place of a size that
+// does not divide the fill; it has no failed leaf to Unblock. While
+// packed, the copies hold one packed prefix of fill PEs: copies before copy
 // ⌊fill/N⌋ are full, that copy holds exactly its first fill mod N PEs,
 // and no later copy exists. Every size placed so far divides fill, and
 // so does any size no larger than the last, which is why A_R's
@@ -453,14 +453,8 @@ func (l *List) Place(size int) (copyIdx int, v tree.Node) {
 		}
 		l.unpack()
 	}
-	for i := l.firstFit[d]; i < len(l.copies); i++ {
-		c := l.copies[i]
-		if u, ok := c.FindVacant(size); ok {
-			c.Occupy(u)
-			l.firstFit[d] = i
-			return i, u
-		}
-		l.firstFit[d] = i + 1
+	if ci, u, ok := l.firstFitExisting(d, size); ok {
+		return ci, u
 	}
 	c := l.newCopy()
 	l.copies = append(l.copies, c)
@@ -504,20 +498,34 @@ func (l *List) unpack() {
 	}
 }
 
-// HasVacant reports whether some existing copy has a vacant submachine of
-// the given size — i.e. whether Place would reuse a copy rather than
-// create one. It advances the same first-fit hint Place uses.
-func (l *List) HasVacant(size int) bool {
+// PlaceExisting is Place without a new copy: it occupies the leftmost
+// vacant submachine of the given size in the first existing copy that
+// has one and returns it, or reports ok=false, and then has placed
+// nothing and created no copy — Place would create one. It ends the
+// packed state first and advances the same first-fit hint Place uses,
+// so a Place after a failed call starts its scan past every copy, and
+// the placements stay those of Place.
+func (l *List) PlaceExisting(size int) (copyIdx int, v tree.Node, ok bool) {
 	d := l.m.DepthForSize(size)
 	l.unpack()
+	return l.firstFitExisting(d, size)
+}
+
+// firstFitExisting is first fit over the existing copies of an unpacked
+// list, from the depth-d hint on: it occupies the leftmost vacant
+// submachine of the given size in the first copy that has one, and moves
+// the hint to that copy, or past every copy when none has one.
+func (l *List) firstFitExisting(d, size int) (copyIdx int, v tree.Node, ok bool) {
 	for i := l.firstFit[d]; i < len(l.copies); i++ {
-		if _, ok := l.copies[i].FindVacant(size); ok {
+		c := l.copies[i]
+		if u, ok := c.FindVacant(size); ok {
+			c.Occupy(u)
 			l.firstFit[d] = i
-			return true
+			return i, u, true
 		}
 		l.firstFit[d] = i + 1
 	}
-	return false
+	return 0, 0, false
 }
 
 // rewind lowers every first-fit hint to at most ci after a vacancy appeared

@@ -19,8 +19,8 @@ func naiveFirstFit(l *List, size int) (int, tree.Node, bool) {
 	return 0, 0, false
 }
 
-// listOracle drives a List and checks every Place and HasVacant against
-// naiveFirstFit. It tracks the live placements and the failed leaves, so
+// listOracle drives a List and checks every Place and PlaceExisting
+// against naiveFirstFit. It tracks the live placements and the failed leaves, so
 // every operation it makes is one the List accepts.
 type listOracle struct {
 	t       testing.TB
@@ -73,11 +73,25 @@ func (o *listOracle) place(size int) {
 	o.live = append(o.live, livePlacement{ci, v})
 }
 
-func (o *listOracle) hasVacant(size int) {
-	_, _, want := naiveFirstFit(o.l, size)
-	if got := o.l.HasVacant(size); got != want {
-		o.t.Fatalf("HasVacant(%d) = %v, full scan %v", size, got, want)
+// placeExisting places a task of the given size by PlaceExisting and
+// checks the result against a full scan of the existing copies: the same
+// copy and node, or, when no copy has room, no placement and no new
+// copy. It reports whether the task was placed.
+func (o *listOracle) placeExisting(size int) bool {
+	wantCi, wantV, want := naiveFirstFit(o.l, size)
+	copiesBefore := o.l.Len()
+	ci, v, ok := o.l.PlaceExisting(size)
+	if ok != want || ok && (ci != wantCi || v != wantV) {
+		o.t.Fatalf("PlaceExisting(%d) = (%d,%d,%v), first fit (%d,%d,%v)", size, ci, v, ok, wantCi, wantV, want)
 	}
+	if !ok {
+		if o.l.Len() != copiesBefore {
+			o.t.Fatalf("failed PlaceExisting(%d) grew the list from %d to %d copies", size, copiesBefore, o.l.Len())
+		}
+		return false
+	}
+	o.live = append(o.live, livePlacement{ci, v})
+	return true
 }
 
 func (o *listOracle) vacate(i int) {
@@ -134,12 +148,14 @@ func (o *listOracle) check() {
 }
 
 // TestFirstFitHintMatchesNaiveScan drives a list through random placements,
-// vacates, failures and recoveries, checking every placement and
-// HasVacant against a full scan. The no-reset run is A_B's shape: the
-// list grows to hundreds of copies whose hints drift apart, and Vacate
-// rewinds them deep. The reset run adds resets, each followed by a run of
-// non-increasing sizes, which a fault-free list answers from its packed
-// prefix, and HasVacant now and then ends that state mid-run.
+// vacates, failures and recoveries, checking every Place and
+// PlaceExisting against a full scan. Every other placement is A_M-lazy's
+// earned-budget shape: PlaceExisting, then Place only when it fails. The
+// no-reset run is A_B's shape: the list grows to hundreds of copies
+// whose hints drift apart, and Vacate rewinds them deep. The reset run
+// adds resets, each followed by a run of non-increasing sizes, which a
+// fault-free list answers from its packed prefix, and PlaceExisting now
+// and then ends that state mid-run.
 func TestFirstFitHintMatchesNaiveScan(t *testing.T) {
 	m := tree.MustNew(32)
 	t.Run("no-reset", func(t *testing.T) {
@@ -176,7 +192,7 @@ func driveList(t *testing.T, m *tree.Machine, resets bool) *listOracle {
 				size >>= rng.Intn(2)
 				size = max(size, 1)
 				if rng.Intn(16) == 0 {
-					o.hasVacant(randomSize())
+					o.placeExisting(randomSize())
 				}
 				o.place(size)
 			}
@@ -188,8 +204,9 @@ func driveList(t *testing.T, m *tree.Machine, resets bool) *listOracle {
 			o.unblock(rng.Intn(len(o.blocked)))
 		default:
 			size := randomSize()
-			o.hasVacant(size)
-			o.place(size)
+			if step%2 == 0 || !o.placeExisting(size) {
+				o.place(size)
+			}
 		}
 		if step%50 == 0 {
 			o.check()
@@ -199,8 +216,8 @@ func driveList(t *testing.T, m *tree.Machine, resets bool) *listOracle {
 }
 
 // FuzzListPlace runs op sequences of Reset, Place, Vacate, Block, Unblock
-// and HasVacant on a List over N = 2..32 PEs, checking every Place and
-// HasVacant against naiveFirstFit and every copy's invariants after each
+// and PlaceExisting on a List over N = 2..32 PEs, checking every Place and
+// PlaceExisting against naiveFirstFit and every copy's invariants after each
 // op. Each op is two bytes: the op and its operand. Only the first 256
 // ops run: the checks after each op cost time linear in the copies.
 func FuzzListPlace(f *testing.F) {
@@ -209,15 +226,16 @@ func FuzzListPlace(f *testing.F) {
 		opVacate
 		opBlock
 		opUnblock
-		opHasVacant
+		opPlaceExisting
 		opPlace // and every op byte above it
 	)
 	// Each seed runs on N=8, where an operand of 0..3 places size 1..8.
 	// Three full copies and a half one leave high hints behind; after a
-	// reset, a packed run and the HasVacant that ends it must not use them.
+	// reset, a packed run and the PlaceExisting that ends it must not use
+	// them.
 	f.Add(uint8(2), []byte{
 		opPlace, 3, opPlace, 3, opPlace, 3, opPlace, 2,
-		opReset, 0, opPlace, 1, opHasVacant, 2, opPlace, 2, opPlace, 0,
+		opReset, 0, opPlace, 1, opPlaceExisting, 2, opPlace, 2, opPlace, 0,
 	})
 	// Runs down the sizes, each leaving the packed state another way: a
 	// size the fill is not aligned to, Vacate, Block and Unblock.
@@ -247,8 +265,8 @@ func FuzzListPlace(f *testing.F) {
 				o.block(m.LeafOf(arg % m.N()))
 			case op == opUnblock && len(o.blocked) > 0:
 				o.unblock(arg % len(o.blocked))
-			case op == opHasVacant:
-				o.hasVacant(1 << (arg % (m.Levels() + 1)))
+			case op == opPlaceExisting:
+				o.placeExisting(1 << (arg % (m.Levels() + 1)))
 			case op >= opPlace:
 				o.place(1 << (arg % (m.Levels() + 1)))
 			}

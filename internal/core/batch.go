@@ -16,31 +16,47 @@ import "partalloc/internal/task"
 // greedy placement queries LeftmostMinLoad on every arrival, which would
 // force a rebuild per event anyway. Its tree holds the search table, so
 // each of its eager updates costs O(log²N).
+//
+// ApplyBatch reads evs and neither keeps nor writes it, so a caller may
+// pass a slice it does not own. It returns the batch's active-size
+// ledger, as ApplyEvents does.
 type BatchApplier interface {
-	ApplyBatch(evs []task.Event)
+	ApplyBatch(evs []task.Event) (net, peak int64)
 }
 
 // ApplyEvents applies a slice of events through the plain per-event
 // Arrive/Depart path. It is the serial fallback for allocators that do not
 // implement BatchApplier, and the reference behaviour batch application
 // must match.
-func ApplyEvents(a Allocator, evs []task.Event) {
+//
+// It also keeps the batch's active-size ledger in the same loop, from the
+// events' own sizes: net is the batch's net change of the active size,
+// and peak the highest running prefix of that change, starting at 0 (the
+// empty prefix). A caller whose active size was s before the batch saw
+// at most s+peak during it and holds s+net after it; only arrivals raise
+// the running size, so s+peak is exact for every prefix.
+func ApplyEvents(a Allocator, evs []task.Event) (net, peak int64) {
 	for _, e := range evs {
 		switch e.Kind {
 		case task.Arrive:
 			a.Arrive(task.Task{ID: e.Task, Size: e.Size})
+			net += int64(e.Size)
+			peak = max(peak, net)
 		case task.Depart:
 			a.Depart(e.Task)
+			net -= int64(e.Size)
 		}
 	}
+	return net, peak
 }
 
 // ApplyBatch implements BatchApplier for A_B. Placement is first-fit over
 // copies and never reads the load tree, so the whole batch runs deferred.
-func (b *Basic) ApplyBatch(evs []task.Event) {
+func (b *Basic) ApplyBatch(evs []task.Event) (net, peak int64) {
 	b.loads.BeginDeferred()
-	ApplyEvents(b, evs)
+	net, peak = ApplyEvents(b, evs)
 	b.loads.EndDeferred()
+	return net, peak
 }
 
 // ApplyBatch implements BatchApplier for A_M. The d·N reallocation
@@ -48,20 +64,21 @@ func (b *Basic) ApplyBatch(evs []task.Event) {
 // trigger reads the copy list, never the load tree, so batch and serial
 // application reallocate at the same events. A reallocation mid-batch
 // resets the load tree in place, which stays deferred.
-func (p *Periodic) ApplyBatch(evs []task.Event) {
+func (p *Periodic) ApplyBatch(evs []task.Event) (net, peak int64) {
 	if p.greedy != nil {
-		ApplyEvents(p, evs)
-		return
+		return ApplyEvents(p, evs)
 	}
 	p.loads.BeginDeferred()
-	ApplyEvents(p, evs)
+	net, peak = ApplyEvents(p, evs)
 	p.loads.EndDeferred()
+	return net, peak
 }
 
 // ApplyBatch implements BatchApplier for A_Rand, whose placement is
 // oblivious to loads entirely.
-func (r *Random) ApplyBatch(evs []task.Event) {
+func (r *Random) ApplyBatch(evs []task.Event) (net, peak int64) {
 	r.loads.BeginDeferred()
-	ApplyEvents(r, evs)
+	net, peak = ApplyEvents(r, evs)
 	r.loads.EndDeferred()
+	return net, peak
 }

@@ -133,7 +133,14 @@ func (p *Periodic) Name() string {
 	return "A_M(d=" + d + ")"
 }
 
-// Arrive implements Allocator.
+// Arrive implements Allocator. Until the size arrived since the last
+// reallocation reaches d·N, it places by A_B's rule. From there the
+// eager trigger (the paper's A_M rule) reallocates at once. The lazy
+// trigger holds the earned reallocation until A_B would grow the copy
+// count and compaction would actually avoid that: it places t by first
+// fit in the copies that exist, and only when none has room does it
+// reallocate, if the active set, t included, fits in those copies, or
+// open a new copy as A_B would.
 func (p *Periodic) Arrive(t task.Task) tree.Node {
 	if p.greedy != nil {
 		return p.greedy.Arrive(t)
@@ -145,34 +152,24 @@ func (p *Periodic) Arrive(t task.Task) tree.Node {
 	}
 	p.sinceRealo += int64(t.Size)
 	p.activeSize += int64(t.Size)
-	if p.shouldReallocate(t) {
-		// Threshold reached (with d = 0 that is every arrival): reallocate
-		// every active task, the new arrival included.
-		slot = p.placed.insert(slot, t.ID, placementRec{copyIdx: -1, node: 0, size: t.Size})
-		p.reallocate()
-		p.sinceRealo = 0
-		return p.placed.slots[slot].val.node
-	}
-	return p.place(slot, t)
-}
-
-// shouldReallocate decides whether t's arrival fires procedure A_R. The
-// eager trigger is the paper's A_M rule (accumulated size reaches d·N);
-// the lazy trigger additionally holds the earned reallocation until A_B
-// would grow the copy count and compaction would actually avoid that: the
-// active set, new task included, must fit in the copies that already
-// exist. Callers have already added t to sinceRealo and activeSize.
-func (p *Periodic) shouldReallocate(t task.Task) bool {
 	if p.sinceRealo < int64(p.d)*int64(p.m.N()) {
-		return false
+		return p.place(slot, t)
 	}
-	if !p.lazy {
-		return true
+	if p.lazy {
+		if rec, ok := p.putExisting(t.Size); ok {
+			p.placed.insert(slot, t.ID, rec)
+			return rec.node
+		}
+		if mathx.CeilDiv64(p.activeSize, int64(p.m.N())) > int64(p.list.Len()) {
+			return p.place(slot, t)
+		}
 	}
-	n64 := int64(p.m.N())
-	needNew := !p.list.HasVacant(t.Size)
-	helps := (p.activeSize+n64-1)/n64 <= int64(p.list.Len())
-	return needNew && helps
+	// Threshold reached (with d = 0 that is every arrival): reallocate
+	// every active task, the new arrival included.
+	slot = p.placed.insert(slot, t.ID, placementRec{copyIdx: -1, node: 0, size: t.Size})
+	p.reallocate()
+	p.sinceRealo = 0
+	return p.placed.slots[slot].val.node
 }
 
 // EffectiveD implements Degradable.

@@ -127,6 +127,17 @@ func (s *copyPlaced) put(size int) placementRec {
 	return placementRec{copyIdx: ci, node: v, size: size}
 }
 
+// putExisting is put without a new copy: when no existing copy has a
+// vacant submachine of the size, ok is false and nothing is placed.
+func (s *copyPlaced) putExisting(size int) (placementRec, bool) {
+	ci, v, ok := s.list.PlaceExisting(size)
+	if !ok {
+		return placementRec{}, false
+	}
+	s.loads.Place(v)
+	return placementRec{copyIdx: ci, node: v, size: size}, true
+}
+
 // place puts arriving task t by A_B's rule, in the slot find returned for
 // it.
 func (s *copyPlaced) place(slot int, t task.Task) tree.Node {

@@ -263,3 +263,58 @@ func BenchmarkRebalancePassContended(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(eng.RebalanceStats().Moves-warm)/float64(b.N), "moves/op")
 }
+
+// BenchmarkSubmitBursts measures ingest on bursts larger than a batch,
+// shaped like skew-rebalance's: one warm A_Rand N=64 tenant at BatchSize
+// 1024, with Submits alternating between that workload's floor burst of
+// 1152 events (1⅛ batches) and 5·1024+128. Each burst departs the
+// tenant's oldest live tasks and arrives as many new ones, so the stream
+// never ends and the tenant holds 512 tasks throughout. One op is one
+// Submit; events/s counts the events submitted.
+func BenchmarkSubmitBursts(b *testing.B) {
+	const (
+		batch = 1024
+		live  = 512
+	)
+	bursts := [2]int{batch + batch/8, 5*batch + batch/8}
+	eng := New(Config{Shards: 1, BatchSize: batch})
+	if err := eng.AddTenant("t", core.NewRandom(tree.MustNew(64), 1)); err != nil {
+		b.Fatal(err)
+	}
+	var (
+		ring   [live]task.Event // slot i holds the arrival it departs next
+		next   int
+		nextID task.ID
+	)
+	evs := make([]task.Event, 0, bursts[1])
+	// fill appends n events to evs: a departure of the task in the next
+	// ring slot, when it holds one, then an arrival into that slot.
+	fill := func(n int) {
+		for len(evs) < n {
+			slot := &ring[next%live]
+			if slot.Task != 0 {
+				evs = append(evs, task.Event{Kind: task.Depart, Task: slot.Task, Size: slot.Size})
+			}
+			nextID++
+			*slot = task.Event{Kind: task.Arrive, Task: nextID, Size: 1 << (nextID % 5)}
+			evs = append(evs, *slot)
+			next++
+		}
+	}
+	fill(live) // arrivals only: the ring fills up
+	if err := eng.Submit("t", evs...); err != nil {
+		b.Fatal(err)
+	}
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evs = evs[:0]
+		fill(bursts[i%2])
+		if err := eng.Submit("t", evs...); err != nil {
+			b.Fatal(err)
+		}
+		events += int64(len(evs))
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}

@@ -91,11 +91,12 @@ type Config struct {
 	// Shards is the number of lock stripes (default min(GOMAXPROCS, 8),
 	// at least 1). Placement decides which shard each tenant lands on.
 	Shards int
-	// BatchSize is the ingestion batch: Submit queues events per tenant
-	// and applies them whenever the queue reaches this size (default 256,
-	// and never above MaxQueue when a bound is set). Larger batches
-	// amortize loadtree maintenance further but delay load/latency
-	// samples, which are taken at batch boundaries.
+	// BatchSize is the ingestion batch: Submit applies a tenant's events
+	// in batches of this size (default 256, and never above MaxQueue when
+	// a bound is set), full batches straight from the caller's slice, and
+	// queues the remainder, under one batch, for a later Submit or Flush.
+	// Larger batches amortize loadtree maintenance further but delay
+	// load/latency samples, which are taken at batch boundaries.
 	BatchSize int
 	// Audit attaches an invariant.Checker to every tenant and applies
 	// events one at a time, so the checker sees each placement and
@@ -400,9 +401,11 @@ func (s *shard) queued() int {
 // events of submissions in flight against the stripe. Callers hold s.mu.
 func (s *shard) backlog() int { return s.queued() + int(s.inbound.Load()) }
 
-// noteQueued advances the shard's backlog peak. Callers hold s.mu.
-func (s *shard) noteQueued() {
-	s.peakQueued = max(s.peakQueued, s.backlog())
+// noteQueued advances the shard's backlog peak, counting pending events
+// that an ingest has taken but not yet queued or applied as resident.
+// Callers hold s.mu.
+func (s *shard) noteQueued(pending int) {
+	s.peakQueued = max(s.peakQueued, s.backlog()+pending)
 }
 
 // Engine ingests task events for many tenants concurrently. Methods are
@@ -638,7 +641,9 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 }
 
 // Submit queues events for a tenant, applying a batch whenever the queue
-// reaches Config.BatchSize. A returned apply error poisons the tenant.
+// reaches Config.BatchSize; full batches apply straight from evs, which
+// the engine neither keeps nor writes (see ingest). A returned apply
+// error poisons the tenant.
 // Under MaxQueue the overload policy decides what an over-bound
 // submission does: Block and Degrade admit it in bound-sized chunks
 // (applying batches in between, so the bound never overshoots), Shed
@@ -697,35 +702,57 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 }
 
 // ingest admits evs into the tenant's queue, at most MaxQueue at a time,
-// and applies every full batch.
+// and applies every full batch. Each event crosses ingest once: a
+// partial queue is topped up to one batch from evs, every further full
+// batch applies as a sub-slice of evs, and only the tail, under one
+// batch, is copied into the queue, so the queue holds less than a batch
+// between calls. evs is never kept or written. The ledgers count the
+// events taken from evs as queued until their batch applies, exactly as
+// if every one had been copied into the queue first: the audit's queue
+// bound, the shard's backlog peak and each batch's reported depth.
 func (e *Engine) ingest(t *tenant, evs []task.Event) error {
-	maxQ, trigger := e.cfg.MaxQueue, e.cfg.BatchSize
+	maxQ, bs := e.cfg.MaxQueue, e.cfg.BatchSize
 	for {
 		take := len(evs)
 		if maxQ > 0 {
-			if room := maxQ - len(t.queue); take > room {
-				take = room
-			}
+			take = min(take, maxQ-len(t.queue))
 		}
-		t.queue = append(t.queue, evs[:take]...)
+		in := evs[:take]
 		evs = evs[take:]
-		t.step.Checker().OnQueue(len(t.queue), maxQ)
+		t.step.Checker().OnQueue(len(t.queue)+len(in), maxQ)
 		// Sample the shard backlog at its pre-drain high-water mark.
-		e.shardAt(t.shardIdx).noteQueued()
-		buf := t.queue
-		for len(t.queue) >= trigger {
-			b := t.queue[:trigger]
-			t.queue = t.queue[trigger:]
-			if err := e.apply(t, b); err != nil {
+		e.shardAt(t.shardIdx).noteQueued(len(in))
+		// Drain the queue batch by batch, topping a partial one up from
+		// in. A queue thawed from an engine with a larger BatchSize can
+		// hold a batch or more before any top-up.
+		for len(t.queue) > 0 {
+			if q := len(t.queue); q < bs {
+				if q+len(in) < bs {
+					break
+				}
+				t.queue = append(t.queue, in[:bs-q]...)
+				in = in[bs-q:]
+			}
+			b := t.queue
+			if err := e.apply(t, b[:bs], len(b)-bs+len(in)); err != nil {
 				return err
 			}
-			t.step.Checker().OnQueue(len(t.queue), maxQ)
+			// Slide the rest to the front, so the queue keeps its array
+			// and the tail appends into it without allocating. No apply
+			// keeps its batch, and snapshots copy the queue.
+			t.queue = b[:copy(b, b[bs:])]
+			t.step.Checker().OnQueue(len(t.queue)+len(in), maxQ)
 		}
-		// Slide the leftover to the front of the buffer, so the next
-		// Submit appends into the capacity the drain freed instead of
-		// allocating a new array. No apply keeps its batch, and snapshots
-		// copy the queue.
-		t.queue = buf[:copy(buf, t.queue)]
+		// The queue is empty or holds a partial batch that in cannot
+		// fill, so the full batches left apply straight from in.
+		for len(in) >= bs {
+			if err := e.apply(t, in[:bs], len(in)-bs); err != nil {
+				return err
+			}
+			in = in[bs:]
+			t.step.Checker().OnQueue(len(in), maxQ)
+		}
+		t.queue = append(t.queue, in...)
 		if len(evs) == 0 {
 			e.cfg.Sink.QueueDepth(t.id, len(t.queue))
 			return nil
@@ -957,7 +984,7 @@ func (e *Engine) flushTenant(t *tenant) error {
 	}
 	b := t.queue
 	t.queue = b[:0]
-	return e.apply(t, b)
+	return e.apply(t, b, 0)
 }
 
 // poison marks the tenant failed, drops its queue, and arms the circuit
@@ -975,10 +1002,12 @@ func (e *Engine) poison(t *tenant, cause error) {
 
 // apply runs one batch through the allocator, interleaving scheduled
 // faults at their event indexes exactly as internal/sim does (faults with
-// At ≤ i fire immediately before event i of the tenant's stream). A panic
-// poisons the tenant and is returned as ErrTenantPoisoned wrapping the
-// recovered cause. Callers hold the shard lock.
-func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
+// At ≤ i fire immediately before event i of the tenant's stream). depth
+// is the tenant's queue depth left behind the batch, which the sink
+// reports with it. evs is read, never kept or written. A panic poisons
+// the tenant and is returned as ErrTenantPoisoned wrapping the recovered
+// cause. Callers hold the shard lock.
+func (e *Engine) apply(t *tenant, evs []task.Event, depth int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cause, ok := r.(error)
@@ -1018,7 +1047,7 @@ func (e *Engine) apply(t *tenant, evs []task.Event) (err error) {
 	load := t.step.ObserveLoad()
 	if e.cfg.Sink != nil {
 		e.cfg.Sink.BatchApplied(t.id, t.shardIdx, len(evs), ns, int64(load), int64(t.step.PeakLoad),
-			int64(t.step.LStar()), len(t.queue), t.step.MigHops, t.step.ForcedHops)
+			int64(t.step.LStar()), depth, t.step.MigHops, t.step.ForcedHops)
 	}
 	e.degradeStep(t, ns)
 	return nil

@@ -581,8 +581,8 @@ func (e *Engine) moveTenantLocal(id string, from, to int) (bool, error) {
 		return false, err
 	}
 	e.relocate(t, from, to)
-	src.noteQueued()
-	dst.noteQueued()
+	src.noteQueued(0)
+	dst.noteQueued(0)
 	e.cfg.Sink.RebalanceMove(id, from, to)
 	return true, nil
 }

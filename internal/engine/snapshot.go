@@ -360,7 +360,7 @@ func (e *Engine) readTail(id string, stop wal.Pos) (*tenantSnapshot, []task.Even
 // the same batch ledger.
 func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 	for off := 0; off < len(evs); off += e.cfg.BatchSize {
-		if err := e.apply(t, evs[off:min(off+e.cfg.BatchSize, len(evs))]); err != nil {
+		if err := e.apply(t, evs[off:min(off+e.cfg.BatchSize, len(evs))], len(t.queue)); err != nil {
 			return err
 		}
 	}

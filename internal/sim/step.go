@@ -129,7 +129,8 @@ func (s *Step) Fault(fe fault.Event) (moved int, hops int64) {
 func (s *Step) Arrive(t task.Task) tree.Node {
 	v := s.a.Arrive(t)
 	s.check.OnArrive(s.a, t, v)
-	s.grow(t.Size)
+	s.ActiveSize += int64(t.Size)
+	s.MaxActiveSize = max(s.MaxActiveSize, s.ActiveSize)
 	return v
 }
 
@@ -143,7 +144,12 @@ func (s *Step) Depart(id task.ID, size int) {
 // Apply applies a fault-free run of events. Under a checker it goes one
 // event at a time and samples the load after each, so the checker sees
 // every placement and PeakLoad every state. Otherwise the allocator's
-// BatchApplier, when it has one, amortizes the whole run.
+// BatchApplier, when it has one, amortizes the whole run, and the L*
+// ledger comes back from the allocator's own loop over the run: its net
+// size change and its highest running prefix. Only arrivals raise the
+// active size, so ActiveSize+peak is the exact maximum over every prefix
+// of the run, as the per-event path finds it. evs is read, never kept or
+// written.
 func (s *Step) Apply(evs []task.Event) {
 	if s.check != nil {
 		for _, e := range evs {
@@ -156,23 +162,14 @@ func (s *Step) Apply(evs []task.Event) {
 		}
 		return
 	}
+	var net, peak int64
 	if s.batch != nil {
-		s.batch.ApplyBatch(evs)
+		net, peak = s.batch.ApplyBatch(evs)
 	} else {
-		core.ApplyEvents(s.a, evs)
+		net, peak = core.ApplyEvents(s.a, evs)
 	}
-	for _, e := range evs {
-		if e.Kind == task.Arrive {
-			s.grow(e.Size)
-		} else {
-			s.ActiveSize -= int64(e.Size)
-		}
-	}
-}
-
-func (s *Step) grow(size int) {
-	s.ActiveSize += int64(size)
-	s.MaxActiveSize = max(s.MaxActiveSize, s.ActiveSize)
+	s.MaxActiveSize = max(s.MaxActiveSize, s.ActiveSize+peak)
+	s.ActiveSize += net
 }
 
 // ObserveLoad samples the allocator's maximum load into PeakLoad and

@@ -96,6 +96,7 @@ type Log struct {
 	opt       Options
 	f         *os.File
 	seg       int   // index of the open segment
+	low       int   // no live segment has a lower index (TruncateBefore)
 	size      int64 // bytes of acknowledged records in the open segment
 	sinceSync int
 	buf       []byte // frame scratch, reused across appends
@@ -143,7 +144,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := &Log{dir: dir, opt: opt}
+	l := &Log{dir: dir, opt: opt, low: 1}
 	if len(idx) == 0 {
 		if err := l.create(1); err != nil {
 			return nil, err
@@ -151,6 +152,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		opt.Sink.WALOpen()
 		return l, nil
 	}
+	l.low = idx[0]
 	last := idx[len(idx)-1]
 	valid, truncated, err := repair(filepath.Join(dir, segmentName(last)))
 	if err != nil {
@@ -316,13 +318,19 @@ func (l *Log) Seg() int { return l.seg }
 // leaves a contiguous suffix of segments — still a valid log, just less
 // compacted — and the directory is fsynced afterwards so the removals
 // are durable before the caller reports success. The open segment is
-// never deleted.
+// never deleted. The log remembers the lowest segment that can still
+// exist, so a bound at or below it returns without reading the
+// directory: after the first truncation, a compaction with nothing to
+// delete costs nothing.
 func (l *Log) TruncateBefore(seg int) error {
 	if l.closed {
 		return errors.New("wal: truncate on closed log")
 	}
 	if seg > l.seg {
 		seg = l.seg
+	}
+	if seg <= l.low {
+		return nil
 	}
 	idx, err := segments(l.dir)
 	if err != nil {
@@ -338,6 +346,7 @@ func (l *Log) TruncateBefore(seg int) error {
 		}
 		removed++
 	}
+	l.low = seg
 	if removed > 0 {
 		if d, err := os.Open(l.dir); err == nil {
 			_ = d.Sync()

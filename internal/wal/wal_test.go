@@ -516,3 +516,51 @@ func TestTruncateBeforeCrashPoints(t *testing.T) {
 		t.Errorf("TruncateBefore past the open segment left %v, want %v", got, segs[len(segs)-1:])
 	}
 }
+
+// TestTruncateBeforeNoopAllocatesNothing checks that the log remembers
+// its lowest live segment: after one truncation, repeating the same
+// bound, or a lower one, neither reads the directory nor deletes a
+// segment, so it allocates nothing.
+func TestTruncateBeforeNoopAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, rec := range testRecords(20) {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("got %d segments, want several", len(segs))
+	}
+	bound := segs[2]
+	if err := l.TruncateBefore(bound); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{bound, bound - 1, 0} {
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := l.TruncateBefore(b); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("TruncateBefore(%d) after TruncateBefore(%d) allocates %v times, want 0", b, bound, avg)
+		}
+	}
+	if got, _ := segments(dir); !reflect.DeepEqual(got, segs[2:]) {
+		t.Errorf("segments %v after the no-op truncations, want %v", got, segs[2:])
+	}
+	// A higher bound still truncates.
+	if err := l.TruncateBefore(segs[3]); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := segments(dir); !reflect.DeepEqual(got, segs[3:]) {
+		t.Errorf("TruncateBefore(%d) left segments %v, want %v", segs[3], got, segs[3:])
+	}
+}
