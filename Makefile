@@ -46,7 +46,11 @@ test-chaos:
 # snapshot is their genesis snapshot pinning it, recovered watermarks,
 # breaker probes rebuilt from genesis and cadence snapshots (also while
 # another shard compacts), a crash between a probe's rebuild record and
-# its healing snapshot, the crash points of segment truncation,
+# its healing snapshot, the crash points of segment truncation, the
+# background seal of a rotated segment (every crash state it can leave,
+# a corrupt sealed segment, a journal written before segment headers,
+# Sync and Close waiting for a blocked seal, a failed seal or directory
+# fsync sticking) and a headerless journal recovering,
 # MoveTenant (an audit ledger kept between audited engines; refusals of
 # an unaudited tenant into an audited engine and of a queue above
 # MaxQueue, which Recover refuses too; a thawed queue of several
@@ -54,7 +58,7 @@ test-chaos:
 # and the facade-level three-way recovery equivalence gate.
 test-snapshot:
 	go test -race -run 'TestSnapshot|TestRecoveryReadsOnlyTail|TestBreakerProbeRestoresFromSnapshot|TestBreakerRebuildsFromJournal|TestMoveTenant|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
-	go test -race -run 'TestTruncateBeforeCrashPoints' -count=1 ./internal/wal/
+	go test -race -run 'TestTruncateBefore|TestSeal|TestAppendRefusesSegmentHeader' -count=1 ./internal/wal/
 	go test -race -run 'TestSnapshotRecoveryEquivalence' -count=1 .
 
 # Placement suite under the race detector (docs/ENGINE.md, "Placement

@@ -103,8 +103,9 @@ type JournalSyncPolicy = wal.SyncPolicy
 // Journal sync policies for WithJournalSync; docs/ENGINE.md discusses
 // the durability trade-offs.
 const (
-	// JournalSyncNever leaves flushing to the OS: survives process
-	// crashes (SIGKILL included), not power loss. The default.
+	// JournalSyncNever issues no fsync on the append path: a process
+	// crash (SIGKILL included) loses nothing, power loss a suffix of the
+	// journal. The default.
 	JournalSyncNever = wal.SyncNever
 	// JournalSyncBatched fsyncs every few appends — bounded loss.
 	JournalSyncBatched = wal.SyncBatched

@@ -122,6 +122,66 @@ func TestSnapshotRecoverMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestSnapshotRecoverWithoutSegmentHeaders rewrites a rotated, compacted
+// journal the way builds before segment headers wrote one: each
+// segment's records framed with wal.AppendRecord and nothing else. Both
+// journals must recover to the live engine's CanonicalStats, with the
+// same recovery accounting.
+func TestSnapshotRecoverWithoutSegmentHeaders(t *testing.T) {
+	dir := t.TempDir()
+	wopt := wal.Options{SegmentBytes: 1 << 10}
+	log, err := wal.Open(dir, wopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Shards: 3, BatchSize: 16, Rebuild: testRebuild, SnapshotEvery: 2}
+	live := cfg
+	live.Journal = log
+	eng := New(live)
+	addSpecTenant(t, eng, TenantSpec{ID: "alpha", Algorithm: "basic", N: 16})
+	addSpecTenant(t, eng, TenantSpec{ID: "rand", Algorithm: "random", N: 32, Seed: 42, SeedSet: true})
+	addSpecTenant(t, eng, TenantSpec{ID: "lazy1", Algorithm: "lazy", N: 32, D: 1, DSet: true})
+	if err := eng.Submit("alpha", testStream(16, 300, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit("rand", testStream(32, 200, 7)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit("lazy1", testStream(32, 100, 3)...); err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Stats()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := walSegments(t, dir); len(segs) < 3 || segs[0] == 1 {
+		t.Fatalf("journal segments %v: want several, compacted", segs)
+	}
+
+	legacy := t.TempDir()
+	frames := make(map[int][]byte)
+	if err := wal.ReplayFrom(dir, 0, func(pos wal.Pos, rec wal.Record) error {
+		frames[pos.Seg] = wal.AppendRecord(frames[pos.Seg], rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for seg, data := range frames {
+		if err := os.WriteFile(filepath.Join(legacy, fmt.Sprintf("%08d.wal", seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, segs := len(frames), walSegments(t, dir); got != len(segs) {
+		t.Fatalf("rewrote %d segments of %d", got, len(segs))
+	}
+
+	withHeaders := assertRecovers(t, cfg, dir, wopt, want).RecoveryStats()
+	withoutHeaders := assertRecovers(t, cfg, legacy, wopt, want).RecoveryStats()
+	if withHeaders != withoutHeaders {
+		t.Errorf("recovery accounting differs without headers:\n  with:    %+v\n  without: %+v", withHeaders, withoutHeaders)
+	}
+}
+
 // TestRecoveryReadsOnlyTail pins the O(tail) claim to exact counts: with
 // a snapshot as the journal's last per-tenant record, recovery replays
 // zero records; two trailing submits later, it replays exactly those two.

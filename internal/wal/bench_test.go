@@ -8,7 +8,9 @@ import (
 
 // BenchmarkLogAppend measures one Log.Append of a TypeSubmit record
 // holding a 32-event burst, the record journal-ingest writes per call,
-// under each sync policy. Sealed segments are deleted as the log
+// under each sync policy at the default 4 MiB segments, and under
+// SyncNever at journal-ingest's 1 MiB segments, where a rotation and its
+// seal come every ~2,600 appends. Sealed segments are deleted as the log
 // rotates, as compaction would, so the log stays at two segments however
 // long the benchmark runs.
 func BenchmarkLogAppend(b *testing.B) {
@@ -21,9 +23,18 @@ func BenchmarkLogAppend(b *testing.B) {
 		evs[i] = task.Event{Kind: kind, Task: task.ID(1000 + i/2), Size: 1 << (i % 5), Time: float64(i) * 0.75}
 	}
 	rec := Record{Type: TypeSubmit, Tenant: "tenant-07", Data: AppendEvents(nil, evs)}
-	for _, sync := range []SyncPolicy{SyncNever, SyncBatched, SyncAlways} {
-		b.Run(sync.String(), func(b *testing.B) {
-			l, err := Open(b.TempDir(), Options{Sync: sync})
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"never", Options{Sync: SyncNever}},
+		{"batched", Options{Sync: SyncBatched}},
+		{"always", Options{Sync: SyncAlways}},
+		{"never-1MiB", Options{Sync: SyncNever, SegmentBytes: 1 << 20}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			l, err := Open(b.TempDir(), c.opt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -78,5 +78,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 				t.Fatal("accepted move payload is not canonical")
 			}
 		}
+		if prev, prevLen, err := decodeSegmentHeader(data); err == nil && (prev < 0 || prevLen < 0) {
+			t.Fatalf("segment header decoded to index %d, length %d", prev, prevLen)
+		}
 	})
 }

@@ -69,6 +69,13 @@ const (
 	TypeMove Type = 8
 )
 
+// typeSegmentHeader is the first frame of every segment a rotation
+// creates, internal to this package: Append refuses it and Replay never
+// passes it on. Its tenant is empty, and its payload is
+// uvarint(previous segment index) uvarint(previous segment length when
+// sealed), which Open compares with the predecessor it finds on disk.
+const typeSegmentHeader Type = 0xff
+
 // Record is one journal entry.
 type Record struct {
 	Type   Type
@@ -239,6 +246,27 @@ func DecodeMove(data []byte) (from, to int, err error) {
 		return 0, 0, fmt.Errorf("%w: move trailing bytes", ErrCorruptRecord)
 	}
 	return int(f), int(t), nil
+}
+
+// segmentHeader is the header frame's record for a segment whose
+// predecessor, segment prev, was sealed at prevLen bytes.
+func segmentHeader(prev int, prevLen int64) Record {
+	data := binary.AppendUvarint(nil, uint64(prev))
+	return Record{Type: typeSegmentHeader, Data: binary.AppendUvarint(data, uint64(prevLen))}
+}
+
+// decodeSegmentHeader decodes a header frame's payload.
+func decodeSegmentHeader(data []byte) (prev int, prevLen int64, err error) {
+	p, n := binary.Uvarint(data)
+	if n <= 0 || p > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("%w: segment header index", ErrCorruptRecord)
+	}
+	data = data[n:]
+	s, n := binary.Uvarint(data)
+	if n <= 0 || s > math.MaxInt64 || len(data[n:]) != 0 {
+		return 0, 0, fmt.Errorf("%w: segment header length", ErrCorruptRecord)
+	}
+	return int(p), int64(s), nil
 }
 
 // AppendRebuild appends a TypeRebuild payload: uvarint keep, uvarint drop

@@ -10,11 +10,13 @@ import (
 )
 
 // goldenFrames pins one frame per record type, byte for byte: every live
-// type, and the retired TypeApply, whose payload was a flush flag byte
-// before the events. The hex was produced by AppendRecord before it
-// learned to frame in place, so a passing test means journals written by
-// earlier builds still decode, and new frames are the ones those builds
-// wrote. Never regenerate these: a diff here is a wire-format change.
+// type, the retired TypeApply, whose payload was a flush flag byte
+// before the events, and the segment header that opens each rotated
+// segment. The hex was produced by AppendRecord before it learned to
+// frame in place (the header's when the header was introduced), so a
+// passing test means journals written by earlier builds still decode,
+// and new frames are the ones those builds wrote. Never regenerate
+// these: a diff here is a wire-format change.
 var goldenFrames = []struct {
 	name string
 	rec  Record
@@ -34,6 +36,8 @@ var goldenFrames = []struct {
 		"07000000b91b369307056d6f766572"},
 	{"move", Record{Type: TypeMove, Tenant: "mover", Data: AppendMove(nil, 2, 129)},
 		"0a000000611d050f08056d6f766572028101"},
+	{"segment-header", segmentHeader(7, 1048571),
+		"06000000d834593dff0007fbff3f"},
 }
 
 var goldenEvents = []task.Event{

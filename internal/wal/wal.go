@@ -6,19 +6,45 @@
 // journal is the source of truth, the in-memory allocators a cache.
 //
 // Layout: dir/00000001.wal, 00000002.wal, ... Each segment is a
-// concatenation of CRC-framed records (record.go); a segment is sealed
-// when it reaches SegmentBytes and a new one is created with an
-// fsync-of-directory barrier, so rotation is atomic. Appends go through
-// a single unbuffered write(2) per record: data reaches the kernel page
+// concatenation of CRC-framed records (record.go). Appends go through a
+// single unbuffered write(2) per record: data reaches the kernel page
 // cache immediately, which is what survives SIGKILL (a crashed *machine*
 // additionally needs SyncAlways or SyncBatched). Each frame is built in
 // place in one buffer the log reuses (AppendRecord), so an append copies
 // the payload once and, once warm, allocates nothing.
 //
-// A crash can tear the tail of the last segment mid-frame. Open repairs
-// this by scanning the last segment and truncating at the first invalid
-// frame; Replay independently tolerates a torn tail — but only in the
-// last segment, since an earlier segment ending mid-frame means real
+// Rotation leaves the append path. When the open segment reaches
+// SegmentBytes, Append creates the next segment, writes a header frame
+// into it that records the old segment's index and length, and hands the
+// old segment to a background seal: fsync, close, then fsync the
+// directory. At most one seal runs, because a rotation first waits for
+// the previous one, so only the segment just before the open one can be
+// unsealed. Sync and Close wait for a pending seal before their own
+// fsync, so a record that Sync acknowledges has every earlier segment
+// durable behind it. A failed seal sticks: the next Append, Sync,
+// TruncateBefore or Close returns it.
+//
+// A crash leaves a prefix of the appended records that holds every record
+// a Sync acknowledged. It can tear the last segment mid-frame and, when
+// it cuts a seal short, also the segment before it. Open repairs both,
+// reading the last segment's header to tell a cut-short seal from
+// corruption:
+//
+//   - the last segment has no intact first frame (it is empty, or its
+//     header is torn): it holds no records, so Open removes it and
+//     repairs its predecessor instead;
+//   - the header names a predecessor shorter than the length it records:
+//     the seal was cut short, and no Sync acknowledged a record after it.
+//     Open cuts the predecessor at its last whole frame, removes the last
+//     segment and reopens the predecessor;
+//   - otherwise (the predecessor has its full length or compaction
+//     removed it, or the segment has no header because an earlier build
+//     wrote it) Open truncates the last segment at its first invalid
+//     frame. It seals an existing predecessor again in the background,
+//     since a crashed process may have died before its seal finished.
+//
+// Replay independently tolerates a torn tail, but only in the last
+// segment: after Open, an earlier segment ending mid-frame is real
 // corruption, not a crash. A failed append leaves nothing behind: when
 // the write fails, Append cuts off whatever part of the frame reached the
 // file, and when the fsync its policy calls for fails, it cuts off the
@@ -30,6 +56,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,16 +64,23 @@ import (
 	"partalloc/internal/obs"
 )
 
-// SyncPolicy selects when Append calls fsync(2).
+// SyncPolicy selects when Append calls fsync(2). Under every policy a
+// crash leaves a prefix of the appended records (see the package doc),
+// and Append itself fsyncs only what its policy asks for: sealing a full
+// segment runs in the background.
 type SyncPolicy int
 
 const (
-	// SyncNever leaves flushing to the kernel (and Close). Survives
-	// process crashes (SIGKILL) but not machine crashes. The default.
+	// SyncNever leaves flushing to the kernel, the background seals and
+	// Close: Append issues no fsync. A process crash (SIGKILL) loses no
+	// acknowledged record; a machine crash can lose a suffix of them. The
+	// default.
 	SyncNever SyncPolicy = iota
-	// SyncBatched fsyncs every Options.SyncEvery appends.
+	// SyncBatched fsyncs every Options.SyncEvery appends, so a machine
+	// crash loses at most the records since the last fsync.
 	SyncBatched
-	// SyncAlways fsyncs after every append — full durability, slowest.
+	// SyncAlways fsyncs after every append: Append returns once its record
+	// and every segment before it are durable. Full durability, slowest.
 	SyncAlways
 )
 
@@ -88,25 +122,40 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Log is an append-only segmented journal. Methods are safe for use by
-// one goroutine at a time; the engine serializes appends per shard and
-// adds its own lock around the log.
+// Log is an append-only segmented journal. Its methods are for one
+// goroutine at a time: the engine holds one engine-wide lock (jmu) around
+// every call. The only goroutine the log starts itself is a segment's
+// background seal, which touches nothing but the sealed file, the
+// directory and its own result.
 type Log struct {
 	dir       string
 	opt       Options
 	f         *os.File
 	seg       int   // index of the open segment
-	low       int   // no live segment has a lower index (TruncateBefore)
-	size      int64 // bytes of acknowledged records in the open segment
+	low       int   // lowest live segment; segments low..seg all exist
+	size      int64 // bytes of the open segment up to its last acknowledged record
+	head      int64 // bytes of the open segment's header frame, 0 if it has none
 	sinceSync int
 	buf       []byte // frame scratch, reused across appends
 	closed    bool
-	// err is a failed append whose torn bytes could not be cut off; it
-	// fails every later Append.
+	// sealing is the background seal of the segment before the open one,
+	// nil once it has succeeded. A failed seal stays, so Close can still
+	// return its error.
+	sealing *seal
+	// err is a failed seal, or a failed append whose torn bytes could not
+	// be cut off. It fails every later Append, Sync and TruncateBefore.
 	err error
 }
 
-// fsync is the call Sync makes; tests replace it to make fsync fail.
+// A seal makes a finished segment durable off the append path. err is
+// set before done closes.
+type seal struct {
+	done chan struct{}
+	err  error
+}
+
+// fsync is the call every fsync of a segment or of the directory goes
+// through; tests replace it to make fsync fail or block.
 var fsync = (*os.File).Sync
 
 // ErrStop is returned by a Replay callback to end the scan early with a
@@ -114,6 +163,8 @@ var fsync = (*os.File).Sync
 var ErrStop = errors.New("wal: stop replay")
 
 func segmentName(i int) string { return fmt.Sprintf("%08d.wal", i) }
+
+func (l *Log) path(i int) string { return filepath.Join(l.dir, segmentName(i)) }
 
 // segments lists dir's segment files in index order.
 func segments(dir string) ([]int, error) {
@@ -132,9 +183,59 @@ func segments(dir string) ([]int, error) {
 	return idx, nil
 }
 
-// Open opens (creating if needed) the journal in dir and repairs a torn
-// tail left by a crash: the last segment is scanned frame by frame and
-// truncated at the first invalid one.
+// createSegment creates segment file path for appending. Like a reopened
+// segment, it is written in append mode, so cutting a torn frame off
+// (Append) also moves the next write back to the cut.
+func createSegment(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+}
+
+// syncFile fsyncs f through hook and reports the latency to sink.
+func syncFile(hook func(*os.File) error, f *os.File, sink *obs.Sink) error {
+	start := sink.Now()
+	if err := hook(f); err != nil {
+		return err
+	}
+	sink.WALFsync(sink.Now() - start)
+	return nil
+}
+
+// syncDir fsyncs directory dir, making the segment names in it durable.
+func syncDir(hook func(*os.File) error, dir string, sink *obs.Sink) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: sync directory: %w", err)
+	}
+	err = syncFile(hook, d, sink)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: sync directory: %w", err)
+	}
+	return nil
+}
+
+// sealFile makes a finished segment durable: fsync f, close it, then
+// fsync the directory, which makes the name of the segment after it
+// durable too.
+func sealFile(hook func(*os.File) error, f *os.File, dir string, sink *obs.Sink) error {
+	err := syncFile(hook, f, sink)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = syncDir(hook, dir, sink)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: seal %s: %w", filepath.Base(f.Name()), err)
+	}
+	return nil
+}
+
+// Open opens (creating if needed) the journal in dir and repairs what a
+// crash left, as the package doc sets out: a torn tail in the last
+// segment, and a seal the crash cut short in the segment before it.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -146,77 +247,119 @@ func Open(dir string, opt Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opt: opt, low: 1}
 	if len(idx) == 0 {
-		if err := l.create(1); err != nil {
+		// The first segment has no predecessor to seal, so its name is
+		// made durable here.
+		f, err := createSegment(l.path(1))
+		if err != nil {
+			return nil, fmt.Errorf("wal: open: %w", err)
+		}
+		if err := syncDir(fsync, dir, opt.Sink); err != nil {
+			f.Close()
 			return nil, err
 		}
+		l.f, l.seg = f, 1
 		opt.Sink.WALOpen()
 		return l, nil
 	}
 	l.low = idx[0]
-	last := idx[len(idx)-1]
-	valid, truncated, err := repair(filepath.Join(dir, segmentName(last)))
-	if err != nil {
+	if err := l.openTail(idx[len(idx)-1]); err != nil {
+		_ = l.settle(true) // wait for a seal openTail started; err says what failed
 		return nil, err
 	}
-	if truncated > 0 {
-		opt.Sink.WALRepair(truncated)
-	}
-	if valid >= opt.SegmentBytes {
-		if err := l.create(last + 1); err != nil {
+	if l.size > l.head && l.size >= opt.SegmentBytes {
+		if err := l.rotate(); err != nil {
+			l.f.Close()
 			return nil, err
 		}
-		opt.Sink.WALOpen()
-		return l, nil
 	}
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open: %w", err)
-	}
-	l.f, l.seg, l.size = f, last, valid
 	opt.Sink.WALOpen()
 	return l, nil
 }
 
-// repair truncates path at the first invalid frame and returns the valid
-// length plus the number of bytes cut. A fully valid segment is left
-// untouched.
-func repair(path string) (valid, truncated int64, err error) {
-	data, err := os.ReadFile(path)
+// openTail makes segment last, or its predecessor when the package doc's
+// rules drop last, the open segment: it truncates that segment at its
+// first invalid frame and opens it for appending.
+func (l *Log) openTail(last int) error {
+	data, err := os.ReadFile(l.path(last))
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: repair: %w", err)
+		return fmt.Errorf("wal: open: %w", err)
 	}
-	for off := 0; off < len(data); {
+	first, _, ferr := DecodeRecord(data)
+	drop := ferr != nil && last > l.low // no intact first frame, so no records
+	if ferr == nil && first.Type == typeSegmentHeader {
+		prev, prevLen, err := decodeSegmentHeader(first.Data)
+		if err == nil && prev != last-1 {
+			err = fmt.Errorf("%w: header names segment %d", ErrCorruptRecord, prev)
+		}
+		if err != nil {
+			return fmt.Errorf("wal: open: segment %s: %w", segmentName(last), err)
+		}
+		fi, err := os.Stat(l.path(prev))
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// Compaction removed the predecessor: nothing to seal.
+		case err != nil:
+			return fmt.Errorf("wal: open: %w", err)
+		case fi.Size() < prevLen:
+			drop = true // the crash cut the predecessor's seal short
+		default:
+			// A crashed process may have died before its seal finished.
+			f, err := os.Open(l.path(prev))
+			if err != nil {
+				return fmt.Errorf("wal: open: %w", err)
+			}
+			l.startSeal(f)
+		}
+	}
+	var cut int64
+	if drop {
+		// The removal is made durable before the predecessor takes
+		// appends: were it lost, a later crash could bring the dropped
+		// records back behind the new ones.
+		if err := os.Remove(l.path(last)); err != nil {
+			return fmt.Errorf("wal: repair: %w", err)
+		}
+		if err := syncDir(fsync, l.dir, l.opt.Sink); err != nil {
+			return err
+		}
+		cut, last = int64(len(data)), last-1
+		if data, err = os.ReadFile(l.path(last)); err != nil {
+			return fmt.Errorf("wal: repair: %w", err)
+		}
+	}
+	valid := validPrefix(data)
+	if valid < int64(len(data)) {
+		if err := os.Truncate(l.path(last), valid); err != nil {
+			return fmt.Errorf("wal: repair: %w", err)
+		}
+		cut += int64(len(data)) - valid
+	}
+	if cut > 0 {
+		l.opt.Sink.WALRepair(cut)
+	}
+	f, err := os.OpenFile(l.path(last), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: open: %w", err)
+	}
+	l.f, l.seg, l.size = f, last, valid
+	if rec, n, err := DecodeRecord(data[:valid]); err == nil && rec.Type == typeSegmentHeader {
+		l.head = int64(n)
+	}
+	return nil
+}
+
+// validPrefix returns the length of data's longest prefix of whole,
+// valid frames.
+func validPrefix(data []byte) int64 {
+	off := 0
+	for off < len(data) {
 		_, n, err := DecodeRecord(data[off:])
 		if err != nil {
 			break
 		}
 		off += n
-		valid = int64(off)
 	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return 0, 0, fmt.Errorf("wal: repair: %w", err)
-		}
-		truncated = int64(len(data)) - valid
-	}
-	return valid, truncated, nil
-}
-
-// create starts segment i and fsyncs the directory so the new file name
-// itself is durable (atomic rotation). Like a reopened segment, it is
-// written in append mode, so cutting a torn frame off (Append) also
-// moves the next write back to the cut.
-func (l *Log) create(i int) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(i)), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create segment: %w", err)
-	}
-	if d, err := os.Open(l.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	l.f, l.seg, l.size = f, i, 0
-	return nil
+	return int64(off)
 }
 
 // Append frames rec in place in the log's reused buffer and writes it
@@ -234,11 +377,14 @@ func (l *Log) Append(rec Record) error {
 	if l.closed {
 		return errors.New("wal: append on closed log")
 	}
-	if l.err != nil {
-		return l.err
+	if rec.Type == typeSegmentHeader {
+		return fmt.Errorf("wal: append: record type %d is reserved", rec.Type)
+	}
+	if err := l.settle(false); err != nil {
+		return err
 	}
 	l.buf = AppendRecord(l.buf[:0], rec)
-	if l.size > 0 && l.size+int64(len(l.buf)) > l.opt.SegmentBytes {
+	if l.size > l.head && l.size+int64(len(l.buf)) > l.opt.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
@@ -272,31 +418,82 @@ func (l *Log) cut(err error) error {
 	return err
 }
 
-// rotate seals the open segment (fsync + close) and creates the next.
+// rotate makes the next segment the open one. It waits for the previous
+// seal, creates the segment, writes its header frame (the old segment's
+// index and length, for Open) and starts the old segment's seal, which
+// is the only work that leaves the caller.
 func (l *Log) rotate() error {
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: rotate: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: rotate: %w", err)
-	}
-	if err := l.create(l.seg + 1); err != nil {
+	if err := l.settle(true); err != nil {
 		return err
 	}
+	next := l.path(l.seg + 1)
+	f, err := createSegment(next)
+	if err != nil {
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	hdr := AppendRecord(nil, segmentHeader(l.seg, l.size))
+	if _, err := f.Write(hdr); err != nil {
+		// Remove the new segment so the next rotation can create it again.
+		f.Close()
+		os.Remove(next)
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	l.startSeal(l.f)
+	l.f, l.seg, l.size, l.head = f, l.seg+1, int64(len(hdr)), int64(len(hdr))
 	l.opt.Sink.WALRotate(int64(l.seg))
 	return nil
 }
 
-// Sync fsyncs the open segment. Under SyncBatched the next batch counts
-// from a successful Sync, so after a failed one the next append syncs
-// again.
+// startSeal seals f in a new goroutine, which touches only f, the
+// directory and the seal's own fields. Sync, Close and the next rotation
+// wait for it.
+func (l *Log) startSeal(f *os.File) {
+	s := &seal{done: make(chan struct{})}
+	hook, dir, sink := fsync, l.dir, l.opt.Sink
+	go func() {
+		defer close(s.done)
+		s.err = sealFile(hook, f, dir, sink)
+	}()
+	l.sealing = s
+}
+
+// settle collects the pending seal: it waits for it if wait is set, and
+// otherwise collects it only if it has finished. A seal that succeeded is
+// forgotten; one that failed sticks in l.err. It returns l.err.
+func (l *Log) settle(wait bool) error {
+	s := l.sealing
+	if s == nil {
+		return l.err
+	}
+	if wait {
+		<-s.done
+	} else {
+		select {
+		case <-s.done:
+		default:
+			return l.err
+		}
+	}
+	if s.err == nil {
+		l.sealing = nil
+	} else if l.err == nil {
+		l.err = s.err
+	}
+	return l.err
+}
+
+// Sync waits for a pending seal, then fsyncs the open segment, so every
+// record appended so far is durable when it returns nil. Under
+// SyncBatched the next batch counts from a successful Sync, so after a
+// failed one the next append syncs again.
 func (l *Log) Sync() error {
-	start := l.opt.Sink.Now()
-	if err := fsync(l.f); err != nil {
+	if err := l.settle(true); err != nil {
+		return err
+	}
+	if err := syncFile(fsync, l.f, l.opt.Sink); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	l.sinceSync = 0
-	l.opt.Sink.WALFsync(l.opt.Sink.Now() - start)
 	return nil
 }
 
@@ -314,60 +511,67 @@ func (l *Log) Seg() int { return l.seg }
 // snapshot lives in segment ≥ seg, all older segments contain only
 // history the snapshots already summarize.
 //
-// Deletion runs in ascending index order, so a crash mid-truncation
-// leaves a contiguous suffix of segments — still a valid log, just less
-// compacted — and the directory is fsynced afterwards so the removals
-// are durable before the caller reports success. The open segment is
-// never deleted. The log remembers the lowest segment that can still
-// exist, so a bound at or below it returns without reading the
-// directory: after the first truncation, a compaction with nothing to
-// delete costs nothing.
+// Segments are removed by index, from the lowest live one up: rotation
+// and ascending removal keep the live segments contiguous, so no listing
+// of the directory is needed, and a crash mid-truncation leaves a
+// contiguous suffix of segments — still a valid log, just less compacted.
+// A segment already gone counts as removed. The directory is fsynced
+// afterwards, so the removals are durable when it returns nil. The open
+// segment is never deleted, and the segment still sealing may be: its
+// fsync does not need the name. A bound at or below the lowest live
+// segment returns at once: after the first truncation, a compaction with
+// nothing to delete costs nothing.
 func (l *Log) TruncateBefore(seg int) error {
 	if l.closed {
 		return errors.New("wal: truncate on closed log")
 	}
+	if err := l.settle(false); err != nil {
+		return err
+	}
 	if seg > l.seg {
 		seg = l.seg
 	}
-	if seg <= l.low {
-		return nil
-	}
-	idx, err := segments(l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
 	removed := 0
-	for _, i := range idx {
-		if i >= seg {
-			break
+	for ; l.low < seg; l.low++ {
+		err := os.Remove(l.path(l.low))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
 		}
-		if err := os.Remove(filepath.Join(l.dir, segmentName(i))); err != nil {
+		if err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
 		removed++
 	}
-	l.low = seg
-	if removed > 0 {
-		if d, err := os.Open(l.dir); err == nil {
-			_ = d.Sync()
-			_ = d.Close()
-		}
-		l.opt.Sink.WALTruncate(int64(removed))
+	if removed == 0 {
+		return nil
+	}
+	l.opt.Sink.WALTruncate(int64(removed))
+	if err := syncDir(fsync, l.dir, l.opt.Sink); err != nil {
+		return fmt.Errorf("wal: truncate: %w", err)
 	}
 	return nil
 }
 
-// Close syncs and closes the open segment. The log cannot be reused.
+// Close waits for a pending seal, then syncs and closes the open segment.
+// It returns a failed seal's error before its own. The log cannot be
+// reused.
 func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
 	l.closed = true
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("wal: close: %w", err)
+	_ = l.settle(true) // a failed seal is returned below; l.err fails no Close
+	err := syncFile(fsync, l.f, l.opt.Sink)
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return l.f.Close()
+	if err != nil {
+		err = fmt.Errorf("wal: close: %w", err)
+	}
+	if l.sealing != nil {
+		return errors.Join(l.sealing.err, err)
+	}
+	return err
 }
 
 // Pos locates a record by the segment it lives in and its index among
@@ -417,7 +621,7 @@ func ReplayFrom(dir string, from int, fn func(pos Pos, rec Record) error) error 
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
-		for off, n := 0, 0; off < len(data); n++ {
+		for off, n := 0, 0; off < len(data); {
 			rec, size, err := DecodeRecord(data[off:])
 			if err != nil {
 				if last {
@@ -425,13 +629,17 @@ func ReplayFrom(dir string, from int, fn func(pos Pos, rec Record) error) error 
 				}
 				return fmt.Errorf("wal: replay: segment %s offset %d: %w", segmentName(seg), off, err)
 			}
+			off += size
+			if rec.Type == typeSegmentHeader {
+				continue // the segment's header, not a record
+			}
 			if err := fn(Pos{Seg: seg, Idx: n}, rec); err != nil {
 				if errors.Is(err, ErrStop) {
 					return nil
 				}
 				return err
 			}
-			off += size
+			n++
 		}
 	}
 	return nil
