@@ -68,7 +68,7 @@ test-snapshot:
 # larger load and a levelled fleet plans nothing; seeded property
 # cases), its fewest-tenants rule for new tenants, the pass cadence
 # counted from a forced pass's start and from a due pass's due point, a
-# pass that moves nothing completing while a stripe lock is held, the
+# pass that moves nothing completing while a tenant's lock is held, the
 # load meters read by passes while tenants apply, poison and heal (ten
 # times over), a pass falling due inside Replay, a
 # breaker heal keeping the load estimate, the MoveTenant routing
@@ -78,10 +78,13 @@ test-snapshot:
 # Tenants and Stats listing each tenant once while
 # tenants move, the skew gate (balanced hot-shard peak backlog strictly
 # below hash on a seeded zipf fleet at 8 shards, routes recovered
-# exactly at 6 and 8), and the SIGKILL mid-rebalance crash test that
-# gates recovery on routing-table consistency.
+# exactly at 6 and 8), the SIGKILL mid-rebalance crash test that
+# gates recovery on routing-table consistency, a tenant's calls and a
+# pass moving it completing while a stripe-mate's apply is parked (the
+# lock per tenant), and the stripe ledgers summing their tenants after
+# a concurrent run of every call that moves them.
 test-placement:
-	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestRebalanceCadenceCountsFromPassStart|TestRebalanceCadenceCountsFromDuePoint|TestRebalancePassMeasuresWithoutStripeLocks|TestReplayRunsDuePass|TestBreakerHealKeepsLoadEstimate|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestListingsSeeEachTenantOnce|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestRebalanceCadenceCountsFromPassStart|TestRebalanceCadenceCountsFromDuePoint|TestRebalancePassMeasuresWithoutStripeLocks|TestReplayRunsDuePass|TestBreakerHealKeepsLoadEstimate|TestMoveTenantRoutesThroughPlacer|TestMoveTenantLocalRelocates|TestDegradeClimbsAndRestores|TestConcurrentSubmitDuringRebalance|TestListingsSeeEachTenantOnce|TestBalancedPlacementBeatsHashOnSkew|TestSIGKILLRebalanceRecovery|TestTenantLockIsolatesStripeMates|TestStripeLedgersUnderConcurrency' -count=1 ./internal/engine/
 	go test -race -run 'TestRebalanceMeterDuringHeals' -count=10 ./internal/engine/
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
@@ -96,7 +99,7 @@ obs-smoke:
 # //lint:ignore directives are counted: each one argues a lock rule in
 # prose instead of having it checked, so the count may fall but must not
 # rise above LINT_IGNORE_MAX (ROADMAP item 9).
-LINT_IGNORE_MAX := 9
+LINT_IGNORE_MAX := 8
 
 lint:
 	go run ./cmd/partlint ./...
@@ -114,7 +117,8 @@ lint-json:
 	go run ./cmd/partlint -json ./... > partlint.json
 
 # Micro-benchmarks (batched vs serial apply, engine replay vs serial
-# Simulate, journaled Submit, Submit bursts of several batches, the
+# Simulate, journaled Submit, two submitters on tenants of one stripe,
+# Submit bursts of several batches, the
 # balanced placer's rebalance plan and passes with and without a
 # concurrent submitter, WAL append per sync policy, load-tree updates,
 # searches and deferred batches, copy placement, histogram

@@ -88,8 +88,8 @@ const (
 )
 
 // EngineShardStats is a point-in-time load snapshot for one shard:
-// resident tenants, queued events, the high-water queue depth, and
-// cumulative applied events and apply time (Engine.ShardStats).
+// resident tenants, their queued events, the high-water backlog, and
+// their applied events and apply time (Engine.ShardStats).
 type EngineShardStats = engine.ShardStats
 
 // RebalanceStats aggregates the engine's placement rebalancing:
@@ -160,9 +160,11 @@ func (o *engineOptions) fail(err error) {
 // and the observability layer (metrics, flight recorder).
 type EngineOption func(*engineOptions)
 
-// WithShards sets the number of lock stripes tenants are partitioned
-// across (default min(GOMAXPROCS, 8); at least 1). WithPlacement decides
-// which shard each tenant lands on.
+// WithShards sets the number of stripes that tenants are grouped into
+// (default min(GOMAXPROCS, 8); at least 1). WithPlacement decides which
+// shard each tenant lands on, and ShardStats sums each shard's tenants.
+// Every tenant has its own lock, so the count does not bound how many
+// tenants ingest at once.
 func WithShards(n int) EngineOption {
 	return func(o *engineOptions) {
 		if n < 1 {
@@ -447,9 +449,10 @@ func (o *engineOptions) finish() error {
 }
 
 // Engine multiplexes many independent tenant machines behind one
-// concurrent ingestion API: the WithPlacement policy spreads tenants
-// across lock-striped shards, events are applied in batches through the
-// allocators' batch fast path, and Replay fans out one worker per shard.
+// concurrent ingestion API: each tenant has its own lock, the
+// WithPlacement policy groups tenants into shards, events are applied in
+// batches through the allocators' batch fast path, and Replay fans out
+// one worker per shard.
 // Allocator panics (capacity exhaustion under faults, stream misuse) are
 // converted into returned errors that poison the offending tenant and
 // leave the rest of the fleet running. With WithMaxQueue the ingestion

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"partalloc/internal/core"
@@ -85,59 +87,122 @@ func BenchmarkSerialSimulate(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkSubmitJournaled measures journaled Submit calls shaped like
-// perfbench's journal-ingest workload: 16 A_Rand tenants on N=1024 over
-// 4 shards, batch 256, 32-event bursts visited round-robin, SyncNever,
-// a snapshot every 16 batches and 1 MiB segments, so compaction keeps
-// the journal bounded. Each tenant's burst departs its 16 oldest live
-// tasks and arrives 16 new ones, so the stream never ends and, once
-// warm, every burst holds 32 events. One op is one Submit.
-func BenchmarkSubmitJournaled(b *testing.B) {
-	const (
-		tenants = 16
-		burst   = 32
-		live    = 256 // live tasks per tenant once warm
-	)
+// burstStream is one tenant's endless stream of journal-ingest shaped
+// bursts: each burst departs the tenant's oldest live tasks and arrives
+// as many new ones, so once warm it holds burstLive tasks and every
+// burst holds 2·(burst/2) events. Task IDs cycle through 1..burstIDs,
+// four times the live set, so an ID is long departed when it returns,
+// and records and snapshots keep one size however long a run lasts.
+type burstStream struct {
+	id     string
+	ring   [burstLive]task.Event // slot i holds the arrival it departs next
+	next   int
+	nextID task.ID
+}
+
+const (
+	burstLive = 256 // live tasks per tenant once warm
+	burstIDs  = 4 * burstLive
+)
+
+// fill returns evs refilled with the stream's next burst of n events.
+func (s *burstStream) fill(evs []task.Event, n int) []task.Event {
+	evs = evs[:0]
+	for range n / 2 {
+		slot := &s.ring[s.next%burstLive]
+		if slot.Task != 0 {
+			evs = append(evs, task.Event{Kind: task.Depart, Task: slot.Task, Size: slot.Size, Time: float64(s.next)})
+		}
+		s.nextID = s.nextID%burstIDs + 1
+		*slot = task.Event{Kind: task.Arrive, Task: s.nextID, Size: 1 << (s.nextID % 5), Time: float64(s.next)}
+		evs = append(evs, *slot)
+		s.next++
+	}
+	return evs
+}
+
+// journaledBurstEngine builds a journaled engine shaped like perfbench's
+// journal-ingest workload on shards stripes — A_Rand tenants on N=1024,
+// batch 256, SyncNever, a snapshot every 16 batches and 1 MiB segments,
+// so compaction keeps the journal bounded — with one burst stream per
+// tenant.
+func journaledBurstEngine(b *testing.B, shards, tenants int) (*Engine, []burstStream) {
 	log, err := wal.Open(b.TempDir(), wal.Options{Sync: wal.SyncNever, SegmentBytes: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer log.Close()
-	eng := New(Config{Shards: 4, BatchSize: 256, SnapshotEvery: 16, Journal: log, Rebuild: testRebuild})
-	type stream struct {
-		id     string
-		ring   [live]task.Event // slot i holds the arrival it departs next
-		next   int
-		nextID task.ID
-	}
-	streams := make([]stream, tenants)
+	b.Cleanup(func() { log.Close() })
+	eng := New(Config{Shards: shards, BatchSize: 256, SnapshotEvery: 16, Journal: log, Rebuild: testRebuild})
+	streams := make([]burstStream, tenants)
 	for i := range streams {
 		streams[i].id = fmt.Sprintf("tenant-%02d", i)
 		addSpecTenant(b, eng, TenantSpec{ID: streams[i].id, Algorithm: "random", N: 1024, Seed: int64(i + 1), SeedSet: true})
 	}
+	return eng, streams
+}
+
+// BenchmarkSubmitJournaled measures journaled Submit calls shaped like
+// perfbench's journal-ingest workload: 16 tenants over 4 shards
+// (journaledBurstEngine), 32-event bursts visited round-robin. One op
+// is one Submit. Task IDs recycle (burstStream), so B/op does not grow
+// with b.N.
+func BenchmarkSubmitJournaled(b *testing.B) {
+	const tenants, burst = 16, 32
+	eng, streams := journaledBurstEngine(b, 4, tenants)
 	evs := make([]task.Event, 0, burst)
 	var events int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := &streams[i%tenants]
-		evs = evs[:0]
-		for range burst / 2 {
-			slot := &s.ring[s.next%live]
-			if slot.Task != 0 {
-				evs = append(evs, task.Event{Kind: task.Depart, Task: slot.Task, Size: slot.Size, Time: float64(s.next)})
-			}
-			s.nextID++
-			*slot = task.Event{Kind: task.Arrive, Task: s.nextID, Size: 1 << (s.nextID % 5), Time: float64(s.next)}
-			evs = append(evs, *slot)
-			s.next++
-		}
+		evs = s.fill(evs, burst)
 		if err := eng.Submit(s.id, evs...); err != nil {
 			b.Fatal(err)
 		}
 		events += int64(len(evs))
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSubmitSharedStripe measures two goroutines submitting
+// journaled 32-event bursts, each to its own tenant, where both tenants
+// share the one stripe (journaledBurstEngine with one shard). The two
+// share the journal's lock and nothing else: each Submit holds its own
+// tenant's lock, so neither waits out the other's apply or snapshot.
+// One op is one Submit; the goroutines split b.N between them.
+func BenchmarkSubmitSharedStripe(b *testing.B) {
+	const burst = 32
+	eng, streams := journaledBurstEngine(b, 1, 2)
+	// Each submitter sends its error, or nil, once it is done.
+	done := make(chan error, len(streams))
+	var events atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := range streams {
+		go func(s *burstStream, ops int) {
+			evs := make([]task.Event, 0, burst)
+			n := 0
+			var err error
+			for range ops {
+				evs = s.fill(evs, burst)
+				if err = eng.Submit(s.id, evs...); err != nil {
+					break
+				}
+				n += len(evs)
+			}
+			events.Add(int64(n))
+			done <- err
+		}(&streams[g], (b.N+1-g)/2)
+	}
+	var err error
+	for range streams {
+		err = errors.Join(err, <-done)
+	}
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(events.Load())/b.Elapsed().Seconds(), "events/s")
 }
 
 // benchMoves keeps BenchmarkBalancedPlan's plans live.
@@ -195,7 +260,7 @@ func BenchmarkRebalancePass(b *testing.B) {
 	warm := eng.RebalanceStats().Moves
 	est := make(map[*loadMeter]float64)
 	for _, rt := range eng.routing.routes {
-		est[rt.meter] = rt.meter.est
+		est[rt.t.meter] = rt.t.meter.est
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -219,9 +284,9 @@ func BenchmarkRebalancePass(b *testing.B) {
 // tenants in turn, one batch per Submit, as skew-rebalance's second
 // client does. Each batch arrives and departs 512 fresh size-1 tasks,
 // so every stripe keeps applying while the live task set holds still.
-// A pass that waited for each stripe lock in turn would queue behind
-// those applies. moves/op counts the passes that had to lock stripes to
-// move a tenant: back-to-back passes each fold about one batch, so the
+// A pass that waited for each tenant's lock in turn would queue behind
+// those applies. moves/op counts the passes that had to lock a tenant
+// to move it: back-to-back passes each fold about one batch, so the
 // tenant just fed looks heavy and is often moved.
 func BenchmarkRebalancePassContended(b *testing.B) {
 	eng := convergedSkew(b)

@@ -261,8 +261,8 @@ func runChaos(t *testing.T, seed int64, rounds int, balanced bool) {
 		}
 
 		// Concurrent ingestion wave: one goroutine per tenant, so the
-		// shard locking runs under real contention (and the race
-		// detector, via make test-chaos).
+		// tenant locks, the journal lock and the stripe ledgers run under
+		// real contention (and the race detector, via make test-chaos).
 		errsCh := make(chan error, len(specs))
 		var wg sync.WaitGroup
 		for i, spec := range specs {

@@ -7,14 +7,17 @@
 //     core.BatchApplier when the allocator supports it, amortizing the
 //     loadtree's aggregate maintenance over whole batches instead of
 //     paying O(log² N) per event;
-//   - sharding: tenants are spread across lock-striped shards by the
-//     configured placement policy (placement.go), so ingestion for
-//     tenants on different shards never contends, and Replay fans out
-//     one worker per shard via parallel.RunCells.
+//   - a lock per tenant: each tenant's own mutex serializes everything
+//     done to it, so ingestion for different tenants never waits on
+//     one another, and Replay fans out one worker per shard via
+//     parallel.RunCells. Shards are groups of tenants that the placement
+//     policy (placement.go) assigns and ShardStats reports; they lock
+//     nothing.
 //
-// Within a shard, application is serialized by the shard mutex — the
-// allocators themselves are not safe for concurrent use, and per-shard
-// serialization is exactly the isolation they need.
+// A tenant's application is serialized by its mutex — the allocators
+// themselves are not safe for concurrent use, and one machine's events
+// applied in order is exactly the isolation they need. The lock order is
+// rebalMu → tenant → jmu (docs/ENGINE.md).
 //
 // Allocator misuse surfaces as panics carrying typed sentinel errors
 // (internal/errs). The engine converts such panics into returned errors
@@ -88,8 +91,11 @@ var (
 
 // Config parameterizes an Engine. The zero value selects the defaults.
 type Config struct {
-	// Shards is the number of lock stripes (default min(GOMAXPROCS, 8),
-	// at least 1). Placement decides which shard each tenant lands on.
+	// Shards is the number of stripes that placement groups tenants
+	// into (default min(GOMAXPROCS, 8), at least 1). Placement decides
+	// which stripe each tenant lands on, and ShardStats sums each
+	// stripe's tenants. Every tenant has its own lock, so the count does
+	// not bound how many tenants ingest at once.
 	Shards int
 	// BatchSize is the ingestion batch: Submit applies a tenant's events
 	// in batches of this size (default 256, and never above MaxQueue when
@@ -306,9 +312,36 @@ type DegradeTransition struct {
 	Cause string
 }
 
-// tenant is one machine's worth of state, owned by its shard.
+// tenant is one registered machine: its lock, what stays with it for
+// its whole stay in the engine, and its state, which a breaker heal
+// replaces whole (rebuildFromSnapshot). The lock lives outside the
+// state, so a heal never copies it.
 type tenant struct {
-	id    string
+	// mu is the tenant's lock. Every read and write of the state, and
+	// every write of shardIdx, gone and enc, holds it: ingestion, the
+	// breaker probe, snapshots, stats and moves alike.
+	mu sync.Mutex
+	id string
+	// shardIdx is the tenant's stripe, written with its route under
+	// rebalMu and mu (admit, relocate), so either lock reads it.
+	shardIdx int
+	// gone is set under mu when the tenant leaves the registry (evict).
+	// A lockTenant that waited for mu meanwhile starts over.
+	gone bool
+	// meter publishes events and the poisoned state to rebalance passes,
+	// which read it from the registry without mu.
+	meter *loadMeter
+	// enc is the tenant's journal scratch: every record with a payload
+	// that the tenant journals is encoded into it, and the log has copied
+	// it into its own frame buffer by the time the append returns. admit
+	// sizes it, so a warm journaled call allocates nothing.
+	enc []byte
+
+	tenantState
+}
+
+// tenantState is a tenant's machine and ledger, guarded by its mu.
+type tenantState struct {
 	alloc core.Allocator
 	// step applies the tenant's events and faults and keeps its load, L*,
 	// fault and hop ledger. Its checker is non-nil only under
@@ -318,6 +351,8 @@ type tenant struct {
 	faults   []fault.Event
 	faultPos int
 
+	// queue holds the events waiting for a batch; setQueue writes it, so
+	// the stripe's running count follows its depth.
 	queue []task.Event
 	err   error // poisoned; cleared only by a successful breaker rebuild
 
@@ -348,64 +383,52 @@ type tenant struct {
 	batches int64
 	applyNs int64
 	batchNs []int64
-
-	// meter publishes events and the poisoned state to rebalance passes,
-	// which read it from the routing table without this stripe's lock.
-	// It is the tenant's for its whole stay: a heal carries it over.
-	meter *loadMeter
-
-	// shardIdx is the tenant's stripe, written with its route.
-	shardIdx int
 }
 
-// shard is one lock stripe.
+// shard is one stripe: a group of tenants that placement assigns and
+// ShardStats reports. It locks nothing. Its ledgers are atomics, each a
+// sum over the tenants it holds, moved by each tenant's lock holder as
+// its own share changes: apply adds events and apply time, setQueue the
+// change in queue depth, and admit, evict, relocate and breaker heals
+// move a tenant's whole share (credit).
 type shard struct {
-	mu sync.Mutex
-	// tenants is the stripe's membership. It and the routing table are
-	// written together, only by admit, relocate and evict (placement.go),
-	// under rebalMu and mu, and by Recover before it returns the engine.
-	// It is read under either lock: mu for the tenants it holds, rebalMu
-	// for one exact view of every stripe (auditPlacement).
-	tenants map[string]*tenant
-
-	// Shard-level ledger (ShardStats), owned by mu except inbound.
+	queued  atomic.Int64
+	events  atomic.Int64
+	applyNs atomic.Int64
 	// peakQueued is the highest backlog seen at an ingestion boundary:
-	// resident queue depths plus submissions in flight against the
-	// stripe (counted in inbound while their events wait for the
-	// stripe lock — a hot stripe shows up as submitters piling behind
-	// it, not just as resident queues). events/applyNs accumulate
-	// per-batch apply work, credited to the stripe the tenant occupied
-	// when the batch ran.
-	peakQueued int
-	events     int64
-	applyNs    int64
+	// the resident queue depths plus the events of submissions in flight
+	// against the stripe, counted in inbound while they wait for their
+	// tenant's lock.
+	peakQueued atomic.Int64
 	inbound    atomic.Int64
-
-	// enc is the stripe's journal scratch, owned by mu: every record with
-	// a payload that a tenant here journals (a move: its source stripe's)
-	// is encoded into it, and the log has copied it into its own frame
-	// buffer by the time the append returns.
-	enc []byte
 }
 
-// queued sums the resident tenants' queue depths. Callers hold s.mu.
-func (s *shard) queued() int {
-	q := 0
-	for _, t := range s.tenants {
-		q += len(t.queue)
-	}
-	return q
+// credit adds sign times t's share of the stripe ledgers (its events,
+// apply time and queue depth) to s. Callers hold t.mu, or own t before
+// it is registered.
+func (s *shard) credit(t *tenant, sign int64) {
+	s.events.Add(sign * t.events)
+	s.applyNs.Add(sign * t.applyNs)
+	s.queued.Add(sign * int64(len(t.queue)))
 }
 
-// backlog is what peakQueued tracks: the resident queue depth plus the
-// events of submissions in flight against the stripe. Callers hold s.mu.
-func (s *shard) backlog() int { return s.queued() + int(s.inbound.Load()) }
-
-// noteQueued advances the shard's backlog peak, counting pending events
+// noteQueued advances the stripe's backlog peak, counting pending events
 // that an ingest has taken but not yet queued or applied as resident.
-// Callers hold s.mu.
 func (s *shard) noteQueued(pending int) {
-	s.peakQueued = max(s.peakQueued, s.backlog()+pending)
+	b := s.queued.Load() + s.inbound.Load() + int64(pending)
+	for {
+		p := s.peakQueued.Load()
+		if b <= p || s.peakQueued.CompareAndSwap(p, b) {
+			return
+		}
+	}
+}
+
+// setQueue replaces t's queue with q and moves its stripe's running
+// count by the change in depth. Callers hold t.mu.
+func (e *Engine) setQueue(t *tenant, q []task.Event) {
+	e.shardAt(t.shardIdx).queued.Add(int64(len(q) - len(t.queue)))
+	t.queue = q
 }
 
 // Engine ingests task events for many tenants concurrently. Methods are
@@ -416,11 +439,12 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 
-	// routing is the tenant→shard table; every shard lookup goes
-	// through it (placement.go). rebalMu serializes rebalance passes and
-	// every write of a route or a stripe's membership (see
-	// shard.tenants). rsMu guards the rebalance ledger, and
-	// batchesTotal/nextRebal implement the RebalanceEvery cadence.
+	// routing is the tenant registry: each registered tenant with its
+	// stripe, and every tenant lookup goes through it (placement.go).
+	// rebalMu serializes rebalance passes and every write of a route or
+	// of the registry's membership, and comes before any tenant's lock.
+	// rsMu guards the rebalance ledger, and batchesTotal/nextRebal
+	// implement the RebalanceEvery cadence.
 	routing      *routing
 	rebalMu      sync.Mutex
 	rsMu         sync.Mutex
@@ -428,9 +452,9 @@ type Engine struct {
 	batchesTotal atomic.Int64
 	nextRebal    atomic.Int64
 
-	// jmu serializes journal appends across shards (the wal.Log is not
-	// concurrency-safe; appends from different shards would interleave
-	// frames otherwise).
+	// jmu serializes journal appends across tenants (the wal.Log is not
+	// concurrency-safe; appends from different tenants would interleave
+	// frames otherwise). It comes after any tenant's lock.
 	jmu sync.Mutex
 
 	// snapSeg, guarded by jmu, is the per-tenant snapshot watermark: the
@@ -466,11 +490,11 @@ func (e *Engine) Journal() *wal.Log { return e.cfg.Journal }
 // tenantAlgo names the tenant's algorithm for pprof labels: its paper
 // name at registration, as TenantStats.Algorithm reports it.
 func (e *Engine) tenantAlgo(id string) string {
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	if t == nil {
 		return "unknown"
 	}
-	defer s.mu.Unlock()
+	defer t.mu.Unlock()
 	return t.algoName
 }
 
@@ -622,15 +646,13 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 	if err != nil {
 		return nil, fmt.Errorf("engine: AddTenant(%q): %w", id, err)
 	}
-	t := &tenant{
-		id:       id,
+	t := &tenant{id: id, meter: new(loadMeter), tenantState: tenantState{
 		alloc:    a,
 		step:     step,
 		algoName: a.Name(),
 		spec:     spec,
 		hasSpec:  hasSpec,
-		meter:    new(loadMeter),
-	}
+	}}
 	if faults != nil {
 		t.faults = append([]fault.Event(nil), faults.Events...)
 	}
@@ -650,31 +672,31 @@ func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, fa
 // rejects it whole with ErrOverloaded.
 func (e *Engine) Submit(id string, evs ...task.Event) error {
 	err := e.submitLocked(id, evs)
-	// Outside the shard lock: a due rebalance pass takes many locks and
-	// must not nest under this tenant's.
+	// Outside the tenant's lock: a due rebalance pass takes rebalMu,
+	// which comes before any tenant's lock.
 	e.maybeRebalance()
 	return err
 }
 
 func (e *Engine) submitLocked(id string, evs []task.Event) error {
 	// Count the submission against its stripe's inbound backlog while it
-	// waits for the lock. The route may move concurrently; crediting the
-	// stripe read here keeps the accounting symmetric either way, and the
-	// gauge is a pressure sample, not a ledger.
+	// waits for the tenant's lock. The route may move concurrently;
+	// crediting the stripe read here keeps the accounting symmetric
+	// either way, and the gauge is a pressure sample, not a ledger.
 	in := e.shardAt(e.route(id))
 	in.inbound.Add(int64(len(evs)))
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	// Admitted: from here the events are the queue's to count, not the
 	// backlog's.
 	in.inbound.Add(-int64(len(evs)))
 	if t == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	defer s.mu.Unlock()
+	defer t.mu.Unlock()
 	// The half-open probe inside ready reads the tenant's journal tail —
-	// its latest snapshot's segment on — under the shard lock by design:
-	// the rebuild must see a frozen view of this tenant's records and
-	// watermark, and the lock is what freezes them.
+	// its latest snapshot's segment on — under the tenant's lock by
+	// design: the rebuild must see a frozen view of this tenant's records
+	// and watermark, and the lock is what freezes them.
 	if err := e.ready(t); err != nil {
 		return err
 	}
@@ -687,7 +709,7 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 	// Append-before-apply: shed events are gone, accepted events are
 	// journaled before any state they touch changes.
 	// Append-before-apply requires the journal write inside the critical
-	// section — record and state change must be atomic under the shard
+	// section — record and state change must be atomic under the tenant's
 	// lock, and that single write(2) is the durability cost accepted.
 	if err := e.journalSubmit(t, evs); err != nil {
 		return err
@@ -695,7 +717,7 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 	if err := e.ingest(t, evs); err != nil {
 		return err
 	}
-	// The snapshot must capture the tenant frozen by this shard lock, and
+	// The snapshot must capture the tenant frozen by its lock, and
 	// append-before-release keeps the record ordered with the tenant's
 	// other records.
 	return e.maybeSnapshot(t)
@@ -709,7 +731,7 @@ func (e *Engine) submitLocked(id string, evs []task.Event) error {
 // between calls. evs is never kept or written. The ledgers count the
 // events taken from evs as queued until their batch applies, exactly as
 // if every one had been copied into the queue first: the audit's queue
-// bound, the shard's backlog peak and each batch's reported depth.
+// bound, the stripe's backlog peak and each batch's reported depth.
 func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 	maxQ, bs := e.cfg.MaxQueue, e.cfg.BatchSize
 	for {
@@ -720,7 +742,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 		in := evs[:take]
 		evs = evs[take:]
 		t.step.Checker().OnQueue(len(t.queue)+len(in), maxQ)
-		// Sample the shard backlog at its pre-drain high-water mark.
+		// Sample the stripe backlog at its pre-drain high-water mark.
 		e.shardAt(t.shardIdx).noteQueued(len(in))
 		// Drain the queue batch by batch, topping a partial one up from
 		// in. A queue thawed from an engine with a larger BatchSize can
@@ -730,7 +752,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 				if q+len(in) < bs {
 					break
 				}
-				t.queue = append(t.queue, in[:bs-q]...)
+				e.setQueue(t, append(t.queue, in[:bs-q]...))
 				in = in[bs-q:]
 			}
 			b := t.queue
@@ -740,7 +762,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 			// Slide the rest to the front, so the queue keeps its array
 			// and the tail appends into it without allocating. No apply
 			// keeps its batch, and snapshots copy the queue.
-			t.queue = b[:copy(b, b[bs:])]
+			e.setQueue(t, b[:copy(b, b[bs:])])
 			t.step.Checker().OnQueue(len(t.queue)+len(in), maxQ)
 		}
 		// The queue is empty or holds a partial batch that in cannot
@@ -752,7 +774,7 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 			in = in[bs:]
 			t.step.Checker().OnQueue(len(in), maxQ)
 		}
-		t.queue = append(t.queue, in...)
+		e.setQueue(t, append(t.queue, in...))
 		if len(evs) == 0 {
 			e.cfg.Sink.QueueDepth(t.id, len(t.queue))
 			return nil
@@ -768,13 +790,13 @@ func (e *Engine) Flush(id string) error {
 }
 
 func (e *Engine) flushLocked(id string) error {
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	if t == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	defer s.mu.Unlock()
+	defer t.mu.Unlock()
 	// The half-open probe inside ready reads the journal tail under the
-	// shard lock by design (see Submit).
+	// tenant's lock by design (see Submit).
 	if err := e.ready(t); err != nil {
 		return err
 	}
@@ -782,15 +804,15 @@ func (e *Engine) flushLocked(id string) error {
 		return nil
 	}
 	// Append-before-apply: the flush record and the flush itself must be
-	// atomic under the shard lock (see Submit).
+	// atomic under the tenant's lock (see Submit).
 	if err := e.journalFlush(t); err != nil {
 		return err
 	}
 	if err := e.flushTenant(t); err != nil {
 		return err
 	}
-	// The snapshot must capture the tenant frozen by this shard lock
-	// (see Submit).
+	// The snapshot must capture the tenant frozen by its lock (see
+	// Submit).
 	return e.maybeSnapshot(t)
 }
 
@@ -820,12 +842,12 @@ func (e *Engine) Tenants() []string {
 // TenantStats snapshots one tenant's ledger. MaxLoad/Active query the
 // live allocator, so a poisoned tenant still reports its last state.
 func (e *Engine) TenantStats(id string) (TenantStats, error) {
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	if t == nil {
 		return TenantStats{}, fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	defer s.mu.Unlock()
-	return s.stats(t), nil
+	defer t.mu.Unlock()
+	return t.stats(), nil
 }
 
 // Stats snapshots every tenant's ledger in sorted ID order: the tenants
@@ -842,11 +864,11 @@ func (e *Engine) Stats() []TenantStats {
 
 // Err returns the tenant's poisoning error (nil while healthy).
 func (e *Engine) Err(id string) error {
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	if t == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	defer s.mu.Unlock()
+	defer t.mu.Unlock()
 	if t.err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrTenantPoisoned, id, t.err)
 	}
@@ -879,11 +901,11 @@ func (e *Engine) Replay(ctx context.Context, streams map[string][]task.Event) er
 	// move a tenant mid-replay, and each call re-resolves its shard.
 	byShard := make(map[int][]string)
 	for _, id := range ids {
-		idx, ok := e.routing.lookup(id)
+		rt, ok := e.routing.lookup(id)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 		}
-		byShard[idx] = append(byShard[idx], id)
+		byShard[rt.shard] = append(byShard[rt.shard], id)
 	}
 	var cells [][]string
 	for i := range e.shards { // deterministic order, no map iteration
@@ -955,7 +977,7 @@ func (e *Engine) replayTenant(ctx context.Context, id string, evs []task.Event) 
 // while a poisoned one reports its cause. When the circuit breaker is
 // armed (journal + rebuild recipe) and the tenant's backoff deadline has
 // passed, ready runs the half-open probe: it rebuilds the tenant from
-// the journal and, on success, returns nil. Callers hold the shard lock.
+// the journal and, on success, returns nil. Callers hold t.mu.
 func (e *Engine) ready(t *tenant) error {
 	if t.err == nil {
 		return nil
@@ -976,23 +998,23 @@ func (e *Engine) ready(t *tenant) error {
 
 // flushTenant applies the tenant's queued events. The queue keeps its
 // array, as after a batch drain in ingest, so the next Submit appends
-// into it instead of allocating a new one. Callers hold the shard lock
-// and have already journaled the flush when it changes state.
+// into it instead of allocating a new one. Callers hold t.mu and have
+// already journaled the flush when it changes state.
 func (e *Engine) flushTenant(t *tenant) error {
 	if len(t.queue) == 0 {
 		return nil
 	}
 	b := t.queue
-	t.queue = b[:0]
+	e.setQueue(t, b[:0])
 	return e.apply(t, b, 0)
 }
 
 // poison marks the tenant failed, drops its queue, and arms the circuit
-// breaker's backoff. Callers hold the shard lock.
+// breaker's backoff. Callers hold t.mu.
 func (e *Engine) poison(t *tenant, cause error) {
 	t.err = cause
 	t.meter.poisoned.Store(true)
-	t.queue = nil
+	e.setQueue(t, nil)
 	t.trips++
 	t.deadline = e.now() + e.backoff(t)
 	// Opens the breaker gauge and, when a poison-dump writer is wired,
@@ -1006,7 +1028,7 @@ func (e *Engine) poison(t *tenant, cause error) {
 // is the tenant's queue depth left behind the batch, which the sink
 // reports with it. evs is read, never kept or written. A panic poisons
 // the tenant and is returned as ErrTenantPoisoned wrapping the recovered
-// cause. Callers hold the shard lock.
+// cause. Callers hold t.mu.
 func (e *Engine) apply(t *tenant, evs []task.Event, depth int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1042,8 +1064,8 @@ func (e *Engine) apply(t *tenant, evs []task.Event, depth int) (err error) {
 	t.batchNs = append(t.batchNs, ns)
 	e.batchesTotal.Add(1)
 	sh := e.shardAt(t.shardIdx)
-	sh.events += int64(len(evs))
-	sh.applyNs += ns
+	sh.events.Add(int64(len(evs)))
+	sh.applyNs.Add(ns)
 	load := t.step.ObserveLoad()
 	if e.cfg.Sink != nil {
 		e.cfg.Sink.BatchApplied(t.id, t.shardIdx, len(evs), ns, int64(load), int64(t.step.PeakLoad),
@@ -1067,8 +1089,8 @@ func (e *Engine) injectFaults(t *tenant, i int) {
 	}
 }
 
-// stats snapshots one tenant. Callers hold the shard lock.
-func (s *shard) stats(t *tenant) TenantStats {
+// stats snapshots the tenant's ledger. Callers hold t.mu.
+func (t *tenant) stats() TenantStats {
 	st := TenantStats{
 		Tenant:        t.id,
 		Algorithm:     t.algoName,

@@ -233,7 +233,7 @@ func testJournal(t *testing.T) *wal.Log {
 
 // TestSubmitReusesQueue checks that a warm ingest call allocates
 // nothing. A tenant's queue keeps its array when a batch or a Flush
-// drains it, and a journaled call encodes its record into the stripe's
+// drains it, and a journaled call encodes its record into the tenant's
 // scratch buffer, which the log frames in place into its own. A 1½-batch
 // input alternates between applying a batch straight from the caller's
 // slice and queueing the half-batch tail, and topping that tail up to a

@@ -13,11 +13,11 @@ import (
 // queueCap is the capacity of the tenant's queue array.
 func queueCap(t *testing.T, e *Engine, id string) int {
 	t.Helper()
-	s, tn := e.lockTenant(id)
+	tn := e.lockTenant(id)
 	if tn == nil {
 		t.Fatalf("unknown tenant %q", id)
 	}
-	defer s.mu.Unlock()
+	defer tn.mu.Unlock()
 	return cap(tn.queue)
 }
 

@@ -54,7 +54,7 @@ type TenantSpec struct {
 	Faults string `json:",omitempty"`
 }
 
-// journalAppend serializes appends across shards. The wal.Log is not
+// journalAppend serializes appends across tenants. The wal.Log is not
 // concurrency-safe, and interleaved partial frames would corrupt the
 // log for every tenant at once.
 func (e *Engine) journalAppend(rec wal.Record) error {
@@ -69,15 +69,14 @@ func (e *Engine) journalAppend(rec wal.Record) error {
 
 // journalSubmit journals one accepted Submit. It encodes the record, as
 // every journal helper with a payload does, into the scratch buffer of
-// the stripe whose lock the caller holds (shard.enc), so a warm journaled
-// call allocates nothing.
+// the tenant whose lock the caller holds (tenant.enc), so a warm
+// journaled call allocates nothing.
 func (e *Engine) journalSubmit(t *tenant, evs []task.Event) error {
 	if e.cfg.Journal == nil || len(evs) == 0 {
 		return nil
 	}
-	s := e.shardAt(t.shardIdx)
-	s.enc = wal.AppendEvents(s.enc[:0], evs)
-	return e.journalAppend(wal.Record{Type: wal.TypeSubmit, Tenant: t.id, Data: s.enc})
+	t.enc = wal.AppendEvents(t.enc[:0], evs)
+	return e.journalAppend(wal.Record{Type: wal.TypeSubmit, Tenant: t.id, Data: t.enc})
 }
 
 func (e *Engine) journalFlush(t *tenant) error {
@@ -98,13 +97,12 @@ var journalEnd = wal.Pos{Seg: math.MaxInt}
 // rebuilt state follows it, so recovery and the next probe both start
 // from the healed tenant. On success the tenant is healthy again
 // (t.err == nil); on failure the breaker re-opens with a doubled
-// backoff. Callers hold the shard lock.
+// backoff. Callers hold t.mu.
 func (e *Engine) probe(t *tenant) error {
 	keep := t.events
 	drop, err := e.rebuildFromSnapshot(t, keep, journalEnd, func(drop int64) error {
-		s := e.shardAt(t.shardIdx)
-		s.enc = wal.AppendRebuild(s.enc[:0], keep, drop)
-		return e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: s.enc})
+		t.enc = wal.AppendRebuild(t.enc[:0], keep, drop)
+		return e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: t.enc})
 	})
 	if err != nil {
 		return err
@@ -225,11 +223,11 @@ func (e *Engine) dispatch(pos wal.Pos, rec wal.Record) error {
 // probing happens here; rebuilds exist in the journal as records of
 // their own.
 func (e *Engine) redo(id string, pos wal.Pos, fn func(*tenant) error) error {
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	if t == nil {
 		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
-	defer s.mu.Unlock()
+	defer t.mu.Unlock()
 	if t.err != nil {
 		// The live engine never journals for a poisoned tenant, so a
 		// record here means journal and state diverged.
@@ -252,11 +250,11 @@ func (e *Engine) redo(id string, pos wal.Pos, fn func(*tenant) error) error {
 // from the same snapshot plus the tail up to this record, and the
 // journaled drop count must agree.
 func (e *Engine) redoRebuild(id string, pos wal.Pos, keep, drop int64) error {
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	if t == nil {
 		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
-	defer s.mu.Unlock()
+	defer t.mu.Unlock()
 	_, err := e.rebuildFromSnapshot(t, keep, pos, func(got int64) error {
 		if got != drop {
 			return fmt.Errorf("engine: recover record %s: rebuild drops %d events, the journal says %d", pos, got, drop)

@@ -110,7 +110,7 @@ func newDegradeState(a core.Allocator) *degradeState {
 }
 
 // degradeStep feeds one batch's apply latency into the tenant's
-// controller. Callers hold the shard lock.
+// controller. Callers hold t.mu.
 func (e *Engine) degradeStep(t *tenant, ns int64) {
 	d := t.deg
 	if d == nil {

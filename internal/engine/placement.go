@@ -1,8 +1,9 @@
-// The placement layer: tenant→shard routing as a first-class, mutable
-// concern. Every shard addressing decision in the engine flows through
-// the routing table — this file owns the only code allowed to index
-// e.shards or hash tenant IDs (enforced by the placer lint), and the
-// only code that writes where a tenant lives.
+// The placement layer: the tenant registry and tenant→shard routing as
+// a first-class, mutable concern. Every tenant lookup and shard
+// addressing decision in the engine flows through the routing table —
+// this file owns the only code allowed to index e.shards or hash tenant
+// IDs (enforced by the placer lint), and the only code that writes where
+// a tenant lives.
 //
 // One table serves both policies:
 //
@@ -18,15 +19,17 @@
 //     journaling each move as a wal.TypeMove record so Recover replays
 //     routing exactly. A levelled fleet moves nothing.
 //
-// A tenant's route and its stripe membership are one fact kept in two
-// tables, so they are written together: admit, relocate and evict write
-// both under rebalMu and the stripe lock (see shard.tenants). Lookups
-// find the tenant in its stripe's map under that stripe's lock
-// (lockTenant), so a tenant can never be operated on through a stale
-// stripe. Beside each route the table keeps the tenant's load meter,
-// which the tenant's stripe-lock holder publishes its event count to,
-// so a pass measures the fleet under rebalMu alone and takes stripe
-// locks only for the moves it makes.
+// The routing table is the tenant registry: each route holds the tenant
+// itself beside its stripe. A tenant's route and its own stripe field
+// are one fact kept in two places, so they are written together: admit
+// and relocate write both under rebalMu and the tenant's lock, and evict
+// drops the route under both. Lookups find the tenant in the registry
+// and lock it (lockTenant); a stripe locks nothing, so a move changes
+// which stripe a tenant's ledger counts toward, never which lock guards
+// it. Each tenant carries its load meter, which its lock holder
+// publishes its event count to, so a pass measures the fleet under
+// rebalMu alone and locks only the tenants it moves. The lock order is
+// rebalMu → tenant → jmu.
 package engine
 
 import (
@@ -73,11 +76,11 @@ func hashShard(id string, shards int) int {
 	return int(h.Sum32()) % shards
 }
 
-// routing is the engine's tenant→shard table: it holds exactly the
-// registered tenants, and its policy decides where a new one goes. Its
-// own mutex lets ingestion look routes up while a pass rewrites them.
-// The table is recovered from the journal (snapshot Shard fields plus
-// TypeMove records).
+// routing is the engine's tenant registry and tenant→shard table: it
+// holds exactly the registered tenants, and its policy decides where a
+// new one goes. Its own mutex lets ingestion look tenants up while a
+// pass rewrites routes. The table is recovered from the journal
+// (snapshot Shard fields plus TypeMove records).
 type routing struct {
 	policy PlacementPolicy
 	shards int
@@ -85,22 +88,20 @@ type routing struct {
 	routes map[string]route
 }
 
-// route is one registered tenant's entry: its stripe, and the load
-// meter admit registered with it, which a tenant keeps for its whole
-// stay (a breaker heal carries it over).
+// route is one registered tenant's entry: its stripe and the tenant.
 type route struct {
 	shard int
-	meter *loadMeter
+	t     *tenant
 }
 
 // loadMeter is a tenant's load as rebalance passes see it, read
-// without the tenant's stripe lock.
+// without the tenant's lock.
 type loadMeter struct {
 	// events and poisoned mirror t.events and t.err != nil. They are
-	// written only by the holder of the tenant's stripe lock (apply,
-	// poison, a breaker heal and a snapshot restore) and read under
-	// rebalMu alone (measure). events never runs backwards (publish), and
-	// a heal clears poisoned only once it has succeeded.
+	// written only by the holder of the tenant's lock (apply, poison, a
+	// breaker heal and a snapshot restore) and read under rebalMu alone
+	// (measure). events never runs backwards (publish), and a heal clears
+	// poisoned only once it has succeeded.
 	events   atomic.Int64
 	poisoned atomic.Bool
 	// mark is events at the last pass that measured the tenant, and est
@@ -113,9 +114,8 @@ type loadMeter struct {
 // publish raises the published event count to n. A heal restores a
 // snapshot's lower count and replays back up to the one it had, so only
 // a count above the last one published is stored, and a pass never
-// sees a window run backwards. The caller holds the tenant's stripe
-// lock, which makes it the only writer, so a load then a store
-// suffices.
+// sees a window run backwards. The caller holds the tenant's lock,
+// which makes it the only writer, so a load then a store suffices.
 func (m *loadMeter) publish(n int64) {
 	if n > m.events.Load() {
 		m.events.Store(n)
@@ -142,11 +142,22 @@ func newRouting(policy PlacementPolicy, shards int) *routing {
 
 // lookup returns the tenant's route; ok is false for a tenant that is
 // not registered.
-func (r *routing) lookup(id string) (shard int, ok bool) {
+func (r *routing) lookup(id string) (route, bool) {
 	r.mu.RLock()
 	rt, ok := r.routes[id]
 	r.mu.RUnlock()
-	return rt.shard, ok
+	return rt, ok
+}
+
+// counts returns the number of tenants routed to each stripe.
+func (r *routing) counts() []int {
+	count := make([]int, r.shards)
+	r.mu.RLock()
+	for _, rt := range r.routes {
+		count[rt.shard]++
+	}
+	r.mu.RUnlock()
+	return count
 }
 
 // choose returns the shard a new tenant goes to, without recording it.
@@ -158,12 +169,7 @@ func (r *routing) choose(id string) int {
 	if r.policy != PlacementBalanced {
 		return hashShard(id, r.shards)
 	}
-	count := make([]int, r.shards)
-	r.mu.RLock()
-	for _, rt := range r.routes {
-		count[rt.shard]++
-	}
-	r.mu.RUnlock()
+	count := r.counts()
 	best := 0
 	for s := 1; s < r.shards; s++ {
 		if count[s] < count[best] {
@@ -173,12 +179,13 @@ func (r *routing) choose(id string) int {
 	return best
 }
 
-// set records id's route and load meter; drop forgets both. Only
-// admit, relocate and evict call them, each with the matching
-// membership write, so every write of the table holds rebalMu.
-func (r *routing) set(id string, shard int, m *loadMeter) {
+// set records tenant t as id's, routed to shard; drop forgets id. Only
+// admit, relocate and evict call them, each with the matching write of
+// the tenant's own stripe field, so every write of the table holds
+// rebalMu.
+func (r *routing) set(id string, shard int, t *tenant) {
 	r.mu.Lock()
-	r.routes[id] = route{shard: shard, meter: m}
+	r.routes[id] = route{shard: shard, t: t}
 	r.mu.Unlock()
 }
 
@@ -190,7 +197,7 @@ func (r *routing) drop(id string) {
 
 // measure folds each healthy tenant's published events into its load
 // estimate (loadMeter.fold) and returns the estimates. It reads only
-// the meters, so it takes no stripe lock. Callers hold rebalMu, which
+// the meters, so it takes no tenant's lock. Callers hold rebalMu, which
 // owns every meter's mark and estimate and freezes the table's
 // membership.
 func (r *routing) measure() map[string]float64 {
@@ -198,7 +205,7 @@ func (r *routing) measure() map[string]float64 {
 	defer r.mu.RUnlock()
 	loads := make(map[string]float64, len(r.routes))
 	for id, rt := range r.routes {
-		if est, ok := rt.meter.fold(); ok {
+		if est, ok := rt.t.meter.fold(); ok {
 			loads[id] = est
 		}
 	}
@@ -280,12 +287,12 @@ func (r *routing) Plan(loads map[string]float64, budget int) []Move {
 	return moves
 }
 
-// newShards allocates the lock stripes; the only shard-slice
-// construction site.
+// newShards allocates the stripes; the only shard-slice construction
+// site.
 func newShards(n int) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{tenants: make(map[string]*tenant)}
+		shards[i] = new(shard)
 	}
 	return shards
 }
@@ -295,8 +302,8 @@ func newShards(n int) []*shard {
 // before the caller acts on it, so paths that operate on the tenant use
 // lockTenant.
 func (e *Engine) route(id string) int {
-	idx, _ := e.routing.lookup(id)
-	return idx
+	rt, _ := e.routing.lookup(id)
+	return rt.shard
 }
 
 // shardAt returns the stripe at index idx; the only e.shards indexing
@@ -305,24 +312,23 @@ func (e *Engine) shardAt(idx int) *shard {
 	return e.shards[idx]
 }
 
-// lockTenant locks the stripe holding id and returns it with the
-// tenant, or (nil, nil) when id is not registered. Route and membership
-// change together under the stripe lock, so a tenant found in the
-// stripe's map under that lock lives there; a miss means a move got
-// there first, and the lookup starts over.
-func (e *Engine) lockTenant(id string) (*shard, *tenant) {
+// lockTenant finds id in the registry and returns the tenant locked, or
+// nil when id is not registered. A tenant that left the registry while
+// the call waited for its lock (evict) is gone, and the lookup starts
+// over: a tenant MoveTenant brought back is a new one.
+func (e *Engine) lockTenant(id string) *tenant {
 	for {
-		idx, ok := e.routing.lookup(id)
+		rt, ok := e.routing.lookup(id)
 		if !ok {
-			return nil, nil
+			return nil
 		}
-		s := e.shardAt(idx)
-		s.mu.Lock()
-		if t, ok := s.tenants[id]; ok {
-			//lint:ignore lockorder lockTenant transfers s.mu to the caller by contract; every caller unlocks it
-			return s, t
+		t := rt.t
+		t.mu.Lock()
+		if !t.gone {
+			//lint:ignore lockorder lockTenant transfers t.mu to the caller by contract; every caller unlocks it
+			return t
 		}
-		s.mu.Unlock()
+		t.mu.Unlock()
 	}
 }
 
@@ -330,65 +336,88 @@ func (e *Engine) lockTenant(id string) (*shard, *tenant) {
 // (AddTenant and MoveTenant's arrival) and recovery (restoreSnapshot).
 // The tenant stays invisible until its route is written, so none of its
 // records can reach the journal before the snapshot register appends
-// first, and nothing needs undoing when that append fails. Route and
-// membership are written in one stripe critical section. Callers hold
-// rebalMu, or are Recover.
+// first, and nothing needs undoing when that append fails; until then
+// nothing else can reach t, so admit needs no tenant lock. It credits
+// the stripe with the tenant's ledgers. Callers hold rebalMu, or are
+// Recover.
 func (e *Engine) admit(t *tenant) {
-	s := e.shardAt(t.shardIdx)
-	s.mu.Lock()
-	s.tenants[t.id] = t
-	e.routing.set(t.id, t.shardIdx, t.meter)
-	s.mu.Unlock()
+	if e.cfg.Journal != nil {
+		// Size the journal scratch here, off the ingestion path, for a
+		// Submit record of one batch at 16 bytes an event (a kind byte,
+		// the 8-byte time and room for the ID and size varints).
+		t.enc = make([]byte, 0, 16*e.cfg.BatchSize)
+	}
+	e.shardAt(t.shardIdx).credit(t, 1)
+	e.routing.set(t.id, t.shardIdx, t)
 	// Pre-creates every per-tenant series so gauges (breaker state, queue
 	// depth) are scrapeable as 0 before the first batch.
 	e.cfg.Sink.TenantRegistered(t.id)
 }
 
-// evict unregisters id from stripe s and drops its compaction
-// watermark: MoveTenant's removal. Callers hold rebalMu and s.mu.
-func (e *Engine) evict(s *shard, id string) {
-	delete(s.tenants, id)
-	e.routing.drop(id)
+// evict unregisters t, takes its share out of its stripe's ledgers and
+// drops its compaction watermark: MoveTenant's removal. Callers hold
+// rebalMu and t.mu.
+func (e *Engine) evict(t *tenant) {
+	e.routing.drop(t.id)
+	e.shardAt(t.shardIdx).credit(t, -1)
+	t.gone = true
 	e.jmu.Lock()
-	delete(e.snapSeg, id)
+	delete(e.snapSeg, t.id)
 	e.jmu.Unlock()
 }
 
-// ShardStats is a point-in-time ledger for one lock stripe.
+// members returns each registered tenant's own stripe field, the other
+// half of the fact its route records. Callers hold rebalMu, which every
+// write of either half holds.
+func (e *Engine) members() map[string]int {
+	e.routing.mu.RLock()
+	defer e.routing.mu.RUnlock()
+	out := make(map[string]int, len(e.routing.routes))
+	for id, rt := range e.routing.routes {
+		out[id] = rt.t.shardIdx
+	}
+	return out
+}
+
+// ShardStats is a point-in-time ledger for one stripe. Every figure but
+// PeakQueued is a sum over the tenants routed there: a tenant's share
+// moves with it when a pass relocates it, leaves with MoveTenant, and is
+// restated when a breaker heal rebuilds the tenant.
 type ShardStats struct {
 	// Shard is the stripe index.
 	Shard int
 	// Tenants is the number of tenants currently routed here.
 	Tenants int
-	// Queued is the current sum of resident tenants' queue depths.
+	// Queued is the sum of the resident tenants' queue depths.
 	Queued int
 	// PeakQueued is the highest backlog observed at an ingestion
-	// boundary: Queued plus events in submissions still waiting for the
-	// stripe lock. It is the hot-shard pressure measure the skew
+	// boundary: Queued plus events in submissions still waiting for
+	// their tenant's lock. It is the hot-shard pressure measure the skew
 	// benchmark reports — a stripe loaded beyond its drain rate shows
-	// up here as submitters stacking behind it.
+	// up here as queues and submitters piling up on its tenants.
 	PeakQueued int
-	// Events counts events applied on this stripe (cumulative; a moved
-	// tenant's future events count toward its new stripe).
+	// Events is the sum of the resident tenants' applied events
+	// (TenantStats.Events).
 	Events int64
-	// ApplyNs is cumulative wall time spent applying on this stripe.
+	// ApplyNs is the sum of the resident tenants' apply time
+	// (TenantStats.ApplyNs).
 	ApplyNs int64
 }
 
-// ShardStats snapshots every stripe's ledger in index order.
+// ShardStats snapshots every stripe's ledger in index order. It takes
+// no tenant's lock: each figure is one atomic read.
 func (e *Engine) ShardStats() []ShardStats {
+	count := e.routing.counts()
 	out := make([]ShardStats, len(e.shards))
 	for i, s := range e.shards {
-		s.mu.Lock()
 		out[i] = ShardStats{
 			Shard:      i,
-			Tenants:    len(s.tenants),
-			Queued:     s.queued(),
-			PeakQueued: s.peakQueued,
-			Events:     s.events,
-			ApplyNs:    s.applyNs,
+			Tenants:    count[i],
+			Queued:     int(s.queued.Load()),
+			PeakQueued: int(s.peakQueued.Load()),
+			Events:     s.events.Load(),
+			ApplyNs:    s.applyNs.Load(),
 		}
-		s.mu.Unlock()
 	}
 	return out
 }
@@ -428,7 +457,7 @@ func (e *Engine) RebalanceStats() RebalanceStats {
 // the cadence; when the count has already passed that point too (one
 // call crossed two points, or a running pass kept this one waiting),
 // the next pass is due at the first cadence point above the count.
-// Called from ingestion paths after the shard lock is released; TryLock
+// Called from ingestion paths after the tenant's lock is released; TryLock
 // keeps ingestion non-blocking when a pass is already running.
 func (e *Engine) maybeRebalance() {
 	if e.routing.policy != PlacementBalanced || e.batchesTotal.Load() < e.nextRebal.Load() {
@@ -463,9 +492,9 @@ func (e *Engine) Rebalance() (int, error) {
 // measures, plans, moves, and audits. Batches applied while it runs
 // count toward the next pass, so the number of passes does not depend
 // on how long a pass takes. The measure step reads the load meters
-// under rebalMu alone, so a pass that plans no move takes no stripe
-// lock, and one that does locks only each move's two stripes. Callers
-// hold rebalMu.
+// under rebalMu alone, so a pass that plans no move takes no tenant's
+// lock, and one that does locks only each tenant it moves. Callers hold
+// rebalMu.
 func (e *Engine) rebalancePass(next int64) (int, error) {
 	e.nextRebal.Store(next)
 	// Measure: fold each tenant's events applied since the last pass
@@ -519,31 +548,25 @@ func (e *Engine) rebalancePass(next int64) (int, error) {
 const rebalDecay = 0.95
 
 // auditPlacement checks the two placement invariants: the routing table
-// is a bijection to shard membership, and the pass's move count
-// respected the d·shards budget. Every route and membership write holds
-// rebalMu, which the caller holds, so the two tables read here are one
-// exact snapshot without taking any stripe lock (see shard.tenants).
+// agrees with every tenant's own stripe field, and the pass's move count
+// respected the d·shards budget. Every write of either holds rebalMu,
+// which the caller holds, so the two read here are one exact snapshot
+// without taking any tenant's lock.
 func (e *Engine) auditPlacement(moved int) []invariant.Violation {
-	members := make(map[string]int)
-	for i, s := range e.shards {
-		for id := range s.tenants {
-			members[id] = i
-		}
-	}
-	viol := invariant.CheckRouting(e.routing.snapshot(), members)
+	viol := invariant.CheckRouting(e.routing.snapshot(), e.members())
 	return append(viol, invariant.CheckMoveBudget(moved, e.cfg.RebalanceD, len(e.shards))...)
 }
 
-// journalMove appends the TypeMove record that commits an intra-engine
-// move; replayed by Recover to reproduce the routing table. The record
-// is encoded in the source stripe's scratch buffer (see journalSubmit).
-func (e *Engine) journalMove(id string, from, to int) error {
+// journalMove appends the TypeMove record that commits t's move to
+// stripe to; replayed by Recover to reproduce the routing table. The
+// record is encoded in the tenant's scratch buffer (see journalSubmit).
+// Callers hold t.mu.
+func (e *Engine) journalMove(t *tenant, to int) error {
 	if e.cfg.Journal == nil {
 		return nil
 	}
-	s := e.shardAt(from)
-	s.enc = wal.AppendMove(s.enc[:0], from, to)
-	return e.journalAppend(wal.Record{Type: wal.TypeMove, Tenant: id, Data: s.enc})
+	t.enc = wal.AppendMove(t.enc[:0], t.shardIdx, to)
+	return e.journalAppend(wal.Record{Type: wal.TypeMove, Tenant: t.id, Data: t.enc})
 }
 
 // moveTenantLocal moves one tenant between stripes of this engine:
@@ -551,77 +574,60 @@ func (e *Engine) journalMove(id string, from, to int) error {
 // the old route, after it the new one), then relocate the same tenant.
 // A local move is a relocation, not a rebuild: the allocator, queue,
 // ledger, Degrade ladder and breaker state stay on the tenant, so
-// nothing can fail once the record is durable.
+// nothing can fail once the record is durable. It locks the moving
+// tenant alone, which freezes it while the record lands.
 //
-// Skipped moves (tenant vanished or poisoned) return (false, nil).
-// Callers hold rebalMu.
+// Skipped moves (tenant vanished, poisoned or not on from) return
+// (false, nil). Callers hold rebalMu.
 func (e *Engine) moveTenantLocal(id string, from, to int) (bool, error) {
 	if from == to || from < 0 || to < 0 || from >= len(e.shards) || to >= len(e.shards) {
 		return false, nil
 	}
-	lo, hi := from, to
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	e.shards[lo].mu.Lock()
-	defer e.shards[lo].mu.Unlock()
-	e.shards[hi].mu.Lock()
-	defer e.shards[hi].mu.Unlock()
-
-	src, dst := e.shards[from], e.shards[to]
-	t, ok := src.tenants[id]
-	if !ok || t.err != nil {
+	t := e.lockTenant(id)
+	if t == nil {
 		return false, nil
 	}
-	if _, dup := dst.tenants[id]; dup {
-		return false, fmt.Errorf("engine: move %q: already on shard %d", id, to)
+	defer t.mu.Unlock()
+	if t.shardIdx != from || t.err != nil {
+		return false, nil
 	}
-	//lint:ignore lockorder append-before-apply: the move record is the commit point and must land while both shard locks freeze the tenant (see Submit)
-	if err := e.journalMove(id, from, to); err != nil {
+	if err := e.journalMove(t, to); err != nil {
 		return false, err
 	}
-	e.relocate(t, from, to)
-	src.noteQueued(0)
-	dst.noteQueued(0)
+	e.relocate(t, to)
+	e.shards[from].noteQueued(0)
+	e.shards[to].noteQueued(0)
 	e.cfg.Sink.RebalanceMove(id, from, to)
 	return true, nil
 }
 
-// relocate re-homes t from stripe from to stripe to and rewrites its
-// route. It is the one move routine: live moves (moveTenantLocal) and
-// recovered ones (redoMove) both run it, so the two cannot drift apart.
-// Callers hold rebalMu and both stripes' locks, or are Recover.
-func (e *Engine) relocate(t *tenant, from, to int) {
-	delete(e.shards[from].tenants, t.id)
+// relocate re-homes t on stripe to, moving its share of the stripe
+// ledgers along, and rewrites its route. It is the one move routine:
+// live moves (moveTenantLocal) and recovered ones (redoMove) both run
+// it, so the two cannot drift apart. Callers hold rebalMu and t.mu, or
+// are Recover.
+func (e *Engine) relocate(t *tenant, to int) {
+	e.shards[t.shardIdx].credit(t, -1)
 	t.shardIdx = to
-	e.shards[to].tenants[t.id] = t
-	e.routing.set(t.id, to, t.meter)
+	e.shards[to].credit(t, 1)
+	e.routing.set(t.id, to, t)
 }
 
 // redoMove re-applies a journaled TypeMove during Recover through the
 // same relocate a live move runs. The source is the tenant's replayed
 // route, which matches the record's from-shard: each earlier record of
 // the tenant was replayed or is covered by a snapshot carrying its
-// route. Recovery is single-threaded, so the shard locks are
+// route. Recovery is single-threaded, so the tenant's lock is
 // uncontended formality.
 func (e *Engine) redoMove(id string, pos wal.Pos, to int) error {
 	if to < 0 || to >= len(e.shards) {
 		return fmt.Errorf("engine: recover record %s: move %q to shard %d of %d", pos, id, to, len(e.shards))
 	}
-	from, ok := e.routing.lookup(id)
-	if !ok {
+	t := e.lockTenant(id)
+	if t == nil {
 		return fmt.Errorf("engine: recover record %s: %w: %q", pos, ErrUnknownTenant, id)
 	}
-	lo, hi := from, to
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	e.shards[lo].mu.Lock()
-	defer e.shards[lo].mu.Unlock()
-	if hi != lo {
-		e.shards[hi].mu.Lock()
-		defer e.shards[hi].mu.Unlock()
-	}
-	e.relocate(e.shards[from].tenants[id], from, to)
+	defer t.mu.Unlock()
+	e.relocate(t, to)
 	return nil
 }

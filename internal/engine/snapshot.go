@@ -108,8 +108,8 @@ type RecoveryStats struct {
 func (e *Engine) RecoveryStats() RecoveryStats { return e.recStats }
 
 // snapshotOf captures t's full state as a snapshot envelope. Callers
-// hold t's shard lock, or own t before it is registered, so the
-// allocator and ledger are frozen.
+// hold t.mu, or own t before it is registered, so the allocator and
+// ledger are frozen.
 func snapshotOf(t *tenant) (*tenantSnapshot, error) {
 	if !t.hasSpec {
 		return nil, fmt.Errorf("engine: snapshot %q: tenant has no rebuild recipe", t.id)
@@ -208,7 +208,7 @@ func (e *Engine) thaw(env *tenantSnapshot) (*tenant, error) {
 
 // maybeSnapshot checkpoints t when the Config.SnapshotEvery cadence is
 // due. Called on the live ingestion paths (Submit and Flush) after
-// a successful apply, under the shard lock; never during recovery or a
+// a successful apply, under the tenant's lock; never during recovery or a
 // breaker rebuild, whose replays go through other entry points (a probe
 // appends its own healing snapshot).
 func (e *Engine) maybeSnapshot(t *tenant) error {
@@ -224,7 +224,7 @@ func (e *Engine) maybeSnapshot(t *tenant) error {
 
 // snapshotTenant appends a snapshot record for t unconditionally (a
 // cadence or healing snapshot) and runs the compaction rule. Callers
-// hold the shard lock.
+// hold t.mu.
 func (e *Engine) snapshotTenant(t *tenant) error {
 	env, err := snapshotOf(t)
 	if err != nil {
@@ -242,11 +242,11 @@ func (e *Engine) snapshotTenant(t *tenant) error {
 // landed in. Every snapshot goes through here: genesis and arrival by
 // MoveTenant (register), cadence and healing (snapshotTenant). Seg is
 // read and the watermark set under the append's jmu hold: a rotation
-// from another shard could misattribute the segment otherwise, and a
+// from another tenant could misattribute the segment otherwise, and a
 // truncation that computed its bound before this append cannot pass a
 // segment this append wrote. Only a tenant itself moves its watermark:
-// callers hold its shard lock, or rebalMu while it is not yet
-// registered (register).
+// callers hold its lock, or rebalMu while it is not yet registered
+// (register).
 func (e *Engine) appendSnapshot(env *tenantSnapshot) error {
 	id := env.Spec.ID
 	data, err := json.Marshal(env)
@@ -298,10 +298,10 @@ func (e *Engine) compact() error {
 // Records at or after stop are not read. Position p of the tail is
 // stream event env.Events+p.
 //
-// Reading while other shards append and compact is safe. Compaction never
-// deletes a segment at or after any tenant's watermark, and only the
-// tenant moves its own watermark, under the shard lock the caller holds;
-// that lock also freezes the tenant's records. A concurrent append can at
+// Reading while other tenants append and compact is safe. Compaction
+// never deletes a segment at or after any tenant's watermark, and only
+// the tenant moves its own watermark, under its lock, which the caller
+// holds; that lock also freezes the tenant's records. A concurrent append can at
 // most leave a torn frame at the end of the last segment, which the scan
 // tolerates.
 func (e *Engine) readTail(id string, stop wal.Pos) (*tenantSnapshot, []task.Event, error) {
@@ -372,16 +372,18 @@ func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 // restore t's latest snapshot, replay the journaled tail up to keep
 // events in replayChunks chunks, and carry over what the envelope does
 // not hold for a rebuild — shed events, dropped events plus the suffix
-// past keep, the trip count, the breaker deadline, and the load meter
-// (the replay restores t.events, so a fresh meter would count the
-// tenant's whole history as the next pass's window). The meter stays
-// poisoned until the replay succeeds, and its published count does not
-// drop to the snapshot's while the replay climbs back. stop bounds the
-// tail read. commit gets the drop count once the replacement
-// is built and before t changes: the probe journals its TypeRebuild
-// there, recovery checks the journaled count. A failure up to and
-// including commit leaves t as it was and re-opens the breaker; a
-// failing replay poisons t again. Callers hold t's shard lock.
+// past keep, the trip count and the breaker deadline. Only the state
+// is replaced: the lock, the stripe, the scratch and the load meter stay
+// the tenant's (env.Shard is stale if a pass moved the tenant after
+// that snapshot, and the replay restores t.events, so a fresh meter would
+// count the tenant's whole history as the next pass's window). The
+// meter stays poisoned until the replay succeeds, and its published
+// count does not drop to the snapshot's while the replay climbs back.
+// stop bounds the tail read. commit gets the drop count once the
+// replacement is built and before t changes: the probe journals its
+// TypeRebuild there, recovery checks the journaled count. A failure up
+// to and including commit leaves t as it was and re-opens the breaker;
+// a failing replay poisons t again. Callers hold t.mu.
 func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit func(drop int64) error) (int64, error) {
 	fail := func(err error) (int64, error) {
 		e.rearm(t)
@@ -401,9 +403,6 @@ func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit
 	if err != nil {
 		return fail(err)
 	}
-	// The tenant stays on its current stripe: env.Shard is stale if a
-	// pass moved it after that snapshot.
-	nt.shardIdx = t.shardIdx
 	if err := commit(drop); err != nil {
 		return fail(err)
 	}
@@ -414,10 +413,13 @@ func (e *Engine) rebuildFromSnapshot(t *tenant, keep int64, stop wal.Pos, commit
 	nt.dropped = t.dropped + drop
 	nt.trips = t.trips
 	nt.deadline = t.deadline
-	nt.meter = t.meter
 	// The copy keeps nt's step, and with it the allocator's migration
-	// observer, which holds the step rather than the tenant.
-	*t = *nt
+	// observer, which holds the step rather than the tenant. The stripe's
+	// ledgers trade the old state's share for the new one's.
+	sh := e.shardAt(t.shardIdx)
+	sh.credit(t, -1)
+	t.tenantState = nt.tenantState
+	sh.credit(t, 1)
 	if err := e.replayChunks(t, tail[:need]); err != nil {
 		return drop, err
 	}
@@ -459,10 +461,11 @@ func (e *Engine) restoreSnapshot(pos wal.Pos, rec wal.Record) error {
 	return nil
 }
 
-// moveMu serializes MoveTenant calls process-wide. A move holds shard
-// locks on two engines at once (source while encoding, destination
-// while installing); serializing moves is what keeps two concurrent
-// opposite-direction moves from deadlocking on each other's shards.
+// moveMu serializes MoveTenant calls process-wide. A move holds locks
+// on two engines at once (the source's rebalMu and tenant while the
+// destination registers the arrival under its rebalMu); serializing
+// moves is what keeps two concurrent opposite-direction moves from
+// deadlocking on each other's locks.
 var moveMu sync.Mutex
 
 // MoveTenant extracts tenant id from e and registers it in dst — a
@@ -492,16 +495,16 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 	}
 	moveMu.Lock()
 	defer moveMu.Unlock()
-	// The removal writes the source's route and membership, which needs
-	// rebalMu; holding it from here also keeps the source's own passes
-	// from moving the tenant while it travels.
+	// The removal writes the source's registry, which needs rebalMu;
+	// holding it from here also keeps the source's own passes from moving
+	// the tenant while it travels.
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
-	s, t := e.lockTenant(id)
+	t := e.lockTenant(id)
 	if t == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	defer s.mu.Unlock()
+	defer t.mu.Unlock()
 	if t.err != nil {
 		return fmt.Errorf("engine: MoveTenant(%q): %w: move healthy tenants only: %w", id, ErrTenantPoisoned, t.err)
 	}
@@ -513,7 +516,7 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 	if err != nil {
 		return fmt.Errorf("engine: MoveTenant(%q): %w", id, err)
 	}
-	//lint:ignore lockorder the move is a two-journal transaction: the destination's registration and the source's removal must happen with the tenant frozen under this shard lock, and moveMu serializes moves so the cross-engine lock pair cannot deadlock
+	//lint:ignore lockorder the move is a two-journal transaction: the destination's registration and the source's removal must happen with the tenant frozen under its lock, and moveMu serializes moves so the cross-engine lock pair cannot deadlock
 	if err := dst.register(nt); err != nil {
 		return fmt.Errorf("engine: MoveTenant(%q): %w", id, err)
 	}
@@ -524,7 +527,7 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 			return fmt.Errorf("engine: MoveTenant(%q): installed at destination but source removal failed (tenant now on both): %w", id, err)
 		}
 	}
-	e.evict(s, id)
+	e.evict(t)
 	e.cfg.Sink.TenantMoved(id, "out")
 	return nil
 }

@@ -381,9 +381,9 @@ func TestBreakerProbeRestoresFromSnapshot(t *testing.T) {
 	core.ApplyEvents(ref, arrivals(1, 8, 1))
 	core.ApplyEvents(ref, arrivals(9, 2, 1))
 	core.ApplyEvents(ref, arrivals(11, 4, 1))
-	s, tn := eng.lockTenant("t")
+	tn := eng.lockTenant("t")
 	got := tn.alloc.PELoads()
-	s.mu.Unlock()
+	tn.mu.Unlock()
 	if !reflect.DeepEqual(got, ref.PELoads()) {
 		t.Errorf("healed PE loads %v, reference %v", got, ref.PELoads())
 	}
@@ -753,9 +753,9 @@ func TestSnapshotCrashBetweenRebuildAndHeal(t *testing.T) {
 			}
 			ref := core.NewPeriodic(tree.MustNew(16), 1, core.DecreasingSize)
 			core.ApplyEvents(ref, arrivals(1, 10, 1))
-			s, tn := rec.lockTenant("t")
+			tn := rec.lockTenant("t")
 			got := tn.alloc.PELoads()
-			s.mu.Unlock()
+			tn.mu.Unlock()
 			if !reflect.DeepEqual(got, ref.PELoads()) {
 				t.Errorf("healed PE loads %v, reference %v", got, ref.PELoads())
 			}

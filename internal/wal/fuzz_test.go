@@ -28,6 +28,10 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(byte(TypeAddTenant), "", []byte(`{"ID":"x"}`))
 	f.Add(byte(TypeRebuild), "t", AppendRebuild(nil, 12, 3))
 	f.Add(byte(TypeMove), "t", AppendMove(nil, 2, 5))
+	// A rebuild payload whose keep count 0 is padded to two bytes: the
+	// decoders refuse non-minimal varints, or it would decode to the
+	// record [0x00 0x01] encodes.
+	f.Add(byte(TypeRebuild), "t", []byte{0x80, 0x00, 0x01})
 	// Truncated tail: the classic crash artifact.
 	f.Add(byte(0), "", whole[:len(whole)-5])
 	// Corrupt CRC: same frame, payload bit flipped.
@@ -78,8 +82,13 @@ func FuzzRecordRoundTrip(f *testing.F) {
 				t.Fatal("accepted move payload is not canonical")
 			}
 		}
-		if prev, prevLen, err := decodeSegmentHeader(data); err == nil && (prev < 0 || prevLen < 0) {
-			t.Fatalf("segment header decoded to index %d, length %d", prev, prevLen)
+		if prev, prevLen, err := decodeSegmentHeader(data); err == nil {
+			if prev < 0 || prevLen < 0 {
+				t.Fatalf("segment header decoded to index %d, length %d", prev, prevLen)
+			}
+			if !bytes.Equal(segmentHeader(prev, prevLen).Data, data) {
+				t.Fatal("accepted segment header payload is not canonical")
+			}
 		}
 	})
 }

@@ -140,7 +140,7 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 		return Record{}, 0, fmt.Errorf("%w: crc %08x, frame says %08x", ErrCorruptRecord, got, want)
 	}
 	rec := Record{Type: Type(body[0])}
-	tl, k := binary.Uvarint(body[1:])
+	tl, k := uvarint(body[1:])
 	if k <= 0 || tl > uint64(len(body)-1-k) {
 		return Record{}, 0, fmt.Errorf("%w: tenant length", ErrCorruptRecord)
 	}
@@ -151,6 +151,20 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 		rec.Data = append([]byte(nil), body[off:]...)
 	}
 	return rec, frameHeaderLen + n, nil
+}
+
+// uvarint decodes a uvarint from the head of data as binary.Uvarint
+// does, and also reports n = 0 for a non-minimal encoding: one longer
+// than its value needs, which ends in a zero byte. Every varint the
+// decoders read goes through it, so each value has one encoding, the
+// one binary.AppendUvarint writes, and an accepted record re-encodes to
+// the bytes it was read from.
+func uvarint(data []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(data)
+	if n > 1 && data[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // AppendEvents appends the event-slice payload: uvarint count, then per
@@ -180,7 +194,7 @@ func DecodeEvents(data []byte) ([]task.Event, error) {
 }
 
 func decodeEvents(data []byte) ([]task.Event, []byte, error) {
-	count, k := binary.Uvarint(data)
+	count, k := uvarint(data)
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: event count", ErrCorruptRecord)
 	}
@@ -201,13 +215,15 @@ func decodeEvents(data []byte) ([]task.Event, []byte, error) {
 			return nil, nil, fmt.Errorf("%w: event kind %d", ErrCorruptRecord, data[0])
 		}
 		data = data[1:]
-		id, k := binary.Varint(data)
+		// The task ID is a zigzag varint: its uvarint, with the sign in
+		// the low bit.
+		zz, k := uvarint(data)
 		if k <= 0 {
 			return nil, nil, fmt.Errorf("%w: event %d task ID", ErrCorruptRecord, i)
 		}
-		e.Task = task.ID(id)
+		e.Task = task.ID(int64(zz>>1) ^ -int64(zz&1))
 		data = data[k:]
-		size, k := binary.Uvarint(data)
+		size, k := uvarint(data)
 		if k <= 0 || size > math.MaxInt32 {
 			return nil, nil, fmt.Errorf("%w: event %d size", ErrCorruptRecord, i)
 		}
@@ -233,12 +249,12 @@ func AppendMove(dst []byte, from, to int) []byte {
 
 // DecodeMove decodes a TypeMove payload.
 func DecodeMove(data []byte) (from, to int, err error) {
-	f, n := binary.Uvarint(data)
+	f, n := uvarint(data)
 	if n <= 0 || f > math.MaxInt32 {
 		return 0, 0, fmt.Errorf("%w: move from-shard", ErrCorruptRecord)
 	}
 	data = data[n:]
-	t, n := binary.Uvarint(data)
+	t, n := uvarint(data)
 	if n <= 0 || t > math.MaxInt32 {
 		return 0, 0, fmt.Errorf("%w: move to-shard", ErrCorruptRecord)
 	}
@@ -257,12 +273,12 @@ func segmentHeader(prev int, prevLen int64) Record {
 
 // decodeSegmentHeader decodes a header frame's payload.
 func decodeSegmentHeader(data []byte) (prev int, prevLen int64, err error) {
-	p, n := binary.Uvarint(data)
+	p, n := uvarint(data)
 	if n <= 0 || p > math.MaxInt32 {
 		return 0, 0, fmt.Errorf("%w: segment header index", ErrCorruptRecord)
 	}
 	data = data[n:]
-	s, n := binary.Uvarint(data)
+	s, n := uvarint(data)
 	if n <= 0 || s > math.MaxInt64 || len(data[n:]) != 0 {
 		return 0, 0, fmt.Errorf("%w: segment header length", ErrCorruptRecord)
 	}
@@ -278,12 +294,12 @@ func AppendRebuild(dst []byte, keep, drop int64) []byte {
 
 // DecodeRebuild decodes a TypeRebuild payload.
 func DecodeRebuild(data []byte) (keep, drop int64, err error) {
-	k, n := binary.Uvarint(data)
+	k, n := uvarint(data)
 	if n <= 0 || k > math.MaxInt64 {
 		return 0, 0, fmt.Errorf("%w: rebuild keep", ErrCorruptRecord)
 	}
 	data = data[n:]
-	d, n := binary.Uvarint(data)
+	d, n := uvarint(data)
 	if n <= 0 || d > math.MaxInt64 {
 		return 0, 0, fmt.Errorf("%w: rebuild drop", ErrCorruptRecord)
 	}

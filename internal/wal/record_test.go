@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -72,6 +75,66 @@ func TestRecordFrameGolden(t *testing.T) {
 			}
 			if !reflect.DeepEqual(rec, g.rec) {
 				t.Errorf("DecodeRecord = %+v, want %+v", rec, g.rec)
+			}
+		})
+	}
+}
+
+// TestDecodersRefuseNonMinimalVarints checks every varint the decoders
+// read: each case decodes its minimal payload, and refuses as
+// ErrCorruptRecord the same payload with one varint padded by a zero
+// continuation byte ([0x80|low bits, 0x00] for a one-byte value), which
+// binary.Uvarint alone accepts as the same value. The encoders write
+// minimal varints only, so a padded one can come only from corruption,
+// and accepting it would let two byte strings decode to one record.
+func TestDecodersRefuseNonMinimalVarints(t *testing.T) {
+	// frame wraps a record body in a valid header, so only the body's
+	// varint can fail.
+	frame := func(body ...byte) []byte {
+		out := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+		return append(out, body...)
+	}
+	// event is one arrival of task 1 (zigzag 2), size 4, time 0, with
+	// the ID and size varints as given.
+	event := func(id, size []byte) []byte {
+		out := append([]byte{byte(task.Arrive)}, id...)
+		return append(append(out, size...), make([]byte, 8)...)
+	}
+	decodeRecord := func(b []byte) error { _, _, err := DecodeRecord(b); return err }
+	decodeEvents := func(b []byte) error { _, err := DecodeEvents(b); return err }
+	decodeMove := func(b []byte) error { _, _, err := DecodeMove(b); return err }
+	decodeRebuild := func(b []byte) error { _, _, err := DecodeRebuild(b); return err }
+	decodeHeader := func(b []byte) error { _, _, err := decodeSegmentHeader(b); return err }
+	for _, tc := range []struct {
+		name            string
+		decode          func([]byte) error
+		minimal, padded []byte
+	}{
+		{"record/tenant-length", decodeRecord,
+			frame(byte(TypeFlush), 0x01, 't'), frame(byte(TypeFlush), 0x81, 0x00, 't')},
+		{"events/count", decodeEvents,
+			append([]byte{0x01}, event([]byte{0x02}, []byte{0x04})...),
+			append([]byte{0x81, 0x00}, event([]byte{0x02}, []byte{0x04})...)},
+		{"events/task-id", decodeEvents,
+			append([]byte{0x01}, event([]byte{0x02}, []byte{0x04})...),
+			append([]byte{0x01}, event([]byte{0x82, 0x00}, []byte{0x04})...)},
+		{"events/size", decodeEvents,
+			append([]byte{0x01}, event([]byte{0x02}, []byte{0x04})...),
+			append([]byte{0x01}, event([]byte{0x02}, []byte{0x84, 0x00})...)},
+		{"move/from", decodeMove, []byte{0x02, 0x05}, []byte{0x82, 0x00, 0x05}},
+		{"move/to", decodeMove, []byte{0x02, 0x05}, []byte{0x02, 0x85, 0x00}},
+		{"rebuild/keep", decodeRebuild, []byte{0x00, 0x01}, []byte{0x80, 0x00, 0x01}},
+		{"rebuild/drop", decodeRebuild, []byte{0x00, 0x01}, []byte{0x00, 0x81, 0x00}},
+		{"segment-header/index", decodeHeader, []byte{0x07, 0x7f}, []byte{0x87, 0x00, 0x7f}},
+		{"segment-header/length", decodeHeader, []byte{0x07, 0x7f}, []byte{0x07, 0xff, 0x80, 0x00}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.decode(tc.minimal); err != nil {
+				t.Fatalf("minimal %x: %v", tc.minimal, err)
+			}
+			if err := tc.decode(tc.padded); !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("padded %x: %v, want ErrCorruptRecord", tc.padded, err)
 			}
 		})
 	}
